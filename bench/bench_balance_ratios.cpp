@@ -29,7 +29,7 @@ namespace {
 /// VPU performs `forms_per_stripe` chained SAXPY forms on the current one
 /// (k = forms_per_stripe * 2 flops per element). Returns achieved MFLOPS.
 /// When `reg` is given, the node's counters/spans are collected into it and
-/// `*wall` receives the simulated end time (for perf::to_json).
+/// `*wall` receives the simulated end time (for perf::write_file).
 double overlap_mflops(int forms_per_stripe, bool overlap,
                       perf::CounterRegistry* reg = nullptr,
                       sim::SimTime* wall = nullptr) {
@@ -112,9 +112,9 @@ int main(int argc, char** argv) {
     reg.meta().workload = "balance_overlap_7forms";
     sim::SimTime wall{};
     overlap_mflops(7, true, &reg, &wall);
-    perf::json::Value doc = perf::to_json(reg, wall);
-    doc["results"]["overlap_table"] = std::move(rows);
-    perf::write_file(json_path, doc);
+    perf::json::Value results = perf::json::Value::object();
+    results["overlap_table"] = std::move(rows);
+    perf::write_file(json_path, reg, wall, results);
     std::printf("  wrote perf dump: %s\n", json_path.c_str());
   }
   return 0;

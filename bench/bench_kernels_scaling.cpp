@@ -469,20 +469,19 @@ int main(int argc, char** argv) {
     // and dump counters + spans + the scaling table above.
     perf::CounterRegistry reg;
     const KernelResult traced = kernels::run_saxpy(2, 1 << 16, 2.0, {}, &reg);
-    perf::json::Value doc = perf::to_json(reg, traced.elapsed);
-    doc["results"]["saxpy_scaling"] = std::move(saxpy_rows);
-    doc["results"]["traced_mflops"] =
-        perf::json::Value::number(traced.mflops());
+    perf::json::Value results = perf::json::Value::object();
+    results["saxpy_scaling"] = std::move(saxpy_rows);
+    results["traced_mflops"] = perf::json::Value::number(traced.mflops());
     // Message-latency percentiles come from a traced 4-node DOT: saxpy is
     // embarrassingly parallel (no link traffic), but dot ends in a
     // hypercube allreduce, so its dump carries real message-lifecycle
     // events for the tscope stitcher.
     perf::CounterRegistry dot_reg;
     const KernelResult traced_dot = kernels::run_dot(2, 1 << 16, {}, &dot_reg);
-    doc["results"]["messages_workload"] = perf::json::Value::string("dot");
-    doc["results"]["messages"] = perf::messages_to_json(
+    results["messages_workload"] = perf::json::Value::string("dot");
+    results["messages"] = perf::messages_to_json(
         perf::analyze_messages(perf::snapshot(dot_reg, traced_dot.elapsed)));
-    perf::write_file(json_path, doc);
+    perf::write_file(json_path, reg, traced.elapsed, results);
     std::printf("\n  wrote perf dump: %s\n", json_path.c_str());
   }
   return 0;

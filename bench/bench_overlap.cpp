@@ -121,15 +121,14 @@ int main(int argc, char** argv) {
     perf::CounterRegistry reg;
     reg.meta().workload = "scattered_saxpy_no_overlap";
     const sim::SimTime wall = scattered_saxpy(false, 1, &reg);
-    perf::json::Value doc = perf::to_json(reg, wall);
-    doc["results"]["aligned_us"] = perf::json::Value::number(
-        aligned_saxpy(1).us());
-    doc["results"]["serial_us"] = perf::json::Value::number(wall.us());
+    perf::json::Value results = perf::json::Value::object();
+    results["aligned_us"] = perf::json::Value::number(aligned_saxpy(1).us());
+    results["serial_us"] = perf::json::Value::number(wall.us());
     // Message report (empty on this single-node run — same schema as the
     // machine benches, so downstream consumers need no special case).
-    doc["results"]["messages"] = perf::messages_to_json(
+    results["messages"] = perf::messages_to_json(
         perf::analyze_messages(perf::snapshot(reg, wall)));
-    perf::write_file(json_path, doc);
+    perf::write_file(json_path, reg, wall, results);
     std::printf("  wrote perf dump: %s\n", json_path.c_str());
   }
   return 0;

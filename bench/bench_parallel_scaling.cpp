@@ -445,7 +445,7 @@ VerifyRun verify_serial(int dim, int rounds, int hot_iters) {
   occam::Runtime rt{machine};
   const sim::ShardMap placement{dim, shards_for(dim)};
   const sim::SimTime elapsed = rt.run(workload(placement, rounds, hot_iters));
-  out.dump = perf::to_json(reg, elapsed).dump(2);
+  perf::write_dump(out.dump, reg, elapsed);
   out.events = sim.events_processed();
   out.sim_ps = elapsed.ps();
   return out;
@@ -466,7 +466,7 @@ VerifyRun verify_parallel(int dim, int shards, int threads, int rounds,
   occam::Runtime rt{machine};
   const sim::ShardMap placement{dim, shards_for(dim)};
   const sim::SimTime elapsed = rt.run(workload(placement, rounds, hot_iters));
-  out.dump = perf::to_json(reg, elapsed).dump(2);
+  perf::write_dump(out.dump, reg, elapsed);
   out.events = psim.events_processed();
   out.sim_ps = elapsed.ps();
   return out;

@@ -68,7 +68,17 @@
 #      cross-thread perf dumps at 1/2/4 workers must be byte-identical
 #      and the sharded engine must reach the serial engine's simulated
 #      time exactly
-#  11. clang-tidy over all first-party translation units (skipped when the
+#  11. the repo benchmark's own smoke tests (python3
+#      perfbench/test_perfbench.py, release leg only): every workload
+#      passes its output checks untraced and traced — the traced replay
+#      re-serialises jobs through the perf::to_json tree and must match
+#      the bytes serve streamed — injected corruption lands in `failed`,
+#      and every BENCHMARK.json metric prints. perfbench builds its own
+#      RelWithDebInfo binary from src/, so this also catches a src/ change
+#      that breaks the benchmark build. Sanitizer legs skip it loudly: the
+#      benchmark build carries no sanitizer flags, and binaries with the
+#      VPU batch arm's target_clones crash at start under TSan
+#  12. clang-tidy over all first-party translation units (skipped when the
 #      toolchain image has no clang-tidy); src/check findings are blocking
 #
 # A per-stage wall-clock summary table is printed on exit (pass or fail).
@@ -107,7 +117,9 @@ ci.sh stages:
   9  vpu batch arm: cross-validation fuzz + batch-sweep equivalence/speed gates
  10  bench_parallel_scaling: events/sec-per-core trajectory gate +
      cross-thread determinism verify (FPST_FULL_SWEEP=1 -> 12-cube)
- 11  clang-tidy (src/check findings blocking)
+ 11  perfbench smoke tests: benchmark checks + tree-vs-stream dump bytes
+     (release leg; skipped loudly on sanitizer legs)
+ 12  clang-tidy (src/check findings blocking)
 EOF
 }
 
@@ -182,7 +194,7 @@ begin_stage() {
   stage_cur=$1
   stage_start=$(date +%s)
   stages_ran="$stages_ran${stages_ran:+,}$1"
-  echo "== [$1/11] $2 =="
+  echo "== [$1/12] $2 =="
 }
 
 # determinism_sweep <example-bin> <serial-dump> <out-prefix> [extra args...]:
@@ -243,8 +255,9 @@ if want_stage 3; then
   found=0
   for f in "$repo_root"/tests/corpus/*; do
     # An unmatched glob passes through literally; a vanished corpus must
-    # fail the stage, not silently verify zero programs.
-    [ -e "$f" ] || continue
+    # fail the stage, not silently verify zero programs. Subdirectories
+    # (the reference dumps under dumps/) are not programs.
+    [ -f "$f" ] || continue
     found=$((found + 1))
     if "$tcheck" --werror -q "$f"; then
       echo "ci: NOT FLAGGED (corpus program slipped through): $f" >&2
@@ -635,7 +648,18 @@ if want_stage 10; then
 fi
 
 if want_stage 11; then
-  begin_stage 11 "clang-tidy"
+  begin_stage 11 "perfbench: the benchmark's own smoke tests"
+  if [ -n "$sanitize" ]; then
+    echo "ci: SKIPPED stage 11 (perfbench smoke tests) on the" \
+         "'$sanitize' leg — the benchmark builds its own unsanitized" \
+         "binary, and the release leg runs it" >&2
+  else
+    python3 "$repo_root/perfbench/test_perfbench.py"
+  fi
+fi
+
+if want_stage 12; then
+  begin_stage 12 "clang-tidy"
   "$repo_root"/tools/run-tidy.sh "$build_dir"
 fi
 

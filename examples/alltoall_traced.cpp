@@ -117,12 +117,10 @@ int main(int argc, char** argv) {
     total += s;
   }
 
-  perf::json::Value doc = perf::to_json(reg, elapsed);
   perf::json::Value results = perf::json::Value::object();
   results["received_sum"] = perf::json::Value::number(total);
   results["elapsed_us"] = perf::json::Value::number(elapsed.us());
-  doc["results"] = std::move(results);
-  perf::write_file(out, doc);
+  perf::write_file(out, reg, elapsed, results);
 
   std::printf("all-to-all on %zu nodes (%d-cube): %zu messages, %s simulated\n",
               n, dim, n * (n - 1), elapsed.to_string().c_str());

@@ -61,14 +61,12 @@ int main(int argc, char** argv) {
   sim.run();
 
   const sim::SimTime elapsed = sim.now();
-  perf::json::Value doc = perf::to_json(reg, elapsed);
   perf::json::Value results = perf::json::Value::object();
   results["elapsed_ps"] = perf::json::Value::integer(elapsed.ps());
   results["elapsed_us"] = perf::json::Value::number(elapsed.us());
   results["instructions"] = perf::json::Value::integer(
       static_cast<std::int64_t>(nd.cpu().instructions_executed()));
-  doc["results"] = std::move(results);
-  perf::write_file(out, doc);
+  perf::write_file(out, reg, elapsed, results);
 
   std::printf("%s: %llu instructions, %s simulated\n", path.c_str(),
               static_cast<unsigned long long>(nd.cpu().instructions_executed()),

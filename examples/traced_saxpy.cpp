@@ -113,12 +113,10 @@ int main(int argc, char** argv) {
     sums[ctx.id()] = local;
   });
 
-  perf::json::Value doc = perf::to_json(reg, elapsed);
   perf::json::Value results = perf::json::Value::object();
   results["allreduce_sum"] = perf::json::Value::number(sums[0]);
   results["elapsed_us"] = perf::json::Value::number(elapsed.us());
-  doc["results"] = std::move(results);
-  perf::write_file(out, doc);
+  perf::write_file(out, reg, elapsed, results);
 
   std::printf("traced %d stripes x %d VSAXPY(%zu) on %zu nodes: %s simulated\n",
               kStripes, kSaxpysPerStripe, kElems, machine.size(),

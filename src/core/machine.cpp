@@ -165,11 +165,11 @@ sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
   Cable& c = cable(from, dim);
   const int side = side_of(c, from);
   sim::Semaphore& mux = *port_mux_[from][static_cast<std::size_t>(port)];
-  if (perf_ != nullptr && p.trace != 0) {
+  if (p.trace != 0 && !link_sinks_.empty()) {
     // tscope enqueue marker: the gap to the matching tx span's start is the
     // hop's queueing delay (port mutex + wire direction contention).
-    perf_->track(from, "link" + std::to_string(port))
-        .instant(sim_for(from).now(), "m" + std::to_string(p.trace) + " enq");
+    link_sinks_[from][static_cast<std::size_t>(port)]->instant(
+        sim_for(from).now(), "m" + std::to_string(p.trace) + " enq");
   }
   co_await mux.acquire();
   if (c.wire) {
@@ -205,15 +205,23 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
   }
   // Each cable side reports on the track of the node that transmits from
   // it, named after the physical port the dimension is multiplexed onto.
+  link_sinks_.assign(size(), {});
   for (const auto& per_node : cables_) {
     for (std::size_t d = 0; d < per_node.size(); ++d) {
       const Cable& c = per_node[d];
-      const std::string comp =
-          "link" + std::to_string(d % link::LinkParams::kPhysicalLinks);
+      if (!c.wire && !c.xwire) {
+        continue;
+      }
+      const std::size_t port = d % link::LinkParams::kPhysicalLinks;
+      const std::string comp = "link" + std::to_string(port);
+      perf::TrackSink* lo = &reg.track(c.lo, comp);
+      perf::TrackSink* hi = &reg.track(c.hi, comp);
+      link_sinks_[c.lo][port] = lo;
+      link_sinks_[c.hi][port] = hi;
       if (c.wire) {
-        c.wire->set_sinks(&reg.track(c.lo, comp), &reg.track(c.hi, comp));
-      } else if (c.xwire) {
-        c.xwire->set_sinks(&reg.track(c.lo, comp), &reg.track(c.hi, comp));
+        c.wire->set_sinks(lo, hi);
+      } else {
+        c.xwire->set_sinks(lo, hi);
       }
     }
   }

@@ -10,6 +10,7 @@
 // the available bandwidth" (§II).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -174,6 +175,11 @@ class TSeries {
   std::vector<std::vector<Cable>> cables_;
   // port_mux_[node][port]: one transmission at a time per physical link.
   std::vector<std::vector<std::unique_ptr<sim::Semaphore>>> port_mux_;
+  // link_sinks_[node][port]: the "link<port>" track of each wired port,
+  // resolved by enable_perf so send_dim never looks a track up by name.
+  // Empty while perf is off.
+  std::vector<std::array<perf::PerfSink*, link::LinkParams::kPhysicalLinks>>
+      link_sinks_;
 };
 
 }  // namespace fpst::core

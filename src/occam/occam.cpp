@@ -176,14 +176,24 @@ Runtime::Runtime(core::TSeries& machine) : machine_{&machine} {
   }
 }
 
+perf::TrackSink* Runtime::occam_sink(net::NodeId at) {
+  if (occam_sinks_.empty()) {
+    return nullptr;
+  }
+  perf::TrackSink*& sink = occam_sinks_[at];
+  if (sink == nullptr) {
+    sink = &machine_->perf()->track(at, "occam");
+  }
+  return sink;
+}
+
 void Runtime::deliver(net::NodeId at, Msg m) {
-  if (perf::CounterRegistry* reg = machine_->perf()) {
-    perf::TrackSink& sink = reg->track(at, "occam");
-    sink.count("msgs_recv", 1);
+  if (perf::TrackSink* sink = occam_sink(at)) {
+    sink->count("msgs_recv", 1);
     if (m.trace != 0) {
-      sink.instant(machine_->sim_for(at).now(),
-                   "m" + std::to_string(m.trace) + " dlv <-n" +
-                       std::to_string(m.src));
+      sink->instant(machine_->sim_for(at).now(),
+                    "m" + std::to_string(m.trace) + " dlv <-n" +
+                        std::to_string(m.src));
     }
   }
   Mailbox& box = *mailboxes_[at];
@@ -196,16 +206,15 @@ sim::Proc Runtime::send_packet(net::NodeId from, net::NodeId dst,
   // Packetisation is control-processor work.
   co_await machine_->node(from).cp_work(RtParams::kSendInstr);
   std::uint32_t trace = 0;
-  if (perf::CounterRegistry* reg = machine_->perf()) {
-    perf::TrackSink& sink = reg->track(from, "occam");
-    sink.count("msgs_sent", 1);
+  if (perf::TrackSink* sink = occam_sink(from)) {
+    sink->count("msgs_sent", 1);
     // tscope injection marker: id, destination, tag and encoded payload
     // size, in the grammar perf/tscope.hpp documents.
     trace = alloc_trace(from);
-    sink.instant(machine_->sim_for(from).now(),
-                 "m" + std::to_string(trace) + " inj ->n" +
-                     std::to_string(dst) + " t" + std::to_string(tag) + " " +
-                     std::to_string(4 + 8 * data.size()) + "B");
+    sink->instant(machine_->sim_for(from).now(),
+                  "m" + std::to_string(trace) + " inj ->n" +
+                      std::to_string(dst) + " t" + std::to_string(tag) + " " +
+                      std::to_string(4 + 8 * data.size()) + "B");
   }
   if (dst == from) {
     deliver(from, Msg{from, tag, trace, std::move(data)});
@@ -231,12 +240,11 @@ sim::Proc Runtime::router_listener(net::NodeId at, int dim) {
     // dimension; the hop count rides in the packet.
     forwarded_.fetch_add(1, std::memory_order_relaxed);
     ++p.hops;
-    if (perf::CounterRegistry* reg = machine_->perf()) {
-      perf::TrackSink& sink = reg->track(at, "occam");
-      sink.count("pkts_forwarded", 1);
+    if (perf::TrackSink* sink = occam_sink(at)) {
+      sink->count("pkts_forwarded", 1);
       if (p.trace != 0) {
-        sink.instant(machine_->sim_for(at).now(),
-                     "m" + std::to_string(p.trace) + " fwd");
+        sink->instant(machine_->sim_for(at).now(),
+                      "m" + std::to_string(p.trace) + " fwd");
       }
     }
     co_await machine_->node(at).cp_work(RtParams::kForwardInstr);
@@ -297,6 +305,8 @@ sim::SimTime Runtime::run(const std::vector<Body>& bodies) {
   if (bodies.size() != machine_->size()) {
     throw std::invalid_argument("Runtime::run: one body per node required");
   }
+  occam_sinks_.assign(machine_->perf() != nullptr ? machine_->size() : 0,
+                      nullptr);
   if (machine_->parallel() != nullptr) {
     return run_parallel(bodies);
   }
@@ -318,12 +328,9 @@ sim::SimTime Runtime::run(const std::vector<Body>& bodies) {
 
 sim::SimTime Runtime::run_parallel(const std::vector<Body>& bodies) {
   sim::ParallelSim& psim = *machine_->parallel();
-  if (perf::CounterRegistry* reg = machine_->perf()) {
-    // Pre-create every node's occam track while still single-threaded;
-    // lazy creation from shard workers would race on the registry map.
-    for (net::NodeId id = 0; id < machine_->size(); ++id) {
-      reg->track(id, "occam");
-    }
+  // Resolve every node's occam track while still single-threaded.
+  for (net::NodeId id = 0; id < occam_sinks_.size(); ++id) {
+    occam_sink(id);
   }
   start_routers();
   const sim::SimTime start = psim.now();

@@ -150,6 +150,8 @@ class Runtime {
                         std::vector<double> data);
   std::uint32_t alloc_trace(net::NodeId from);
   sim::SimTime run_parallel(const std::vector<Body>& bodies);
+  /// Node `at`'s "occam" track, or null while perf is off.
+  perf::TrackSink* occam_sink(net::NodeId at);
 
   core::TSeries* machine_;
   std::vector<std::unique_ptr<Ctx>> ctxs_;
@@ -167,6 +169,12 @@ class Runtime {
   /// Parallel trace allocation: per-source message sequence numbers. Entry
   /// n is written only by node n's shard worker.
   std::vector<std::uint32_t> per_node_seq_;
+  /// Per-node occam tracks, resolved once instead of per message; empty
+  /// while perf is off. Sharded runs fill every entry before the workers
+  /// start (a lazy fill from shard threads would race on the registry).
+  /// Serial runs fill an entry on the node's first message, so nodes that
+  /// never communicate grow no track and serial dumps keep their bytes.
+  std::vector<perf::TrackSink*> occam_sinks_;
 };
 
 }  // namespace fpst::occam

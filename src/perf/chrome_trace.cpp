@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -32,6 +33,69 @@ json::Value metadata_event(const char* name, std::int64_t pid, std::int64_t tid,
   return e;
 }
 
+std::uint64_t spans_dropped(const CounterRegistry& reg) {
+  if (!reg.span_sharded()) {
+    return reg.timeline().dropped();
+  }
+  std::uint64_t dropped = 0;
+  for (const auto& tl : reg.shard_timelines()) {
+    dropped += tl->dropped();
+  }
+  return dropped;
+}
+
+/// Visit the registry's spans in dump order.
+template <typename Fn>
+void for_each_span(const CounterRegistry& reg, Fn&& fn) {
+  if (!reg.span_sharded()) {
+    const Timeline& tl = reg.timeline();
+    for (std::size_t i = 0; i < tl.size(); ++i) {
+      fn(tl[i]);
+    }
+    return;
+  }
+  // Merge the per-shard timelines into one deterministic order: by start
+  // time, ties broken by shard number (the stable sort sees the spans
+  // shard-major) and then per-shard emission order. Host thread timing
+  // never influences the result — each shard's ring is already in that
+  // shard's deterministic execution order.
+  std::vector<const Span*> merged;
+  for (const auto& tl : reg.shard_timelines()) {
+    for (std::size_t i = 0; i < tl->size(); ++i) {
+      merged.push_back(&(*tl)[i]);
+    }
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const Span* a, const Span* b) {
+                     return a->start < b->start;
+                   });
+  for (const Span* s : merged) {
+    fn(*s);
+  }
+}
+
+void write_metadata_event(json::Writer& w, const char* name, std::int64_t pid,
+                          std::int64_t tid, std::string_view value) {
+  w.begin_object();
+  w.key("args").begin_object().key("name").string(value).end_object();
+  w.key("name").string(name);
+  w.key("ph").string("M");
+  w.key("pid").integer(pid);
+  w.key("tid").integer(tid);
+  w.end_object();
+}
+
+void write_bytes(const std::string& path, std::string_view text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    throw std::runtime_error("perf: cannot open " + path + " for writing");
+  }
+  out << text << '\n';
+  if (!out) {
+    throw std::runtime_error("perf: write to " + path + " failed");
+  }
+}
+
 }  // namespace
 
 Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
@@ -39,14 +103,7 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
   d.meta = reg.meta();
   d.wall = wall;
   d.span_capacity = reg.timeline().capacity();
-  if (reg.span_sharded()) {
-    d.spans_dropped = 0;
-    for (const auto& tl : reg.shard_timelines()) {
-      d.spans_dropped += tl->dropped();
-    }
-  } else {
-    d.spans_dropped = reg.timeline().dropped();
-  }
+  d.spans_dropped = spans_dropped(reg);
   // Track-id -> (node, component) so timeline spans regain their identity.
   std::map<std::uint32_t, std::pair<std::uint32_t, const std::string*>> by_id;
   for (const auto& [key, sink] : reg.tracks()) {
@@ -59,7 +116,7 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
     t.times = sink->times();
     d.tracks.push_back(std::move(t));
   }
-  const auto emit = [&](const Span& s) {
+  for_each_span(reg, [&](const Span& s) {
     const auto it = by_id.find(s.track);
     if (it == by_id.end()) {
       return;  // track was never registered (cannot happen via TrackSink)
@@ -72,33 +129,110 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
     out.name = s.name;
     out.is_instant = s.is_instant;
     d.spans.push_back(std::move(out));
-  };
-  if (reg.span_sharded()) {
-    // Merge the per-shard timelines into one deterministic order: by start
-    // time, ties broken by shard number (the stable sort sees the spans
-    // shard-major) and then per-shard emission order. Host thread timing
-    // never influences the result — each shard's ring is already in that
-    // shard's deterministic execution order.
-    std::vector<const Span*> merged;
-    for (const auto& tl : reg.shard_timelines()) {
-      for (std::size_t i = 0; i < tl->size(); ++i) {
-        merged.push_back(&(*tl)[i]);
-      }
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Span* a, const Span* b) {
-                       return a->start < b->start;
-                     });
-    for (const Span* s : merged) {
-      emit(*s);
-    }
-  } else {
-    const Timeline& tl = reg.timeline();
-    for (std::size_t i = 0; i < tl.size(); ++i) {
-      emit(tl[i]);
-    }
-  }
+  });
   return d;
+}
+
+void write_dump(std::string& out, const CounterRegistry& reg,
+                sim::SimTime wall, const json::Value& results) {
+  // Members go out in the sorted key order of to_json()'s std::map objects.
+  json::Writer w{out, 2};
+  w.begin_object();
+
+  // Counter tracks are keyed "node<k>.<component>" and print in string
+  // order (node10 before node2), not the registry's (node, component) order.
+  std::vector<std::pair<std::string, const TrackSink*>> keyed;
+  keyed.reserve(reg.tracks().size());
+  for (const auto& [key, sink] : reg.tracks()) {
+    keyed.emplace_back(track_key(key.first, key.second), sink.get());
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w.key("counters").begin_object();
+  for (const auto& [key, sink] : keyed) {
+    w.key(key).begin_object();
+    w.key("busy_ps").begin_object();
+    for (const auto& [name, tm] : sink->times()) {
+      w.key(name).integer(tm.ps());
+    }
+    w.end_object();
+    w.key("counts").begin_object();
+    for (const auto& [name, v] : sink->counts()) {
+      w.key(name).integer(static_cast<std::int64_t>(v));
+    }
+    w.end_object();
+    w.end_object();
+  }
+  w.end_object();
+
+  w.key("displayTimeUnit").string("ns");
+
+  const CounterRegistry::Meta& meta = reg.meta();
+  w.key("metadata").begin_object();
+  w.key("dimension").integer(meta.dimension);
+  w.key("nodes").integer(static_cast<std::int64_t>(meta.nodes));
+  w.key("span_capacity")
+      .integer(static_cast<std::int64_t>(reg.timeline().capacity()));
+  w.key("spans_dropped")
+      .integer(static_cast<std::int64_t>(spans_dropped(reg)));
+  w.key("tool").string("tperf");
+  w.key("wall_ps").integer(wall.ps());
+  w.key("workload").string(meta.workload);
+  w.end_object();
+
+  if (!results.is_null()) {
+    w.key("results").value(results);
+  }
+
+  // Thread-name events in (node, component) order; tid is the component's
+  // rank within its node, as in to_json(). pid_tid[track id] feeds spans.
+  w.key("traceEvents").begin_array();
+  std::vector<std::pair<std::int64_t, std::int64_t>> pid_tid(
+      reg.tracks().size());
+  std::optional<std::uint32_t> prev_node;
+  std::int64_t tid = 0;
+  for (const auto& [key, sink] : reg.tracks()) {
+    const std::int64_t pid = static_cast<std::int64_t>(key.first);
+    if (key.first != prev_node) {
+      prev_node = key.first;
+      tid = 0;
+      write_metadata_event(w, "process_name", pid, 0,
+                           "node" + std::to_string(key.first));
+    }
+    write_metadata_event(w, "thread_name", pid, tid, key.second);
+    pid_tid[sink->track_id()] = {pid, tid++};
+  }
+  for_each_span(reg, [&](const Span& s) {
+    if (s.track >= pid_tid.size()) {
+      return;  // track was never registered (cannot happen via TrackSink)
+    }
+    w.begin_object();
+    w.key("args").begin_object();
+    w.key("dur_ps").integer(s.duration.ps());
+    w.key("start_ps").integer(s.start.ps());
+    w.end_object();
+    if (!s.is_instant) {
+      w.key("dur").number(to_us(s.duration));
+    }
+    w.key("name").string(s.name);
+    w.key("ph").string(s.is_instant ? "i" : "X");
+    w.key("pid").integer(pid_tid[s.track].first);
+    if (s.is_instant) {
+      w.key("s").string("t");
+    }
+    w.key("tid").integer(pid_tid[s.track].second);
+    w.key("ts").number(to_us(s.start));
+    w.end_object();
+  });
+  w.end_array();
+  w.end_object();
+}
+
+void write_file(const std::string& path, const CounterRegistry& reg,
+                sim::SimTime wall, const json::Value& results) {
+  std::string text;
+  write_dump(text, reg, wall, results);
+  write_bytes(path, text);
 }
 
 json::Value to_json(const CounterRegistry& reg, sim::SimTime wall) {
@@ -193,14 +327,7 @@ json::Value to_json(const Dump& d) {
 }
 
 void write_file(const std::string& path, const json::Value& doc) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("perf: cannot open " + path + " for writing");
-  }
-  out << doc.dump(2) << '\n';
-  if (!out) {
-    throw std::runtime_error("perf: write to " + path + " failed");
-  }
+  write_bytes(path, doc.dump(2));
 }
 
 const DumpTrack* Dump::find(std::uint32_t node,

@@ -11,6 +11,9 @@
 //     optional caller-supplied `results` object (benches put their
 //     headline tables there).
 //
+// write_dump() streams the document from a registry in one pass; to_json()
+// builds the same document as a json::Value tree for loading and tests.
+//
 // Timestamps in traceEvents are microseconds (the trace_event unit); the
 // counters/metadata sections carry exact integer picoseconds (`*_ps`).
 #pragma once
@@ -25,9 +28,22 @@
 
 namespace fpst::perf {
 
-/// Serialise a registry (counters + timeline + meta) as a dump document.
-/// `wall` is the simulated end time of the run. Attach bench tables etc. by
-/// assigning doc["results"] before writing.
+/// Stream a registry's dump (counters + timeline + meta) straight to
+/// bytes, appending to `out` exactly what to_json(reg, wall) — with
+/// `results` as its "results" member unless null — prints with dump(2),
+/// without building the tree. `wall` is the simulated end time of the run;
+/// `results` carries a caller's tables (bench rows, a serve job's spec).
+/// Serve and every dump-writing example and bench use this.
+void write_dump(std::string& out, const CounterRegistry& reg,
+                sim::SimTime wall, const json::Value& results = json::Value{});
+
+/// write_dump() to `path`, plus the trailing newline write_file(path, doc)
+/// adds. Throws std::runtime_error on I/O failure.
+void write_file(const std::string& path, const CounterRegistry& reg,
+                sim::SimTime wall, const json::Value& results = json::Value{});
+
+/// The same dump as a document tree: the view from_json(), the loaders and
+/// the tests use, and the byte reference write_dump() is tested against.
 json::Value to_json(const CounterRegistry& reg, sim::SimTime wall);
 
 /// Write any JSON document to `path` (pretty-printed). Throws

@@ -145,112 +145,146 @@ void Value::append(Value v) {
 
 // ---------------------------------------------------------------- writing
 
-namespace {
-
-void write_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void newline_indent(std::string& out, int indent, int depth) {
-  if (indent < 0) {
+void Writer::newline(std::size_t depth) {
+  if (indent_ < 0) {
     return;
   }
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent) *
-                 static_cast<std::size_t>(depth),
-             ' ');
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
 }
 
-}  // namespace
+void Writer::next_item() {
+  if (open_.back()) {
+    out_ += ',';
+  }
+  open_.back() = true;
+  newline(open_.size());
+}
 
-void Value::write(std::string& out, int indent, int depth) const {
-  switch (kind_) {
-    case Kind::null:
-      out += "null";
-      break;
-    case Kind::boolean:
-      out += bool_ ? "true" : "false";
-      break;
-    case Kind::integer: {
-      char buf[32];
-      const auto r = std::to_chars(buf, buf + sizeof buf, int_);
-      out.append(buf, r.ptr);
-      break;
+void Writer::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (!open_.empty()) {
+    next_item();
+  }
+}
+
+void Writer::escaped(std::string_view s) {
+  out_ += '"';
+  std::size_t plain = 0;  // start of the pending run of unescaped bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
     }
-    case Kind::number: {
-      if (!std::isfinite(num_)) {
-        out += "null";  // JSON has no Inf/NaN; keep the document valid
-        break;
+    out_.append(s, plain, i - plain);
+    plain = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out_ += buf;
       }
-      char buf[40];
-      const auto r = std::to_chars(buf, buf + sizeof buf, num_);
-      out.append(buf, r.ptr);
-      break;
-    }
-    case Kind::string:
-      write_escaped(out, str_);
-      break;
-    case Kind::array: {
-      out += '[';
-      bool first = true;
-      for (const Value& v : arr_) {
-        if (!first) {
-          out += ',';
-        }
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        v.write(out, indent, depth + 1);
-      }
-      if (!arr_.empty()) {
-        newline_indent(out, indent, depth);
-      }
-      out += ']';
-      break;
-    }
-    case Kind::object: {
-      out += '{';
-      bool first = true;
-      for (const auto& [k, v] : obj_) {
-        if (!first) {
-          out += ',';
-        }
-        first = false;
-        newline_indent(out, indent, depth + 1);
-        write_escaped(out, k);
-        out += indent < 0 ? ":" : ": ";
-        v.write(out, indent, depth + 1);
-      }
-      if (!obj_.empty()) {
-        newline_indent(out, indent, depth);
-      }
-      out += '}';
-      break;
     }
   }
+  out_.append(s, plain, s.size() - plain);
+  out_ += '"';
+}
+
+Writer& Writer::open(char bracket) {
+  before_value();
+  out_ += bracket;
+  open_.push_back(false);
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  const bool had_items = open_.back();
+  open_.pop_back();
+  if (had_items) {
+    newline(open_.size());
+  }
+  out_ += bracket;
+  return *this;
+}
+
+Writer& Writer::key(std::string_view k) {
+  next_item();
+  escaped(k);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::null() {
+  before_value();
+  out_ += "null";
+  return *this;
+}
+
+Writer& Writer::boolean(bool b) {
+  before_value();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+Writer& Writer::integer(std::int64_t i) {
+  before_value();
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, i);
+  out_.append(buf, r.ptr);
+  return *this;
+}
+
+Writer& Writer::number(double d) {
+  if (!std::isfinite(d)) {
+    return null();
+  }
+  before_value();
+  char buf[40];
+  const auto r = std::to_chars(buf, buf + sizeof buf, d);
+  out_.append(buf, r.ptr);
+  return *this;
+}
+
+Writer& Writer::string(std::string_view s) {
+  before_value();
+  escaped(s);
+  return *this;
+}
+
+Writer& Writer::value(const Value& v) {
+  switch (v.kind_) {
+    case Value::Kind::null: return null();
+    case Value::Kind::boolean: return boolean(v.bool_);
+    case Value::Kind::integer: return integer(v.int_);
+    case Value::Kind::number: return number(v.num_);
+    case Value::Kind::string: return string(v.str_);
+    case Value::Kind::array:
+      begin_array();
+      for (const Value& e : v.arr_) {
+        value(e);
+      }
+      return end_array();
+    case Value::Kind::object:
+      begin_object();
+      for (const auto& [k, m] : v.obj_) {
+        key(k).value(m);
+      }
+      return end_object();
+  }
+  return *this;
 }
 
 std::string Value::dump(int indent) const {
   std::string out;
-  write(out, indent, 0);
+  Writer{out, indent}.value(*this);
   return out;
 }
 
@@ -331,12 +365,22 @@ class Parser {
     }
   }
 
+  // Called on entering an array or object; leave() on its way out.
+  void enter() {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+  void leave() { --depth_; }
+
   Value parse_object() {
     expect('{');
+    enter();
     Value v = Value::object();
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      leave();
       return v;
     }
     for (;;) {
@@ -355,16 +399,19 @@ class Parser {
         continue;
       }
       expect('}');
+      leave();
       return v;
     }
   }
 
   Value parse_array() {
     expect('[');
+    enter();
     Value v = Value::array();
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      leave();
       return v;
     }
     for (;;) {
@@ -376,6 +423,7 @@ class Parser {
         continue;
       }
       expect(']');
+      leave();
       return v;
     }
   }
@@ -485,6 +533,7 @@ class Parser {
   std::string_view text_;
   std::size_t pos_ = 0;
   bool reject_duplicate_keys_ = false;
+  int depth_ = 0;
 };
 
 }  // namespace

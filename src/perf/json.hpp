@@ -4,7 +4,10 @@
 //
 // Objects keep their keys in sorted order (std::map), so serialisation is
 // deterministic: two identical runs produce byte-identical dumps, which the
-// perf tests rely on.
+// perf tests rely on. Every byte of JSON text is formatted by Writer, which
+// Value::dump() and the streaming tperf dump writer
+// (perf/chrome_trace.hpp) share, so a tree and a stream of one document
+// print identically.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +17,13 @@
 #include <vector>
 
 namespace fpst::perf::json {
+
+/// Deepest array/object nesting the parsers accept. They recurse once per
+/// level, so an unbounded line of '[' would overflow the stack; no document
+/// this repo writes nests deeper than 10 levels.
+inline constexpr int kMaxDepth = 256;
+
+class Writer;
 
 class Value {
  public:
@@ -81,6 +91,8 @@ class Value {
   static Value parse_strict(std::string_view text);
 
  private:
+  friend class Writer;
+
   Kind kind_ = Kind::null;
   bool bool_ = false;
   std::int64_t int_ = 0;
@@ -88,8 +100,50 @@ class Value {
   std::string str_;
   Array arr_;
   Object obj_;
+};
 
-  void write(std::string& out, int indent, int depth) const;
+/// Appends JSON text to a string one token at a time: the repo's one set of
+/// formatting rules (string escapes, integers, shortest round-trip doubles,
+/// commas, newlines and indentation). Writing the members of an object in
+/// sorted key order yields exactly the bytes Value::dump() prints for the
+/// equivalent tree; the writer does not sort or check keys itself.
+class Writer {
+ public:
+  /// `indent` as for Value::dump(): < 0 compact, >= 0 spaces per level.
+  Writer(std::string& out, int indent) : out_{out}, indent_{indent} {}
+
+  Writer& begin_object() { return open('{'); }
+  Writer& end_object() { return close('}'); }
+  Writer& begin_array() { return open('['); }
+  Writer& end_array() { return close(']'); }
+  /// An object member's key; the next value written is its value.
+  Writer& key(std::string_view k);
+
+  Writer& null();
+  Writer& boolean(bool b);
+  Writer& integer(std::int64_t i);
+  /// Shortest round-trip form; NaN and infinities print as null (JSON has
+  /// no spelling for them).
+  Writer& number(double d);
+  Writer& string(std::string_view s);
+  /// A whole tree, at the current nesting depth.
+  Writer& value(const Value& v);
+
+ private:
+  /// Comma and line break before an array element or an object member.
+  void next_item();
+  /// Separator before a value: none after a key, next_item() in an array.
+  void before_value();
+  void newline(std::size_t depth);
+  void escaped(std::string_view s);
+  Writer& open(char bracket);
+  Writer& close(char bracket);
+
+  std::string& out_;
+  int indent_;
+  bool after_key_ = false;
+  /// One entry per open container: whether it has an item yet.
+  std::vector<bool> open_;
 };
 
 }  // namespace fpst::perf::json

@@ -219,7 +219,6 @@ RunOutcome JobRun::execute() {
     out.checksum += c;
   }
 
-  perf::json::Value doc = perf::to_json(*reg_, elapsed);
   perf::json::Value results = perf::json::Value::object();
   results["address"] = perf::json::Value::string(content_address(spec_));
   results["checksum"] = perf::json::Value::number(out.checksum);
@@ -228,10 +227,12 @@ RunOutcome JobRun::execute() {
       perf::json::Value::integer(static_cast<std::int64_t>(out.events));
   results["shards"] = perf::json::Value::integer(shards_for(spec_));
   results["spec"] = spec_to_json(spec_);
-  doc["results"] = std::move(results);
   // Exactly perf::write_file's on-disk bytes, so a cached result saved to
   // a file is indistinguishable from a dump the example binaries write.
-  out.dump = std::make_shared<const std::string>(doc.dump(2) + "\n");
+  std::string bytes;
+  perf::write_dump(bytes, *reg_, elapsed, results);
+  bytes += '\n';
+  out.dump = std::make_shared<const std::string>(std::move(bytes));
   out.serialize_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - exec_t1)
                          .count();

@@ -48,7 +48,7 @@ struct RunOutcome {
   // These describe the host, not the simulation — they never enter the
   // dump bytes above (which must stay a pure function of the spec).
   double exec_ms = 0.0;       ///< engine run (rt.run) wall time
-  double serialize_ms = 0.0;  ///< dump build + JSON serialise wall time
+  double serialize_ms = 0.0;  ///< dump streaming (perf::write_dump) wall time
 
   // ParallelSim epoch-profile aggregates (zero for serial runs): how much
   // of exec_ms the sharded engine spent in serial merge phases and parked

@@ -1,9 +1,11 @@
 // Tests for the tperf observability subsystem (src/perf): counter
 // determinism, span invariants, the Chrome trace_event dump schema, the
-// JSON round-trip, ring bounding, and the report builder's balance rules.
+// streaming dump writer against the tree view, the JSON round-trip and
+// parser limits, ring bounding, and the report builder's balance rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -195,12 +197,117 @@ TEST(ChromeTrace, RoundTripPreservesEverything) {
   EXPECT_EQ(d.results.find("answer")->as_int(), 42);
 }
 
+// A registry with every shape the dump schema has: tracks whose counts or
+// busy_ps maps are empty, node numbers whose string order differs from
+// their numeric order, complete and instant spans, spans the ring dropped,
+// and a workload label that needs escaping.
+void fill_edge_case_registry(CounterRegistry& reg) {
+  reg.meta().dimension = 4;
+  reg.meta().nodes = 16;
+  reg.meta().workload = std::string("quote\" backslash\\ bell\x07 tab\t");
+  reg.track(0, "empty");
+  reg.track(2, "cp").count("instr", 7);
+  reg.track(10, "cp").busy("busy", 3_us);
+  perf::TrackSink& link = reg.track(10, "link3");
+  link.count("bytes", 1ULL << 40);
+  link.busy("busy.sublink1", sim::SimTime::picoseconds(1));
+  for (int i = 0; i < 5; ++i) {
+    reg.track(2, "cp").span(sim::SimTime::picoseconds(1000 * (5 - i)), 1_ns,
+                            "op" + std::to_string(i));
+    link.instant(sim::SimTime::picoseconds(1000 * i), "m" + std::to_string(i));
+  }
+}
+
+// The streaming writer must print exactly what the tree view prints, and
+// what it prints must load back into the same dump.
+void expect_stream_matches_tree(const CounterRegistry& reg,
+                                const perf::json::Value& results) {
+  const sim::SimTime wall = 7_us;
+  std::string streamed;
+  perf::write_dump(streamed, reg, wall, results);
+  perf::json::Value doc = perf::to_json(reg, wall);
+  if (!results.is_null()) {
+    doc["results"] = results;
+  }
+  EXPECT_EQ(streamed, doc.dump(2));
+  EXPECT_EQ(
+      perf::to_json(perf::from_json(perf::json::Value::parse(streamed)))
+          .dump(2),
+      streamed);
+}
+
+TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
+  perf::json::Value results = perf::json::Value::object();
+  results["label"] = perf::json::Value::string("a\"b\\c\x01");
+  results["nan"] = perf::json::Value::number(std::nan(""));
+  results["rows"] = perf::json::Value::array();
+  results["rows"].append(perf::json::Value::number(0.1));
+  results["rows"].append(perf::json::Value::object());
+
+  CounterRegistry::Options small;
+  small.timeline_capacity = 4;  // 10 spans recorded: 6 dropped
+  CounterRegistry reg{small};
+  fill_edge_case_registry(reg);
+  ASSERT_GT(reg.timeline().dropped(), 0u);
+  expect_stream_matches_tree(reg, perf::json::Value{});
+  expect_stream_matches_tree(reg, results);
+
+  // Sharded timelines merge by start time, ties broken by shard; node 2's
+  // and node 10's spans tie four times.
+  CounterRegistry sharded{small};
+  std::vector<int> shard_of(16, 0);
+  shard_of[10] = 1;
+  sharded.shard_spans(shard_of, 2);
+  fill_edge_case_registry(sharded);
+  ASSERT_GT(sharded.shard_timelines()[1]->dropped(), 0u);
+  expect_stream_matches_tree(sharded, results);
+
+  const CounterRegistry empty;
+  expect_stream_matches_tree(empty, perf::json::Value{});
+  expect_stream_matches_tree(empty, results);
+}
+
 TEST(ChromeTrace, RejectsForeignDocuments) {
   EXPECT_THROW(perf::from_json(perf::json::Value::parse("{}")),
                std::runtime_error);
   EXPECT_THROW(
       perf::from_json(perf::json::Value::parse(R"({"traceEvents": []})")),
       std::runtime_error);
+}
+
+TEST(Json, NestingPastTheLimitIsATypedError) {
+  namespace json = perf::json;
+  // Far under tsim's 1 MiB request-line cap, far over any stack.
+  const std::string brackets((1 << 20) - 1, '[');
+  std::string members;
+  for (int i = 0; i < 100000; ++i) {
+    members += "{\"a\":";
+  }
+  const auto expect_depth_error = [](const std::string& text, bool strict) {
+    try {
+      (void)(strict ? json::Value::parse_strict(text)
+                    : json::Value::parse(text));
+      ADD_FAILURE() << "deep nesting parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("json: nesting deeper than"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(" at offset "), std::string::npos);
+    }
+  };
+  for (const bool strict : {false, true}) {
+    expect_depth_error(brackets, strict);
+    expect_depth_error(members, strict);
+  }
+}
+
+TEST(Json, NestingAtTheLimitParses) {
+  namespace json = perf::json;
+  const std::string deepest = std::string(json::kMaxDepth, '[') +
+                              std::string(json::kMaxDepth, ']');
+  EXPECT_EQ(json::Value::parse(deepest).dump(), deepest);
+  const std::string past = "[" + deepest + "]";
+  EXPECT_THROW((void)json::Value::parse(past), std::runtime_error);
 }
 
 TEST(Report, MachineWorkloadAndBalanceRules) {

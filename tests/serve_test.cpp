@@ -9,9 +9,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -290,6 +293,35 @@ TEST(RunnerTest, SameSpecProducesByteIdenticalDumps) {
   EXPECT_EQ(*a.dump, *b.dump);
   EXPECT_EQ(a.events, b.events);
   EXPECT_GT(a.events, 0u);
+}
+
+// Byte identity across commits: tests/corpus/dumps/ holds dumps written by
+// an earlier JobRun (1- and 2-cube allreduce/saxpy/ring, serial and on two
+// shards). Each carries its spec under results.spec; re-running that spec
+// today must reproduce the file byte for byte, so a format drift that every
+// run of one commit shares still fails here.
+TEST(RunnerTest, ReproducesCommittedReferenceDumps) {
+  const std::filesystem::path dir =
+      std::filesystem::path(FPST_SOURCE_DIR) / "tests/corpus/dumps";
+  std::size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") {
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string reference = bytes.str();
+    const perf::json::Value doc = perf::json::Value::parse(reference);
+    const JobSpec spec =
+        serve::spec_from_json(*doc.find("results")->find("spec"));
+    serve::JobRun run{spec};
+    const serve::RunOutcome out = run.execute();
+    EXPECT_TRUE(*out.dump == reference)
+        << entry.path().filename() << " drifted from the committed bytes";
+    ++checked;
+  }
+  EXPECT_EQ(checked, 12u);
 }
 
 TEST(RunnerTest, DifferentSeedProducesDifferentDumps) {

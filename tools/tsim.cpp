@@ -23,8 +23,8 @@
 //       end-to-end smoke: in-process server on a temp socket, submit the
 //       same spec twice over the wire, assert the second is a cache hit
 //       with byte-identical dump bytes; also drives the protocol error
-//       paths (unknown op, truncated frame, oversized line, concurrent
-//       watch + shutdown) (registered as a tier-1 ctest)
+//       paths (unknown op, truncated frame, deep nesting, oversized line,
+//       concurrent watch + shutdown) (registered as a tier-1 ctest)
 //
 // Wire protocol: newline-delimited JSON, one request object per line, one
 // response object per line — except `watch`, which streams a status line
@@ -1180,6 +1180,25 @@ bool selftest_body(const std::string& socket_path) {
     const std::optional<Value> pong = roundtrip(conn, req);
     SELF_CHECK(pong.has_value() && reply_ok(*pong),
                "connection survives a truncated frame");
+  }
+
+  // Nesting far past the JSON parser's depth limit (yet far under the line
+  // cap) must come back as bad-request, not blow the handler's stack, and
+  // the connection must stay usable.
+  {
+    SELF_CHECK(send_all(conn.fd(), std::string(100000, '[') + "\n"),
+               "send deep nesting");
+    std::string line;
+    SELF_CHECK(conn.read_line(&line), "deep-nesting reply arrives");
+    const Value reply = Value::parse(line);
+    SELF_CHECK(!reply_ok(reply), "deep nesting rejected");
+    SELF_CHECK(reply.find("code")->as_string() == "bad-request",
+               "deep-nesting bad-request code");
+    Value req = Value::object();
+    req["op"] = Value::string("ping");
+    const std::optional<Value> pong = roundtrip(conn, req);
+    SELF_CHECK(pong.has_value() && reply_ok(*pong),
+               "connection survives deep nesting");
   }
 
   // An oversized request line (past the server's 1 MiB cap) gets the

@@ -15,11 +15,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "bench_util.hpp"
 #include "core/machine.hpp"
 #include "kernels/kernels.hpp"
@@ -28,6 +28,7 @@
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
 #include "perf/tscope.hpp"
+#include "sim/bits.hpp"
 #include "sim/simulator.hpp"
 #include "vpu/vpu.hpp"
 
@@ -106,13 +107,13 @@ SweepRow run_sweep_point(int dim, vpu::VpuMode mode, int rounds,
                  static_cast<std::uint64_t>(rounds) * elems;
   row.elem_ops_per_sec =
       row.wall_s > 0.0 ? static_cast<double>(row.elem_ops) / row.wall_s : 0.0;
-  row.result_hash = 14695981039346656037ULL;
+  row.result_hash = bits::kFnvOffset;
   for (net::NodeId id = 0; id < machine.size(); ++id) {
     for (const float v : machine.node(id).read32(zs[id])) {
-      std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+      const auto word = std::bit_cast<std::uint32_t>(v);
       for (int b = 0; b < 4; ++b) {
-        row.result_hash ^= (bits >> (8 * b)) & 0xff;
-        row.result_hash *= 1099511628211ULL;
+        row.result_hash = bits::fnv1a(
+            row.result_hash, static_cast<std::uint8_t>(word >> (8 * b)));
       }
     }
   }
@@ -134,64 +135,6 @@ json::Value sweep_row_to_json(const SweepRow& r) {
                 static_cast<unsigned long long>(r.result_hash));
   o["result_hash"] = json::Value::string(hash);
   return o;
-}
-
-/// `--metric NAME FILE`: print one value from a recorded --json dump,
-/// looked up in `results` then `meta` — the binary that owns the schema
-/// does the extraction for ci.sh (same idiom as bench_simcore/bench_serve).
-int print_metric(const std::string& name, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_kernels_scaling: cannot open %s\n",
-                 path.c_str());
-    return 2;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  json::Value doc;
-  try {
-    doc = json::Value::parse(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_kernels_scaling: %s: %s\n", path.c_str(),
-                 e.what());
-    return 2;
-  }
-  const json::Value* v = nullptr;
-  for (const char* section : {"results", "meta"}) {
-    if (const json::Value* s = doc.find(section);
-        v == nullptr && s != nullptr) {
-      v = s->find(name);
-    }
-  }
-  if (v == nullptr) {
-    std::fprintf(stderr, "bench_kernels_scaling: no metric '%s' in %s\n",
-                 name.c_str(), path.c_str());
-    return 2;
-  }
-  if (v->is_string()) {
-    std::printf("%s\n", v->as_string().c_str());
-  } else if (v->is_number()) {
-    std::printf("%.17g\n", v->as_double());
-  } else if (v->kind() == json::Value::Kind::boolean) {
-    std::printf("%s\n", v->as_bool() ? "true" : "false");
-  } else {
-    std::printf("%s\n", v->dump().c_str());
-  }
-  return 0;
-}
-
-const char* build_flavour() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return "sanitized";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return "sanitized";
-#else
-  return "release";
-#endif
-#else
-  return "release";
-#endif
 }
 
 int run_batch_sweep(const std::vector<int>& dims, int rounds,
@@ -265,22 +208,19 @@ int run_batch_sweep(const std::vector<int>& dims, int rounds,
               bit_identical ? "yes" : "NO");
 
   if (!json_out.empty()) {
-    json::Value doc = json::Value::object();
-    doc["meta"] = json::Value::object();
-    doc["meta"]["workload"] =
-        json::Value::string("bench_kernels_scaling --batch-sweep (f32 vsaxpy)");
-    doc["meta"]["build"] = json::Value::string(build_flavour());
-    doc["meta"]["rounds"] = json::Value::integer(rounds);
-    doc["meta"]["elems"] =
-        json::Value::integer(static_cast<std::int64_t>(elems));
-    doc["meta"]["repeats"] = json::Value::integer(repeats);
-    doc["results"] = json::Value::object();
-    doc["results"]["rows"] = std::move(rows);
-    doc["results"]["speedups"] = std::move(speedups);
-    doc["results"]["batch_speedup"] = json::Value::number(headline_speedup);
-    doc["results"]["elem_ops_per_sec"] = json::Value::number(headline_eps);
-    doc["results"]["bit_identical"] = json::Value::boolean(bit_identical);
-    perf::write_file(json_out, doc);
+    json::Value meta = json::Value::object();
+    meta["rounds"] = json::Value::integer(rounds);
+    meta["elems"] = json::Value::integer(static_cast<std::int64_t>(elems));
+    meta["repeats"] = json::Value::integer(repeats);
+    json::Value results = json::Value::object();
+    results["rows"] = std::move(rows);
+    results["speedups"] = std::move(speedups);
+    results["batch_speedup"] = json::Value::number(headline_speedup);
+    results["elem_ops_per_sec"] = json::Value::number(headline_eps);
+    results["bit_identical"] = json::Value::boolean(bit_identical);
+    bench::write_record(json_out,
+                        "bench_kernels_scaling --batch-sweep (f32 vsaxpy)",
+                        std::move(results), std::move(meta));
     std::printf("  wrote perf dump: %s\n", json_out.c_str());
   }
   return bit_identical ? 0 : 1;
@@ -290,15 +230,8 @@ int run_batch_sweep(const std::vector<int>& dims, int rounds,
 
 int main(int argc, char** argv) {
   // Sub-modes first: `--metric NAME FILE` extraction and `--batch-sweep`.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--metric") {
-      if (i + 2 >= argc) {
-        std::fprintf(
-            stderr, "usage: bench_kernels_scaling --metric NAME DUMP.json\n");
-        return 2;
-      }
-      return print_metric(argv[i + 1], argv[i + 2]);
-    }
+  if (const auto rc = bench::metric_mode("bench_kernels_scaling", argc, argv)) {
+    return *rc;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) != "--batch-sweep") {

@@ -44,17 +44,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "bench_util.hpp"
 #include "link/link.hpp"
 #include "occam/occam.hpp"
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
 #include "perf/json.hpp"
+#include "sim/bits.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/proc.hpp"
 
@@ -304,20 +305,6 @@ void print_row(const Row& r, double base_eps) {
       busy_frac * 100.0, barrier_frac * 100.0);
 }
 
-const char* build_flavour() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return "sanitized";
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return "sanitized";
-#else
-  return "release";
-#endif
-#else
-  return "release";
-#endif
-}
-
 perf::json::Value row_to_json(const Row& r) {
   namespace json = perf::json;
   json::Value o = json::Value::object();
@@ -375,57 +362,6 @@ perf::json::Value row_to_json(const Row& r) {
   return o;
 }
 
-// `--metric NAME FILE`: print one value from a recorded --json dump,
-// looked up in `results.gate`, then `results`, then `meta` — so the CI
-// gate reads `events_per_sec_per_core` / `distance_aware_speedup` straight
-// from the gate object without any shell-side JSON scraping.
-int print_metric(const std::string& name, const std::string& path) {
-  namespace json = perf::json;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_parallel_scaling: cannot open %s\n",
-                 path.c_str());
-    return 2;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  json::Value doc;
-  try {
-    doc = json::Value::parse(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_parallel_scaling: %s: %s\n", path.c_str(),
-                 e.what());
-    return 2;
-  }
-  const json::Value* v = nullptr;
-  if (const json::Value* res = doc.find("results"); res != nullptr) {
-    if (const json::Value* gate = res->find("gate"); gate != nullptr) {
-      v = gate->find(name);
-    }
-    if (v == nullptr) {
-      v = res->find(name);
-    }
-  }
-  if (v == nullptr) {
-    if (const json::Value* meta = doc.find("meta"); meta != nullptr) {
-      v = meta->find(name);
-    }
-  }
-  if (v == nullptr) {
-    std::fprintf(stderr, "bench_parallel_scaling: no metric '%s' in %s\n",
-                 name.c_str(), path.c_str());
-    return 2;
-  }
-  if (v->is_string()) {
-    std::printf("%s\n", v->as_string().c_str());
-  } else if (v->is_number()) {
-    std::printf("%.17g\n", v->as_double());
-  } else {
-    std::printf("%s\n", v->dump().c_str());
-  }
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
 // --verify: the determinism gate.
 
@@ -470,15 +406,6 @@ VerifyRun verify_parallel(int dim, int shards, int threads, int rounds,
   out.events = psim.events_processed();
   out.sim_ps = elapsed.ps();
   return out;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 int run_verify(int dim, int rounds_flag, int hot_iters,
@@ -528,7 +455,7 @@ int run_verify(int dim, int rounds_flag, int hot_iters,
               static_cast<unsigned long long>(t1.events),
               static_cast<long long>(t1.sim_ps));
   std::printf("  dump digest: %016llx (%zu bytes)\n",
-              static_cast<unsigned long long>(fnv1a(t1.dump)),
+              static_cast<unsigned long long>(bits::fnv1a(t1.dump)),
               t1.dump.size());
   if (!out_path.empty()) {
     std::ofstream out(out_path, std::ios::binary);
@@ -548,6 +475,10 @@ int run_verify(int dim, int rounds_flag, int hot_iters,
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const auto rc =
+          bench::metric_mode("bench_parallel_scaling", argc, argv)) {
+    return *rc;
+  }
   std::vector<int> dims{6, 8, 10};
   std::vector<int> threads_list{1, 2, 4};
   if (std::thread::hardware_concurrency() >= 8) {
@@ -561,9 +492,6 @@ int main(int argc, char** argv) {
   std::string verify_out;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--metric" && i + 2 < argc) {
-      return print_metric(argv[i + 1], argv[i + 2]);
-    }
     if (arg == "--dims" && i + 1 < argc) {
       dims = parse_list(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
@@ -684,22 +612,15 @@ int main(int argc, char** argv) {
 
   if (!json_out.empty()) {
     namespace json = perf::json;
-    json::Value doc = json::Value::object();
-    doc["meta"] = json::Value::object();
-    doc["meta"]["workload"] = json::Value::string("bench_parallel_scaling");
-    // Sanitized builds run the same code an order of magnitude slower; tag
-    // the dump so the CI gate only compares like with like.
-    doc["meta"]["build"] = json::Value::string(build_flavour());
-    doc["meta"]["host_cores"] = json::Value::integer(
-        static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-    doc["meta"]["hot_iters"] = json::Value::integer(hot_iters);
-    doc["results"] = json::Value::object();
+    json::Value meta = json::Value::object();
+    meta["hot_iters"] = json::Value::integer(hot_iters);
+    json::Value results = json::Value::object();
     json::Value arr = json::Value::array();
     for (const Row& r : rows) {
       arr.append(row_to_json(r));
     }
     arr.append(row_to_json(gate_other));
-    doc["results"]["rows"] = std::move(arr);
+    results["rows"] = std::move(arr);
     json::Value gate = json::Value::object();
     gate["dim"] = json::Value::integer(gate_dim);
     gate["shards"] = json::Value::integer(gate_dist.shards);
@@ -710,8 +631,9 @@ int main(int argc, char** argv) {
     gate["uniform_events_per_sec_per_core"] =
         json::Value::number(gate_uni.events_per_sec_per_core);
     gate["distance_aware_speedup"] = json::Value::number(gate_speedup);
-    doc["results"]["gate"] = std::move(gate);
-    perf::write_file(json_out, doc);
+    results["gate"] = std::move(gate);
+    bench::write_record(json_out, "bench_parallel_scaling", std::move(results),
+                        std::move(meta));
     std::printf("wrote perf dump: %s\n", json_out.c_str());
   }
   return 0;

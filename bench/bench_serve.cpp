@@ -23,27 +23,25 @@
 //
 //   $ bench_serve [--jobs N] [--dup-jobs N] [--workers N] [--json out.json]
 //
-// --json writes the BENCH schema (meta.build release/sanitized like
-// bench_simcore; results.rows one row per phase; results.cache_speedup /
-// byte_identical / completion_frac as the CI gate fields, plus the
-// mixed-storm p50/p90/p99 submit->complete latency as the SLO figures
-// ci.sh stage 8 gates p99 against).
+// --json writes a BENCH record (bench_record.hpp): results.rows one row per
+// phase; results.cache_speedup / byte_identical / completion_frac as the CI
+// gate fields, plus the mixed-storm p50/p90/p99 submit->complete latency as
+// the SLO figures ci.sh stage 8 gates p99 against.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "bench_util.hpp"
-#include "perf/chrome_trace.hpp"
 #include "perf/json.hpp"
 #include "serve/service.hpp"
+#include "sim/bits.hpp"
 
 namespace {
 
@@ -57,13 +55,7 @@ using serve::JobStatus;
 /// submit the same request sequence).
 struct Rng {
   std::uint64_t state;
-  std::uint64_t next() {
-    // splitmix64
-    std::uint64_t x = state += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
+  std::uint64_t next() { return bits::splitmix64_next(state); }
   std::uint64_t below(std::uint64_t n) { return next() % n; }
 };
 
@@ -219,60 +211,11 @@ perf::json::Value row_to_json(const PhaseResult& r) {
   return o;
 }
 
-// `--metric NAME FILE`: print one value from a recorded --json dump,
-// looked up in `results` then `meta` — same idiom as bench_simcore: the
-// binary that owns the schema does the extraction for ci.sh.
-int print_metric(const std::string& name, const std::string& path) {
-  namespace json = perf::json;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_serve: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  json::Value doc;
-  try {
-    doc = json::Value::parse(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_serve: %s: %s\n", path.c_str(), e.what());
-    return 2;
-  }
-  const json::Value* v = nullptr;
-  for (const char* section : {"results", "meta"}) {
-    if (const json::Value* s = doc.find(section);
-        v == nullptr && s != nullptr) {
-      v = s->find(name);
-    }
-  }
-  if (v == nullptr) {
-    std::fprintf(stderr, "bench_serve: no metric '%s' in %s\n", name.c_str(),
-                 path.c_str());
-    return 2;
-  }
-  if (v->is_string()) {
-    std::printf("%s\n", v->as_string().c_str());
-  } else if (v->is_number()) {
-    std::printf("%.17g\n", v->as_double());
-  } else if (v->kind() == json::Value::Kind::boolean) {
-    std::printf("%s\n", v->as_bool() ? "true" : "false");
-  } else {
-    std::printf("%s\n", v->dump().c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--metric") {
-      if (i + 2 >= argc) {
-        std::fprintf(stderr, "usage: bench_serve --metric NAME DUMP.json\n");
-        return 2;
-      }
-      return print_metric(argv[i + 1], argv[i + 2]);
-    }
+  if (const auto rc = bench::metric_mode("bench_serve", argc, argv)) {
+    return *rc;
   }
   int jobs = 1200;
   int dup_jobs = 400;
@@ -333,40 +276,23 @@ int main(int argc, char** argv) {
 
   if (!json_out.empty()) {
     namespace json = perf::json;
-    json::Value doc = json::Value::object();
-    doc["meta"] = json::Value::object();
-    doc["meta"]["workload"] = json::Value::string("bench_serve");
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    doc["meta"]["build"] = json::Value::string("sanitized");
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-    doc["meta"]["build"] = json::Value::string("sanitized");
-#else
-    doc["meta"]["build"] = json::Value::string("release");
-#endif
-#else
-    doc["meta"]["build"] = json::Value::string("release");
-#endif
-    doc["meta"]["host_cores"] = json::Value::integer(
-        static_cast<std::int64_t>(std::thread::hardware_concurrency()));
-    doc["results"] = json::Value::object();
+    json::Value results = json::Value::object();
     json::Value rows = json::Value::array();
     rows.append(row_to_json(mixed));
     rows.append(row_to_json(dup_cache));
     rows.append(row_to_json(dup_nocache));
-    doc["results"]["rows"] = std::move(rows);
-    doc["results"]["cache_speedup"] = json::Value::number(speedup);
-    doc["results"]["byte_identical"] = json::Value::boolean(byte_identical);
-    doc["results"]["completion_frac"] =
-        json::Value::number(mixed.completion_frac);
-    doc["results"]["hit_rate"] = json::Value::number(mixed.hit_rate);
-    doc["results"]["jobs_per_sec"] = json::Value::number(mixed.jobs_per_sec);
+    results["rows"] = std::move(rows);
+    results["cache_speedup"] = json::Value::number(speedup);
+    results["byte_identical"] = json::Value::boolean(byte_identical);
+    results["completion_frac"] = json::Value::number(mixed.completion_frac);
+    results["hit_rate"] = json::Value::number(mixed.hit_rate);
+    results["jobs_per_sec"] = json::Value::number(mixed.jobs_per_sec);
     // Mixed-storm submit->complete latency distribution: the SLO figures
     // ci.sh stage 8 gates p99 against (flavour-tagged like jobs_per_sec).
-    doc["results"]["p50_ms"] = json::Value::number(mixed.p50_ms);
-    doc["results"]["p90_ms"] = json::Value::number(mixed.p90_ms);
-    doc["results"]["p99_ms"] = json::Value::number(mixed.p99_ms);
-    perf::write_file(json_out, doc);
+    results["p50_ms"] = json::Value::number(mixed.p50_ms);
+    results["p90_ms"] = json::Value::number(mixed.p90_ms);
+    results["p99_ms"] = json::Value::number(mixed.p99_ms);
+    bench::write_record(json_out, "bench_serve", std::move(results));
     std::printf("wrote perf dump: %s\n", json_out.c_str());
   }
   return byte_identical && mixed.completed > 0 ? 0 : 1;

@@ -2,25 +2,22 @@
 // DES event throughput, soft-float operation rates, interpreter speed.
 // These gate how large a machine the reproduction can simulate on a laptop.
 //
-// `--json <path>` skips google-benchmark and instead writes a tperf-shaped
-// dump (the same `results` table idiom as the E3/E9/E11 benches) with the
-// measured event throughput of the two queue arms, so ci.sh can track the
-// engine's perf trajectory (BENCH_simcore.json) and gate on regressions.
+// `--json <path>` skips google-benchmark and instead writes a BENCH record
+// (bench_record.hpp) with the measured event throughput of the two queue
+// arms, so ci.sh can track the engine's perf trajectory (BENCH_simcore.json)
+// and gate on regressions; `--metric NAME FILE` reads one back.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "bench_record.hpp"
 #include "bench_util.hpp"
 #include "cp/assembler.hpp"
 #include "cp/cpu.hpp"
 #include "fp/softfloat.hpp"
-#include "perf/chrome_trace.hpp"
-#include "perf/json.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
 
@@ -113,8 +110,8 @@ void BM_InterpreterLoop(benchmark::State& state) {
 BENCHMARK(BM_InterpreterLoop)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --json mode: direct wall-clock measurement of DES event throughput, in the
-// shared perf-dump shape. Kept separate from google-benchmark so the CI gate
+// --json mode: direct wall-clock measurement of DES event throughput, as a
+// BENCH record. Kept separate from google-benchmark so the CI gate
 // reads one stable headline number per arm.
 
 double measure_closure_events_per_sec(int n, int reps) {
@@ -176,27 +173,11 @@ int write_json_dump(const std::string& path) {
       best_over_budget(measure_resume_events_per_sec, kEvents, kBudget);
 
   namespace json = perf::json;
-  json::Value doc = json::Value::object();
-  doc["meta"] = json::Value::object();
-  doc["meta"]["workload"] = json::Value::string("bench_simcore");
-  // Sanitized builds run the same code an order of magnitude slower; tag
-  // the dump so the CI gate only compares like with like.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  doc["meta"]["build"] = json::Value::string("sanitized");
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  doc["meta"]["build"] = json::Value::string("sanitized");
-#else
-  doc["meta"]["build"] = json::Value::string("release");
-#endif
-#else
-  doc["meta"]["build"] = json::Value::string("release");
-#endif
-  doc["results"] = json::Value::object();
-  doc["results"]["events_per_sec"] = json::Value::number(closure);
-  doc["results"]["resume_events_per_sec"] = json::Value::number(resume);
-  doc["results"]["queue_events"] = json::Value::integer(kEvents);
-  perf::write_file(path, doc);
+  json::Value results = json::Value::object();
+  results["events_per_sec"] = json::Value::number(closure);
+  results["resume_events_per_sec"] = json::Value::number(resume);
+  results["queue_events"] = json::Value::integer(kEvents);
+  bench::write_record(path, "bench_simcore", std::move(results));
 
   // Machine-readable echo for the CI gate (same idiom as bench_fig1_node's
   // awk-scraped table).
@@ -206,61 +187,11 @@ int write_json_dump(const std::string& path) {
   return 0;
 }
 
-// `--metric NAME FILE`: print one value from a recorded --json dump, looked
-// up in `results` then `meta`. This replaces ci.sh's sed-based JSON
-// scraping, which silently broke the moment the dump gained nested keys —
-// the reader that owns the schema should be the one extracting from it.
-// Exit 2 (with a stderr diagnostic) on a missing file or metric.
-int print_metric(const std::string& name, const std::string& path) {
-  namespace json = perf::json;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "bench_simcore: cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  json::Value doc;
-  try {
-    doc = json::Value::parse(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_simcore: %s: %s\n", path.c_str(), e.what());
-    return 2;
-  }
-  const json::Value* v = nullptr;
-  for (const char* section : {"results", "meta"}) {
-    if (const json::Value* s = doc.find(section);
-        v == nullptr && s != nullptr) {
-      v = s->find(name);
-    }
-  }
-  if (v == nullptr) {
-    std::fprintf(stderr, "bench_simcore: no metric '%s' in %s\n",
-                 name.c_str(), path.c_str());
-    return 2;
-  }
-  if (v->is_string()) {
-    std::printf("%s\n", v->as_string().c_str());
-  } else if (v->is_number()) {
-    std::printf("%.17g\n", v->as_double());
-  } else {
-    std::printf("%s\n", v->dump().c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--metric") {
-      if (i + 2 >= argc) {
-        std::fprintf(stderr,
-                     "usage: bench_simcore --metric NAME DUMP.json\n");
-        return 2;
-      }
-      return print_metric(argv[i + 1], argv[i + 2]);
-    }
+  if (const auto rc = fpst::bench::metric_mode("bench_simcore", argc, argv)) {
+    return *rc;
   }
   const std::string json_path = fpst::bench::json_path_from_args(argc, argv);
   if (!json_path.empty()) {

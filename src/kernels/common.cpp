@@ -3,16 +3,14 @@
 #include <cmath>
 #include <cstdint>
 
+#include "sim/bits.hpp"
 #include "vpu/recip.hpp"
 
 namespace fpst::kernels {
 
 double synth(std::uint64_t stream, std::uint64_t i) {
-  // splitmix64 on (stream, i), mapped to [-1, 1).
-  std::uint64_t z = stream * 0x9E3779B97F4A7C15ull + i + 1;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  z ^= z >> 31;
+  // splitmix64's mix on (stream, i), mapped to [-1, 1).
+  const std::uint64_t z = bits::mix64(stream * bits::kGoldenGamma + i + 1);
   return static_cast<double>(z >> 11) * 0x1p-53 * 2.0 - 1.0;
 }
 

@@ -7,16 +7,6 @@
 
 namespace fpst::net {
 
-std::uint32_t gray(std::uint32_t i) { return i ^ (i >> 1); }
-
-std::uint32_t gray_inverse(std::uint32_t g) {
-  std::uint32_t i = g;
-  for (std::uint32_t shift = 1; shift < 32; shift <<= 1) {
-    i ^= i >> shift;
-  }
-  return i;
-}
-
 Hypercube::Hypercube(int dimension) : dim_{dimension} {
   if (dimension < 0 || dimension > 14) {
     throw std::invalid_argument("Hypercube: dimension must be in [0, 14]");

@@ -22,13 +22,15 @@
 #include <utility>
 #include <vector>
 
+#include "sim/bits.hpp"
+
 namespace fpst::net {
 
 using NodeId = std::uint32_t;
 
-/// Binary-reflected Gray code and its inverse.
-std::uint32_t gray(std::uint32_t i);
-std::uint32_t gray_inverse(std::uint32_t g);
+/// Binary-reflected Gray code and its inverse (sim/bits.hpp).
+using bits::gray;
+using bits::gray_inverse;
 
 class Hypercube {
  public:

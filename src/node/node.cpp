@@ -3,7 +3,6 @@
 #include "vpu/recip.hpp"
 
 #include <stdexcept>
-#include <string_view>
 
 namespace fpst::node {
 
@@ -161,25 +160,12 @@ void Node::attach_perf(perf::CounterRegistry& reg) {
   }
 }
 
-void Node::trace_span(const char* unit, sim::SimTime start,
-                      sim::SimTime dur, std::string detail) {
-  perf::PerfSink* sink =
-      std::string_view(unit) == "vpu" ? perf_vpu_ : perf_cp_;
-  if (sink != nullptr) {
-    sink->span(start, dur, detail);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->span(start, dur, "node" + std::to_string(id_) + "." + unit,
-                  std::move(detail));
-  }
-}
-
 vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
   vpu::OpResult r = vpu_.execute(op);
-  if (tracer_ != nullptr || perf_vpu_ != nullptr) {
-    trace_span("vpu", sim_->now(), r.duration,
-               std::string(vpu::to_string(op.form)) + " n=" +
-                   std::to_string(op.n));
+  if (perf_vpu_ != nullptr) {
+    perf_vpu_->span(sim_->now(), r.duration,
+                    std::string(vpu::to_string(op.form)) + " n=" +
+                        std::to_string(op.n));
   }
   return r;
 }
@@ -415,8 +401,8 @@ sim::Proc Node::gather32(std::size_t elems) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(elems) *
                     MemParams::gather_move32();
-  if (tracer_ != nullptr || perf_cp_ != nullptr) {
-    trace_span("cp", sim_->now(), t, "gather32 " + std::to_string(elems));
+  if (perf_cp_ != nullptr) {
+    perf_cp_->span(sim_->now(), t, "gather32 " + std::to_string(elems));
   }
   co_await Delay{t};
   cp_busy_ += t;
@@ -431,8 +417,8 @@ sim::Proc Node::gather(std::size_t elems) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(elems) *
                     MemParams::gather_move64();
-  if (tracer_ != nullptr || perf_cp_ != nullptr) {
-    trace_span("cp", sim_->now(), t, "gather64 " + std::to_string(elems));
+  if (perf_cp_ != nullptr) {
+    perf_cp_->span(sim_->now(), t, "gather64 " + std::to_string(elems));
   }
   co_await Delay{t};
   cp_busy_ += t;
@@ -447,8 +433,8 @@ sim::Proc Node::scatter(std::size_t elems) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(elems) *
                     MemParams::gather_move64();
-  if (tracer_ != nullptr || perf_cp_ != nullptr) {
-    trace_span("cp", sim_->now(), t, "scatter64 " + std::to_string(elems));
+  if (perf_cp_ != nullptr) {
+    perf_cp_->span(sim_->now(), t, "scatter64 " + std::to_string(elems));
   }
   co_await Delay{t};
   cp_busy_ += t;
@@ -463,9 +449,9 @@ sim::Proc Node::cp_work(std::uint64_t instructions) {
   co_await cp_sem_.acquire();
   const SimTime t =
       static_cast<std::int64_t>(instructions) * cp::CpuParams::instr_time();
-  if (tracer_ != nullptr || perf_cp_ != nullptr) {
-    trace_span("cp", sim_->now(), t,
-               "work " + std::to_string(instructions) + " instr");
+  if (perf_cp_ != nullptr) {
+    perf_cp_->span(sim_->now(), t,
+                   "work " + std::to_string(instructions) + " instr");
   }
   co_await Delay{t};
   cp_busy_ += t;
@@ -493,8 +479,8 @@ sim::Proc Node::row_move(std::size_t rows) {
   co_await vpu_sem_.acquire();
   const SimTime t =
       static_cast<std::int64_t>(2 * rows) * MemParams::row_access();
-  if (tracer_ != nullptr || perf_vpu_ != nullptr) {
-    trace_span("vpu", sim_->now(), t, "rowmove " + std::to_string(rows));
+  if (perf_vpu_ != nullptr) {
+    perf_vpu_->span(sim_->now(), t, "rowmove " + std::to_string(rows));
   }
   co_await Delay{t};
   vpu_sem_.release();

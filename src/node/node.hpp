@@ -24,7 +24,6 @@
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
-#include "sim/trace.hpp"
 #include "vpu/vpu.hpp"
 
 namespace fpst::node {
@@ -162,10 +161,6 @@ class Node {
   sim::Proc link_send(int port, link::Packet p);
   sim::Channel<link::Packet>& link_inbox(int port, int sublink);
 
-  /// Attach a tracer: vector forms, gathers, CP work and row moves are
-  /// recorded as spans under categories "node<id>.vpu" / "node<id>.cp".
-  void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
-
   /// Attach perf collection: registers this node's "vpu", "cp" and "mem"
   /// tracks with the registry and wires the substrate sinks. Spans from the
   /// timed API land on the vpu/cp tracks of the registry's timeline. The
@@ -193,10 +188,6 @@ class Node {
   link::NodeLinks links_;
   sim::Semaphore vpu_sem_;
   sim::Semaphore cp_sem_;
-  void trace_span(const char* unit, sim::SimTime start, sim::SimTime dur,
-                  std::string detail);
-
-  sim::Tracer* tracer_ = nullptr;
   perf::PerfSink* perf_vpu_ = nullptr;
   perf::PerfSink* perf_cp_ = nullptr;
   /// Per-port link tracks; wired only for ports with an attached cable so

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 
+#include "sim/bits.hpp"
 #include "vpu/vpu.hpp"
 
 namespace fpst::serve {
@@ -147,16 +148,11 @@ std::string canonical_spec(const JobSpec& spec) {
 }
 
 std::string content_address(const JobSpec& spec) {
-  const std::string canon = canonical_spec(spec);
   // FNV-1a 64-bit over the canonical bytes.
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : canon) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
   char buf[24];
   std::snprintf(buf, sizeof buf, "ca-%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(
+                    bits::fnv1a(canonical_spec(spec))));
   return buf;
 }
 

@@ -12,6 +12,7 @@
 #include "occam/occam.hpp"
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
+#include "sim/bits.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
@@ -21,23 +22,15 @@ namespace fpst::serve {
 
 namespace {
 
-/// splitmix64: the seed/node -> initial-data map. Chosen for portability —
-/// the same (seed, node, index) always yields the same double on every
-/// host, which the byte-determinism of the dumps requires.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// A double in [1, 2) with a 16-bit mantissa slice: exactly representable,
 /// sums stay exact for any workload size this service admits, so the
 /// checksum is bit-stable across summation orders that the collectives
-/// already fix deterministically anyway.
+/// already fix deterministically anyway. splitmix64 makes the map
+/// portable: the same (seed, node, index) yields the same double on every
+/// host, which the byte-determinism of the dumps requires.
 double seeded_value(std::uint64_t seed, std::uint64_t node,
                     std::uint64_t index) {
-  const std::uint64_t h = splitmix64(seed ^ (node << 32) ^ index);
+  const std::uint64_t h = bits::splitmix64(seed ^ (node << 32) ^ index);
   return 1.0 + static_cast<double>(h >> 48) / 65536.0;
 }
 

@@ -342,30 +342,6 @@ void ParallelSim::serial_phase() noexcept {
       }
     }
   }
-  // FPST_DEBUG_EPOCH=1 dumps each epoch's horizon decisions — the
-  // first thing to reach for when a workload's epoch count surprises.
-  static const bool debug_epochs =
-      std::getenv("FPST_DEBUG_EPOCH") != nullptr;
-  if (debug_epochs) {
-    std::fprintf(stderr, "epoch %llu:",
-                 static_cast<unsigned long long>(
-                     epochs_.load(std::memory_order_relaxed)));
-    for (int s = 0; s < nshards; ++s) {
-      const auto us = static_cast<std::size_t>(s);
-      if (!busy_[us]) {
-        std::fprintf(stderr, " [%d idle]", s);
-        continue;
-      }
-      std::fprintf(stderr, " [%d next=%lldus dl=%lldus run=%d]", s,
-                   static_cast<long long>(next_[us].ps() / 1000000),
-                   static_cast<long long>(
-                       ctl_[us].deadline == kFarFuture
-                           ? -1
-                           : ctl_[us].deadline.ps() / 1000000),
-                   ctl_[us].runnable ? 1 : 0);
-    }
-    std::fprintf(stderr, "\n");
-  }
   for (std::vector<Mail>& p : pending_) {
     if (p.capacity() > kIdleMailCap && p.capacity() > 4 * p.size()) {
       p.shrink_to_fit();

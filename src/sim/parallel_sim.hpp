@@ -85,6 +85,7 @@
 #include <memory>
 #include <vector>
 
+#include "sim/bits.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -110,8 +111,8 @@ class ShardMap {
 
   /// Shard executing cube node `node`.
   int shard_of(std::uint32_t node) const {
-    return static_cast<int>(
-        gray_rank(node >> static_cast<unsigned>(dim_ - log2_shards_)));
+    return static_cast<int>(bits::gray_inverse(
+        node >> static_cast<unsigned>(dim_ - log2_shards_)));
   }
 
   /// True when cube dimension `dim` connects two shards (the high
@@ -125,19 +126,8 @@ class ShardMap {
   /// distance between subcube addresses, so it is a metric — the triangle
   /// inequality is what makes the pairwise lookahead matrix conservative.
   int hop_distance(int a, int b) const {
-    return std::popcount(gray(static_cast<std::uint32_t>(a)) ^
-                         gray(static_cast<std::uint32_t>(b)));
-  }
-
-  /// Binary-reflected Gray code and its rank (inverse). Duplicated from
-  /// net/hypercube (two expressions) because the sim layer sits below net.
-  static std::uint32_t gray(std::uint32_t i) { return i ^ (i >> 1); }
-  static std::uint32_t gray_rank(std::uint32_t g) {
-    std::uint32_t r = 0;
-    for (; g != 0; g >>= 1) {
-      r ^= g;
-    }
-    return r;
+    return std::popcount(bits::gray(static_cast<std::uint32_t>(a)) ^
+                         bits::gray(static_cast<std::uint32_t>(b)));
   }
 
  private:

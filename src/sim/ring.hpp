@@ -1,11 +1,10 @@
 // Bounded ring buffer for trace/telemetry records.
 //
 // Long simulations (checkpoint-interval studies span minutes of simulated
-// time) must not accumulate unbounded trace state, so every collector in
-// the tree — sim::Tracer and the perf timeline — stores its records in one
-// of these: a fixed-capacity circular store that overwrites the oldest
-// record once full and counts how many were dropped, so consumers can tell
-// a complete trace from a truncated one.
+// time) must not accumulate unbounded trace state, so the perf timeline
+// stores its records in one of these: a fixed-capacity circular store that
+// overwrites the oldest record once full and counts how many were dropped,
+// so consumers can tell a complete trace from a truncated one.
 #pragma once
 
 #include <cstddef>

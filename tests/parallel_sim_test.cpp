@@ -30,8 +30,10 @@ using sim::SimTime;
 // ShardMap
 
 TEST(ShardMapTest, GrayRankInvertsGray) {
-  for (std::uint32_t i = 0; i < 1024; ++i) {
-    EXPECT_EQ(ShardMap::gray_rank(ShardMap::gray(i)), i);
+  // Shard s owns the subcube whose top address bits are gray(s).
+  const ShardMap m{10, 1024};
+  for (std::uint32_t s = 0; s < 1024; ++s) {
+    EXPECT_EQ(m.shard_of(bits::gray(s)), static_cast<int>(s));
   }
 }
 
@@ -57,8 +59,8 @@ TEST(ShardMapTest, AdjacentShardsAreCubeNeighbours) {
   // of the top dimensions.
   const ShardMap m{6, 8};
   for (std::uint32_t s = 0; s + 1 < 8; ++s) {
-    const std::uint32_t a = ShardMap::gray(s);
-    const std::uint32_t b = ShardMap::gray(s + 1);
+    const std::uint32_t a = bits::gray(s);
+    const std::uint32_t b = bits::gray(s + 1);
     const std::uint32_t diff = a ^ b;
     EXPECT_EQ(diff & (diff - 1), 0u);  // exactly one bit
   }

@@ -115,6 +115,39 @@ TEST(Timeline, SpanInvariants) {
   }
 }
 
+TEST(Timeline, NodeOperationsAreTraced) {
+  // The node's timed API names each span after its operation: vector form
+  // and length, gather width, CP work, row moves.
+  sim::Simulator sim;
+  node::Node nd{sim, 3};
+  CounterRegistry reg;
+  nd.attach_perf(reg);
+  const node::Array64 x = nd.alloc64(mem::Bank::A, 128);
+  const node::Array64 z = nd.alloc64(mem::Bank::B, 128);
+  sim.spawn([](node::Node* n, node::Array64 ax,
+               node::Array64 az) -> sim::Proc {
+    co_await n->vscalar(vpu::VectorForm::vsmul, 2.0, ax, node::Array64{}, az);
+    co_await n->gather(16);
+    co_await n->cp_work(100);
+    co_await n->row_move(2);
+  }(&nd, x, z));
+  sim.run();
+  const std::uint32_t vpu = reg.track(3, "vpu").track_id();
+  const std::uint32_t cp = reg.track(3, "cp").track_id();
+  std::vector<std::string> names;
+  sim::SimTime busy{};
+  for (const perf::Span& s : reg.timeline().snapshot()) {
+    if (s.track == vpu || s.track == cp) {
+      names.push_back(s.name);
+      busy += s.duration;
+    }
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"VSMUL n=128", "gather64 16",
+                                             "work 100 instr", "rowmove 2"}));
+  // Everything ran serially, so the vpu and cp spans tile the whole run.
+  EXPECT_EQ(busy, sim.now());
+}
+
 TEST(Timeline, RingBoundsSpansAndReportsDrops) {
   CounterRegistry reg{CounterRegistry::Options{.timeline_capacity = 2}};
   const sim::SimTime wall = run_node_workload(&reg);

@@ -1,5 +1,6 @@
 // Unit and property tests for the discrete-event kernel: time arithmetic,
-// event ordering, coroutine processes, synchronisation primitives.
+// event ordering, coroutine processes, synchronisation primitives, the
+// bounded ring buffer, and the bit primitives every layer shares.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,7 +10,9 @@
 #include <utility>
 #include <vector>
 
+#include "sim/bits.hpp"
 #include "sim/proc.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/time.hpp"
@@ -416,6 +419,54 @@ TEST_P(DeterminismTest, RepeatedRunsProduceIdenticalTraces) {
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, DeterminismTest,
                          ::testing::Values(1, 2, 5, 16, 64));
+
+TEST(RingBuffer, IndexingEmptyRingThrows) {
+  // Regression: operator[] used to compute `% buf_.size()`, which is a
+  // division by zero (UB) on an empty ring. The guard must throw instead.
+  RingBuffer<int> rb{4};
+  EXPECT_TRUE(rb.empty());
+  EXPECT_THROW(static_cast<void>(rb[0]), std::out_of_range);
+}
+
+TEST(RingBuffer, PartiallyFilledIndexingIsInsertionOrdered) {
+  RingBuffer<int> rb{4};
+  rb.push(10);
+  rb.push(11);
+  EXPECT_EQ(rb[0], 10);
+  EXPECT_EQ(rb[1], 11);
+  EXPECT_THROW(static_cast<void>(rb[2]), std::out_of_range);
+  rb.push(12);
+  rb.push(13);
+  rb.push(14);  // wraps: 10 is overwritten
+  EXPECT_EQ(rb.dropped(), 1u);
+  EXPECT_EQ(rb[0], 11);
+  EXPECT_EQ(rb[3], 14);
+  EXPECT_THROW(static_cast<void>(rb[4]), std::out_of_range);
+}
+
+// Known answers from the reference definitions. FNV-1a("") is the offset
+// basis itself, so a mistyped basis fails the first line.
+TEST(Bits, Fnv1aKnownAnswers) {
+  EXPECT_EQ(bits::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(bits::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(bits::fnv1a("foobar"), 0x85944171f73967e8ULL);
+  // The byte step folds into the same hash as the string form.
+  std::uint64_t h = bits::kFnvOffset;
+  for (const char c : std::string("foobar")) {
+    h = bits::fnv1a(h, static_cast<std::uint8_t>(c));
+  }
+  EXPECT_EQ(h, bits::fnv1a("foobar"));
+}
+
+TEST(Bits, Splitmix64KnownAnswers) {
+  EXPECT_EQ(bits::splitmix64(0), 0xe220a8397b1dcdafULL);
+  // The generator form seeded with 0 yields the reference stream.
+  std::uint64_t state = 0;
+  EXPECT_EQ(bits::splitmix64_next(state), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(bits::splitmix64_next(state), 0x6e789e6aa1b965f4ULL);
+  EXPECT_EQ(bits::splitmix64_next(state), 0x06c45d188009454fULL);
+  EXPECT_EQ(state, 3 * bits::kGoldenGamma);
+}
 
 }  // namespace
 }  // namespace fpst::sim

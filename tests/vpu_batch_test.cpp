@@ -15,6 +15,7 @@
 #include "fp/softfloat.hpp"
 #include "kernels/kernels.hpp"
 #include "mem/memory.hpp"
+#include "sim/bits.hpp"
 #include "vpu/batch.hpp"
 #include "vpu/vpu.hpp"
 
@@ -30,20 +31,13 @@ using vpu::VectorOp;
 using vpu::VectorUnit;
 using vpu::VpuMode;
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Adversarial binary64 operand: heavy weighting of the divergence classes
 /// the bridge routes to the oracle (NaNs, signed zeros, denormals, the
 /// flush boundary, overflow territory) plus fully random normals.
 std::uint64_t fuzz_operand64(std::uint64_t& rng) {
-  const std::uint64_t r = splitmix64(rng);
+  const std::uint64_t r = bits::splitmix64_next(rng);
   const std::uint64_t sign = (r & 1) ? fp::host::kSign64 : 0;
-  const std::uint64_t mant = splitmix64(rng) & 0x000fffffffffffffULL;
+  const std::uint64_t mant = bits::splitmix64_next(rng) & 0x000fffffffffffffULL;
   switch ((r >> 1) % 12) {
     case 0: return sign;                                // +/- 0
     case 1: return sign | (mant | 1);                   // denormal
@@ -55,29 +49,29 @@ std::uint64_t fuzz_operand64(std::uint64_t& rng) {
              ((mant & 0x0007ffffffffffffULL) | 1);
     case 6: {  // just above the flush boundary: products land in the
                // oracle-fallback window below 2^-968
-      const std::uint64_t biased = 1 + (splitmix64(rng) % 120);
+      const std::uint64_t biased = 1 + (bits::splitmix64_next(rng) % 120);
       return sign | (biased << 52) | mant;
     }
     case 7: {  // overflow territory
-      const std::uint64_t biased = 1950 + (splitmix64(rng) % 96);
+      const std::uint64_t biased = 1950 + (bits::splitmix64_next(rng) % 96);
       return sign | (biased << 52) | mant;
     }
     case 8: {  // near 1.0: exercises exact sums/cancellation
-      const std::uint64_t biased = 1020 + (splitmix64(rng) % 8);
+      const std::uint64_t biased = 1020 + (bits::splitmix64_next(rng) % 8);
       return sign | (biased << 52) | (mant & 0xffffULL);
     }
     default: {  // random normal, full exponent range
-      const std::uint64_t biased = 1 + (splitmix64(rng) % 2046);
+      const std::uint64_t biased = 1 + (bits::splitmix64_next(rng) % 2046);
       return sign | (biased << 52) | mant;
     }
   }
 }
 
 std::uint32_t fuzz_operand32(std::uint64_t& rng) {
-  const std::uint64_t r = splitmix64(rng);
+  const std::uint64_t r = bits::splitmix64_next(rng);
   const std::uint32_t sign = (r & 1) ? fp::host::kSign32 : 0;
   const std::uint32_t mant =
-      static_cast<std::uint32_t>(splitmix64(rng)) & 0x007fffffU;
+      static_cast<std::uint32_t>(bits::splitmix64_next(rng)) & 0x007fffffU;
   switch ((r >> 1) % 12) {
     case 0: return sign;
     case 1: return sign | (mant | 1);
@@ -87,22 +81,22 @@ std::uint32_t fuzz_operand32(std::uint64_t& rng) {
     case 5: return sign | 0x7f800000U | ((mant & 0x003fffffU) | 1);
     case 6: {
       const std::uint32_t biased =
-          1 + static_cast<std::uint32_t>(splitmix64(rng) % 40);
+          1 + static_cast<std::uint32_t>(bits::splitmix64_next(rng) % 40);
       return sign | (biased << 23) | mant;
     }
     case 7: {
       const std::uint32_t biased =
-          230 + static_cast<std::uint32_t>(splitmix64(rng) % 24);
+          230 + static_cast<std::uint32_t>(bits::splitmix64_next(rng) % 24);
       return sign | (biased << 23) | mant;
     }
     case 8: {
       const std::uint32_t biased =
-          124 + static_cast<std::uint32_t>(splitmix64(rng) % 8);
+          124 + static_cast<std::uint32_t>(bits::splitmix64_next(rng) % 8);
       return sign | (biased << 23) | (mant & 0xffU);
     }
     default: {
       const std::uint32_t biased =
-          1 + static_cast<std::uint32_t>(splitmix64(rng) % 254);
+          1 + static_cast<std::uint32_t>(bits::splitmix64_next(rng) % 254);
       return sign | (biased << 23) | mant;
     }
   }
@@ -142,10 +136,10 @@ TEST(VpuBatchFuzz, CheckedModeNeverDivergesOnAdversarialOperands) {
   std::uint64_t reductions = 0;
   for (int c = 0; c < cases; ++c) {
     const VectorForm form =
-        kAllForms[splitmix64(rng) % std::size(kAllForms)];
+        kAllForms[bits::splitmix64_next(rng) % std::size(kAllForms)];
     const bool conversion = form == VectorForm::vcvt_widen ||
                             form == VectorForm::vcvt_narrow;
-    const Precision prec = conversion || (splitmix64(rng) & 1)
+    const Precision prec = conversion || (bits::splitmix64_next(rng) & 1)
                                ? Precision::f64
                                : Precision::f32;
 
@@ -155,10 +149,10 @@ TEST(VpuBatchFuzz, CheckedModeNeverDivergesOnAdversarialOperands) {
     const std::size_t limit = prec == Precision::f64 || conversion
                                   ? mem::MemParams::kElems64
                                   : mem::MemParams::kElems32;
-    op.n = 1 + splitmix64(rng) % limit;
-    op.row_x = splitmix64(rng) % mem::MemParams::kRows;
-    op.row_y = splitmix64(rng) % mem::MemParams::kRows;
-    op.row_z = splitmix64(rng) % mem::MemParams::kRows;
+    op.n = 1 + bits::splitmix64_next(rng) % limit;
+    op.row_x = bits::splitmix64_next(rng) % mem::MemParams::kRows;
+    op.row_y = bits::splitmix64_next(rng) % mem::MemParams::kRows;
+    op.row_z = bits::splitmix64_next(rng) % mem::MemParams::kRows;
     op.scalar = fp::T64::from_bits(fuzz_operand64(rng));
 
     // vcvt_widen reads 32-bit elements from row_x; every other f64 form

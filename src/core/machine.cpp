@@ -168,8 +168,11 @@ sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
   if (p.trace != 0 && !link_sinks_.empty()) {
     // tscope enqueue marker: the gap to the matching tx span's start is the
     // hop's queueing delay (port mutex + wire direction contention).
+    std::string name = "m";
+    name += std::to_string(p.trace);
+    name += " enq";
     link_sinks_[from][static_cast<std::size_t>(port)]->instant(
-        sim_for(from).now(), "m" + std::to_string(p.trace) + " enq");
+        sim_for(from).now(), std::move(name));
   }
   co_await mux.acquire();
   if (c.wire) {

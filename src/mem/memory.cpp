@@ -1,9 +1,23 @@
 #include "mem/memory.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstring>
+#include <new>
 
 namespace fpst::mem {
+
+namespace {
+
+/// One host page, mapped PROT_NONE right after the array.
+std::size_t guard_bytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+}  // namespace
 
 std::uint32_t VectorRegister::u32(std::size_t i) const {
   assert(i < MemParams::kElems32);
@@ -29,9 +43,27 @@ void VectorRegister::set_u64(std::size_t i, std::uint64_t v) {
   std::memcpy(bytes_.data() + i * 8, &v, sizeof v);
 }
 
-NodeMemory::NodeMemory() : data_(MemParams::kBytes, 0) {
-  // A fresh array is consistent: the stored parity bit of every byte
-  // matches its data, so the mismatch set starts empty.
+NodeMemory::NodeMemory() {
+  // Not a vector, which writes every byte up front, nor calloc: once memory
+  // has been freed, glibc serves 1 MiB from recycled heap chunks and
+  // re-zeroes them. A fresh array is consistent: the stored parity bit of
+  // every byte matches its data, so the mismatch set starts empty.
+  void* p = mmap(nullptr, MemParams::kBytes + guard_bytes(),
+                 PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  auto* base = static_cast<std::uint8_t*>(p);
+  data_.reset(base);
+  // Sanitizers do not track mmap'd memory; without the guard an overrun
+  // would read a neighbouring mapping instead of faulting.
+  if (mprotect(base + MemParams::kBytes, guard_bytes(), PROT_NONE) != 0) {
+    throw std::bad_alloc();
+  }
+}
+
+void NodeMemory::Unmap::operator()(std::uint8_t* p) const noexcept {
+  munmap(p, MemParams::kBytes + guard_bytes());
 }
 
 void NodeMemory::check_parity(std::uint32_t addr) {
@@ -67,7 +99,7 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
     }
   }
   std::uint32_t v;
-  std::memcpy(&v, data_.data() + addr, sizeof v);
+  std::memcpy(&v, data_.get() + addr, sizeof v);
   ++word_accesses_;
   if (sink_ != nullptr) {
     sink_->count("word_reads", 1);
@@ -78,7 +110,7 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
 void NodeMemory::write_word(std::uint32_t addr, std::uint32_t v) {
   addr &= ~3u;
   assert(addr + 3 < MemParams::kBytes);
-  std::memcpy(data_.data() + addr, &v, sizeof v);
+  std::memcpy(data_.get() + addr, &v, sizeof v);
   if (!corrupted_.empty()) {
     clear_corruption(addr, 4);
   }
@@ -120,7 +152,7 @@ void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
       check_parity(static_cast<std::uint32_t>(base + i));
     }
   }
-  std::memcpy(reg.raw().data(), data_.data() + base, MemParams::kRowBytes);
+  std::memcpy(reg.raw().data(), data_.get() + base, MemParams::kRowBytes);
   ++row_accesses_;
   if (sink_ != nullptr) {
     sink_->count("row_loads", 1);
@@ -130,7 +162,7 @@ void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
 void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
   assert(row < MemParams::kRows);
   const std::size_t base = row * MemParams::kRowBytes;
-  std::memcpy(data_.data() + base, reg.raw().data(), MemParams::kRowBytes);
+  std::memcpy(data_.get() + base, reg.raw().data(), MemParams::kRowBytes);
   if (!corrupted_.empty()) {
     clear_corruption(static_cast<std::uint32_t>(base), MemParams::kRowBytes);
   }

@@ -15,14 +15,20 @@
 // This model is functional + timed: reads/writes move real bytes, and the
 // timing constants are exposed for the node-level cost model. Parity is
 // modelled so fault injection (corrupt_byte) is detected on the next read.
+//
+// Storage: each NodeMemory maps its 1 MByte as anonymous private memory,
+// which the kernel zero-fills one page at a time on first write, so a
+// machine costs host memory only for the pages its program writes. One
+// PROT_NONE guard page follows the array: an access past the end faults
+// in every build type, sanitized or not.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
-#include <vector>
 
 #include "fp/softfloat.hpp"
 #include "perf/sink.hpp"
@@ -100,6 +106,8 @@ struct ParityError {
 
 class NodeMemory {
  public:
+  /// Maps the zero-filled array; throws std::bad_alloc if the mapping or
+  /// its guard page cannot be set up.
   NodeMemory();
 
   // --- random-access (CP / link) port: functional ---
@@ -158,8 +166,13 @@ class NodeMemory {
   void check_parity(std::uint32_t addr);
   void clear_corruption(std::uint32_t addr, std::uint32_t len);
 
+  /// Unmaps the array and its guard page.
+  struct Unmap {
+    void operator()(std::uint8_t* p) const noexcept;
+  };
+
   perf::PerfSink* sink_ = nullptr;
-  std::vector<std::uint8_t> data_;
+  std::unique_ptr<std::uint8_t[], Unmap> data_;
   /// Bytes whose stored parity bit currently disagrees with their data:
   /// exactly the bytes corrupt_byte has flipped an odd number of times
   /// since their last write. The sparse representation makes fault-free

@@ -112,7 +112,10 @@ Embedding grid_embedding(const std::vector<int>& side_log2, bool wrap,
   Embedding e;
   e.name = std::string(kind) + "(";
   for (std::size_t d = 0; d < side_log2.size(); ++d) {
-    e.name += (d ? "x" : "") + std::to_string(1u << side_log2[d]);
+    if (d != 0) {
+      e.name += 'x';
+    }
+    e.name += std::to_string(1u << side_log2[d]);
   }
   e.name += ")";
 

@@ -492,7 +492,10 @@ sim::Proc Node::link_send(int port, link::Packet p) {
     // tscope enqueue marker for ISA-level link I/O (the machine path
     // records its own in TSeries::send_dim).
     if (perf::PerfSink* sink = perf_link_[static_cast<std::size_t>(port)]) {
-      sink->instant(sim_->now(), "m" + std::to_string(p.trace) + " enq");
+      std::string name = "m";
+      name += std::to_string(p.trace);
+      name += " enq";
+      sink->instant(sim_->now(), std::move(name));
     }
   }
   co_await links_.send(port, std::move(p));

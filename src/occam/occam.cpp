@@ -191,9 +191,11 @@ void Runtime::deliver(net::NodeId at, Msg m) {
   if (perf::TrackSink* sink = occam_sink(at)) {
     sink->count("msgs_recv", 1);
     if (m.trace != 0) {
-      sink->instant(machine_->sim_for(at).now(),
-                    "m" + std::to_string(m.trace) + " dlv <-n" +
-                        std::to_string(m.src));
+      std::string name = "m";
+      name += std::to_string(m.trace);
+      name += " dlv <-n";
+      name += std::to_string(m.src);
+      sink->instant(machine_->sim_for(at).now(), std::move(name));
     }
   }
   Mailbox& box = *mailboxes_[at];
@@ -211,10 +213,16 @@ sim::Proc Runtime::send_packet(net::NodeId from, net::NodeId dst,
     // tscope injection marker: id, destination, tag and encoded payload
     // size, in the grammar perf/tscope.hpp documents.
     trace = alloc_trace(from);
-    sink->instant(machine_->sim_for(from).now(),
-                  "m" + std::to_string(trace) + " inj ->n" +
-                      std::to_string(dst) + " t" + std::to_string(tag) + " " +
-                      std::to_string(4 + 8 * data.size()) + "B");
+    std::string name = "m";
+    name += std::to_string(trace);
+    name += " inj ->n";
+    name += std::to_string(dst);
+    name += " t";
+    name += std::to_string(tag);
+    name += ' ';
+    name += std::to_string(4 + 8 * data.size());
+    name += 'B';
+    sink->instant(machine_->sim_for(from).now(), std::move(name));
   }
   if (dst == from) {
     deliver(from, Msg{from, tag, trace, std::move(data)});
@@ -243,8 +251,10 @@ sim::Proc Runtime::router_listener(net::NodeId at, int dim) {
     if (perf::TrackSink* sink = occam_sink(at)) {
       sink->count("pkts_forwarded", 1);
       if (p.trace != 0) {
-        sink->instant(machine_->sim_for(at).now(),
-                      "m" + std::to_string(p.trace) + " fwd");
+        std::string name = "m";
+        name += std::to_string(p.trace);
+        name += " fwd";
+        sink->instant(machine_->sim_for(at).now(), std::move(name));
       }
     }
     co_await machine_->node(at).cp_work(RtParams::kForwardInstr);

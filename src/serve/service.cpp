@@ -227,6 +227,7 @@ JobSpan Service::span_locked(JobId id, const JobRecord& rec) const {
   sp.setup_ms = rec.setup_ms;
   sp.exec_ms = rec.exec_ms;
   sp.serialize_ms = rec.serialize_ms;
+  sp.teardown_ms = rec.teardown_ms;
   const auto now = std::chrono::steady_clock::now();
   switch (rec.state) {
     case JobState::kQueued:
@@ -333,6 +334,16 @@ void Service::run_job(JobRecord& rec) {
     rec.running = nullptr;
     rec.error = e.what();
     finish_locked(rec, JobState::kFailed);
+  }
+  if (run) {
+    // Freeing the machine follows the terminal state, so it is timed as
+    // its own stage rather than inside total_ms.
+    const auto teardown_t0 = std::chrono::steady_clock::now();
+    run.reset();
+    const double teardown_ms =
+        ms_between(teardown_t0, std::chrono::steady_clock::now());
+    std::lock_guard<std::mutex> lock(mu_);
+    rec.teardown_ms = teardown_ms;
   }
 }
 

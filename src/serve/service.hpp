@@ -92,6 +92,9 @@ struct JobSpan {
   double exec_ms = 0.0;       ///< simulation execution (miss only)
   double serialize_ms = 0.0;  ///< dump build + serialise (miss only)
   double total_ms = 0.0;      ///< submit -> terminal state (so far if live)
+  /// Engine + machine destruction (miss only). It runs after the job is
+  /// terminal, so it lies outside total_ms.
+  double teardown_ms = 0.0;
 };
 
 /// One tenant's SLO account. Counters are deterministic per submission
@@ -206,6 +209,7 @@ class Service {
     double setup_ms = 0.0;
     double exec_ms = 0.0;
     double serialize_ms = 0.0;
+    double teardown_ms = 0.0;
   };
 
   void worker_loop();

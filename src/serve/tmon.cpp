@@ -25,6 +25,7 @@ json::Value span_meta(const JobSpan& sp) {
   m["exec_ms"] = json::Value::number(sp.exec_ms);
   m["serialize_ms"] = json::Value::number(sp.serialize_ms);
   m["total_ms"] = json::Value::number(sp.total_ms);
+  m["teardown_ms"] = json::Value::number(sp.teardown_ms);
   return m;
 }
 
@@ -295,6 +296,7 @@ json::Value spans_chrome_trace(const std::vector<JobSpan>& spans) {
     stage("setup", sp.setup_ms);
     stage("exec", sp.exec_ms);
     stage("serialize", sp.serialize_ms);
+    stage("teardown", sp.teardown_ms);
   }
   json::Value doc = json::Value::object();
   doc["displayTimeUnit"] = json::Value::string("ms");

@@ -4,10 +4,14 @@
 // restore correctness, interval optimisation).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <fstream>
 
 #include "core/checkpoint.hpp"
 #include "core/machine.hpp"
+#include "perf/counters.hpp"
 
 namespace fpst::core {
 namespace {
@@ -145,6 +149,29 @@ TEST(TSeries, SublinksOfOnePhysicalPortShareBandwidth) {
 TEST(TSeries, InfeasibleDimensionRejected) {
   Simulator sim;
   EXPECT_THROW(TSeries(sim, 15), std::invalid_argument);
+}
+
+// Host bytes this process holds resident, from /proc/self/statm.
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long size_pages = 0;
+  long resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+// Node memory is zero-filled on demand: a 10-cube holds 1 GiB of simulated
+// RAM, but building it (perf on, as serve does) must not make that
+// resident.
+TEST(TSeries, TenCubeConstructionLeavesNodeMemoryUnbacked) {
+  const long before = resident_bytes();
+  perf::CounterRegistry reg;
+  Simulator sim;
+  TSeries machine{sim, 10};
+  machine.enable_perf(reg);
+  const long grown = resident_bytes() - before;
+  EXPECT_LT(grown, 256L << 20) << "resident set grew by " << (grown >> 20)
+                               << " MiB";
 }
 
 Proc take_snapshot(CheckpointEngine* ck) { co_await ck->snapshot(); }

@@ -135,6 +135,37 @@ TEST(NodeMemory, StatsCountTraffic) {
   EXPECT_EQ(m.row_accesses(), 1u);
 }
 
+// The array is mapped, not written, at construction: every port must still
+// read an untouched byte as zero, up to the last one.
+TEST(NodeMemory, FreshMemoryReadsZeroThroughEveryPort) {
+  NodeMemory m;
+  EXPECT_EQ(m.read_word(MemParams::kBytes - 4), 0u);
+  EXPECT_EQ(m.read_byte(MemParams::kBytes - 1), 0u);
+  VectorRegister reg;
+  reg.set_u64(0, ~0ull);
+  m.load_row(MemParams::kRows - 1, reg);
+  for (std::size_t i = 0; i < MemParams::kElems64; ++i) {
+    EXPECT_EQ(reg.u64(i), 0u) << "element " << i;
+  }
+  for (const std::uint32_t a : {0u, 0x1234u, 0x80000u}) {
+    EXPECT_EQ(m.peek_byte(a), 0u) << "address " << a;
+  }
+  EXPECT_EQ(m.peek_byte(MemParams::kBytes - 1), 0u);
+}
+
+// ASan does not watch mmap'd memory, so the guard page after the array is
+// what turns an overrun into a fault, in release and sanitized builds alike.
+TEST(NodeMemoryDeathTest, ReadPastTheEndFaults) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_DEATH(
+      {
+        NodeMemory m;
+        volatile std::uint8_t byte = m.peek_byte(MemParams::kBytes);
+        (void)byte;
+      },
+      "");
+}
+
 TEST(VectorRegister, TypedViewsShareBytes) {
   VectorRegister reg;
   reg.set_u64(0, 0x0123456789abcdefull);

@@ -247,7 +247,9 @@ void fill_edge_case_registry(CounterRegistry& reg) {
   for (int i = 0; i < 5; ++i) {
     reg.track(2, "cp").span(sim::SimTime::picoseconds(1000 * (5 - i)), 1_ns,
                             "op" + std::to_string(i));
-    link.instant(sim::SimTime::picoseconds(1000 * i), "m" + std::to_string(i));
+    std::string name = "m";
+    name += std::to_string(i);
+    link.instant(sim::SimTime::picoseconds(1000 * i), std::move(name));
   }
 }
 

@@ -565,6 +565,9 @@ TEST(ServiceTest, SpanShapesDistinguishMissFromHit) {
   ASSERT_EQ(service.wait(a).state, serve::JobState::kDone);
   const serve::JobId b = service.submit("bob", small_spec(7));
   ASSERT_EQ(service.wait(b).state, serve::JobState::kDone);
+  // Teardown follows the terminal state; joining the worker makes sure
+  // both jobs' teardowns are recorded before the spans are read.
+  service.shutdown();
 
   const serve::JobSpan miss = service.span(a);
   EXPECT_EQ(miss.id, a);
@@ -579,6 +582,7 @@ TEST(ServiceTest, SpanShapesDistinguishMissFromHit) {
   EXPECT_LE(miss.queue_ms + miss.cache_ms + miss.setup_ms + miss.exec_ms +
                 miss.serialize_ms,
             miss.total_ms + 1e-6);
+  EXPECT_GT(miss.teardown_ms, 0.0);
 
   const serve::JobSpan hit = service.span(b);
   EXPECT_TRUE(hit.cache_hit);
@@ -588,6 +592,7 @@ TEST(ServiceTest, SpanShapesDistinguishMissFromHit) {
   EXPECT_EQ(hit.setup_ms, 0.0);
   EXPECT_EQ(hit.exec_ms, 0.0);
   EXPECT_EQ(hit.serialize_ms, 0.0);
+  EXPECT_EQ(hit.teardown_ms, 0.0);
 
   const std::vector<serve::JobSpan> all = service.spans();
   ASSERT_EQ(all.size(), 2u);
@@ -702,6 +707,7 @@ TEST(TmonTest, SpanJsonKeepsTimingsOutOfTheBody) {
   sp.events = 42;
   sp.exec_ms = 1.5;
   sp.total_ms = 2.0;
+  sp.teardown_ms = 0.25;
   namespace json = perf::json;
   const json::Value v = serve::span_to_json(sp);
   EXPECT_EQ(v.find("id")->as_int(), 3);
@@ -709,6 +715,8 @@ TEST(TmonTest, SpanJsonKeepsTimingsOutOfTheBody) {
   EXPECT_EQ(v.find("error"), nullptr);  // empty error key is omitted
   EXPECT_EQ(v.find("exec_ms"), nullptr);
   EXPECT_EQ(v.find("meta")->find("exec_ms")->as_double(), 1.5);
+  EXPECT_EQ(v.find("teardown_ms"), nullptr);
+  EXPECT_EQ(v.find("meta")->find("teardown_ms")->as_double(), 0.25);
   const json::Value stripped = serve::strip_meta(v);
   EXPECT_EQ(stripped.find("meta"), nullptr);
   EXPECT_EQ(stripped.find("id")->as_int(), 3);
@@ -743,16 +751,19 @@ TEST(TmonTest, ChromeTraceEmitsOneSliceRowPerStage) {
   sp.queue_ms = 0.5;
   sp.cache_ms = 0.0;  // zero-length stages are dropped, not emitted
   sp.exec_ms = 2.0;
+  sp.teardown_ms = 0.25;
   namespace json = perf::json;
   const json::Value doc = serve::spans_chrome_trace({sp});
   const auto& events = doc.find("traceEvents")->as_array();
-  // process_name + thread_name metadata plus the two non-zero stages.
-  ASSERT_EQ(events.size(), 4u);
+  // process_name + thread_name metadata plus the three non-zero stages.
+  ASSERT_EQ(events.size(), 5u);
   EXPECT_EQ(events[2].find("name")->as_string(), "queue");
   EXPECT_EQ(events[3].find("name")->as_string(), "exec");
   // exec starts where queue ended: ts is cumulative within the job row.
   EXPECT_DOUBLE_EQ(events[3].find("ts")->as_double(), 500.0);
   EXPECT_DOUBLE_EQ(events[3].find("dur")->as_double(), 2000.0);
+  EXPECT_EQ(events[4].find("name")->as_string(), "teardown");
+  EXPECT_DOUBLE_EQ(events[4].find("ts")->as_double(), 2500.0);
 }
 
 TEST(ServiceTest, CacheDisabledNeverHits) {

@@ -65,8 +65,7 @@
 #      and every BENCHMARK.json metric prints. perfbench builds its own
 #      RelWithDebInfo binary from src/, so this also catches a src/ change
 #      that breaks the benchmark build. Sanitizer legs skip it loudly: the
-#      benchmark build carries no sanitizer flags, and binaries with the
-#      VPU batch arm's target_clones crash at start under TSan
+#      benchmark build carries no sanitizer flags
 #  12. clang-tidy over all first-party translation units (skipped when the
 #      toolchain image has no clang-tidy); src/check findings are blocking
 #

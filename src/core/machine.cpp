@@ -168,11 +168,10 @@ sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
   if (p.trace != 0 && !link_sinks_.empty()) {
     // tscope enqueue marker: the gap to the matching tx span's start is the
     // hop's queueing delay (port mutex + wire direction contention).
-    std::string name = "m";
-    name += std::to_string(p.trace);
-    name += " enq";
-    link_sinks_[from][static_cast<std::size_t>(port)]->instant(
-        sim_for(from).now(), std::move(name));
+    link_sinks_[from][static_cast<std::size_t>(port)]->record(
+        {.start = sim_for(from).now(),
+         .trace = p.trace,
+         .kind = perf::SpanKind::msg_enqueue});
   }
   co_await mux.acquire();
   if (c.wire) {
@@ -217,8 +216,8 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
       }
       const std::size_t port = d % link::LinkParams::kPhysicalLinks;
       const std::string comp = "link" + std::to_string(port);
-      perf::TrackSink* lo = &reg.track(c.lo, comp);
-      perf::TrackSink* hi = &reg.track(c.hi, comp);
+      perf::PerfSink* lo = &reg.track(c.lo, comp);
+      perf::PerfSink* hi = &reg.track(c.hi, comp);
       link_sinks_[c.lo][port] = lo;
       link_sinks_[c.hi][port] = hi;
       if (c.wire) {

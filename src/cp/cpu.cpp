@@ -142,7 +142,7 @@ void Cpu::deschedule_current() {
   data_write(wptr_ - kWsIptr, iptr_, ignored);
   have_process_ = false;
   if (sink_ != nullptr) {
-    sink_->count("deschedules", 1);
+    sink_->counter("deschedules") += 1;
   }
 }
 
@@ -174,8 +174,8 @@ sim::Proc Cpu::run() {
     const std::uint64_t instr_before = instr_count_;
     const SimTime cost = exec_one();
     if (sink_ != nullptr) {
-      sink_->count("instr", instr_count_ - instr_before);
-      sink_->busy("busy", cost);
+      sink_->counter("instr") += instr_count_ - instr_before;
+      sink_->busy("busy") += cost;
     }
     co_await Delay{cost};
     // A runnable high-priority process preempts a low-priority one at the
@@ -454,8 +454,8 @@ sim::SimTime Cpu::exec_secondary(SecOp op) {
       // 2 reads + 2 writes per 64-bit element: 1.6 us each (§II Memory).
       cost += static_cast<std::int64_t>(count) * mem::MemParams::gather_move64();
       if (sink_ != nullptr) {
-        sink_->count(op == SecOp::gather ? "gather_elems" : "scatter_elems",
-                     count);
+        sink_->counter(op == SecOp::gather ? "gather_elems"
+                                           : "scatter_elems") += count;
       }
       break;
     }

@@ -1,6 +1,7 @@
 #include "link/link.hpp"
 
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace fpst::link {
@@ -14,12 +15,44 @@ sim::Proc cross_deliver(sim::Channel<Packet>& box, Packet p) {
   co_await box.send(std::move(p));
 }
 
+/// "busy.sublink<k>": the per-sublink busy accumulator's counter name.
+static_assert(LinkParams::kSublinksPerLink == 4);
+constexpr std::array<std::string_view, LinkParams::kSublinksPerLink>
+    kSublinkBusy = {"busy.sublink0", "busy.sublink1", "busy.sublink2",
+                    "busy.sublink3"};
+
 }  // namespace
 
-Link::Link(sim::Simulator& sim) : sim_{&sim} {
-  for (auto& d : dir_) {
-    d = std::make_unique<Direction>(sim);
+void TxDirection::sent(sim::SimTime start, sim::SimTime elapsed,
+                       std::uint64_t wire_bytes, std::uint64_t payload_bytes,
+                       int sublink, std::uint32_t trace, std::uint32_t dst) {
+  bytes += wire_bytes;
+  ++packets;
+  busy += elapsed;
+  perf::PerfSink* sink = perf_.sink();
+  if (sink == nullptr) {
+    return;
   }
+  Slots& s = perf_.slots();
+  s.bytes.add(*sink, "bytes", wire_bytes);
+  s.payload_bytes.add(*sink, "payload_bytes", payload_bytes);
+  s.packets.add(*sink, "packets", 1);
+  // Two acknowledge bits return per byte sent (13 bit times per byte).
+  s.acks.add(*sink, "acks", 2 * wire_bytes);
+  s.dma_starts.add(*sink, "dma_starts", 1);
+  s.busy.add(*sink, "busy", elapsed);
+  const auto k = static_cast<std::size_t>(sublink);
+  s.sublink_busy[k].add(*sink, kSublinkBusy[k], elapsed);
+  sink->record({.start = start,
+                .duration = elapsed,
+                .n = payload_bytes,
+                .trace = trace,
+                .peer = dst,
+                .kind = perf::SpanKind::link_tx});
+}
+
+Link::Link(sim::Simulator& sim)
+    : sim_{&sim}, dir_{{TxDirection{sim}, TxDirection{sim}}} {
   for (auto& side : inboxes_) {
     for (auto& ch : side) {
       ch = std::make_unique<sim::Channel<Packet>>(sim);
@@ -34,7 +67,7 @@ sim::Proc Link::transmit(int from_side, Packet p) {
   if (p.sublink >= LinkParams::kSublinksPerLink) {
     throw std::logic_error("Link::transmit: bad sublink");
   }
-  Direction& d = *dir_[static_cast<std::size_t>(from_side)];
+  TxDirection& d = dir_[static_cast<std::size_t>(from_side)];
   const int to_side = 1 - from_side;
   // One DMA at a time per direction; sublinks queue FIFO and thereby share
   // the physical bandwidth.
@@ -42,36 +75,9 @@ sim::Proc Link::transmit(int from_side, Packet p) {
   const sim::SimTime start = (co_await sim::ThisSim{}).now();
   co_await sim::Delay{LinkParams::dma_startup()};
   co_await sim::Delay{LinkParams::wire_time(p.payload.size())};
-  d.bytes += p.wire_bytes();
-  ++d.packets;
   const sim::SimTime elapsed = (co_await sim::ThisSim{}).now() - start;
-  d.busy += elapsed;
-  if (perf::PerfSink* sink = sink_[static_cast<std::size_t>(from_side)]) {
-    const auto wire = static_cast<std::uint64_t>(p.wire_bytes());
-    sink->count("bytes", wire);
-    sink->count("payload_bytes", p.payload.size());
-    sink->count("packets", 1);
-    // Two acknowledge bits return per byte sent (13 bit times per byte).
-    sink->count("acks", 2 * wire);
-    sink->count("dma_starts", 1);
-    sink->busy("busy", elapsed);
-    sink->busy(std::string("busy.sublink") + std::to_string(p.sublink),
-               elapsed);
-    // Traced packets prefix the span name with the trace id so the tscope
-    // stitcher (perf/tscope.hpp) can join this hop into the flight record.
-    std::string name;
-    if (p.trace != 0) {
-      name += "m";
-      name += std::to_string(p.trace);
-      name += " ";
-    }
-    name += "tx->node";
-    name += std::to_string(p.dst);
-    name += " ";
-    name += std::to_string(p.payload.size());
-    name += "B";
-    sink->span(start, elapsed, std::move(name));
-  }
+  d.sent(start, elapsed, p.wire_bytes(), p.payload.size(), p.sublink,
+         p.trace, p.dst);
   const int sub = p.sublink;
   sim::Channel<Packet>& box =
       *inboxes_[static_cast<std::size_t>(to_side)]
@@ -86,25 +92,25 @@ sim::Channel<Packet>& Link::inbox(int side, int sublink) {
 }
 
 std::uint64_t Link::bytes_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)]->bytes;
+  return dir_[static_cast<std::size_t>(direction)].bytes;
 }
 
 sim::SimTime Link::busy_time(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)]->busy;
+  return dir_[static_cast<std::size_t>(direction)].busy;
 }
 
 std::uint64_t Link::packets_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)]->packets;
+  return dir_[static_cast<std::size_t>(direction)].packets;
 }
 
 CrossLink::CrossLink(sim::ParallelSim& psim, int shard0, int shard1)
     : psim_{&psim},
       shard_{shard0, shard1},
-      sim_{&psim.shard(shard0), &psim.shard(shard1)} {
+      sim_{&psim.shard(shard0), &psim.shard(shard1)},
+      // A direction's mutex belongs to the *sending* side's shard; the
+      // receiving channels belong to the side that reads them.
+      dir_{{TxDirection{*sim_[0]}, TxDirection{*sim_[1]}}} {
   for (std::size_t side = 0; side < 2; ++side) {
-    // A direction's mutex belongs to the *sending* side's shard; the
-    // receiving channels belong to the side that reads them.
-    dir_[side] = std::make_unique<Direction>(*sim_[side]);
     for (auto& ch : inboxes_[side]) {
       ch = std::make_unique<sim::Channel<Packet>>(*sim_[side]);
     }
@@ -118,7 +124,7 @@ sim::Proc CrossLink::transmit(int from_side, Packet p) {
   if (p.sublink >= LinkParams::kSublinksPerLink) {
     throw std::logic_error("CrossLink::transmit: bad sublink");
   }
-  Direction& d = *dir_[static_cast<std::size_t>(from_side)];
+  TxDirection& d = dir_[static_cast<std::size_t>(from_side)];
   const int to_side = 1 - from_side;
   co_await d.mutex.acquire();
   const sim::SimTime start = (co_await sim::ThisSim{}).now();
@@ -144,30 +150,7 @@ sim::Proc CrossLink::transmit(int from_side, Packet p) {
                 });
   }
   co_await sim::Delay{elapsed};
-  d.bytes += wire;
-  ++d.packets;
-  d.busy += elapsed;
-  if (perf::PerfSink* sink = sink_[static_cast<std::size_t>(from_side)]) {
-    sink->count("bytes", wire);
-    sink->count("payload_bytes", payload_bytes);
-    sink->count("packets", 1);
-    sink->count("acks", 2 * wire);
-    sink->count("dma_starts", 1);
-    sink->busy("busy", elapsed);
-    sink->busy(std::string("busy.sublink") + std::to_string(sub), elapsed);
-    std::string name;
-    if (trace != 0) {
-      name += "m";
-      name += std::to_string(trace);
-      name += " ";
-    }
-    name += "tx->node";
-    name += std::to_string(dst);
-    name += " ";
-    name += std::to_string(payload_bytes);
-    name += "B";
-    sink->span(start, elapsed, std::move(name));
-  }
+  d.sent(start, elapsed, wire, payload_bytes, sub, trace, dst);
   d.mutex.release();
 }
 
@@ -177,15 +160,15 @@ sim::Channel<Packet>& CrossLink::inbox(int side, int sublink) {
 }
 
 std::uint64_t CrossLink::bytes_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)]->bytes;
+  return dir_[static_cast<std::size_t>(direction)].bytes;
 }
 
 sim::SimTime CrossLink::busy_time(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)]->busy;
+  return dir_[static_cast<std::size_t>(direction)].busy;
 }
 
 std::uint64_t CrossLink::packets_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)]->packets;
+  return dir_[static_cast<std::size_t>(direction)].packets;
 }
 
 void NodeLinks::attach(int port, Link& cable, int side) {

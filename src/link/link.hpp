@@ -80,6 +80,38 @@ struct Packet {
   }
 };
 
+/// One transmit direction of a cable: the wire's FIFO mutex, its statistics
+/// and its perf instrumentation. Link and CrossLink share it and hold both
+/// directions inline, so attaching a whole machine's link sinks touches no
+/// separate allocation per direction.
+class TxDirection {
+ public:
+  explicit TxDirection(sim::Simulator& sim) : mutex{sim, 1} {}
+
+  /// The transmitting node's link track; null disables collection.
+  void set_sink(perf::PerfSink* sink) { perf_.attach(sink); }
+
+  /// Account one packet that held the wire for [start, start + elapsed):
+  /// the statistics, the track's counters and its tx span.
+  void sent(sim::SimTime start, sim::SimTime elapsed,
+            std::uint64_t wire_bytes, std::uint64_t payload_bytes,
+            int sublink, std::uint32_t trace, std::uint32_t dst);
+
+  sim::Semaphore mutex;
+  std::uint64_t bytes = 0;
+  std::uint64_t packets = 0;
+  sim::SimTime busy{};
+
+ private:
+  struct Slots {
+    perf::CounterSlot bytes, payload_bytes, packets, acks, dma_starts;
+    perf::BusySlot busy;
+    std::array<perf::BusySlot, LinkParams::kSublinksPerLink> sublink_busy;
+  };
+
+  perf::Probe<Slots> perf_;
+};
+
 /// A full-duplex cable between two link ports. Side 0 and side 1 each own an
 /// independent transmit direction.
 class Link {
@@ -102,8 +134,8 @@ class Link {
   /// the track of the node wired to side 0, and likewise for side 1). Null
   /// pointers disable collection for that side.
   void set_sinks(perf::PerfSink* side0, perf::PerfSink* side1) {
-    sink_[0] = side0;
-    sink_[1] = side1;
+    dir_[0].set_sink(side0);
+    dir_[1].set_sink(side1);
   }
 
   // --- statistics per direction (0: side0->side1, 1: side1->side0) ---
@@ -112,17 +144,8 @@ class Link {
   std::uint64_t packets_sent(int direction) const;
 
  private:
-  struct Direction {
-    explicit Direction(sim::Simulator& sim) : mutex{sim, 1} {}
-    sim::Semaphore mutex;
-    std::uint64_t bytes = 0;
-    std::uint64_t packets = 0;
-    sim::SimTime busy{};
-  };
-
   sim::Simulator* sim_;
-  std::array<perf::PerfSink*, 2> sink_{nullptr, nullptr};
-  std::array<std::unique_ptr<Direction>, 2> dir_;
+  std::array<TxDirection, 2> dir_;
   // inboxes_[side][sublink]
   std::array<std::array<std::unique_ptr<sim::Channel<Packet>>,
                         LinkParams::kSublinksPerLink>,
@@ -160,8 +183,8 @@ class CrossLink {
   sim::Channel<Packet>& inbox(int side, int sublink);
 
   void set_sinks(perf::PerfSink* side0, perf::PerfSink* side1) {
-    sink_[0] = side0;
-    sink_[1] = side1;
+    dir_[0].set_sink(side0);
+    dir_[1].set_sink(side1);
   }
 
   int shard(int side) const {
@@ -174,19 +197,10 @@ class CrossLink {
   std::uint64_t packets_sent(int direction) const;
 
  private:
-  struct Direction {
-    explicit Direction(sim::Simulator& sim) : mutex{sim, 1} {}
-    sim::Semaphore mutex;
-    std::uint64_t bytes = 0;
-    std::uint64_t packets = 0;
-    sim::SimTime busy{};
-  };
-
   sim::ParallelSim* psim_;
   std::array<int, 2> shard_;
   std::array<sim::Simulator*, 2> sim_;
-  std::array<perf::PerfSink*, 2> sink_{nullptr, nullptr};
-  std::array<std::unique_ptr<Direction>, 2> dir_;
+  std::array<TxDirection, 2> dir_;
   // inboxes_[side][sublink]: the channels on which `side` receives.
   std::array<std::array<std::unique_ptr<sim::Channel<Packet>>,
                         LinkParams::kSublinksPerLink>,

@@ -101,8 +101,8 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
   std::uint32_t v;
   std::memcpy(&v, data_.get() + addr, sizeof v);
   ++word_accesses_;
-  if (sink_ != nullptr) {
-    sink_->count("word_reads", 1);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    perf_.slots().word_reads.add(*sink, "word_reads", 1);
   }
   return v;
 }
@@ -115,8 +115,8 @@ void NodeMemory::write_word(std::uint32_t addr, std::uint32_t v) {
     clear_corruption(addr, 4);
   }
   ++word_accesses_;
-  if (sink_ != nullptr) {
-    sink_->count("word_writes", 1);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    perf_.slots().word_writes.add(*sink, "word_writes", 1);
   }
 }
 
@@ -126,8 +126,8 @@ std::uint8_t NodeMemory::read_byte(std::uint32_t addr) {
     check_parity(addr);
   }
   ++word_accesses_;
-  if (sink_ != nullptr) {
-    sink_->count("word_reads", 1);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    perf_.slots().word_reads.add(*sink, "word_reads", 1);
   }
   return data_[addr];
 }
@@ -139,8 +139,8 @@ void NodeMemory::write_byte(std::uint32_t addr, std::uint8_t v) {
     clear_corruption(addr, 1);
   }
   ++word_accesses_;
-  if (sink_ != nullptr) {
-    sink_->count("word_writes", 1);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    perf_.slots().word_writes.add(*sink, "word_writes", 1);
   }
 }
 
@@ -154,8 +154,8 @@ void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
   }
   std::memcpy(reg.raw().data(), data_.get() + base, MemParams::kRowBytes);
   ++row_accesses_;
-  if (sink_ != nullptr) {
-    sink_->count("row_loads", 1);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    perf_.slots().row_loads.add(*sink, "row_loads", 1);
   }
 }
 
@@ -167,8 +167,8 @@ void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
     clear_corruption(static_cast<std::uint32_t>(base), MemParams::kRowBytes);
   }
   ++row_accesses_;
-  if (sink_ != nullptr) {
-    sink_->count("row_stores", 1);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    perf_.slots().row_stores.add(*sink, "row_stores", 1);
   }
 }
 

@@ -152,7 +152,7 @@ class NodeMemory {
   std::uint64_t parity_errors_detected() const { return parity_error_count_; }
 
   /// Perf instrumentation (see perf/sink.hpp); null disables collection.
-  void set_sink(perf::PerfSink* sink) { sink_ = sink; }
+  void set_sink(perf::PerfSink* sink) { perf_.attach(sink); }
 
   // --- traffic statistics (for the bandwidth benches) ---
   std::uint64_t word_accesses() const { return word_accesses_; }
@@ -171,7 +171,12 @@ class NodeMemory {
     void operator()(std::uint8_t* p) const noexcept;
   };
 
-  perf::PerfSink* sink_ = nullptr;
+  /// The counter slots the ports add to.
+  struct Slots {
+    perf::CounterSlot word_reads, word_writes, row_loads, row_stores;
+  };
+
+  perf::Probe<Slots> perf_;
   std::unique_ptr<std::uint8_t[], Unmap> data_;
   /// Bytes whose stored parity bit currently disagrees with their data:
   /// exactly the bytes corrupt_byte has flipped an odd number of times

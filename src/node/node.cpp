@@ -148,10 +148,10 @@ std::vector<float> Node::read32(const Array32& a) const {
 
 void Node::attach_perf(perf::CounterRegistry& reg) {
   perf_vpu_ = &reg.track(id_, "vpu");
-  perf_cp_ = &reg.track(id_, "cp");
+  perf_cp_.attach(&reg.track(id_, "cp"));
   memory_.set_sink(&reg.track(id_, "mem"));
   vpu_.set_sink(perf_vpu_);
-  cpu_.set_sink(perf_cp_);
+  cpu_.set_sink(perf_cp_.sink());
   for (int p = 0; p < link::LinkParams::kPhysicalLinks; ++p) {
     if (links_.attached(p)) {
       perf_link_[static_cast<std::size_t>(p)] =
@@ -163,9 +163,11 @@ void Node::attach_perf(perf::CounterRegistry& reg) {
 vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
   vpu::OpResult r = vpu_.execute(op);
   if (perf_vpu_ != nullptr) {
-    perf_vpu_->span(sim_->now(), r.duration,
-                    std::string(vpu::to_string(op.form)) + " n=" +
-                        std::to_string(op.n));
+    perf_vpu_->record({.start = sim_->now(),
+                       .duration = r.duration,
+                       .n = op.n,
+                       .label = vpu::to_string(op.form),
+                       .kind = perf::SpanKind::vector_op});
   }
   return r;
 }
@@ -173,9 +175,9 @@ vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
 void Node::retire_op(const vpu::OpResult& r) {
   if (!cfg_.overlap) {
     cp_busy_ += r.duration;
-    if (perf_cp_ != nullptr) {
+    if (perf::PerfSink* cp = perf_cp_.sink()) {
       // The stalled controller is occupied for the whole vector op.
-      perf_cp_->busy("busy", r.duration);
+      perf_cp_.slots().busy.add(*cp, "busy", r.duration);
     }
     cp_sem_.release();
   }
@@ -401,14 +403,18 @@ sim::Proc Node::gather32(std::size_t elems) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(elems) *
                     MemParams::gather_move32();
-  if (perf_cp_ != nullptr) {
-    perf_cp_->span(sim_->now(), t, "gather32 " + std::to_string(elems));
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    cp->record({.start = sim_->now(),
+                .duration = t,
+                .n = elems,
+                .kind = perf::SpanKind::gather32});
   }
   co_await Delay{t};
   cp_busy_ += t;
-  if (perf_cp_ != nullptr) {
-    perf_cp_->count("gather_elems", elems);
-    perf_cp_->busy("busy", t);
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    CpSlots& s = perf_cp_.slots();
+    s.gather_elems.add(*cp, "gather_elems", elems);
+    s.busy.add(*cp, "busy", t);
   }
   cp_sem_.release();
 }
@@ -417,14 +423,18 @@ sim::Proc Node::gather(std::size_t elems) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(elems) *
                     MemParams::gather_move64();
-  if (perf_cp_ != nullptr) {
-    perf_cp_->span(sim_->now(), t, "gather64 " + std::to_string(elems));
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    cp->record({.start = sim_->now(),
+                .duration = t,
+                .n = elems,
+                .kind = perf::SpanKind::gather64});
   }
   co_await Delay{t};
   cp_busy_ += t;
-  if (perf_cp_ != nullptr) {
-    perf_cp_->count("gather_elems", elems);
-    perf_cp_->busy("busy", t);
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    CpSlots& s = perf_cp_.slots();
+    s.gather_elems.add(*cp, "gather_elems", elems);
+    s.busy.add(*cp, "busy", t);
   }
   cp_sem_.release();
 }
@@ -433,14 +443,18 @@ sim::Proc Node::scatter(std::size_t elems) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(elems) *
                     MemParams::gather_move64();
-  if (perf_cp_ != nullptr) {
-    perf_cp_->span(sim_->now(), t, "scatter64 " + std::to_string(elems));
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    cp->record({.start = sim_->now(),
+                .duration = t,
+                .n = elems,
+                .kind = perf::SpanKind::scatter64});
   }
   co_await Delay{t};
   cp_busy_ += t;
-  if (perf_cp_ != nullptr) {
-    perf_cp_->count("scatter_elems", elems);
-    perf_cp_->busy("busy", t);
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    CpSlots& s = perf_cp_.slots();
+    s.scatter_elems.add(*cp, "scatter_elems", elems);
+    s.busy.add(*cp, "busy", t);
   }
   cp_sem_.release();
 }
@@ -449,15 +463,18 @@ sim::Proc Node::cp_work(std::uint64_t instructions) {
   co_await cp_sem_.acquire();
   const SimTime t =
       static_cast<std::int64_t>(instructions) * cp::CpuParams::instr_time();
-  if (perf_cp_ != nullptr) {
-    perf_cp_->span(sim_->now(), t,
-                   "work " + std::to_string(instructions) + " instr");
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    cp->record({.start = sim_->now(),
+                .duration = t,
+                .n = instructions,
+                .kind = perf::SpanKind::cp_work});
   }
   co_await Delay{t};
   cp_busy_ += t;
-  if (perf_cp_ != nullptr) {
-    perf_cp_->count("instr", instructions);
-    perf_cp_->busy("busy", t);
+  if (perf::PerfSink* cp = perf_cp_.sink()) {
+    CpSlots& s = perf_cp_.slots();
+    s.instr.add(*cp, "instr", instructions);
+    s.busy.add(*cp, "busy", t);
   }
   cp_sem_.release();
 }
@@ -480,7 +497,10 @@ sim::Proc Node::row_move(std::size_t rows) {
   const SimTime t =
       static_cast<std::int64_t>(2 * rows) * MemParams::row_access();
   if (perf_vpu_ != nullptr) {
-    perf_vpu_->span(sim_->now(), t, "rowmove " + std::to_string(rows));
+    perf_vpu_->record({.start = sim_->now(),
+                       .duration = t,
+                       .n = rows,
+                       .kind = perf::SpanKind::row_move});
   }
   co_await Delay{t};
   vpu_sem_.release();
@@ -492,10 +512,9 @@ sim::Proc Node::link_send(int port, link::Packet p) {
     // tscope enqueue marker for ISA-level link I/O (the machine path
     // records its own in TSeries::send_dim).
     if (perf::PerfSink* sink = perf_link_[static_cast<std::size_t>(port)]) {
-      std::string name = "m";
-      name += std::to_string(p.trace);
-      name += " enq";
-      sink->instant(sim_->now(), std::move(name));
+      sink->record({.start = sim_->now(),
+                    .trace = p.trace,
+                    .kind = perf::SpanKind::msg_enqueue});
     }
   }
   co_await links_.send(port, std::move(p));

@@ -188,8 +188,14 @@ class Node {
   link::NodeLinks links_;
   sim::Semaphore vpu_sem_;
   sim::Semaphore cp_sem_;
+  /// The cp-track slots the timed API adds to.
+  struct CpSlots {
+    perf::BusySlot busy;
+    perf::CounterSlot instr, gather_elems, scatter_elems;
+  };
+
   perf::PerfSink* perf_vpu_ = nullptr;
-  perf::PerfSink* perf_cp_ = nullptr;
+  perf::Probe<CpSlots> perf_cp_;
   /// Per-port link tracks; wired only for ports with an attached cable so
   /// standalone-node dumps don't grow empty link tracks.
   std::array<perf::PerfSink*, link::LinkParams::kPhysicalLinks> perf_link_{};

@@ -176,26 +176,25 @@ Runtime::Runtime(core::TSeries& machine) : machine_{&machine} {
   }
 }
 
-perf::TrackSink* Runtime::occam_sink(net::NodeId at) {
-  if (occam_sinks_.empty()) {
+Runtime::OccamTrack* Runtime::occam_track(net::NodeId at) {
+  if (occam_tracks_.empty()) {
     return nullptr;
   }
-  perf::TrackSink*& sink = occam_sinks_[at];
-  if (sink == nullptr) {
-    sink = &machine_->perf()->track(at, "occam");
+  OccamTrack& t = occam_tracks_[at];
+  if (t.sink() == nullptr) {
+    t.attach(&machine_->perf()->track(at, "occam"));
   }
-  return sink;
+  return &t;
 }
 
 void Runtime::deliver(net::NodeId at, Msg m) {
-  if (perf::TrackSink* sink = occam_sink(at)) {
-    sink->count("msgs_recv", 1);
+  if (OccamTrack* t = occam_track(at)) {
+    t->slots().recv.add(*t->sink(), "msgs_recv", 1);
     if (m.trace != 0) {
-      std::string name = "m";
-      name += std::to_string(m.trace);
-      name += " dlv <-n";
-      name += std::to_string(m.src);
-      sink->instant(machine_->sim_for(at).now(), std::move(name));
+      t->sink()->record({.start = machine_->sim_for(at).now(),
+                         .trace = m.trace,
+                         .peer = m.src,
+                         .kind = perf::SpanKind::msg_deliver});
     }
   }
   Mailbox& box = *mailboxes_[at];
@@ -208,21 +207,17 @@ sim::Proc Runtime::send_packet(net::NodeId from, net::NodeId dst,
   // Packetisation is control-processor work.
   co_await machine_->node(from).cp_work(RtParams::kSendInstr);
   std::uint32_t trace = 0;
-  if (perf::TrackSink* sink = occam_sink(from)) {
-    sink->count("msgs_sent", 1);
+  if (OccamTrack* t = occam_track(from)) {
+    t->slots().sent.add(*t->sink(), "msgs_sent", 1);
     // tscope injection marker: id, destination, tag and encoded payload
     // size, in the grammar perf/tscope.hpp documents.
     trace = alloc_trace(from);
-    std::string name = "m";
-    name += std::to_string(trace);
-    name += " inj ->n";
-    name += std::to_string(dst);
-    name += " t";
-    name += std::to_string(tag);
-    name += ' ';
-    name += std::to_string(4 + 8 * data.size());
-    name += 'B';
-    sink->instant(machine_->sim_for(from).now(), std::move(name));
+    t->sink()->record({.start = machine_->sim_for(from).now(),
+                       .n = 4 + 8 * data.size(),
+                       .trace = trace,
+                       .peer = dst,
+                       .tag = tag,
+                       .kind = perf::SpanKind::msg_inject});
   }
   if (dst == from) {
     deliver(from, Msg{from, tag, trace, std::move(data)});
@@ -248,13 +243,12 @@ sim::Proc Runtime::router_listener(net::NodeId at, int dim) {
     // dimension; the hop count rides in the packet.
     forwarded_.fetch_add(1, std::memory_order_relaxed);
     ++p.hops;
-    if (perf::TrackSink* sink = occam_sink(at)) {
-      sink->count("pkts_forwarded", 1);
+    if (OccamTrack* t = occam_track(at)) {
+      t->slots().forwarded.add(*t->sink(), "pkts_forwarded", 1);
       if (p.trace != 0) {
-        std::string name = "m";
-        name += std::to_string(p.trace);
-        name += " fwd";
-        sink->instant(machine_->sim_for(at).now(), std::move(name));
+        t->sink()->record({.start = machine_->sim_for(at).now(),
+                           .trace = p.trace,
+                           .kind = perf::SpanKind::msg_forward});
       }
     }
     co_await machine_->node(at).cp_work(RtParams::kForwardInstr);
@@ -315,8 +309,8 @@ sim::SimTime Runtime::run(const std::vector<Body>& bodies) {
   if (bodies.size() != machine_->size()) {
     throw std::invalid_argument("Runtime::run: one body per node required");
   }
-  occam_sinks_.assign(machine_->perf() != nullptr ? machine_->size() : 0,
-                      nullptr);
+  occam_tracks_.assign(machine_->perf() != nullptr ? machine_->size() : 0,
+                       OccamTrack{});
   if (machine_->parallel() != nullptr) {
     return run_parallel(bodies);
   }
@@ -339,8 +333,8 @@ sim::SimTime Runtime::run(const std::vector<Body>& bodies) {
 sim::SimTime Runtime::run_parallel(const std::vector<Body>& bodies) {
   sim::ParallelSim& psim = *machine_->parallel();
   // Resolve every node's occam track while still single-threaded.
-  for (net::NodeId id = 0; id < occam_sinks_.size(); ++id) {
-    occam_sink(id);
+  for (net::NodeId id = 0; id < occam_tracks_.size(); ++id) {
+    occam_track(id);
   }
   start_routers();
   const sim::SimTime start = psim.now();

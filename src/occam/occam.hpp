@@ -150,8 +150,13 @@ class Runtime {
                         std::vector<double> data);
   std::uint32_t alloc_trace(net::NodeId from);
   sim::SimTime run_parallel(const std::vector<Body>& bodies);
-  /// Node `at`'s "occam" track, or null while perf is off.
-  perf::TrackSink* occam_sink(net::NodeId at);
+  /// The slots a node's messages add to on its "occam" track.
+  struct OccamSlots {
+    perf::CounterSlot sent, recv, forwarded;
+  };
+  using OccamTrack = perf::Probe<OccamSlots>;
+  /// Node `at`'s occam track, or null while perf is off.
+  OccamTrack* occam_track(net::NodeId at);
 
   core::TSeries* machine_;
   std::vector<std::unique_ptr<Ctx>> ctxs_;
@@ -174,7 +179,7 @@ class Runtime {
   /// start (a lazy fill from shard threads would race on the registry).
   /// Serial runs fill an entry on the node's first message, so nodes that
   /// never communicate grow no track and serial dumps keep their bytes.
-  std::vector<perf::TrackSink*> occam_sinks_;
+  std::vector<OccamTrack> occam_tracks_;
 };
 
 }  // namespace fpst::occam

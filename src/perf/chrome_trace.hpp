@@ -11,8 +11,9 @@
 //     optional caller-supplied `results` object (benches put their
 //     headline tables there).
 //
-// write_dump() streams the document from a registry in one pass; to_json()
-// builds the same document as a json::Value tree for loading and tests.
+// write_dump() writes the document from a registry straight to bytes; to_json()
+// builds the same document as a json::Value tree, the byte reference the
+// tests hold write_dump() to and the view loading and analysis start from.
 //
 // Timestamps in traceEvents are microseconds (the trace_event unit); the
 // counters/metadata sections carry exact integer picoseconds (`*_ps`).
@@ -28,12 +29,13 @@
 
 namespace fpst::perf {
 
-/// Stream a registry's dump (counters + timeline + meta) straight to
-/// bytes, appending to `out` exactly what to_json(reg, wall) — with
-/// `results` as its "results" member unless null — prints with dump(2),
-/// without building the tree. `wall` is the simulated end time of the run;
-/// `results` carries a caller's tables (bench rows, a serve job's spec).
-/// Serve and every dump-writing example and bench use this.
+/// Write a registry's dump (counters + timeline + meta) straight to bytes,
+/// appending to `out` exactly what to_json(reg, wall) — with `results` as
+/// its "results" member unless null — prints with dump(2), without building
+/// the tree. `out` grows by one reservation, which also holds the trailing
+/// newline write_file() and serve append. `wall` is the simulated end time
+/// of the run; `results` carries a caller's tables (bench rows, a serve
+/// job's spec). Serve and every dump-writing example and bench use this.
 void write_dump(std::string& out, const CounterRegistry& reg,
                 sim::SimTime wall, const json::Value& results = json::Value{});
 
@@ -50,12 +52,18 @@ json::Value to_json(const CounterRegistry& reg, sim::SimTime wall);
 /// std::runtime_error on I/O failure.
 void write_file(const std::string& path, const json::Value& doc);
 
+/// A span's display name, as every dump prints it: the one formatter
+/// write_dump(), snapshot() and the tests share. Names need no JSON escaping
+/// by construction: fixed ASCII text, decimal integers and a static label
+/// (a vector form's name, cut at 16 characters).
+std::string span_name(const Span& s);
+
 /// One track's counters as loaded back from a dump.
 struct DumpTrack {
   std::uint32_t node = 0;
   std::string component;
-  TrackSink::Counts counts;
-  TrackSink::Times times;
+  PerfSink::Counts counts;
+  PerfSink::Times times;
 };
 
 /// One span as loaded back from a dump.
@@ -94,7 +102,8 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall);
 json::Value to_json(const Dump& d);
 
 /// Rebuild a Dump from a parsed document. Throws std::runtime_error on a
-/// document that is not a perf dump.
+/// document that is not a perf dump, including a track key or span pid
+/// whose node number is not a plain decimal uint32.
 Dump from_json(const json::Value& doc);
 
 /// Read + parse + rebuild in one step.

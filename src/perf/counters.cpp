@@ -2,53 +2,26 @@
 
 namespace fpst::perf {
 
-void TrackSink::count(std::string_view name, std::uint64_t delta) {
-  const auto it = counts_.find(name);
-  if (it == counts_.end()) {
-    counts_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
-}
-
-void TrackSink::busy(std::string_view name, sim::SimTime duration) {
-  const auto it = times_.find(name);
-  if (it == times_.end()) {
-    times_.emplace(std::string(name), duration);
-  } else {
-    it->second += duration;
-  }
-}
-
-void TrackSink::span(sim::SimTime start, sim::SimTime duration,
-                     std::string name) {
-  timeline_->record(Span{id_, start, duration, std::move(name), false});
-}
-
-void TrackSink::instant(sim::SimTime at, std::string name) {
-  timeline_->record(Span{id_, at, sim::SimTime{}, std::move(name), true});
-}
-
-std::uint64_t TrackSink::value(std::string_view name) const {
+std::uint64_t PerfSink::value(std::string_view name) const {
   const auto it = counts_.find(name);
   return it == counts_.end() ? 0 : it->second;
 }
 
-sim::SimTime TrackSink::time_value(std::string_view name) const {
+sim::SimTime PerfSink::time_value(std::string_view name) const {
   const auto it = times_.find(name);
   return it == times_.end() ? sim::SimTime{} : it->second;
 }
 
-TrackSink& CounterRegistry::track(std::uint32_t node,
-                                  std::string_view component) {
+PerfSink& CounterRegistry::track(std::uint32_t node,
+                                 std::string_view component) {
   const auto key = std::make_pair(node, std::string(component));
   const auto it = tracks_.find(key);
   if (it != tracks_.end()) {
     return *it->second;
   }
-  auto sink = std::unique_ptr<TrackSink>(
-      new TrackSink(node, key.second, next_id_++, timeline_for(node)));
-  TrackSink& ref = *sink;
+  auto sink = std::unique_ptr<PerfSink>(
+      new PerfSink(node, key.second, next_id_++, timeline_for(node)));
+  PerfSink& ref = *sink;
   tracks_.emplace(key, std::move(sink));
   return ref;
 }
@@ -78,8 +51,8 @@ void CounterRegistry::shard_spans(std::vector<int> shard_of_node,
   }
 }
 
-const TrackSink* CounterRegistry::find(std::uint32_t node,
-                                       std::string_view component) const {
+const PerfSink* CounterRegistry::find(std::uint32_t node,
+                                      std::string_view component) const {
   const auto it = tracks_.find(std::make_pair(node, std::string(component)));
   return it == tracks_.end() ? nullptr : it->second.get();
 }
@@ -87,14 +60,14 @@ const TrackSink* CounterRegistry::find(std::uint32_t node,
 std::uint64_t CounterRegistry::value(std::uint32_t node,
                                      std::string_view component,
                                      std::string_view name) const {
-  const TrackSink* t = find(node, component);
+  const PerfSink* t = find(node, component);
   return t == nullptr ? 0 : t->value(name);
 }
 
 sim::SimTime CounterRegistry::time_value(std::uint32_t node,
                                          std::string_view component,
                                          std::string_view name) const {
-  const TrackSink* t = find(node, component);
+  const PerfSink* t = find(node, component);
   return t == nullptr ? sim::SimTime{} : t->time_value(name);
 }
 

@@ -23,49 +23,6 @@
 
 namespace fpst::perf {
 
-class CounterRegistry;
-
-/// The per-(node, component) sink implementation: two sorted name→value
-/// maps plus a handle into the registry's shared timeline.
-class TrackSink final : public PerfSink {
- public:
-  using Counts = std::map<std::string, std::uint64_t, std::less<>>;
-  using Times = std::map<std::string, sim::SimTime, std::less<>>;
-
-  std::uint32_t node() const { return node_; }
-  const std::string& component() const { return component_; }
-  std::uint32_t track_id() const { return id_; }
-
-  void count(std::string_view name, std::uint64_t delta) override;
-  void busy(std::string_view name, sim::SimTime duration) override;
-  void span(sim::SimTime start, sim::SimTime duration,
-            std::string name) override;
-  void instant(sim::SimTime at, std::string name) override;
-
-  const Counts& counts() const { return counts_; }
-  const Times& times() const { return times_; }
-  /// Value of one counter (0 when never touched).
-  std::uint64_t value(std::string_view name) const;
-  /// Value of one duration accumulator (zero when never touched).
-  sim::SimTime time_value(std::string_view name) const;
-
- private:
-  friend class CounterRegistry;
-  TrackSink(std::uint32_t node, std::string component, std::uint32_t id,
-            Timeline* timeline)
-      : node_{node},
-        component_{std::move(component)},
-        id_{id},
-        timeline_{timeline} {}
-
-  std::uint32_t node_;
-  std::string component_;
-  std::uint32_t id_;
-  Timeline* timeline_;
-  Counts counts_;
-  Times times_;
-};
-
 class CounterRegistry {
  public:
   struct Options {
@@ -93,9 +50,9 @@ class CounterRegistry {
 
   /// The sink for (node, component); created on first use. Pointers stay
   /// valid for the registry's lifetime.
-  TrackSink& track(std::uint32_t node, std::string_view component);
+  PerfSink& track(std::uint32_t node, std::string_view component);
   /// Lookup without creation (nullptr when the track never existed).
-  const TrackSink* find(std::uint32_t node, std::string_view component) const;
+  const PerfSink* find(std::uint32_t node, std::string_view component) const;
 
   /// Counter value on one track, 0 when absent.
   std::uint64_t value(std::uint32_t node, std::string_view component,
@@ -110,7 +67,7 @@ class CounterRegistry {
 
   /// All tracks in deterministic (node, component) order.
   const std::map<std::pair<std::uint32_t, std::string>,
-                 std::unique_ptr<TrackSink>>&
+                 std::unique_ptr<PerfSink>>&
   tracks() const {
     return tracks_;
   }
@@ -140,7 +97,7 @@ class CounterRegistry {
  private:
   Timeline* timeline_for(std::uint32_t node);
 
-  std::map<std::pair<std::uint32_t, std::string>, std::unique_ptr<TrackSink>>
+  std::map<std::pair<std::uint32_t, std::string>, std::unique_ptr<PerfSink>>
       tracks_;
   Timeline timeline_;
   Meta meta_;

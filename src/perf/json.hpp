@@ -4,10 +4,10 @@
 //
 // Objects keep their keys in sorted order (std::map), so serialisation is
 // deterministic: two identical runs produce byte-identical dumps, which the
-// perf tests rely on. Every byte of JSON text is formatted by Writer, which
-// Value::dump() and the streaming tperf dump writer
-// (perf/chrome_trace.hpp) share, so a tree and a stream of one document
-// print identically.
+// perf tests rely on. Writer owns the formatting rules: Value::dump() and
+// the head of a tperf dump (perf/chrome_trace.hpp) print through it, and
+// the dump's direct span writer, which copies fixed text around its
+// fields, is tested byte for byte against the tree printed here.
 #pragma once
 
 #include <cstdint>

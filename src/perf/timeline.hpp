@@ -2,15 +2,18 @@
 // component was busy, bounded by a ring buffer so long runs cannot exhaust
 // host memory.
 //
-// Spans are typed (track id + times + name) rather than formatted strings;
-// the track table maps ids back to (node, component) identity. The Chrome
-// trace_event exporter (perf/chrome_trace.hpp) turns each node into a
-// "process" and each component into a "thread" so any dump opens directly
-// in chrome://tracing or Perfetto.
+// A span is a fixed-size plain record: track id, times, a kind from a
+// closed set, a static label and a few integers. Recording one copies it
+// into the ring; nothing is formatted. Its display name ("VSAXPY n=16",
+// "m5 inj ->n3 t32768 12B") is built only when a dump or a snapshot is made
+// (perf::span_name, perf/chrome_trace.hpp), so the spans a full ring
+// overwrites never cost a string. The track table maps ids back to (node,
+// component) identity; the Chrome trace_event exporter turns each node
+// into a "process" and each component into a "thread" so any dump opens
+// directly in chrome://tracing or Perfetto.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/ring.hpp"
@@ -18,13 +21,37 @@
 
 namespace fpst::perf {
 
+/// What a span records, and so how its name is spelled. The message kinds
+/// are the tscope grammar (perf/tscope.hpp).
+enum class SpanKind : std::uint8_t {
+  // Complete spans.
+  vector_op,  ///< "<label> n=<n>": one vector form (label: the form's name)
+  row_move,   ///< "rowmove <n>"
+  gather32,   ///< "gather32 <n>"
+  gather64,   ///< "gather64 <n>"
+  scatter64,  ///< "scatter64 <n>"
+  cp_work,    ///< "work <n> instr"
+  link_tx,    ///< "m<trace> tx->node<peer> <n>B"; no "m<trace> " if untraced
+  // Instant markers; every kind from here on is one.
+  msg_enqueue,  ///< "m<trace> enq"
+  msg_inject,   ///< "m<trace> inj ->n<peer> t<tag> <n>B"
+  msg_deliver,  ///< "m<trace> dlv <-n<peer>"
+  msg_forward,  ///< "m<trace> fwd"
+};
+
 /// One timeline record. `duration` is zero for instant markers.
 struct Span {
-  std::uint32_t track = 0;
   sim::SimTime start{};
   sim::SimTime duration{};
-  std::string name;
-  bool is_instant = false;
+  std::uint64_t n = 0;          ///< elements, instructions, rows or bytes
+  const char* label = nullptr;  ///< static text: vector_op's form name
+  std::uint32_t track = 0;      ///< set by PerfSink::record
+  std::uint32_t trace = 0;      ///< tscope message id, 0 when untraced
+  std::uint32_t peer = 0;       ///< the other node of a hop or a message
+  std::uint16_t tag = 0;        ///< msg_inject's message tag
+  SpanKind kind = SpanKind::vector_op;
+
+  bool is_instant() const { return kind >= SpanKind::msg_enqueue; }
 };
 
 class Timeline {
@@ -39,9 +66,9 @@ class Timeline {
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  void record(Span s) {
+  void record(const Span& s) {
     if (enabled_) {
-      ring_.push(std::move(s));
+      ring_.push(s);
     }
   }
 

@@ -222,6 +222,8 @@ RunOutcome JobRun::execute() {
   results["spec"] = spec_to_json(spec_);
   // Exactly perf::write_file's on-disk bytes, so a cached result saved to
   // a file is indistinguishable from a dump the example binaries write.
+  // write_dump's one reservation holds the newline too, so the cached
+  // string is a single allocation with no growth slack.
   std::string bytes;
   perf::write_dump(bytes, *reg_, elapsed, results);
   bytes += '\n';

@@ -29,7 +29,9 @@ class RingBuffer {
       return;
     }
     buf_[head_] = std::move(value);
-    head_ = (head_ + 1) % cap_;
+    if (++head_ == cap_) {
+      head_ = 0;
+    }
     ++dropped_;
   }
 

@@ -555,8 +555,19 @@ bool is_elementwise_arith(VectorForm f) {
 /// table. flatten pulls the template loops into each clone so they compile
 /// with the clone's ISA; results are bitwise identical across clones (only
 /// IEEE ops and bit logic, no reassociation or FMA contraction).
-__attribute__((flatten,
-               target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+///
+/// ThreadSanitizer binaries crash at start in the clones' ifunc resolver,
+/// which runs before the TSan runtime is up, so a -fsanitize=thread build
+/// keeps one baseline copy of each loop.
+#if defined(__SANITIZE_THREAD__)
+#define FPST_CLEAN_LOOP __attribute__((flatten))
+#else
+#define FPST_CLEAN_LOOP                                                     \
+  __attribute__((flatten, target_clones("arch=x86-64-v4", "arch=x86-64-v3", \
+                                        "default")))
+#endif
+
+FPST_CLEAN_LOOP
 bool clean64(const VectorOp& op, const mem::VectorRegister& vx,
              const mem::VectorRegister& vy, mem::VectorRegister& vz,
              Flags& fl) {
@@ -625,8 +636,7 @@ bool clean64(const VectorOp& op, const mem::VectorRegister& vx,
   return true;
 }
 
-__attribute__((flatten,
-               target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+FPST_CLEAN_LOOP
 bool clean32(const VectorOp& op, std::uint32_t s,
              const mem::VectorRegister& vx, const mem::VectorRegister& vy,
              mem::VectorRegister& vz, Flags& fl) {

@@ -115,27 +115,20 @@ void check_divergence(const VectorOp& op, const OpResult& soft,
   }
 }
 
-}  // namespace
-
-const char* to_string(VectorForm f) {
-  switch (f) {
-    case VectorForm::vadd: return "VADD";
-    case VectorForm::vsub: return "VSUB";
-    case VectorForm::vmul: return "VMUL";
-    case VectorForm::vsadd: return "VSADD";
-    case VectorForm::vsmul: return "VSMUL";
-    case VectorForm::vsaxpy: return "VSAXPY";
-    case VectorForm::vneg: return "VNEG";
-    case VectorForm::vabs: return "VABS";
-    case VectorForm::vsum: return "VSUM";
-    case VectorForm::vdot: return "VDOT";
-    case VectorForm::vmaxval: return "VMAXVAL";
-    case VectorForm::vcmp_le: return "VCMPLE";
-    case VectorForm::vcvt_widen: return "VCVTW";
-    case VectorForm::vcvt_narrow: return "VCVTN";
-  }
-  return "?";
+/// "busy.<FORM>": the per-form busy accumulator's counter name.
+std::string_view form_busy_name(VectorForm f) {
+  static const std::array<std::string, kVectorForms> names = [] {
+    std::array<std::string, kVectorForms> out;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = "busy.";
+      out[i] += to_string(static_cast<VectorForm>(i));
+    }
+    return out;
+  }();
+  return names[static_cast<std::size_t>(f)];
 }
+
+}  // namespace
 
 bool is_two_operand(VectorForm f) {
   switch (f) {
@@ -292,9 +285,10 @@ OpResult VectorUnit::execute(const VectorOp& op) {
   ++total_ops_;
   total_flops_ += r.flops;
   total_busy_ += r.duration;
-  if (sink_ != nullptr) {
-    sink_->count("ops", 1);
-    sink_->count("flops", r.flops);
+  if (perf::PerfSink* sink = perf_.sink()) {
+    Slots& s = perf_.slots();
+    s.ops.add(*sink, "ops", 1);
+    s.flops.add(*sink, "flops", r.flops);
     // Pipe result counts: chained forms produce one result per pipe per
     // element; pure multiplier forms keep the adder idle and vice versa.
     const bool both = uses_both_pipes(op.form);
@@ -302,18 +296,22 @@ OpResult VectorUnit::execute(const VectorOp& op) {
         op.form == VectorForm::vmul || op.form == VectorForm::vsmul;
     const auto n = static_cast<std::uint64_t>(op.n);
     if (both || !mul_only) {
-      sink_->count("adder_results", n);
+      s.adder_results.add(*sink, "adder_results", n);
     }
     if (both || mul_only) {
-      sink_->count("mul_results", n);
+      s.mul_results.add(*sink, "mul_results", n);
     }
     if (is_two_operand(op.form) &&
         mem::NodeMemory::bank_of_row(op.row_x) ==
             mem::NodeMemory::bank_of_row(op.row_y)) {
-      sink_->count("bank_conflicts", 1);
+      s.bank_conflicts.add(*sink, "bank_conflicts", 1);
     }
-    sink_->busy("busy", r.duration);
-    sink_->busy(std::string("busy.") + to_string(op.form), r.duration);
+    s.busy.add(*sink, "busy", r.duration);
+    if (const auto f = static_cast<std::size_t>(op.form); f < kVectorForms) {
+      s.form_busy[f].add(*sink, form_busy_name(op.form), r.duration);
+    } else {
+      sink->busy("busy.?") += r.duration;  // a form no enumerator names
+    }
   }
   return r;
 }

@@ -18,6 +18,7 @@
 // occupy the pipes, which the node charges to simulated time.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -72,7 +73,43 @@ enum class VectorForm : std::uint8_t {
   vcvt_narrow,  // z32[i] = narrow(x64[i])    (adder conversion)
 };
 
-const char* to_string(VectorForm f);
+/// The form's mnemonic ("VSAXPY"), or "?" for a value no enumerator names
+/// (a vform descriptor word is cast to VectorForm unchecked).
+constexpr const char* to_string(VectorForm f) {
+  switch (f) {
+    case VectorForm::vadd: return "VADD";
+    case VectorForm::vsub: return "VSUB";
+    case VectorForm::vmul: return "VMUL";
+    case VectorForm::vsadd: return "VSADD";
+    case VectorForm::vsmul: return "VSMUL";
+    case VectorForm::vsaxpy: return "VSAXPY";
+    case VectorForm::vneg: return "VNEG";
+    case VectorForm::vabs: return "VABS";
+    case VectorForm::vsum: return "VSUM";
+    case VectorForm::vdot: return "VDOT";
+    case VectorForm::vmaxval: return "VMAXVAL";
+    case VectorForm::vcmp_le: return "VCMPLE";
+    case VectorForm::vcvt_widen: return "VCVTW";
+    case VectorForm::vcvt_narrow: return "VCVTN";
+  }
+  return "?";
+}
+
+/// Number of vector forms: the values 0 .. kVectorForms - 1 are exactly the
+/// named ones.
+inline constexpr std::size_t kVectorForms =
+    static_cast<std::size_t>(VectorForm::vcvt_narrow) + 1;
+
+// to_string's switch names every enumerator (-Wswitch flags a missing
+// case), so a form added past vcvt_narrow trips this until the bound moves.
+static_assert([] {
+  for (std::size_t i = 0; i < kVectorForms; ++i) {
+    if (to_string(static_cast<VectorForm>(i))[0] == '?') {
+      return false;
+    }
+  }
+  return to_string(static_cast<VectorForm>(kVectorForms))[0] == '?';
+}(), "kVectorForms must count every VectorForm");
 
 /// How execute() computes element results. All three modes are bit-for-bit
 /// identical in results, flags, memory traffic, event counts and charged
@@ -163,7 +200,7 @@ class VectorUnit {
   OpResult execute(const VectorOp& op);
 
   /// Perf instrumentation (see perf/sink.hpp); null disables collection.
-  void set_sink(perf::PerfSink* sink) { sink_ = sink; }
+  void set_sink(perf::PerfSink* sink) { perf_.attach(sink); }
 
   /// Cumulative statistics for the benches.
   std::uint64_t total_ops() const { return total_ops_; }
@@ -187,7 +224,14 @@ class VectorUnit {
 
   mem::NodeMemory* memory_;
   Config cfg_;
-  perf::PerfSink* sink_ = nullptr;
+  /// The counter slots execute() adds to.
+  struct Slots {
+    perf::CounterSlot ops, flops, adder_results, mul_results, bank_conflicts;
+    perf::BusySlot busy;
+    std::array<perf::BusySlot, kVectorForms> form_busy;
+  };
+
+  perf::Probe<Slots> perf_;
   std::uint64_t total_ops_ = 0;
   std::uint64_t total_flops_ = 0;
   sim::SimTime total_busy_{};

@@ -1,16 +1,22 @@
 // Tests for the tperf observability subsystem (src/perf): counter
-// determinism, span invariants, the Chrome trace_event dump schema, the
-// streaming dump writer against the tree view, the JSON round-trip and
-// parser limits, ring bounding, and the report builder's balance rules.
+// determinism, counter slots across re-attachment and unknown vector
+// forms, span invariants, the Chrome trace_event dump schema, the
+// direct dump writer against the tree view, each span kind's name, the
+// loader's typed rejections, the JSON round-trip and parser limits, ring
+// bounding, and the report builder's balance rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/machine.hpp"
+#include "cp/assembler.hpp"
 #include "node/node.hpp"
 #include "occam/occam.hpp"
 #include "perf/chrome_trace.hpp"
@@ -87,6 +93,125 @@ TEST(Counters, IdenticalRunsProduceIdenticalDumps) {
   EXPECT_EQ(perf::to_json(a, wall_a).dump(2), perf::to_json(b, wall_b).dump(2));
 }
 
+TEST(Counters, UnknownVectorFormCountsAsBusyQuestionMark) {
+  // vform casts its descriptor's form word straight to VectorForm. A value
+  // no enumerator names is charged to "busy.?", never to a per-form slot.
+  for (const std::uint32_t form : {14u, 255u}) {
+    sim::Simulator sim;
+    node::Node nd{sim, 0};
+    CounterRegistry reg;
+    nd.attach_perf(reg);
+    const cp::Program prog = cp::assemble("ldc " + std::to_string(form) + R"(
+        ldc desc
+        stnl 0       ; form
+        ldc 1
+        ldc desc
+        stnl 1       ; precision f64
+        ldc 8
+        ldc desc
+        stnl 2       ; n
+        ldc desc
+        vform
+        vwait
+        halt
+     desc:
+        .space 48
+    )");
+    nd.cpu().load(prog);
+    nd.cpu().start_process(prog.entry(), 0x8000, 1);
+    sim.spawn(nd.cpu().run());
+    sim.run();
+    const perf::PerfSink* vpu = reg.find(0, "vpu");
+    ASSERT_NE(vpu, nullptr);
+    EXPECT_EQ(vpu->value("ops"), 1u) << "form " << form;
+    ASSERT_EQ(vpu->times().count("busy.?"), 1u) << "form " << form;
+    EXPECT_EQ(vpu->time_value("busy.?"), vpu->time_value("busy"));
+    EXPECT_EQ(vpu->times().size(), 2u) << "form " << form;
+  }
+}
+
+/// Every counter and busy total in `reg`, keyed "node/component/name".
+std::map<std::string, std::int64_t> counter_values(
+    const CounterRegistry& reg) {
+  std::map<std::string, std::int64_t> out;
+  for (const auto& [key, sink] : reg.tracks()) {
+    const std::string prefix =
+        std::to_string(key.first) + "/" + key.second + "/";
+    for (const auto& [name, v] : sink->counts()) {
+      out[prefix + name] = static_cast<std::int64_t>(v);
+    }
+    for (const auto& [name, t] : sink->times()) {
+      out[prefix + name] = t.ps();
+    }
+  }
+  return out;
+}
+
+TEST(Counters, ReattachedMachineCountsIntoTheNewRegistry) {
+  // A machine re-attached to a fresh registry after the first one is gone
+  // counts every later event there. Each round below does the same work,
+  // so the second registry must hold exactly what the first held; a slot
+  // still resolved against a freed track would lose counts (and trip
+  // ASan).
+  sim::Simulator sim;
+  core::TSeries machine{sim, /*dimension=*/2};
+  occam::Runtime rt{machine};
+  // Per node: a gather and a VSAXPY (cp, vpu, mem), an allreduce (links,
+  // occam), and a two-hop message from node 0 that node 1 or 2 forwards.
+  const auto round = [](occam::Ctx& ctx) -> sim::Proc {
+    node::Node& nd = ctx.node();
+    const node::Array64 x = nd.alloc64(mem::Bank::A, 64);
+    const node::Array64 y = nd.alloc64(mem::Bank::B, 64);
+    co_await nd.gather(16);
+    co_await nd.vscalar(vpu::VectorForm::vsaxpy, 2.0, x, y, y);
+    if (ctx.id() == 0) {
+      co_await ctx.send(3, 7, std::vector<double>(2, 1.0));
+    } else if (ctx.id() == 3) {
+      std::vector<double> got;
+      co_await ctx.recv(0, 7, &got);
+    }
+    double v = 1.0;
+    co_await ctx.allreduce_sum(&v);
+  };
+  std::map<std::string, std::int64_t> first_counts;
+  {
+    CounterRegistry first;
+    machine.enable_perf(first);
+    rt.run(round);
+    first_counts = counter_values(first);
+    EXPECT_GT(first.total("vpu", "ops"), 0u);
+    EXPECT_GT(first.total("mem", "row_loads"), 0u);
+    EXPECT_GT(first.total("cp", "gather_elems"), 0u);
+    EXPECT_GT(first.total("link0", "bytes"), 0u);
+    EXPECT_GT(first.total("link1", "bytes"), 0u);
+    EXPECT_GT(first.total("occam", "msgs_sent"), 0u);
+    EXPECT_GT(first.total("occam", "pkts_forwarded"), 0u);
+  }
+  CounterRegistry second;
+  machine.enable_perf(second);
+  rt.run(round);
+  EXPECT_EQ(counter_values(second), first_counts);
+}
+
+TEST(Counters, ProbeEmptiesSlotsWhenItsSinkChanges) {
+  struct Slots {
+    perf::CounterSlot n;
+  };
+  CounterRegistry reg;
+  perf::PerfSink& a = reg.track(0, "a");
+  perf::PerfSink& b = reg.track(0, "b");
+  perf::Probe<Slots> probe;
+  probe.attach(&a);
+  probe.slots().n.add(*probe.sink(), "n", 1);
+  probe.attach(&b);  // straight to another sink
+  probe.slots().n.add(*probe.sink(), "n", 2);
+  probe.attach(nullptr);  // and back through null
+  probe.attach(&a);
+  probe.slots().n.add(*probe.sink(), "n", 4);
+  EXPECT_EQ(a.value("n"), 5u);
+  EXPECT_EQ(b.value("n"), 2u);
+}
+
 TEST(Timeline, SpanInvariants) {
   CounterRegistry reg;
   const sim::SimTime wall = run_node_workload(&reg);
@@ -98,7 +223,7 @@ TEST(Timeline, SpanInvariants) {
     // Every span fits in the run and instants carry no duration.
     EXPECT_GE(s.start, sim::SimTime{});
     EXPECT_LE(s.start + s.duration, wall);
-    if (s.is_instant) {
+    if (s.is_instant()) {
       EXPECT_TRUE(s.duration.is_zero());
     } else {
       EXPECT_FALSE(s.duration.is_zero());
@@ -138,7 +263,7 @@ TEST(Timeline, NodeOperationsAreTraced) {
   sim::SimTime busy{};
   for (const perf::Span& s : reg.timeline().snapshot()) {
     if (s.track == vpu || s.track == cp) {
-      names.push_back(s.name);
+      names.push_back(perf::span_name(s));
       busy += s.duration;
     }
   }
@@ -213,7 +338,7 @@ TEST(ChromeTrace, RoundTripPreservesEverything) {
   EXPECT_EQ(d.wall, wall);
   EXPECT_EQ(d.tracks.size(), reg.tracks().size());
   for (const perf::DumpTrack& t : d.tracks) {
-    const perf::TrackSink* s = reg.find(t.node, t.component);
+    const perf::PerfSink* s = reg.find(t.node, t.component);
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(t.counts, s->counts());
     EXPECT_EQ(t.times, s->times());
@@ -222,7 +347,7 @@ TEST(ChromeTrace, RoundTripPreservesEverything) {
   for (std::size_t i = 0; i < d.spans.size(); ++i) {
     EXPECT_EQ(d.spans[i].start, reg.timeline()[i].start);
     EXPECT_EQ(d.spans[i].duration, reg.timeline()[i].duration);
-    EXPECT_EQ(d.spans[i].name, reg.timeline()[i].name);
+    EXPECT_EQ(d.spans[i].name, perf::span_name(reg.timeline()[i]));
   }
   EXPECT_EQ(d.value(0, "vpu", "flops"), reg.value(0, "vpu", "flops"));
   EXPECT_EQ(d.time_value(0, "vpu", "busy"), reg.time_value(0, "vpu", "busy"));
@@ -230,36 +355,96 @@ TEST(ChromeTrace, RoundTripPreservesEverything) {
   EXPECT_EQ(d.results.find("answer")->as_int(), 42);
 }
 
+// One span of every kind (SpanKind), with fields at their widest where the
+// name has room for them.
+std::vector<perf::Span> one_span_of_every_kind() {
+  using perf::SpanKind;
+  constexpr std::uint32_t kMax32 = 0xffffffffu;
+  return {
+      {.n = 16,
+       .label = vpu::to_string(vpu::VectorForm::vsaxpy),
+       .kind = SpanKind::vector_op},
+      {.n = 2, .kind = SpanKind::row_move},
+      {.n = 7, .kind = SpanKind::gather32},
+      {.n = 16, .kind = SpanKind::gather64},
+      {.n = 32, .kind = SpanKind::scatter64},
+      {.n = ~0ULL, .kind = SpanKind::cp_work},
+      {.n = 12, .trace = kMax32, .peer = kMax32, .kind = SpanKind::link_tx},
+      {.trace = 5, .kind = SpanKind::msg_enqueue},
+      {.n = 12,
+       .trace = 5,
+       .peer = 3,
+       .tag = 0xffff,
+       .kind = SpanKind::msg_inject},
+      {.trace = 5, .peer = 2, .kind = SpanKind::msg_deliver},
+      {.trace = 5, .kind = SpanKind::msg_forward},
+  };
+}
+
 // A registry with every shape the dump schema has: tracks whose counts or
-// busy_ps maps are empty, node numbers whose string order differs from
-// their numeric order, complete and instant spans, spans the ring dropped,
-// and a workload label that needs escaping.
+// busy_ps maps are empty, a counter touched with a zero delta, node numbers
+// whose string order differs from their numeric order, four rounds of one
+// span of every kind (link spans and instants on node 10's link3 track, the
+// other complete spans on node 2's cp track, start times that tie across
+// the two) so the ring drops spans yet keeps every kind, times whose
+// microsecond text needs 17 digits, and a workload label that needs
+// escaping.
 void fill_edge_case_registry(CounterRegistry& reg) {
   reg.meta().dimension = 4;
   reg.meta().nodes = 16;
   reg.meta().workload = std::string("quote\" backslash\\ bell\x07 tab\t");
   reg.track(0, "empty");
-  reg.track(2, "cp").count("instr", 7);
-  reg.track(10, "cp").busy("busy", 3_us);
-  perf::TrackSink& link = reg.track(10, "link3");
-  link.count("bytes", 1ULL << 40);
-  link.busy("busy.sublink1", sim::SimTime::picoseconds(1));
-  for (int i = 0; i < 5; ++i) {
-    reg.track(2, "cp").span(sim::SimTime::picoseconds(1000 * (5 - i)), 1_ns,
-                            "op" + std::to_string(i));
-    std::string name = "m";
-    name += std::to_string(i);
-    link.instant(sim::SimTime::picoseconds(1000 * i), std::move(name));
+  perf::PerfSink& cp = reg.track(2, "cp");
+  cp.counter("instr") += 7;
+  reg.track(10, "cp").busy("busy") += 3_us;
+  perf::PerfSink& link = reg.track(10, "link3");
+  link.counter("bytes") += 1ULL << 40;
+  link.counter("acks") += 0;
+  link.busy("busy.sublink1") += sim::SimTime::picoseconds(1);
+  const std::vector<perf::Span> kinds = one_span_of_every_kind();
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      perf::Span s = kinds[k];
+      const auto i = static_cast<std::int64_t>(k) % 6;
+      if (!s.is_instant()) {
+        s.duration = sim::SimTime::picoseconds(1000 * round + 1);
+      }
+      if (s.kind == perf::SpanKind::link_tx || s.is_instant()) {
+        s.start = sim::SimTime::picoseconds(112199960 + 1000 * i);
+        link.record(s);
+      } else {
+        s.start = sim::SimTime::picoseconds(112199960 + 1000 * (5 - i));
+        cp.record(s);
+      }
+    }
   }
 }
 
-// The streaming writer must print exactly what the tree view prints, and
-// what it prints must load back into the same dump.
+/// The span kinds a registry's rings still hold.
+std::set<perf::SpanKind> retained_kinds(const CounterRegistry& reg) {
+  std::set<perf::SpanKind> kinds;
+  for (const perf::Span& s : reg.timeline().snapshot()) {
+    kinds.insert(s.kind);
+  }
+  for (const auto& tl : reg.shard_timelines()) {
+    for (const perf::Span& s : tl->snapshot()) {
+      kinds.insert(s.kind);
+    }
+  }
+  return kinds;
+}
+
+// The direct writer must print exactly what the tree view prints, and what
+// it prints must load back into the same dump.
 void expect_stream_matches_tree(const CounterRegistry& reg,
                                 const perf::json::Value& results) {
   const sim::SimTime wall = 7_us;
   std::string streamed;
   perf::write_dump(streamed, reg, wall, results);
+  // One reservation, sized from the registry, holds the dump and the
+  // newline write_file appends; growing past it would double the capacity.
+  EXPECT_GT(streamed.capacity(), streamed.size());
+  EXPECT_LT(streamed.capacity(), streamed.size() + streamed.size() / 4);
   perf::json::Value doc = perf::to_json(reg, wall);
   if (!results.is_null()) {
     doc["results"] = results;
@@ -279,22 +464,26 @@ TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
   results["rows"].append(perf::json::Value::number(0.1));
   results["rows"].append(perf::json::Value::object());
 
+  const std::size_t every_kind = one_span_of_every_kind().size();
   CounterRegistry::Options small;
-  small.timeline_capacity = 4;  // 10 spans recorded: 6 dropped
+  small.timeline_capacity = 16;  // 44 spans recorded: 28 dropped
   CounterRegistry reg{small};
   fill_edge_case_registry(reg);
   ASSERT_GT(reg.timeline().dropped(), 0u);
+  ASSERT_EQ(retained_kinds(reg).size(), every_kind);
   expect_stream_matches_tree(reg, perf::json::Value{});
   expect_stream_matches_tree(reg, results);
 
   // Sharded timelines merge by start time, ties broken by shard; node 2's
-  // and node 10's spans tie four times.
+  // and node 10's spans tie in every round.
   CounterRegistry sharded{small};
   std::vector<int> shard_of(16, 0);
   shard_of[10] = 1;
   sharded.shard_spans(shard_of, 2);
   fill_edge_case_registry(sharded);
+  ASSERT_GT(sharded.shard_timelines()[0]->dropped(), 0u);
   ASSERT_GT(sharded.shard_timelines()[1]->dropped(), 0u);
+  ASSERT_EQ(retained_kinds(sharded).size(), every_kind);
   expect_stream_matches_tree(sharded, results);
 
   const CounterRegistry empty;
@@ -308,6 +497,102 @@ TEST(ChromeTrace, RejectsForeignDocuments) {
   EXPECT_THROW(
       perf::from_json(perf::json::Value::parse(R"({"traceEvents": []})")),
       std::runtime_error);
+}
+
+/// True when from_json rejects `doc` with the loader's own typed error.
+bool rejected_as_bad_dump(const perf::json::Value& doc) {
+  try {
+    (void)perf::from_json(doc);
+  } catch (const std::runtime_error& e) {
+    return std::string(e.what()).rfind("perf: not a tperf dump: ", 0) == 0;
+  } catch (...) {
+    return false;
+  }
+  return false;
+}
+
+TEST(ChromeTrace, LoaderRejectsMalformedNodeNumbers) {
+  CounterRegistry reg;
+  perf::PerfSink& cp = reg.track(7, "cp");
+  cp.counter("instr") += 1;
+  cp.record({.duration = 1_ns, .n = 1, .kind = perf::SpanKind::cp_work});
+  const perf::json::Value good = perf::to_json(reg, 1_us);
+  EXPECT_EQ(perf::from_json(good).tracks.at(0).node, 7u);
+
+  for (const char* key :
+       {"node7x.cp", "node+3.cp", "node 7.cp", "node-1.cp",
+        "node4294967296.cp", "node.cp", "node99999999999999999999.cp"}) {
+    perf::json::Value doc = good;
+    doc["counters"][key] = *good.find("counters")->find("node7.cp");
+    EXPECT_TRUE(rejected_as_bad_dump(doc)) << key;
+  }
+
+  // A pid outside uint32, named by its own thread_name event so only the
+  // range check can catch it.
+  for (const std::int64_t pid : {std::int64_t{-1}, std::int64_t{1} << 32}) {
+    perf::json::Value doc = good;
+    for (perf::json::Value& e : doc["traceEvents"].as_array()) {
+      e["pid"] = perf::json::Value::integer(pid);
+    }
+    EXPECT_TRUE(rejected_as_bad_dump(doc)) << pid;
+  }
+}
+
+static_assert(std::is_trivially_copyable_v<perf::Span>);
+
+// Each kind's name, pinned to the string its call site used to build.
+TEST(SpanName, GoldenNamesPerKind) {
+  using perf::SpanKind;
+  const std::pair<perf::Span, const char*> golden[] = {
+      {{.n = 12, .trace = 8, .peer = 0, .kind = SpanKind::link_tx},
+       "m8 tx->node0 12B"},
+      {{.n = 12, .peer = 3, .kind = SpanKind::link_tx}, "tx->node3 12B"},
+      {{.n = 12,
+        .trace = 5,
+        .peer = 3,
+        .tag = 32768,
+        .kind = SpanKind::msg_inject},
+       "m5 inj ->n3 t32768 12B"},
+      {{.trace = 5, .peer = 2, .kind = SpanKind::msg_deliver}, "m5 dlv <-n2"},
+      {{.trace = 5, .kind = SpanKind::msg_forward}, "m5 fwd"},
+      {{.trace = 5, .kind = SpanKind::msg_enqueue}, "m5 enq"},
+      {{.n = 16,
+        .label = vpu::to_string(vpu::VectorForm::vsaxpy),
+        .kind = SpanKind::vector_op},
+       "VSAXPY n=16"},
+      {{.n = 7, .kind = SpanKind::gather32}, "gather32 7"},
+      {{.n = 16, .kind = SpanKind::gather64}, "gather64 16"},
+      {{.n = 32, .kind = SpanKind::scatter64}, "scatter64 32"},
+      {{.n = 60, .kind = SpanKind::cp_work}, "work 60 instr"},
+      {{.n = 2, .kind = SpanKind::row_move}, "rowmove 2"},
+      {{.n = ~0ULL,
+        .trace = 0xffffffffu,
+        .peer = 0xffffffffu,
+        .tag = 0xffff,
+        .kind = SpanKind::msg_inject},
+       "m4294967295 inj ->n4294967295 t65535 18446744073709551615B"},
+  };
+  for (const auto& [span, name] : golden) {
+    EXPECT_EQ(perf::span_name(span), name);
+  }
+  // Every kind is pinned above.
+  std::set<perf::SpanKind> kinds;
+  for (const auto& entry : golden) {
+    kinds.insert(entry.first.kind);
+  }
+  EXPECT_EQ(kinds.size(), one_span_of_every_kind().size());
+}
+
+TEST(SpanName, VectorFormNamesNeedNoEscaping) {
+  // The direct dump writer copies names verbatim into JSON strings.
+  for (std::size_t f = 0; f < vpu::kVectorForms; ++f) {
+    const perf::Span s{.n = 128,
+                       .label = vpu::to_string(static_cast<vpu::VectorForm>(f)),
+                       .kind = perf::SpanKind::vector_op};
+    const std::string name = perf::span_name(s);
+    EXPECT_EQ(name, std::string(s.label) + " n=128");
+    EXPECT_EQ(perf::json::Value::string(name).dump(), '"' + name + '"');
+  }
 }
 
 TEST(Json, NestingPastTheLimitIsATypedError) {

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "perf/chrome_trace.hpp"
 #include "perf/json.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/job_spec.hpp"
@@ -26,6 +28,7 @@
 #include "serve/runner.hpp"
 #include "serve/service.hpp"
 #include "serve/tmon.hpp"
+#include "sim/bits.hpp"
 
 namespace {
 
@@ -322,6 +325,56 @@ TEST(RunnerTest, ReproducesCommittedReferenceDumps) {
     ++checked;
   }
   EXPECT_EQ(checked, 12u);
+}
+
+// The dump loader accepts every committed reference dump, and the tree
+// view of what it loaded prints the file back byte for byte.
+TEST(RunnerTest, CommittedReferenceDumpsLoadAndRoundTrip) {
+  const std::filesystem::path dir =
+      std::filesystem::path(FPST_SOURCE_DIR) / "tests/corpus/dumps";
+  std::size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") {
+      continue;
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const perf::Dump d =
+        perf::from_json(perf::json::Value::parse(bytes.str()));
+    EXPECT_EQ(perf::to_json(d).dump(2) + "\n", bytes.str())
+        << entry.path().filename();
+    ++checked;
+  }
+  EXPECT_EQ(checked, 12u);
+}
+
+// Byte identity across commits over a wider sweep than the reference
+// dumps: tests/corpus/dumps/sweep_digests.txt holds the FNV-1a 64 digest
+// of the dump of every spec in dimensions 1-7 x every program x
+// softfloat/batch x 1/2/4 threads (rounds 2, elems 8), one
+// "<program> <dimension> <vpu_mode> <threads> <digest>" line each.
+TEST(RunnerTest, DumpDigestSweepMatchesCommittedDigests) {
+  std::ifstream in(std::filesystem::path(FPST_SOURCE_DIR) /
+                   "tests/corpus/dumps/sweep_digests.txt");
+  ASSERT_TRUE(in) << "missing sweep_digests.txt";
+  std::size_t checked = 0;
+  JobSpec spec;
+  spec.rounds = 2;
+  spec.elems = 8;
+  std::string digest;
+  while (in >> spec.program >> spec.dimension >> spec.vpu_mode >>
+         spec.threads >> digest) {
+    serve::JobRun run{spec};
+    const std::string dump = *run.execute().dump;
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(bits::fnv1a(dump)));
+    EXPECT_EQ(hex, digest) << spec.program << " " << spec.dimension << " "
+                           << spec.vpu_mode << " " << spec.threads;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 126u);
 }
 
 TEST(RunnerTest, DifferentSeedProducesDifferentDumps) {

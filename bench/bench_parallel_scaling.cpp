@@ -2,7 +2,7 @@
 // DES engine (src/sim/parallel_sim.hpp) up to the paper's 12-cube.
 //
 // The workload has two phases per round, chosen to exercise both regimes
-// the distance-aware scheduler must handle:
+// the engine's distance-aware scheduler must handle:
 //
 //   dense:  a 16-double dimension-exchange allreduce — every node active,
 //           every cube dimension crossed, shard-to-shard lookahead pinned
@@ -11,27 +11,24 @@
 //           subcube-internal exchanges while everyone else drains into the
 //           next allreduce and blocks. Only two shards stay busy, and they
 //           sit the maximum hop count apart — exactly where the pairwise
-//           d*transfer_time lookahead matrix buys wider epochs than the
-//           uniform single-hop window.
+//           d*transfer_time lookahead matrix buys epochs wider than one
+//           hop.
 //
 // Hot-node selection always uses the *parallel* shard map (even for the
 // serial reference row), so every engine/thread configuration simulates
 // the identical event sequence and events/sec ratios compare like with
 // like. The headline metric is events/sec-per-core: events/sec divided by
 // worker threads, i.e. how much simulation each host core advances. On a
-// single-core host the thread sweep measures scheduling overhead only, but
-// the distance-vs-uniform comparison still isolates the epoch savings.
+// single-core host the thread sweep measures scheduling overhead only.
 //
 //   $ bench_parallel_scaling [--dims 6,8,10] [--threads 1,2,4] [--rounds N]
-//                            [--hot-iters N] [--uniform] [--json out.json]
+//                            [--hot-iters N] [--json out.json]
 //   $ bench_parallel_scaling --verify DIM [--verify-out FILE]
 //   $ bench_parallel_scaling --metric NAME DUMP.json
 //
-// --uniform runs every parallel row with Options::uniform_window (the
-// single-global-window scheduler) for A/B runs. Regardless of the flag the
-// JSON gains a `gate` object — distance vs uniform events/sec-per-core at
-// the largest dim <= 10 and the highest thread count — which is what
-// ci.sh's scaling gate tracks run over run.
+// The JSON gains a `gate` object — events/sec-per-core at the largest
+// swept dim <= 10 and the highest thread count — which is what ci.sh's
+// scaling gate tracks run over run.
 //
 // --verify DIM is the determinism gate: it runs the same workload on the
 // serial engine, the shards=1 engine, and the sharded engine at 1/2/4
@@ -74,7 +71,6 @@ struct Row {
   int shards = 1;   // 1 == the serial engine reference row
   int threads = 1;
   int rounds = 0;
-  bool uniform = false;  // parallel rows: uniform-window scheduler?
   std::uint64_t events = 0;
   double wall_s = 0.0;
   double events_per_sec = 0.0;
@@ -85,15 +81,8 @@ struct Row {
   bool has_profile = false;
 };
 
-const char* scheduler_name(const Row& r) {
-  if (r.shards <= 1) {
-    return "serial";
-  }
-  return r.uniform ? "uniform" : "distance";
-}
-
 /// Fixed shard count per cube: every configuration below simulates the
-/// same partition, so events/sec ratios isolate the scheduler and the
+/// same partition, so events/sec ratios isolate the engine and the
 /// host-thread count.
 int shards_for(int dim) { return std::min(8, 1 << dim); }
 
@@ -127,10 +116,10 @@ occam::Runtime::Body workload(const sim::ShardMap& placement, int rounds,
       co_await ctx.allreduce_sum(&xs);
       if (my_shard == hot_a && internal > 0) {
         // Solo stint: every other shard drains into the next allreduce
-        // and goes idle, so the engine sees a single busy shard. Under
-        // the distance scheduler that shard's horizon is unbounded — the
-        // whole stint runs in O(1) epochs at serial-kernel speed — while
-        // the uniform window still pays one epoch per base lookahead.
+        // and goes idle, so the engine sees a single busy shard. That
+        // shard's horizon is unbounded — the whole stint runs in O(1)
+        // epochs at serial-kernel speed, where a single-hop window would
+        // pay one epoch per base lookahead.
         for (int it = 0; it < 2 * hot_iters; ++it) {
           for (int d = 0; d < internal; ++d) {
             const auto peer = static_cast<net::NodeId>(
@@ -154,7 +143,7 @@ occam::Runtime::Body workload(const sim::ShardMap& placement, int rounds,
         // node and iteration, so exchange latencies drift the nodes out
         // of lockstep and the shard's event stream gets denser than one
         // base-lookahead window — the regime where the d*transfer_time
-        // bound batches several steps per epoch and the uniform window
+        // bound batches several steps per epoch and a one-hop window
         // cannot.
         for (int it = 0; it < hot_iters; ++it) {
           for (int d = 0; d < internal; ++d) {
@@ -198,19 +187,16 @@ Row run_serial(int dim, int rounds, int hot_iters) {
   return row;
 }
 
-Row run_parallel(int dim, int threads, int rounds, int hot_iters,
-                 bool uniform) {
+Row run_parallel(int dim, int threads, int rounds, int hot_iters) {
   Row row;
   row.dim = dim;
   row.shards = shards_for(dim);
   row.threads = threads;
   row.rounds = rounds;
-  row.uniform = uniform;
   sim::ParallelSim::Options po;
   po.shards = row.shards;
   po.threads = threads;
   po.lookahead = link::LinkParams::transfer_time(0);
-  po.uniform_window = uniform;
   sim::ParallelSim psim{po};
   core::TSeries machine{psim, dim};  // installs the distance matrix
   occam::Runtime rt{machine};
@@ -280,9 +266,9 @@ void print_row(const Row& r, double base_eps) {
   const double speedup = base_eps > 0.0 ? r.events_per_sec / base_eps : 0.0;
   // busy% / barr%: fraction of total worker wall-clock (threads x run
   // wall) spent executing events vs parked at the epoch barrier. syncs is
-  // the total number of shard wakeups — under the distance scheduler,
-  // shards whose bound has not expired skip the epoch entirely, so syncs
-  // falling below epochs*shards is the hierarchical scheme working.
+  // the total number of shard wakeups — shards whose bound has not expired
+  // skip the epoch entirely, so syncs falling below epochs*shards is the
+  // hierarchical scheme working.
   const double worker_wall_ns = r.wall_s * 1e9 * r.threads;
   const double busy_frac =
       worker_wall_ns > 0.0
@@ -297,7 +283,7 @@ void print_row(const Row& r, double base_eps) {
   std::printf(
       "  %-4d %-8s %-7d %-6d %11llu %8.3f %12.0f %12.0f %6.2fx %7llu %6llu "
       "%5.0f%% %5.0f%%\n",
-      r.dim, scheduler_name(r), r.threads, r.rounds,
+      r.dim, "parallel", r.threads, r.rounds,
       static_cast<unsigned long long>(r.events), r.wall_s, r.events_per_sec,
       r.events_per_sec_per_core, speedup,
       static_cast<unsigned long long>(r.profile.epochs),
@@ -310,7 +296,6 @@ perf::json::Value row_to_json(const Row& r) {
   json::Value o = json::Value::object();
   o["dim"] = json::Value::integer(r.dim);
   o["engine"] = json::Value::string(r.shards > 1 ? "parallel" : "serial");
-  o["scheduler"] = json::Value::string(scheduler_name(r));
   o["shards"] = json::Value::integer(r.shards);
   o["threads"] = json::Value::integer(r.threads);
   o["rounds"] = json::Value::integer(r.rounds);
@@ -433,7 +418,7 @@ int run_verify(int dim, int rounds_flag, int hot_iters,
   };
   // Engine-level dumps are not byte-comparable across *partitionings*:
   // the serial kernel bootstraps differently (one spawn vs one per node)
-  // and sharded machines wire CrossLink hardware with its own counters.
+  // and sharded machines hand packets over through the engine mailbox.
   // Those equivalences are pinned at engine level by parallel_sim_test.
   // What must hold here, byte for byte, is thread-count independence —
   // and simulated machine time must be identical across every engine and
@@ -487,7 +472,6 @@ int main(int argc, char** argv) {
   int rounds_flag = 0;
   int hot_iters = 8;
   int verify_dim = 0;
-  bool uniform_flag = false;
   std::string json_out;
   std::string verify_out;
   for (int i = 1; i < argc; ++i) {
@@ -500,8 +484,6 @@ int main(int argc, char** argv) {
       rounds_flag = std::atoi(argv[++i]);
     } else if (arg == "--hot-iters" && i + 1 < argc) {
       hot_iters = std::atoi(argv[++i]);
-    } else if (arg == "--uniform") {
-      uniform_flag = true;
     } else if (arg == "--verify" && i + 1 < argc) {
       verify_dim = std::atoi(argv[++i]);
       if (verify_dim < 1 || verify_dim > 20) {
@@ -519,8 +501,7 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "usage: bench_parallel_scaling [--dims 6,8,10] [--threads 1,2,4]\n"
-          "         [--rounds N] [--hot-iters N] [--uniform]\n"
-          "         [--json out.json]\n"
+          "         [--rounds N] [--hot-iters N] [--json out.json]\n"
           "       bench_parallel_scaling --verify DIM [--verify-out FILE]\n"
           "       bench_parallel_scaling --metric NAME DUMP.json\n");
       return 2;
@@ -535,11 +516,9 @@ int main(int argc, char** argv) {
   }
 
   bench::title("parallel DES engine: scaling trajectory");
-  std::printf("  host cores: %u   scheduler: %s\n",
-              std::thread::hardware_concurrency(),
-              uniform_flag ? "uniform" : "distance");
+  std::printf("  host cores: %u\n", std::thread::hardware_concurrency());
   std::printf("  %-4s %-8s %-7s %-6s %11s %8s %12s %12s %7s %7s %6s %6s %6s\n",
-              "dim", "sched", "threads", "rounds", "events", "wall_s",
+              "dim", "engine", "threads", "rounds", "events", "wall_s",
               "events/sec", "ev/s/core", "speedup", "epochs", "syncs",
               "busy%", "barr%");
 
@@ -552,7 +531,7 @@ int main(int argc, char** argv) {
 
     double base_eps = 0.0;
     for (const int t : threads_list) {
-      Row r = run_parallel(dim, t, rounds, hot_iters, uniform_flag);
+      Row r = run_parallel(dim, t, rounds, hot_iters);
       if (t == threads_list.front()) {
         base_eps = r.events_per_sec;
       }
@@ -563,8 +542,7 @@ int main(int argc, char** argv) {
 
   // The gate point: largest swept dim <= 10 (the 12-cube is the nightly
   // sweep's job; gating on it would make every CI run minutes long) at the
-  // highest thread count, distance vs uniform. One of the two rows already
-  // exists in the sweep; only the counterpart scheduler runs fresh.
+  // highest thread count. The sweep already ran that row.
   int gate_dim = 0;
   for (const int d : dims) {
     if (d <= 10 && d > gate_dim) {
@@ -576,39 +554,12 @@ int main(int argc, char** argv) {
   }
   const int gate_threads =
       *std::max_element(threads_list.begin(), threads_list.end());
-  const int gate_rounds = rounds_for(gate_dim, rounds_flag);
-  Row gate_swept;
-  bool found = false;
-  for (const Row& r : rows) {
-    if (r.has_profile && r.dim == gate_dim && r.threads == gate_threads &&
-        r.uniform == uniform_flag) {
-      gate_swept = r;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    gate_swept =
-        run_parallel(gate_dim, gate_threads, gate_rounds, hot_iters,
-                     uniform_flag);
-  }
-  Row gate_other = run_parallel(gate_dim, gate_threads, gate_rounds,
-                                hot_iters, !uniform_flag);
-  const Row& gate_dist = uniform_flag ? gate_other : gate_swept;
-  const Row& gate_uni = uniform_flag ? gate_swept : gate_other;
-  print_row(gate_other, 0.0);
-  const double gate_speedup =
-      gate_uni.events_per_sec_per_core > 0.0
-          ? gate_dist.events_per_sec_per_core /
-                gate_uni.events_per_sec_per_core
-          : 0.0;
-  std::printf("  gate: dim=%d shards=%d threads=%d\n", gate_dim,
-              gate_dist.shards, gate_threads);
-  std::printf("  gate distance ev/s/core: %.0f\n",
-              gate_dist.events_per_sec_per_core);
-  std::printf("  gate uniform  ev/s/core: %.0f\n",
-              gate_uni.events_per_sec_per_core);
-  std::printf("  gate distance_aware_speedup: %.3fx\n", gate_speedup);
+  const Row& gate = *std::find_if(rows.begin(), rows.end(), [&](const Row& r) {
+    return r.has_profile && r.dim == gate_dim && r.threads == gate_threads;
+  });
+  std::printf("  gate: dim=%d shards=%d threads=%d ev/s/core: %.0f\n",
+              gate_dim, gate.shards, gate_threads,
+              gate.events_per_sec_per_core);
 
   if (!json_out.empty()) {
     namespace json = perf::json;
@@ -619,19 +570,15 @@ int main(int argc, char** argv) {
     for (const Row& r : rows) {
       arr.append(row_to_json(r));
     }
-    arr.append(row_to_json(gate_other));
     results["rows"] = std::move(arr);
-    json::Value gate = json::Value::object();
-    gate["dim"] = json::Value::integer(gate_dim);
-    gate["shards"] = json::Value::integer(gate_dist.shards);
-    gate["threads"] = json::Value::integer(gate_threads);
-    gate["rounds"] = json::Value::integer(gate_rounds);
-    gate["events_per_sec_per_core"] =
-        json::Value::number(gate_dist.events_per_sec_per_core);
-    gate["uniform_events_per_sec_per_core"] =
-        json::Value::number(gate_uni.events_per_sec_per_core);
-    gate["distance_aware_speedup"] = json::Value::number(gate_speedup);
-    results["gate"] = std::move(gate);
+    json::Value g = json::Value::object();
+    g["dim"] = json::Value::integer(gate_dim);
+    g["shards"] = json::Value::integer(gate.shards);
+    g["threads"] = json::Value::integer(gate_threads);
+    g["rounds"] = json::Value::integer(gate.rounds);
+    g["events_per_sec_per_core"] =
+        json::Value::number(gate.events_per_sec_per_core);
+    results["gate"] = std::move(g);
     bench::write_record(json_out, "bench_parallel_scaling", std::move(results),
                         std::move(meta));
     std::printf("wrote perf dump: %s\n", json_out.c_str());

@@ -549,8 +549,6 @@ if want_stage 10; then
     par_dims="6,10"; par_verify=10
   fi
   "$bpar" --dims "$par_dims" --threads "$threads_list" --json "$par_fresh"
-  par_ab=$("$bpar" --metric distance_aware_speedup "$par_fresh")
-  echo "ci: bench_parallel_scaling distance_aware_speedup=${par_ab}x"
   # Scaling trajectory: the distance-aware scheduler's events/sec-per-core
   # at the gate point (largest swept cube <= 10-cube, max worker count),
   # run over run with the serve storm's 30% slack, because multi-thread

@@ -53,14 +53,8 @@ node::Node& Module::node(int local_index) {
                         static_cast<std::uint32_t>(local_index));
 }
 
-TSeries::TSeries(sim::Simulator& sim, int dimension)
-    : TSeries(&sim, nullptr, dimension, node::NodeConfig{}) {}
-
 TSeries::TSeries(sim::Simulator& sim, int dimension, node::NodeConfig cfg)
     : TSeries(&sim, nullptr, dimension, cfg) {}
-
-TSeries::TSeries(sim::ParallelSim& psim, int dimension)
-    : TSeries(nullptr, &psim, dimension, node::NodeConfig{}) {}
 
 TSeries::TSeries(sim::ParallelSim& psim, int dimension, node::NodeConfig cfg)
     : TSeries(nullptr, &psim, dimension, cfg) {}
@@ -68,10 +62,10 @@ TSeries::TSeries(sim::ParallelSim& psim, int dimension, node::NodeConfig cfg)
 TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
                  node::NodeConfig cfg)
     : sim_{sim}, psim_{psim}, cube_{dimension} {
+  // Throws unless the shard count is a power of two <= 2^dimension.
+  smap_ = sim::ShardMap(dimension, psim_ != nullptr ? psim_->shards() : 1);
   if (psim_ != nullptr) {
-    // Throws unless the shard count is a power of two <= 2^dimension.
-    smap_ = sim::ShardMap(dimension, psim_->shards());
-    // Cross-shard traffic only ever flows over CrossLink cables between
+    // Cross-shard traffic only ever flows over cross-shard Links between
     // Gray-adjacent subcubes, one hop at a time, so the machine honours
     // the pairwise hop-distance lookahead bound by construction — install
     // it so distant shards synchronize at 1/d the neighbour rate.
@@ -108,12 +102,12 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
         Cable& c = cables_[id][static_cast<std::size_t>(d)];
         c.lo = id;
         c.hi = peer;
-        if (psim_ != nullptr && smap_.dim_crosses_shards(d)) {
-          c.xwire = std::make_unique<link::CrossLink>(
+        if (smap_.dim_crosses_shards(d)) {
+          c.wire = std::make_unique<link::Link>(
               *psim_, smap_.shard_of(id), smap_.shard_of(peer));
         } else {
           // Subcube sharding keeps both endpoints of a low-dimension edge
-          // in one shard, so an ordinary rendezvous Link works unchanged.
+          // in one shard, so the cable hands packets over by rendezvous.
           c.wire = std::make_unique<link::Link>(sim_for(id));
         }
       }
@@ -128,8 +122,8 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
   for (net::NodeId id = 0; id < cube_.size(); ++id) {
     for (int d = 0; d < std::min(dimension, link::LinkParams::kPhysicalLinks);
          ++d) {
-      Cable& c = cable(id, d);
-      if (c.wire) {
+      if (!smap_.dim_crosses_shards(d)) {
+        Cable& c = cable(id, d);
         nodes_[id]->links().attach(d, *c.wire, side_of(c, id));
       }
     }
@@ -144,7 +138,7 @@ TSeries::Cable& TSeries::cable(net::NodeId at, int dim) {
   const net::NodeId peer = cube_.neighbor(at, dim);
   const net::NodeId lo = std::min(at, peer);
   Cable& c = cables_[lo][static_cast<std::size_t>(dim)];
-  if (!c.wire && !c.xwire) {
+  if (!c.wire) {
     throw std::logic_error("TSeries::cable: unwired edge");
   }
   return c;
@@ -174,19 +168,14 @@ sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
          .kind = perf::SpanKind::msg_enqueue});
   }
   co_await mux.acquire();
-  if (c.wire) {
-    co_await c.wire->transmit(side, std::move(p));
-  } else {
-    co_await c.xwire->transmit(side, std::move(p));
-  }
+  co_await c.wire->transmit(side, std::move(p));
   mux.release();
 }
 
 sim::Channel<link::Packet>& TSeries::inbox(net::NodeId at, int dim) {
   Cable& c = cable(at, dim);
   const int sub = dim / link::LinkParams::kPhysicalLinks;
-  return c.wire ? c.wire->inbox(side_of(c, at), sub)
-                : c.xwire->inbox(side_of(c, at), sub);
+  return c.wire->inbox(side_of(c, at), sub);
 }
 
 void TSeries::enable_perf(perf::CounterRegistry& reg) {
@@ -211,7 +200,7 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
   for (const auto& per_node : cables_) {
     for (std::size_t d = 0; d < per_node.size(); ++d) {
       const Cable& c = per_node[d];
-      if (!c.wire && !c.xwire) {
+      if (!c.wire) {
         continue;
       }
       const std::size_t port = d % link::LinkParams::kPhysicalLinks;
@@ -220,11 +209,7 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
       perf::PerfSink* hi = &reg.track(c.hi, comp);
       link_sinks_[c.lo][port] = lo;
       link_sinks_[c.hi][port] = hi;
-      if (c.wire) {
-        c.wire->set_sinks(lo, hi);
-      } else {
-        c.xwire->set_sinks(lo, hi);
-      }
+      c.wire->set_sinks(lo, hi);
     }
   }
 }
@@ -243,8 +228,6 @@ std::uint64_t TSeries::total_link_bytes() const {
     for (const Cable& c : per_node) {
       if (c.wire) {
         total += c.wire->bytes_sent(0) + c.wire->bytes_sent(1);
-      } else if (c.xwire) {
-        total += c.xwire->bytes_sent(0) + c.xwire->bytes_sent(1);
       }
     }
   }

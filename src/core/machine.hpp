@@ -91,19 +91,17 @@ class Module {
 /// A complete T Series machine of 2^dimension nodes.
 class TSeries {
  public:
-  TSeries(sim::Simulator& sim, int dimension);
-  TSeries(sim::Simulator& sim, int dimension, node::NodeConfig cfg);
+  TSeries(sim::Simulator& sim, int dimension, node::NodeConfig cfg = {});
 
   /// Sharded construction: nodes are partitioned over `psim`'s shards by
   /// the Gray-code subcube ShardMap, each node (and every shard-internal
   /// cable) living on its shard's simulator. Cube dimensions that connect
-  /// different subcubes get CrossLink cables routed through the engine's
+  /// different subcubes get cross-shard Links, routed through the engine's
   /// epoch mailboxes. Limitation: NodeLinks ports are wired only for
   /// shard-local cables, so ISA-level linkout/linkin across a shard
   /// boundary is unsupported — the occam runtime (which uses
   /// send_dim/inbox) is the parallel messaging path.
-  TSeries(sim::ParallelSim& psim, int dimension);
-  TSeries(sim::ParallelSim& psim, int dimension, node::NodeConfig cfg);
+  TSeries(sim::ParallelSim& psim, int dimension, node::NodeConfig cfg = {});
 
   TSeries(const TSeries&) = delete;
   TSeries& operator=(const TSeries&) = delete;
@@ -112,6 +110,7 @@ class TSeries {
   sim::Simulator& simulator() { return *sim_; }
   /// The sharded engine, or null when serially constructed.
   sim::ParallelSim* parallel() { return psim_; }
+  /// The node partition (the whole cube on one shard when serial).
   const sim::ShardMap& shard_map() const { return smap_; }
   /// The simulator that executes node `id` (the single simulator when
   /// serial).
@@ -149,10 +148,7 @@ class TSeries {
   friend class Module;
 
   struct Cable {
-    /// Exactly one of wire/xwire is set: wire when both endpoints share a
-    /// shard (or the machine is serial), xwire across shard boundaries.
     std::unique_ptr<link::Link> wire;
-    std::unique_ptr<link::CrossLink> xwire;
     net::NodeId lo = 0;  // side 0
     net::NodeId hi = 0;  // side 1
   };

@@ -1,6 +1,7 @@
 #include "link/link.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
@@ -52,10 +53,22 @@ void TxDirection::sent(sim::SimTime start, sim::SimTime elapsed,
 }
 
 Link::Link(sim::Simulator& sim)
-    : sim_{&sim}, dir_{{TxDirection{sim}, TxDirection{sim}}} {
+    : sim_{&sim, &sim}, dir_{{TxDirection{sim}, TxDirection{sim}}} {
   for (auto& side : inboxes_) {
     for (auto& ch : side) {
       ch = std::make_unique<sim::Channel<Packet>>(sim);
+    }
+  }
+}
+
+Link::Link(sim::ParallelSim& psim, int shard0, int shard1)
+    : psim_{&psim},
+      shard_{shard0, shard1},
+      sim_{&psim.shard(shard0), &psim.shard(shard1)},
+      dir_{{TxDirection{*sim_[0]}, TxDirection{*sim_[1]}}} {
+  for (std::size_t side = 0; side < 2; ++side) {
+    for (auto& ch : inboxes_[side]) {
+      ch = std::make_unique<sim::Channel<Packet>>(*sim_[side]);
     }
   }
 }
@@ -67,6 +80,11 @@ sim::Proc Link::transmit(int from_side, Packet p) {
   if (p.sublink >= LinkParams::kSublinksPerLink) {
     throw std::logic_error("Link::transmit: bad sublink");
   }
+  return psim_ == nullptr ? rendezvous(from_side, std::move(p))
+                          : post(from_side, std::move(p));
+}
+
+sim::Proc Link::rendezvous(int from_side, Packet p) {
   TxDirection& d = dir_[static_cast<std::size_t>(from_side)];
   const int to_side = 1 - from_side;
   // One DMA at a time per direction; sublinks queue FIFO and thereby share
@@ -86,44 +104,7 @@ sim::Proc Link::transmit(int from_side, Packet p) {
   co_await box.send(std::move(p));
 }
 
-sim::Channel<Packet>& Link::inbox(int side, int sublink) {
-  return *inboxes_[static_cast<std::size_t>(side)]
-                  [static_cast<std::size_t>(sublink)];
-}
-
-std::uint64_t Link::bytes_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)].bytes;
-}
-
-sim::SimTime Link::busy_time(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)].busy;
-}
-
-std::uint64_t Link::packets_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)].packets;
-}
-
-CrossLink::CrossLink(sim::ParallelSim& psim, int shard0, int shard1)
-    : psim_{&psim},
-      shard_{shard0, shard1},
-      sim_{&psim.shard(shard0), &psim.shard(shard1)},
-      // A direction's mutex belongs to the *sending* side's shard; the
-      // receiving channels belong to the side that reads them.
-      dir_{{TxDirection{*sim_[0]}, TxDirection{*sim_[1]}}} {
-  for (std::size_t side = 0; side < 2; ++side) {
-    for (auto& ch : inboxes_[side]) {
-      ch = std::make_unique<sim::Channel<Packet>>(*sim_[side]);
-    }
-  }
-}
-
-sim::Proc CrossLink::transmit(int from_side, Packet p) {
-  if (from_side != 0 && from_side != 1) {
-    throw std::logic_error("CrossLink::transmit: bad side");
-  }
-  if (p.sublink >= LinkParams::kSublinksPerLink) {
-    throw std::logic_error("CrossLink::transmit: bad sublink");
-  }
+sim::Proc Link::post(int from_side, Packet p) {
   TxDirection& d = dir_[static_cast<std::size_t>(from_side)];
   const int to_side = 1 - from_side;
   co_await d.mutex.acquire();
@@ -154,21 +135,28 @@ sim::Proc CrossLink::transmit(int from_side, Packet p) {
   d.mutex.release();
 }
 
-sim::Channel<Packet>& CrossLink::inbox(int side, int sublink) {
+sim::Channel<Packet>& Link::inbox(int side, int sublink) {
   return *inboxes_[static_cast<std::size_t>(side)]
                   [static_cast<std::size_t>(sublink)];
 }
 
-std::uint64_t CrossLink::bytes_sent(int direction) const {
+std::uint64_t Link::bytes_sent(int direction) const {
   return dir_[static_cast<std::size_t>(direction)].bytes;
 }
 
-sim::SimTime CrossLink::busy_time(int direction) const {
+sim::SimTime Link::busy_time(int direction) const {
   return dir_[static_cast<std::size_t>(direction)].busy;
 }
 
-std::uint64_t CrossLink::packets_sent(int direction) const {
+std::uint64_t Link::packets_sent(int direction) const {
   return dir_[static_cast<std::size_t>(direction)].packets;
+}
+
+const NodeLinks::PortRef& NodeLinks::port_at(int port, const char* who) const {
+  if (port < 0 || port >= LinkParams::kPhysicalLinks) {
+    throw std::logic_error(std::string(who) + ": bad port");
+  }
+  return ports_[static_cast<std::size_t>(port)];
 }
 
 void NodeLinks::attach(int port, Link& cable, int side) {
@@ -179,7 +167,7 @@ void NodeLinks::attach(int port, Link& cable, int side) {
 }
 
 bool NodeLinks::attached(int port) const {
-  return ports_[static_cast<std::size_t>(port)].cable != nullptr;
+  return port_at(port, "NodeLinks::attached").cable != nullptr;
 }
 
 int NodeLinks::attached_count() const {
@@ -191,7 +179,7 @@ int NodeLinks::attached_count() const {
 }
 
 sim::Proc NodeLinks::send(int port, Packet p) {
-  const PortRef ref = ports_[static_cast<std::size_t>(port)];
+  const PortRef ref = port_at(port, "NodeLinks::send");
   if (ref.cable == nullptr) {
     throw std::logic_error("NodeLinks::send: port not wired");
   }
@@ -199,7 +187,7 @@ sim::Proc NodeLinks::send(int port, Packet p) {
 }
 
 sim::Channel<Packet>& NodeLinks::inbox(int port, int sublink) {
-  const PortRef ref = ports_[static_cast<std::size_t>(port)];
+  const PortRef ref = port_at(port, "NodeLinks::inbox");
   if (ref.cable == nullptr) {
     throw std::logic_error("NodeLinks::inbox: port not wired");
   }

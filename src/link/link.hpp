@@ -13,7 +13,9 @@
 // direction is an exclusive resource; concurrent sends on the same
 // direction (e.g. from different sublinks) queue FIFO, which is exactly the
 // "sublinks divide the available bandwidth" behaviour. Delivery demuxes on
-// the packet's sublink number into per-sublink rendezvous channels.
+// the packet's sublink number into per-sublink rendezvous channels, and the
+// cable's two ports may live on different shards of the parallel engine
+// (see Link).
 #pragma once
 
 #include <array>
@@ -81,9 +83,9 @@ struct Packet {
 };
 
 /// One transmit direction of a cable: the wire's FIFO mutex, its statistics
-/// and its perf instrumentation. Link and CrossLink share it and hold both
-/// directions inline, so attaching a whole machine's link sinks touches no
-/// separate allocation per direction.
+/// and its perf instrumentation. Link holds both directions inline, so
+/// attaching a whole machine's link sinks touches no separate allocation per
+/// direction.
 class TxDirection {
  public:
   explicit TxDirection(sim::Simulator& sim) : mutex{sim, 1} {}
@@ -113,21 +115,41 @@ class TxDirection {
 };
 
 /// A full-duplex cable between two link ports. Side 0 and side 1 each own an
-/// independent transmit direction.
+/// independent transmit direction, an exclusive FIFO resource charging DMA
+/// startup + wire time. Wire timing and statistics do not depend on where
+/// the two ports live; the hand-off to the receiver does:
+///
+///   * Both ports on one simulator: rendezvous. The packet is offered to
+///     the receiving side's per-sublink inbox, and the send completes when
+///     the receiver takes it — the transputer's byte-level acknowledge.
+///   * Ports on different shards of a ParallelSim: mailbox post. The
+///     arrival is posted through the engine's cross-shard mailbox at send
+///     start + transfer_time, and a delivery process spawned on the
+///     receiving shard performs the rendezvous into the inbox locally. The
+///     sender blocks only for the wire occupancy it would have paid anyway.
+///     This is the conservative-PDES relaxation of the rendezvous: a sender
+///     cannot wait on a remote receiver without collapsing the lookahead
+///     window. Because the arrival is posted at send start, it lands at
+///     least transfer_time(0) — the engine's lookahead — in the future, so
+///     no epoch ever admits it early.
 class Link {
  public:
+  /// Both sides on `sim`.
   explicit Link(sim::Simulator& sim);
+  /// Side 0 lives on `shard0`'s simulator, side 1 on `shard1`'s.
+  Link(sim::ParallelSim& psim, int shard0, int shard1);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
   /// Transmit `p` from `from_side` (0/1): acquires that direction, charges
-  /// DMA startup + wire time, then offers the packet to the receiving
-  /// side's per-sublink inbox (rendezvous: completes when the receiver
-  /// takes it). co_await the returned Proc.
+  /// DMA startup + wire time, then hands the packet to the receiving side's
+  /// per-sublink inbox. Runs on the sending side's simulator; co_await the
+  /// returned Proc. Throws std::logic_error for a bad side or sublink.
   sim::Proc transmit(int from_side, Packet p);
 
-  /// Inbox of `side` for packets arriving addressed to `sublink`.
+  /// Inbox of `side` for packets arriving addressed to `sublink` (a channel
+  /// on that side's simulator).
   sim::Channel<Packet>& inbox(int side, int sublink);
 
   /// Perf instrumentation: one sink per transmitting side (side 0's sink is
@@ -144,62 +166,18 @@ class Link {
   std::uint64_t packets_sent(int direction) const;
 
  private:
-  sim::Simulator* sim_;
-  std::array<TxDirection, 2> dir_;
-  // inboxes_[side][sublink]
-  std::array<std::array<std::unique_ptr<sim::Channel<Packet>>,
-                        LinkParams::kSublinksPerLink>,
-             2>
-      inboxes_;
-};
+  /// Same-simulator hand-off: the sender blocks until the receiver takes
+  /// the packet.
+  sim::Proc rendezvous(int from_side, Packet p);
+  /// Cross-shard hand-off: the arrival travels through the engine mailbox.
+  sim::Proc post(int from_side, Packet p);
 
-/// A full-duplex cable whose two ports live on *different shards* of a
-/// ParallelSim. Timing and statistics match Link exactly — the sender's
-/// direction is an exclusive FIFO resource charging DMA startup + wire time
-/// — but the hand-off is fire-and-forget: the arrival is posted through the
-/// engine's cross-shard mailbox at send-start + transfer_time, and a
-/// delivery process spawned on the receiving shard performs the rendezvous
-/// into the per-sublink inbox locally. This is the conservative-PDES
-/// relaxation of Link's sender-blocking rendezvous (a sender cannot wait on
-/// a remote receiver without collapsing the lookahead window); the sender
-/// instead blocks only for the wire occupancy it would have paid anyway.
-/// Because the arrival is posted at send start, it lands at least
-/// transfer_time(0) — the engine's lookahead — in the future, so no epoch
-/// ever admits it early.
-class CrossLink {
- public:
-  /// Side 0 lives on `shard0`'s simulator, side 1 on `shard1`'s.
-  CrossLink(sim::ParallelSim& psim, int shard0, int shard1);
-
-  CrossLink(const CrossLink&) = delete;
-  CrossLink& operator=(const CrossLink&) = delete;
-
-  /// Transmit `p` from `from_side`. Runs on the sending side's simulator;
-  /// completes when the wire frees (not when the receiver takes delivery).
-  sim::Proc transmit(int from_side, Packet p);
-
-  /// Inbox of `side` for packets arriving addressed to `sublink` (a channel
-  /// on that side's shard simulator).
-  sim::Channel<Packet>& inbox(int side, int sublink);
-
-  void set_sinks(perf::PerfSink* side0, perf::PerfSink* side1) {
-    dir_[0].set_sink(side0);
-    dir_[1].set_sink(side1);
-  }
-
-  int shard(int side) const {
-    return shard_[static_cast<std::size_t>(side)];
-  }
-
-  // --- statistics per direction (0: side0->side1, 1: side1->side0) ---
-  std::uint64_t bytes_sent(int direction) const;
-  sim::SimTime busy_time(int direction) const;
-  std::uint64_t packets_sent(int direction) const;
-
- private:
-  sim::ParallelSim* psim_;
-  std::array<int, 2> shard_;
-  std::array<sim::Simulator*, 2> sim_;
+  /// The sharded engine, or null when both sides share one simulator.
+  sim::ParallelSim* psim_ = nullptr;
+  std::array<int, 2> shard_{};
+  std::array<sim::Simulator*, 2> sim_{};
+  // A direction's mutex belongs to the *sending* side's simulator; the
+  // receiving channels belong to the side that reads them.
   std::array<TxDirection, 2> dir_;
   // inboxes_[side][sublink]: the channels on which `side` receives.
   std::array<std::array<std::unique_ptr<sim::Channel<Packet>>,
@@ -210,7 +188,9 @@ class CrossLink {
 
 /// The four link ports of one node, wired to Links by the topology builder.
 /// Port p of this node is some side of some Link; sends and inboxes are
-/// addressed (port, sublink).
+/// addressed (port, sublink). Every call rejects a port outside
+/// [0, kPhysicalLinks) with std::logic_error ("...: bad port") — a TISA
+/// hard-channel word carries a 4-bit port, so programs can name ports 4-15.
 class NodeLinks {
  public:
   NodeLinks() = default;
@@ -220,8 +200,10 @@ class NodeLinks {
   /// Number of ports wired to cables.
   int attached_count() const;
 
-  /// Send via a port. Throws std::logic_error when the port is not wired.
+  /// Send via a port. The Proc fails with std::logic_error when the port
+  /// is bad or not wired.
   sim::Proc send(int port, Packet p);
+  /// Throws std::logic_error when the port is bad or not wired.
   sim::Channel<Packet>& inbox(int port, int sublink);
 
  private:
@@ -229,6 +211,10 @@ class NodeLinks {
     Link* cable = nullptr;
     int side = 0;
   };
+
+  /// Range-checked ports_[port]; `who` prefixes the error.
+  const PortRef& port_at(int port, const char* who) const;
+
   std::array<PortRef, LinkParams::kPhysicalLinks> ports_{};
 };
 

@@ -72,8 +72,7 @@ ShardMap::ShardMap(int dimension, int shards) : dim_{dimension} {
   log2_shards_ = log2_exact(shards);
 }
 
-ParallelSim::ParallelSim(Options opts)
-    : lookahead_{opts.lookahead}, uniform_window_{opts.uniform_window} {
+ParallelSim::ParallelSim(Options opts) : lookahead_{opts.lookahead} {
   if (opts.shards < 1) {
     throw std::invalid_argument("ParallelSim: shards must be >= 1");
   }
@@ -290,27 +289,6 @@ void ParallelSim::serial_phase() noexcept {
     deliver_below(0, kFarFuture);
     ctl_[0].runnable = true;
     shard_syncs_[0].v.fetch_add(1, std::memory_order_relaxed);
-  } else if (uniform_window_) {
-    // Legacy PR-5 windowing: one global window of the base lookahead,
-    // every shard padded to the same horizon.
-    SimTime t_min = kFarFuture;
-    for (int s = 0; s < nshards; ++s) {
-      if (busy_[static_cast<std::size_t>(s)]) {
-        t_min = std::min(t_min, next_[static_cast<std::size_t>(s)]);
-      }
-    }
-    const SimTime window_end = t_min + lookahead_;
-    for (int dst = 0; dst < nshards; ++dst) {
-      deliver_below(dst, window_end);
-    }
-    // run_until is inclusive; the window is half-open at picosecond grain.
-    const SimTime deadline = window_end - SimTime::picoseconds(1);
-    for (int s = 0; s < nshards; ++s) {
-      ctl_[static_cast<std::size_t>(s)].deadline = deadline;
-      ctl_[static_cast<std::size_t>(s)].runnable = true;
-      shard_syncs_[static_cast<std::size_t>(s)].v.fetch_add(
-          1, std::memory_order_relaxed);
-    }
   } else {
     // Distance-aware horizons. bound(s) is the earliest instant any other
     // shard's *existing* work can reach s; the triangle inequality of
@@ -409,34 +387,28 @@ std::uint64_t ParallelSim::run() {
             const auto t0 = std::chrono::steady_clock::now();
             try {
               Simulator& sim = *sims_[static_cast<std::size_t>(s)];
-              if (uniform_window_) {
-                sim.run_until(c.deadline);
-              } else {
-                // Run in chunks one echo window wide, stopping at the
-                // end of the first chunk that posted cross-shard mail
-                // (post() raises c.posted from this same thread): a
-                // post at t_post inside chunk [t, t+echo) cannot
-                // influence this shard before t_post + echo, which is
-                // past the chunk end, so everything inside the chunk
-                // was already safe. Chunking (rather than stepping
-                // instant by instant) keeps the fast path at one
-                // run_until per epoch — a shard whose whole window
-                // fits in one echo costs exactly what the uniform
-                // scheduler costs.
-                c.posted = false;
-                const SimTime echo = echo_[static_cast<std::size_t>(s)];
-                while (!sim.idle()) {
-                  const SimTime t = sim.next_event_time();
-                  if (t > c.deadline) {
-                    break;
-                  }
-                  const SimTime chunk = std::min(
-                      c.deadline, t + echo - SimTime::picoseconds(1));
-                  sim.run_until(chunk);
-                  if (c.posted) {
-                    c.posted = false;
-                    break;
-                  }
+              // Run in chunks one echo window wide, stopping at the end of
+              // the first chunk that posted cross-shard mail (post() raises
+              // c.posted from this same thread): a post at t_post inside
+              // chunk [t, t+echo) cannot influence this shard before
+              // t_post + echo, which is past the chunk end, so everything
+              // inside the chunk was already safe. Chunking (rather than
+              // stepping instant by instant) keeps the fast path at one
+              // run_until per epoch for a shard whose whole window fits in
+              // one echo.
+              c.posted = false;
+              const SimTime echo = echo_[static_cast<std::size_t>(s)];
+              while (!sim.idle()) {
+                const SimTime t = sim.next_event_time();
+                if (t > c.deadline) {
+                  break;
+                }
+                const SimTime chunk =
+                    std::min(c.deadline, t + echo - SimTime::picoseconds(1));
+                sim.run_until(chunk);
+                if (c.posted) {
+                  c.posted = false;
+                  break;
                 }
               }
             } catch (...) {

@@ -72,9 +72,10 @@
 // running 8 shards on 1, 2 or 4 threads produces identical simulations.
 // With a single shard the engine degenerates to the serial kernel: run()
 // just drains the one queue, so `--threads 1` reproduces the serial
-// engine exactly, byte for byte. Options::uniform_window restores the
-// PR-5 behaviour — one global window of the base lookahead per epoch —
-// and exists as the A/B baseline for bench_parallel_scaling.
+// engine exactly, byte for byte. The distance-aware horizons with
+// echo-capped chunks are the engine's only multi-shard scheduler; they
+// replaced one global window of the base lookahead per epoch, which lost
+// every measured A/B run.
 #pragma once
 
 #include <atomic>
@@ -151,11 +152,6 @@ class ParallelSim {
     /// link::LinkParams::transfer_time(0) — DMA startup + header wire
     /// time, the cheapest possible cross-shard packet.
     SimTime lookahead{};
-    /// Legacy PR-5 windowing: one global [T, T + lookahead) window per
-    /// epoch, every shard padded to the same horizon, distance ignored.
-    /// Kept as the measured baseline for the distance-aware scheduler —
-    /// bench_parallel_scaling --uniform runs it for the A/B comparison.
-    bool uniform_window = false;
   };
 
   explicit ParallelSim(Options opts);
@@ -179,7 +175,7 @@ class ParallelSim {
   /// Install the cube topology: lookahead(a, b) becomes
   /// hop_distance(a, b) * lookahead(). Callers posting mail must then
   /// honour the *pairwise* bound — the machine layer does automatically,
-  /// because cross-shard cables (link::CrossLink) only ever connect
+  /// because cross-shard cables (link::Link) only ever connect
   /// Gray-adjacent subcubes, one hop at a time, each hop adding at least
   /// the base lookahead. Throws std::invalid_argument if `map` does not
   /// partition into exactly shards() shards. Must not be called while
@@ -332,7 +328,6 @@ class ParallelSim {
   };
 
   SimTime lookahead_{};
-  bool uniform_window_ = false;
   int threads_ = 1;
   std::vector<std::unique_ptr<Simulator>> sims_;
   std::vector<PairBox> boxes_;

@@ -1,8 +1,12 @@
 // Tests for the serial link model: the paper's protocol timings (13 bit
 // times per byte => 0.5 MB/s, 5 us DMA startup, 16 us per 64-bit word),
-// direction independence, sublink multiplexing and FIFO bandwidth sharing.
+// direction independence, sublink multiplexing and FIFO bandwidth sharing,
+// the cross-shard hand-off, and NodeLinks' port checks.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "link/link.hpp"
@@ -195,9 +199,102 @@ TEST(NodeLinks, AttachAndRoute) {
   EXPECT_EQ(got.payload, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
+TEST(Link, CrossShardHandOffMatchesSameSimulatorTiming) {
+  // A cable whose sides live on two shards of a ParallelSim posts each
+  // arrival through the engine mailbox. The packet lands at send start +
+  // transfer_time, the sender's wire frees at that same instant, and the
+  // per-direction statistics equal a same-simulator cable's.
+  constexpr std::size_t kPayload = 100;
+  sim::ParallelSim::Options po;
+  po.shards = 2;
+  po.threads = 2;
+  po.lookahead = LinkParams::transfer_time(0);
+  sim::ParallelSim psim{po};
+  Link cross{psim, 0, 1};
+
+  struct End {
+    SimTime sent_at{};
+    SimTime wire_free{};
+    SimTime arrival{};
+    Packet got;
+  };
+  std::array<End, 2> end{};  // end[s]: side s sends, side 1-s receives
+  const auto sender = [](Link* l, int side, SimTime at, End* e) -> Proc {
+    co_await sim::Delay{at};
+    e->sent_at = (co_await sim::ThisSim{}).now();
+    Packet p = make_packet(kPayload, 2);
+    p.tag = static_cast<std::uint16_t>(10 + side);
+    co_await l->transmit(side, std::move(p));
+    e->wire_free = (co_await sim::ThisSim{}).now();
+  };
+  const auto receiver = [](Link* l, int side, End* e) -> Proc {
+    e->got = co_await l->inbox(side, 2).recv();
+    e->arrival = (co_await sim::ThisSim{}).now();
+  };
+  psim.shard(0).spawn(sender(&cross, 0, 0_us, &end[0]));
+  psim.shard(1).spawn(receiver(&cross, 1, &end[0]));
+  psim.shard(1).spawn(sender(&cross, 1, 3_us, &end[1]));
+  psim.shard(0).spawn(receiver(&cross, 0, &end[1]));
+  psim.run();
+
+  for (int side = 0; side < 2; ++side) {
+    const End& e = end[static_cast<std::size_t>(side)];
+    SCOPED_TRACE(side);
+    EXPECT_EQ(e.got.tag, 10 + side);
+    EXPECT_EQ(e.got.payload.size(), kPayload);
+    EXPECT_EQ(e.arrival, e.sent_at + LinkParams::transfer_time(kPayload));
+    EXPECT_EQ(e.wire_free, e.arrival);
+  }
+
+  Simulator sim;
+  Link local{sim};
+  Packet got;
+  sim.spawn(do_recv(&local, 1, 2, &got, nullptr, &sim));
+  sim.spawn(do_send(&local, 0, make_packet(kPayload, 2), nullptr, &sim));
+  sim.run();
+  for (int dir = 0; dir < 2; ++dir) {
+    SCOPED_TRACE(dir);
+    EXPECT_EQ(cross.bytes_sent(dir), local.bytes_sent(0));
+    EXPECT_EQ(cross.packets_sent(dir), local.packets_sent(0));
+    EXPECT_EQ(cross.busy_time(dir), local.busy_time(0));
+  }
+
+  EXPECT_THROW((void)cross.transmit(2, make_packet(1)), std::logic_error);
+  EXPECT_THROW((void)cross.transmit(-1, make_packet(1)), std::logic_error);
+  EXPECT_THROW((void)cross.transmit(0, make_packet(1, 4)), std::logic_error);
+  EXPECT_THROW((void)local.transmit(1, make_packet(1, 7)), std::logic_error);
+}
+
 TEST(NodeLinks, UnwiredPortThrows) {
   NodeLinks a;
   EXPECT_THROW(a.inbox(1, 0), std::logic_error);
+}
+
+TEST(NodeLinks, OutOfRangePortThrowsOnEveryCall) {
+  // A TISA hard-channel word carries a 4-bit port, so a program can name
+  // ports 4-15 of a node that has only four.
+  Simulator sim;
+  Link cable{sim};
+  NodeLinks a;
+  for (int port = 0; port < LinkParams::kPhysicalLinks; ++port) {
+    a.attach(port, cable, 0);
+  }
+  for (const int port : {-1, 4, 15}) {
+    SCOPED_TRACE(port);
+    EXPECT_THROW((void)a.attached(port), std::logic_error);
+    EXPECT_THROW((void)a.inbox(port, 0), std::logic_error);
+    std::string error;
+    sim.spawn([](NodeLinks* links, int pt, std::string* out) -> Proc {
+      try {
+        co_await links->send(pt, make_packet(1));
+      } catch (const std::logic_error& e) {
+        *out = e.what();
+      }
+    }(&a, port, &error));
+    sim.run();
+    EXPECT_EQ(error, "NodeLinks::send: bad port");
+  }
+  EXPECT_EQ(cable.packets_sent(0), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "node/node.hpp"
@@ -199,6 +200,33 @@ TEST(NodeLinkIntegration, TisaProgramsExchangeWordOverALink) {
   // Wire time for 4+8 bytes at 2 us/byte plus 5 us DMA startup.
   EXPECT_GT(sim.now(), 29_us);
   EXPECT_LT(sim.now(), 40_us);
+}
+
+TEST(NodeLinkIntegration, HardChannelPortFifteenIsABadPort) {
+  // A hard-channel word carries a 4-bit port, but a node has four link
+  // ports: naming port 15 must fail with a port error rather than index
+  // past the port table.
+  for (const char* op : {"out", "in"}) {
+    SCOPED_TRACE(op);
+    Simulator sim;
+    Node nd{sim, 0};
+    const bool out = std::string(op) == "out";
+    const cp::Program prog = cp::assemble(
+        std::string("ldlp 4\nldc ") + (out ? "0xF0000078" : "0xF0000079") +
+        "\nldc 8\n" + op + "\nhalt\n");
+    nd.cpu().load(prog);
+    nd.cpu().start_process(prog.entry(), 0x8000, 1);
+    sim.spawn(nd.cpu().run());
+    try {
+      sim.run();
+      ADD_FAILURE() << "port 15 accepted";
+    } catch (const sim::ProcError& e) {
+      const std::string want =
+          std::string("NodeLinks::") + (out ? "send" : "inbox") + ": bad port";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
 #include "sim/proc.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 using fpst::bench::claim;
@@ -70,7 +71,12 @@ double overlap_mflops(int forms_per_stripe, bool overlap,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  std::string json_path;
+  if (!tools::Flags{"bench_balance_ratios"}
+           .text("--json", &json_path)
+           .parse(argc, argv)) {
+    return 2;
+  }
   bench::title("E3: arithmetic : gather : link balance (64-bit)");
 
   const sim::SimTime arith = node::BalanceRatios::arithmetic();

@@ -14,8 +14,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,6 +28,7 @@
 #include "perf/tscope.hpp"
 #include "sim/bits.hpp"
 #include "sim/simulator.hpp"
+#include "tool_util.hpp"
 #include "vpu/vpu.hpp"
 
 using namespace fpst;
@@ -229,63 +228,37 @@ int run_batch_sweep(const std::vector<int>& dims, int rounds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Sub-modes first: `--metric NAME FILE` extraction and `--batch-sweep`.
-  if (const auto rc = bench::metric_mode("bench_kernels_scaling", argc, argv)) {
-    return *rc;
+  // Sub-modes: `--metric NAME FILE` extraction and `--batch-sweep`, which
+  // alone reads --dims, --rounds, --elems and --repeats. Each node's x
+  // array fills at most bank A.
+  bool batch_sweep = false;
+  std::vector<int> dims{6, 10};
+  int rounds = 8;
+  std::size_t elems = 2048;
+  int repeats = 3;
+  std::string json_path;
+  std::string metric;
+  std::vector<std::string> record;
+  if (!tools::Flags{"bench_kernels_scaling"}
+           .flag("--batch-sweep", &batch_sweep)
+           .list("--dims", &dims, 0, 10)
+           .number("--rounds", &rounds, 1)
+           .number("--elems", &elems, 1,
+                   mem::MemParams::kBankARows * mem::MemParams::kElems32)
+           .number("--repeats", &repeats, 1)
+           .text("--json", &json_path)
+           .text("--metric", &metric)
+           .positional(&record)
+           .parse(argc, argv)) {
+    return 2;
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) != "--batch-sweep") {
-      continue;
-    }
-    std::vector<int> dims{6, 10};
-    int rounds = 8;
-    std::size_t elems = 2048;
-    int repeats = 3;
-    std::string json_out;
-    for (int j = 1; j < argc; ++j) {
-      const std::string arg = argv[j];
-      if (arg == "--batch-sweep") {
-        continue;
-      }
-      if (arg == "--dims" && j + 1 < argc) {
-        dims.clear();
-        const std::string list = argv[++j];
-        std::stringstream ls(list);
-        std::string tok;
-        while (std::getline(ls, tok, ',')) {
-          const int d = std::atoi(tok.c_str());
-          if (d < 0 || d > 10) {
-            std::fprintf(stderr,
-                         "bench_kernels_scaling: bad dim '%s' (0..10)\n",
-                         tok.c_str());
-            return 2;
-          }
-          dims.push_back(d);
-        }
-      } else if (arg == "--rounds" && j + 1 < argc) {
-        rounds = std::atoi(argv[++j]);
-      } else if (arg == "--elems" && j + 1 < argc) {
-        elems = static_cast<std::size_t>(std::atol(argv[++j]));
-      } else if (arg == "--repeats" && j + 1 < argc) {
-        repeats = std::atoi(argv[++j]);
-      } else if (arg == "--json" && j + 1 < argc) {
-        json_out = argv[++j];
-      } else {
-        std::fprintf(stderr,
-                     "usage: bench_kernels_scaling --batch-sweep "
-                     "[--dims D,D...] [--rounds N] [--elems N] [--repeats N] "
-                     "[--json out.json]\n");
-        return 2;
-      }
-    }
-    if (rounds < 1 || elems < 1 || repeats < 1 || dims.empty()) {
-      std::fprintf(stderr, "bench_kernels_scaling: counts must be positive\n");
-      return 2;
-    }
-    return run_batch_sweep(dims, rounds, elems, repeats, json_out);
+  if (!metric.empty() || !record.empty()) {
+    return bench::print_metric("bench_kernels_scaling", metric, record);
+  }
+  if (batch_sweep) {
+    return run_batch_sweep(dims, rounds, elems, repeats, json_path);
   }
 
-  const std::string json_path = bench::json_path_from_args(argc, argv);
   bench::title("E11: kernels across machine sizes");
 
   bench::section("SAXPY (256K elements) and DOT (256K elements)");

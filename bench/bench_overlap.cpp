@@ -17,6 +17,7 @@
 #include "perf/counters.hpp"
 #include "perf/tscope.hpp"
 #include "sim/proc.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 using fpst::bench::fmt;
@@ -79,7 +80,12 @@ sim::SimTime aligned_saxpy(int saxpys_per_stripe) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = bench::json_path_from_args(argc, argv);
+  std::string json_path;
+  if (!tools::Flags{"bench_overlap"}
+           .text("--json", &json_path)
+           .parse(argc, argv)) {
+    return 2;
+  }
   bench::title("E9: gather/compute overlap and physical data movement");
 
   bench::section("scattered operands: overlap vs serial vs aligned");

@@ -26,6 +26,9 @@
 //   $ bench_parallel_scaling --verify DIM [--verify-out FILE]
 //   $ bench_parallel_scaling --metric NAME DUMP.json
 //
+// Cube dimensions run 1-14 (net::Hypercube's limit). A bad flag value
+// exits 2 with one "bench_parallel_scaling: --flag: ..." line.
+//
 // The JSON gains a `gate` object — events/sec-per-core at the largest
 // swept dim <= 10 and the highest thread count — which is what ci.sh's
 // scaling gate tracks run over run.
@@ -39,8 +42,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +56,7 @@
 #include "sim/bits.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/proc.hpp"
+#include "tool_util.hpp"
 
 namespace {
 
@@ -221,25 +223,6 @@ std::uint64_t sum_u64(const std::vector<std::uint64_t>& v) {
     total += x;
   }
   return total;
-}
-
-std::vector<int> parse_list(const std::string& arg) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    const std::size_t comma = arg.find(',', pos);
-    const std::string tok =
-        arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    const int v = std::atoi(tok.c_str());
-    if (v > 0) {
-      out.push_back(v);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  return out;
 }
 
 int rounds_for(int dim, int rounds_flag) {
@@ -443,8 +426,9 @@ int run_verify(int dim, int rounds_flag, int hot_iters,
               static_cast<unsigned long long>(bits::fnv1a(t1.dump)),
               t1.dump.size());
   if (!out_path.empty()) {
-    std::ofstream out(out_path, std::ios::binary);
-    out << t1.dump;
+    if (!tools::write_text("bench_parallel_scaling", out_path, t1.dump)) {
+      return 2;
+    }
     std::printf("  wrote dump: %s\n", out_path.c_str());
   }
   if (failures > 0) {
@@ -460,10 +444,6 @@ int run_verify(int dim, int rounds_flag, int hot_iters,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const auto rc =
-          bench::metric_mode("bench_parallel_scaling", argc, argv)) {
-    return *rc;
-  }
   std::vector<int> dims{6, 8, 10};
   std::vector<int> threads_list{1, 2, 4};
   if (std::thread::hardware_concurrency() >= 8) {
@@ -474,45 +454,27 @@ int main(int argc, char** argv) {
   int verify_dim = 0;
   std::string json_out;
   std::string verify_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dims" && i + 1 < argc) {
-      dims = parse_list(argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads_list = parse_list(argv[++i]);
-    } else if (arg == "--rounds" && i + 1 < argc) {
-      rounds_flag = std::atoi(argv[++i]);
-    } else if (arg == "--hot-iters" && i + 1 < argc) {
-      hot_iters = std::atoi(argv[++i]);
-    } else if (arg == "--verify" && i + 1 < argc) {
-      verify_dim = std::atoi(argv[++i]);
-      if (verify_dim < 1 || verify_dim > 20) {
-        std::fprintf(stderr,
-                     "bench_parallel_scaling: --verify needs a cube "
-                     "dimension in [1, 20], got '%s'\n",
-                     argv[i]);
-        return 2;
-      }
-    } else if (arg == "--verify-out" && i + 1 < argc) {
-      verify_out = argv[++i];
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: bench_parallel_scaling [--dims 6,8,10] [--threads 1,2,4]\n"
-          "         [--rounds N] [--hot-iters N] [--json out.json]\n"
-          "       bench_parallel_scaling --verify DIM [--verify-out FILE]\n"
-          "       bench_parallel_scaling --metric NAME DUMP.json\n");
-      return 2;
-    }
+  std::string metric;
+  std::vector<std::string> record;
+  // The workload runs 2 * hot_iters sweeps, which must not overflow.
+  if (!tools::Flags{"bench_parallel_scaling"}
+           .list("--dims", &dims, 1, 14)
+           .list("--threads", &threads_list, 1)
+           .number("--rounds", &rounds_flag, 1)
+           .number("--hot-iters", &hot_iters, 0, (1 << 30) - 1)
+           .number("--verify", &verify_dim, 1, 14)
+           .text("--verify-out", &verify_out)
+           .text("--json", &json_out)
+           .text("--metric", &metric)
+           .positional(&record)
+           .parse(argc, argv)) {
+    return 2;
+  }
+  if (!metric.empty() || !record.empty()) {
+    return bench::print_metric("bench_parallel_scaling", metric, record);
   }
   if (verify_dim > 0) {
     return run_verify(verify_dim, rounds_flag, hot_iters, verify_out);
-  }
-  if (dims.empty() || threads_list.empty()) {
-    std::fprintf(stderr, "bench_parallel_scaling: empty sweep\n");
-    return 2;
   }
 
   bench::title("parallel DES engine: scaling trajectory");

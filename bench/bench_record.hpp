@@ -15,12 +15,13 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "perf/chrome_trace.hpp"
 #include "perf/json.hpp"
+#include "tool_util.hpp"
 
 namespace fpst::bench {
 
@@ -71,28 +72,24 @@ inline void write_record(const std::string& path, const std::string& workload,
   perf::write_file(path, doc);
 }
 
-/// Print one value of the record at `path`, looked up in `results.gate`,
-/// then `results`, then `meta`: strings raw, booleans as true/false,
-/// numbers as %.17g. Exit 2 with a diagnostic on a missing file or metric.
+/// `--metric NAME FILE`: `name` is the flag's value and `args` the
+/// positional arguments, which must be FILE alone. Print one value of the
+/// record at FILE, looked up in `results.gate`, then `results`, then
+/// `meta`: strings raw, booleans as true/false, numbers as %.17g. Exit 2
+/// with a diagnostic on a missing file or metric.
 inline int print_metric(const char* tool, const std::string& name,
-                        const std::string& path) {
+                        const std::vector<std::string>& args) {
   namespace json = perf::json;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot open %s\n", tool, path.c_str());
+  if (name.empty() || args.size() != 1) {
+    std::fprintf(stderr, "%s: --metric: takes NAME FILE\n", tool);
     return 2;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  json::Value doc;
-  try {
-    doc = json::Value::parse(ss.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s: %s\n", tool, path.c_str(), e.what());
+  const std::optional<json::Value> doc = tools::load_json(tool, args[0]);
+  if (!doc) {
     return 2;
   }
   const json::Value* v = nullptr;
-  if (const json::Value* res = doc.find("results"); res != nullptr) {
+  if (const json::Value* res = doc->find("results"); res != nullptr) {
     if (const json::Value* gate = res->find("gate"); gate != nullptr) {
       v = gate->find(name);
     }
@@ -100,13 +97,13 @@ inline int print_metric(const char* tool, const std::string& name,
       v = res->find(name);
     }
   }
-  if (const json::Value* meta = doc.find("meta");
+  if (const json::Value* meta = doc->find("meta");
       v == nullptr && meta != nullptr) {
     v = meta->find(name);
   }
   if (v == nullptr) {
     std::fprintf(stderr, "%s: no metric '%s' in %s\n", tool, name.c_str(),
-                 path.c_str());
+                 args[0].c_str());
     return 2;
   }
   if (v->is_string()) {
@@ -117,23 +114,6 @@ inline int print_metric(const char* tool, const std::string& name,
     std::printf("%s\n", v->dump().c_str());  // true / false, or JSON
   }
   return 0;
-}
-
-/// `--metric NAME FILE` anywhere on the command line: run print_metric and
-/// return its exit status. std::nullopt when the flag is absent.
-inline std::optional<int> metric_mode(const char* tool, int argc,
-                                      char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) != "--metric") {
-      continue;
-    }
-    if (i + 2 >= argc) {
-      std::fprintf(stderr, "usage: %s --metric NAME DUMP.json\n", tool);
-      return 2;
-    }
-    return print_metric(tool, argv[i + 1], argv[i + 2]);
-  }
-  return std::nullopt;
 }
 
 }  // namespace fpst::bench

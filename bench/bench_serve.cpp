@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,6 +41,7 @@
 #include "perf/json.hpp"
 #include "serve/service.hpp"
 #include "sim/bits.hpp"
+#include "tool_util.hpp"
 
 namespace {
 
@@ -214,33 +214,24 @@ perf::json::Value row_to_json(const PhaseResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const auto rc = bench::metric_mode("bench_serve", argc, argv)) {
-    return *rc;
-  }
   int jobs = 1200;
   int dup_jobs = 400;
   int workers = 2;
   std::string json_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (arg == "--dup-jobs" && i + 1 < argc) {
-      dup_jobs = std::atoi(argv[++i]);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_serve [--jobs N] [--dup-jobs N] "
-                   "[--workers N] [--json out.json]\n");
-      return 2;
-    }
-  }
-  if (jobs < 1 || dup_jobs < 1 || workers < 1) {
-    std::fprintf(stderr, "bench_serve: counts must be positive\n");
+  std::string metric;
+  std::vector<std::string> record;
+  if (!tools::Flags{"bench_serve"}
+           .number("--jobs", &jobs, 1)
+           .number("--dup-jobs", &dup_jobs, 1)
+           .number("--workers", &workers, 1, 1024)
+           .text("--json", &json_out)
+           .text("--metric", &metric)
+           .positional(&record)
+           .parse(argc, argv)) {
     return 2;
+  }
+  if (!metric.empty() || !record.empty()) {
+    return bench::print_metric("bench_serve", metric, record);
   }
 
   bench::title("tsim serve: open-loop request storm");

@@ -20,6 +20,7 @@
 #include "fp/softfloat.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
+#include "tool_util.hpp"
 
 namespace {
 
@@ -190,16 +191,24 @@ int write_json_dump(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const auto rc = fpst::bench::metric_mode("bench_simcore", argc, argv)) {
-    return *rc;
+  // google-benchmark strips its own --benchmark_* flags first; the table
+  // then rejects anything else it does not know.
+  benchmark::Initialize(&argc, argv);
+  std::string metric;
+  std::string json_path;
+  std::vector<std::string> record;
+  if (!fpst::tools::Flags{"bench_simcore"}
+           .text("--metric", &metric)
+           .text("--json", &json_path)
+           .positional(&record)
+           .parse(argc, argv)) {
+    return 2;
   }
-  const std::string json_path = fpst::bench::json_path_from_args(argc, argv);
+  if (!metric.empty() || !record.empty()) {
+    return fpst::bench::print_metric("bench_simcore", metric, record);
+  }
   if (!json_path.empty()) {
     return write_json_dump(json_path);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

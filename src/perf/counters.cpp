@@ -42,9 +42,8 @@ void CounterRegistry::shard_spans(std::vector<int> shard_of_node,
   shard_timelines_.clear();
   shard_timelines_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
-    auto tl = std::make_unique<Timeline>(timeline_.capacity());
-    tl->set_enabled(timeline_.enabled());
-    shard_timelines_.push_back(std::move(tl));
+    shard_timelines_.push_back(
+        std::make_unique<Timeline>(timeline_.capacity()));
   }
   for (auto& [key, sink] : tracks_) {
     sink->timeline_ = timeline_for(key.first);

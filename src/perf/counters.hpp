@@ -28,9 +28,6 @@ class CounterRegistry {
   struct Options {
     /// Ring bound for the span timeline.
     std::size_t timeline_capacity = Timeline::kDefaultCapacity;
-    /// When false, spans are discarded at the source (counters still
-    /// collect) — the cheap mode for counter-only studies.
-    bool collect_spans = true;
   };
 
   /// Machine shape and labelling carried into every dump.
@@ -41,9 +38,7 @@ class CounterRegistry {
   };
 
   CounterRegistry() : CounterRegistry(Options{}) {}
-  explicit CounterRegistry(Options opts) : timeline_{opts.timeline_capacity} {
-    timeline_.set_enabled(opts.collect_spans);
-  }
+  explicit CounterRegistry(Options opts) : timeline_{opts.timeline_capacity} {}
 
   CounterRegistry(const CounterRegistry&) = delete;
   CounterRegistry& operator=(const CounterRegistry&) = delete;
@@ -76,10 +71,10 @@ class CounterRegistry {
   const Timeline& timeline() const { return timeline_; }
 
   /// Parallel-engine mode: give each of `shards` shards its own span
-  /// timeline (same capacity and enablement as the shared one) so worker
-  /// threads never write a common ring. `shard_of_node[n]` is node n's
-  /// shard; existing tracks are re-pointed and tracks created later route
-  /// by their node's shard (out-of-range nodes go to shard 0). Counters
+  /// timeline (same capacity as the shared one) so worker threads never
+  /// write a common ring. `shard_of_node[n]` is node n's shard; existing
+  /// tracks are re-pointed and tracks created later route by their
+  /// node's shard (out-of-range nodes go to shard 0). Counters
   /// are untouched — each track is single-writer already. The dump
   /// (perf/chrome_trace.cpp) merges shard timelines deterministically.
   /// Call before the run starts, from the construction thread.

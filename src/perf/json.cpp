@@ -294,8 +294,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text, bool reject_duplicate_keys = false)
-      : text_{text}, reject_duplicate_keys_{reject_duplicate_keys} {}
+  explicit Parser(std::string_view text) : text_{text} {}
 
   Value parse_document() {
     Value v = parse_value();
@@ -388,10 +387,11 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      if (reject_duplicate_keys_ && v.as_object().count(key) != 0) {
-        fail("duplicate object key \"" + key + "\"");
+      const auto [it, fresh] = v.as_object().try_emplace(std::move(key));
+      if (!fresh) {
+        fail("duplicate object key \"" + it->first + "\"");
       }
-      v.as_object().emplace(std::move(key), parse_value());
+      it->second = parse_value();
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -532,7 +532,6 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
-  bool reject_duplicate_keys_ = false;
   int depth_ = 0;
 };
 
@@ -540,10 +539,6 @@ class Parser {
 
 Value Value::parse(std::string_view text) {
   return Parser{text}.parse_document();
-}
-
-Value Value::parse_strict(std::string_view text) {
-  return Parser{text, /*reject_duplicate_keys=*/true}.parse_document();
 }
 
 }  // namespace fpst::perf::json

@@ -79,16 +79,11 @@ class Value {
   std::string dump(int indent = -1) const;
 
   /// Parse a complete JSON document. Throws std::runtime_error with an
-  /// offset-annotated message on malformed input. Duplicate object keys
-  /// keep the first occurrence (std::map::emplace semantics).
+  /// offset-annotated message on malformed input, including a duplicate
+  /// object key (named in the message): a std::map holds one value per
+  /// key, so keeping either would silently drop the other, and the serve
+  /// layer would hash a JobSpec the client did not mean.
   static Value parse(std::string_view text);
-
-  /// Like parse(), but rejects duplicate object keys with a
-  /// std::runtime_error naming the offending key. The serve layer's
-  /// canonical JobSpec path uses this: a request whose config silently
-  /// collapsed two spellings of one key must be a typed bad-request, not
-  /// a different content hash.
-  static Value parse_strict(std::string_view text);
 
  private:
   friend class Writer;

@@ -61,16 +61,7 @@ class Timeline {
   Timeline() : ring_{kDefaultCapacity} {}
   explicit Timeline(std::size_t capacity) : ring_{capacity} {}
 
-  /// Span collection on/off (counters are unaffected; flip this to keep a
-  /// run's counter totals while bounding its dump size to zero spans).
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  void record(const Span& s) {
-    if (enabled_) {
-      ring_.push(s);
-    }
-  }
+  void record(const Span& s) { ring_.push(s); }
 
   std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return ring_.capacity(); }
@@ -83,7 +74,6 @@ class Timeline {
 
  private:
   sim::RingBuffer<Span> ring_;
-  bool enabled_ = true;
 };
 
 }  // namespace fpst::perf

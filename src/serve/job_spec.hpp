@@ -80,12 +80,13 @@ perf::json::Value spec_to_json(const JobSpec& spec);
 
 /// Parse and validate a spec from a JSON document object. Throws SpecError
 /// on unknown fields, wrong types, non-finite or non-integral numbers, and
-/// range violations.
+/// range violations; an integer is range-checked as sent, before it is
+/// narrowed to the field's type.
 JobSpec spec_from_json(const perf::json::Value& doc);
 
-/// Parse and validate a spec from JSON text. Uses the strict parser, so
-/// duplicate keys are rejected (SpecError "duplicate-key") rather than
-/// silently collapsed before hashing.
+/// Parse and validate a spec from JSON text. The parser rejects duplicate
+/// keys (SpecError "duplicate-key") rather than silently collapsing them
+/// before hashing.
 JobSpec parse_spec(std::string_view text);
 
 /// The canonical serialization: compact, sorted-key JSON. Two specs have

@@ -284,14 +284,6 @@ TEST(Timeline, RingBoundsSpansAndReportsDrops) {
   EXPECT_EQ(d.spans_dropped, reg.timeline().dropped());
 }
 
-TEST(Timeline, DisabledCollectionKeepsCounters) {
-  CounterRegistry reg{CounterRegistry::Options{.collect_spans = false}};
-  run_node_workload(&reg);
-  EXPECT_EQ(reg.timeline().size(), 0u);
-  EXPECT_EQ(reg.timeline().dropped(), 0u);
-  EXPECT_EQ(reg.value(0, "vpu", "ops"), 4u);
-}
-
 TEST(ChromeTrace, SchemaIsTraceEventFormat) {
   CounterRegistry reg;
   const sim::SimTime wall = run_node_workload(&reg);
@@ -603,10 +595,9 @@ TEST(Json, NestingPastTheLimitIsATypedError) {
   for (int i = 0; i < 100000; ++i) {
     members += "{\"a\":";
   }
-  const auto expect_depth_error = [](const std::string& text, bool strict) {
+  for (const std::string& text : {brackets, members}) {
     try {
-      (void)(strict ? json::Value::parse_strict(text)
-                    : json::Value::parse(text));
+      (void)json::Value::parse(text);
       ADD_FAILURE() << "deep nesting parsed";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("json: nesting deeper than"),
@@ -614,10 +605,6 @@ TEST(Json, NestingPastTheLimitIsATypedError) {
           << e.what();
       EXPECT_NE(std::string(e.what()).find(" at offset "), std::string::npos);
     }
-  };
-  for (const bool strict : {false, true}) {
-    expect_depth_error(brackets, strict);
-    expect_depth_error(members, strict);
   }
 }
 

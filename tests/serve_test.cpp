@@ -116,10 +116,21 @@ TEST(JobSpecTest, BadRequestCorpusYieldsTypedErrors) {
       {"{\"vpu_mode\":\"fast\"}", "bad-mode"},
       {"{\"vpu_mode\":\"Batch\"}", "bad-mode"},  // case-sensitive
       {"{\"vpu_mode\":3}", "bad-type"},
+      // Integers that would wrap into range when narrowed to int.
+      {"{\"dimension\":4294967299}", "out-of-range"},
+      {"{\"threads\":4294967297}", "out-of-range"},
+      {"{\"rounds\":4294967297}", "out-of-range"},
+      {"{\"elems\":-4294967280}", "out-of-range"},
   };
   for (const auto& c : kCorpus) {
     EXPECT_EQ(error_code([&] { (void)serve::parse_spec(c.text); }), c.code)
         << "input: " << c.text;
+  }
+  // A wrapped value is reported as sent, not as its narrowed remainder.
+  try {
+    (void)serve::parse_spec("{\"dimension\":4294967299}");
+  } catch (const serve::SpecError& e) {
+    EXPECT_STREQ(e.what(), "field 'dimension' = 4294967299 outside [0, 10]");
   }
 }
 
@@ -136,13 +147,22 @@ TEST(JobSpecTest, NonFiniteNumbersAreRejected) {
             "not-finite");
 }
 
-TEST(JobSpecTest, StrictParseRejectsWhatLenientParseCollapses) {
+TEST(JobSpecTest, ParseRejectsDuplicateKeysAtAnyDepth) {
   namespace json = perf::json;
-  const char* dup = "{\"a\":1,\"a\":2}";
-  // The lenient parser keeps the first occurrence silently...
-  EXPECT_EQ(json::Value::parse(dup).find("a")->as_int(), 1);
-  // ...the strict parser refuses.
-  EXPECT_THROW((void)json::Value::parse_strict(dup), std::runtime_error);
+  // The one parse mode refuses a second value for a key instead of
+  // silently keeping either, in nested objects too, and names the key.
+  for (const char* dup : {"{\"a\":1,\"a\":2}", "[{\"b\":{\"a\":1,\"a\":1}}]"}) {
+    try {
+      (void)json::Value::parse(dup);
+      ADD_FAILURE() << "duplicate key parsed: " << dup;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate object key \"a\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The same key in sibling objects is no duplicate.
+  EXPECT_EQ(json::Value::parse("[{\"a\":1},{\"a\":2}]").as_array().size(), 2u);
 }
 
 // ------------------------------------------------------------ ResultCache

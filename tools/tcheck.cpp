@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -396,43 +397,26 @@ FileVerdict check_one(const Options& opts, const std::string& path,
 
 int main(int argc, char** argv) {
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--entry") {
-      if (i + 1 >= argc) {
-        return usage();
-      }
-      opts.entry = argv[++i];
-    } else if (arg == "--werror") {
-      opts.werror = true;
-    } else if (arg == "--quiet" || arg == "-q") {
-      opts.quiet = true;
-    } else if (arg == "--predict") {
-      opts.predict = true;
-    } else if (arg == "--json-out") {
-      if (i + 1 >= argc) {
-        return usage();
-      }
-      opts.json_out = argv[++i];
-    } else if (arg == "--against") {
-      if (i + 1 >= argc) {
-        return usage();
-      }
-      opts.against = argv[++i];
-    } else if (arg == "--tolerance") {
-      if (i + 1 >= argc) {
-        return usage();
-      }
-      opts.tolerance = std::atof(argv[++i]);
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "tcheck: unknown option '" << arg << "'\n";
-      return usage();
-    } else {
-      opts.files.push_back(arg);
-    }
+  bool help = false;
+  fpst::tools::Flags flags{"tcheck"};
+  flags.text("--entry", &opts.entry)
+      .flag("--werror", &opts.werror)
+      .flag("--quiet", &opts.quiet)
+      .flag("-q", &opts.quiet)
+      .flag("--predict", &opts.predict)
+      .text("--json-out", &opts.json_out)
+      .text("--against", &opts.against)
+      .number("--tolerance", &opts.tolerance, 0.0,
+              std::numeric_limits<double>::infinity())
+      .flag("--help", &help)
+      .flag("-h", &help)
+      .positional(&opts.files);
+  if (!flags.parse(argc, argv)) {
+    return 2;
+  }
+  if (help) {
+    usage();
+    return 0;
   }
   if (opts.files.empty()) {
     return usage();

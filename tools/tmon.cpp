@@ -21,14 +21,11 @@
 //       the bytes must match — the CI determinism sweep gates on it.
 //
 // Exit codes: 0 success, 1 selfdump verification failure, 2 usage / I/O /
-// protocol error.
-#include <unistd.h>
-
+// protocol error. A bad flag prints one "tmon: --flag: ..." line.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -48,45 +45,16 @@ constexpr const char* kTool = "tmon";
 
 // ----------------------------------------------------------------- client
 
-/// One request -> one reply over a fresh or held connection.
-std::optional<Value> request(int fd, fpst::tools::LineReader& reader,
-                             const Value& req) {
-  if (!fpst::tools::send_json_line(fd, req)) {
-    std::fprintf(stderr, "tmon: connection lost while sending\n");
-    return std::nullopt;
-  }
-  std::string line;
-  if (!reader.read_line(&line)) {
-    std::fprintf(stderr, "tmon: connection closed before reply\n");
-    return std::nullopt;
-  }
-  try {
-    return Value::parse(line);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "tmon: malformed reply: %s\n", e.what());
-    return std::nullopt;
-  }
-}
-
 /// Fetch the metrics document ("metrics" body) or the Prometheus text
 /// ("prom" body). nullopt on any failure (diagnostic printed).
-std::optional<Value> fetch(int fd, fpst::tools::LineReader& reader,
-                           bool prom) {
+std::optional<Value> fetch(fpst::tools::Conn& conn, bool prom) {
   Value req = Value::object();
   req["op"] = Value::string("metrics");
   if (prom) {
     req["format"] = Value::string("prom");
   }
-  const std::optional<Value> reply = request(fd, reader, req);
+  const std::optional<Value> reply = fpst::tools::call(conn, req);
   if (!reply) {
-    return std::nullopt;
-  }
-  const Value* ok = reply->find("ok");
-  if (ok == nullptr || !ok->as_bool()) {
-    const Value* err = reply->find("error");
-    std::fprintf(stderr, "tmon: server error: %s\n",
-                 err != nullptr && err->is_string() ? err->as_string().c_str()
-                                                    : "(no detail)");
     return std::nullopt;
   }
   const Value* body = reply->find(prom ? "prom" : "metrics");
@@ -255,18 +223,7 @@ int cmd_selfdump(const std::string& spans_path,
   }
 
   const auto write_doc = [](const std::string& path, const Value& doc) {
-    const std::string text = doc.dump(2) + "\n";
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-      std::fprintf(stderr, "tmon: cannot write %s\n", path.c_str());
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-      return false;
-    }
-    std::fclose(f);
-    return true;
+    return fpst::tools::write_text(kTool, path, doc.dump(2) + "\n");
   };
   if (!write_doc(spans_path, spans_to_json(service.spans())) ||
       !write_doc(metrics_path, metrics_to_json(service.stats()))) {
@@ -305,78 +262,33 @@ int main(int argc, char** argv) {
   std::string metric;
   std::string spans_path;
   std::string metrics_path;
+  bool help = false;
   bool watch = false;
   bool json = false;
   bool prom = false;
   bool selfdump = false;
   int interval_ms = 1000;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tmon: %s needs a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "-h" || arg == "--help") {
-      usage(stdout);
-      return 0;
-    }
-    if (arg == "selfdump") {
-      selfdump = true;
-    } else if (arg == "--socket") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      socket_path = v;
-    } else if (arg == "--strip-meta") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      strip_file = v;
-    } else if (arg == "--metric") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      metric = v;
-    } else if (arg == "--spans") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      spans_path = v;
-    } else if (arg == "--metrics") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      metrics_path = v;
-    } else if (arg == "--interval") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      interval_ms = std::atoi(v);
-      if (interval_ms < 10) {
-        interval_ms = 10;
-      }
-    } else if (arg == "--watch") {
-      watch = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--prom") {
-      prom = true;
-    } else {
-      std::fprintf(stderr, "tmon: unknown option %s\n", arg.c_str());
-      usage(stderr);
-      return 2;
-    }
+  fpst::tools::Flags flags{kTool};
+  flags.flag("-h", &help)
+      .flag("--help", &help)
+      .flag("selfdump", &selfdump)
+      .text("--socket", &socket_path)
+      .text("--strip-meta", &strip_file)
+      .text("--metric", &metric)
+      .text("--spans", &spans_path)
+      .text("--metrics", &metrics_path)
+      .number("--interval", &interval_ms)
+      .flag("--watch", &watch)
+      .flag("--json", &json)
+      .flag("--prom", &prom);
+  if (!flags.parse(argc, argv)) {
+    return 2;
   }
+  if (help) {
+    usage(stdout);
+    return 0;
+  }
+  interval_ms = std::max(interval_ms, 10);
 
   if (selfdump) {
     if (spans_path.empty() || metrics_path.empty()) {
@@ -408,11 +320,11 @@ int main(int argc, char** argv) {
   if (fd < 0) {
     return 2;
   }
-  fpst::tools::LineReader reader{fd};
+  fpst::tools::Conn conn{kTool, fd};
 
   int rc = 0;
   for (;;) {
-    const std::optional<Value> doc = fetch(fd, reader, prom);
+    const std::optional<Value> doc = fetch(conn, prom);
     if (!doc) {
       rc = 2;
       break;
@@ -436,6 +348,5 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
   }
-  ::close(fd);
   return rc;
 }

@@ -115,50 +115,36 @@ int check_ecube(const fpst::perf::MessageReport& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool help = false;
   bool summary = false;
   bool edges = false;
   bool check = false;
   bool json = false;
   std::string metric;
-  std::string path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      usage(stdout);
-      return 0;
-    }
-    if (arg == "--summary") {
-      summary = true;
-    } else if (arg == "--edges") {
-      edges = true;
-    } else if (arg == "--check-ecube") {
-      check = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--metric") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tscope: --metric needs a name\n");
-        return 2;
-      }
-      metric = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "tscope: unknown option %s\n", arg.c_str());
-      usage(stderr);
-      return 2;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr, "tscope: more than one dump file given\n");
-      return 2;
-    }
+  std::vector<std::string> paths;
+  fpst::tools::Flags flags{"tscope"};
+  flags.flag("-h", &help)
+      .flag("--help", &help)
+      .flag("--summary", &summary)
+      .flag("--edges", &edges)
+      .flag("--check-ecube", &check)
+      .flag("--json", &json)
+      .text("--metric", &metric)
+      .positional(&paths);
+  if (!flags.parse(argc, argv)) {
+    return 2;
   }
-  if (path.empty()) {
+  if (help) {
+    usage(stdout);
+    return 0;
+  }
+  if (paths.size() != 1) {
     usage(stderr);
     return 2;
   }
 
   const std::optional<fpst::perf::Dump> dump =
-      fpst::tools::load_dump("tscope", path);
+      fpst::tools::load_dump("tscope", paths[0]);
   if (!dump) {
     return 2;
   }

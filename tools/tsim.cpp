@@ -38,11 +38,13 @@
 //
 // Spec flags (submit / hash): --program allreduce|saxpy|ring, --dim D,
 // --threads N, --rounds R, --elems E, --seed S,
-// --vpu-mode softfloat|batch|checked, or --spec FILE to load a JSON spec
-// document through the strict parser (duplicate keys rejected).
+// --vpu-mode softfloat|batch|checked, or --spec FILE holding a JSON spec
+// document. The flags fill the same JSON object a --spec FILE holds, and
+// serve::spec_from_json validates both, so a bad value fails with the
+// SpecError code a wire request gets.
 //
 // Exit codes: 0 success, 1 job failed / selftest assertion, 2 usage or
-// I/O / protocol error.
+// I/O / protocol error. A bad flag prints one "tsim: --flag: ..." line.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -51,9 +53,8 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -68,14 +69,22 @@
 namespace {
 
 using fpst::perf::json::Value;
+using fpst::tools::Conn;
+using fpst::tools::Flags;
 using namespace fpst::serve;
+
+constexpr const char* kTool = "tsim";
 
 // ------------------------------------------------- line framing + sockets
 //
 // The framing and socket plumbing live in tool_util.hpp, shared with tmon
 // (the observability console speaks the client side of this protocol).
 
+using fpst::tools::call;
 using fpst::tools::LineReader;
+using fpst::tools::print_reply_error;
+using fpst::tools::reply_ok;
+using fpst::tools::roundtrip;
 using fpst::tools::send_all;
 
 bool send_line(int fd, const Value& v) {
@@ -88,11 +97,7 @@ bool send_line(int fd, const Value& v) {
 constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
 int connect_unix(const std::string& path, bool quiet = false) {
-  return fpst::tools::connect_unix("tsim", path, quiet);
-}
-
-int listen_unix(const std::string& path) {
-  return fpst::tools::listen_unix("tsim", path);
+  return fpst::tools::connect_unix(kTool, path, quiet);
 }
 
 // ----------------------------------------------------------- JSON shaping
@@ -187,7 +192,7 @@ struct Server {
 bool handle_request(Server& srv, int fd, const std::string& line) {
   Value req;
   try {
-    req = Value::parse_strict(line);
+    req = Value::parse(line);
   } catch (const std::exception& e) {
     return send_line(fd, error_reply("bad-request", e.what()));
   }
@@ -348,7 +353,7 @@ int run_server(const std::string& socket_path, Service::Options opts,
   std::signal(SIGPIPE, SIG_IGN);
 
   Server srv{opts};
-  srv.listen_fd = listen_unix(socket_path);
+  srv.listen_fd = fpst::tools::listen_unix(kTool, socket_path);
   if (srv.listen_fd < 0) {
     return 2;
   }
@@ -382,58 +387,8 @@ int run_server(const std::string& socket_path, Service::Options opts,
 }
 
 // ----------------------------------------------------------------- client
-
-/// A client connection: the fd plus its persistent line reader (a reply
-/// must never be split across two throw-away readers' buffers).
-class Conn {
- public:
-  explicit Conn(int fd) : fd_{fd}, reader_{fd} {}
-  ~Conn() { ::close(fd_); }
-  Conn(const Conn&) = delete;
-  Conn& operator=(const Conn&) = delete;
-
-  int fd() const { return fd_; }
-  bool read_line(std::string* out) { return reader_.read_line(out); }
-
- private:
-  int fd_;
-  LineReader reader_;
-};
-
-/// Send one request, read one reply. nullopt on transport failure (a
-/// message was already printed).
-std::optional<Value> roundtrip(Conn& conn, const Value& req) {
-  if (!send_line(conn.fd(), req)) {
-    std::fprintf(stderr, "tsim: connection lost while sending\n");
-    return std::nullopt;
-  }
-  std::string line;
-  if (!conn.read_line(&line)) {
-    std::fprintf(stderr, "tsim: connection closed before reply\n");
-    return std::nullopt;
-  }
-  try {
-    return Value::parse(line);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "tsim: malformed reply: %s\n", e.what());
-    return std::nullopt;
-  }
-}
-
-bool reply_ok(const Value& reply) {
-  const Value* ok = reply.find("ok");
-  return ok != nullptr && ok->as_bool();
-}
-
-void print_reply_error(const Value& reply) {
-  const Value* code = reply.find("code");
-  const Value* err = reply.find("error");
-  std::fprintf(stderr, "tsim: %s: %s\n",
-               code != nullptr && code->is_string() ? code->as_string().c_str()
-                                                    : "error",
-               err != nullptr && err->is_string() ? err->as_string().c_str()
-                                                  : "(no detail)");
-}
+//
+// Conn, roundtrip() and call() live in tool_util.hpp, shared with tmon.
 
 /// Watch a job to completion on an already-open connection, printing one
 /// progress line per state change to stderr. Returns the final status
@@ -457,7 +412,7 @@ std::optional<Value> watch_job(Conn& conn, JobId id, bool verbose) {
       return std::nullopt;
     }
     if (!reply_ok(reply)) {
-      print_reply_error(reply);
+      print_reply_error(kTool, reply);
       return std::nullopt;
     }
     const Value* st = reply.find("status");
@@ -482,101 +437,88 @@ std::optional<Value> watch_job(Conn& conn, JobId id, bool verbose) {
   return std::nullopt;
 }
 
-// ------------------------------------------------------------ CLI parsing
-
-struct SpecFlags {
-  JobSpec spec;
-  std::string spec_file;  ///< --spec FILE overrides the field flags
-};
-
-/// Consume a spec flag at argv[i] (advancing i past its value). Returns
-/// 1 when consumed, 0 when not a spec flag, -1 on a usage error.
-int eat_spec_flag(int argc, char** argv, int& i, SpecFlags* out) {
-  const std::string arg = argv[i];
-  const auto need_value = [&]() -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "tsim: %s needs a value\n", arg.c_str());
-      return nullptr;
-    }
-    return argv[++i];
-  };
-  const auto as_intval = [&](int* dst) {
-    const char* v = need_value();
-    if (v == nullptr) {
-      return -1;
-    }
-    *dst = std::atoi(v);
-    return 1;
-  };
-  if (arg == "--program") {
-    const char* v = need_value();
-    if (v == nullptr) {
-      return -1;
-    }
-    out->spec.program = v;
-    return 1;
+/// Print a watched job's final status line; the exit code it earns.
+int print_final(const std::optional<Value>& status) {
+  if (!status) {
+    return 2;
   }
-  if (arg == "--dim") {
-    return as_intval(&out->spec.dimension);
-  }
-  if (arg == "--threads") {
-    return as_intval(&out->spec.threads);
-  }
-  if (arg == "--rounds") {
-    return as_intval(&out->spec.rounds);
-  }
-  if (arg == "--elems") {
-    return as_intval(&out->spec.elems);
-  }
-  if (arg == "--seed") {
-    const char* v = need_value();
-    if (v == nullptr) {
-      return -1;
-    }
-    out->spec.seed = std::strtoull(v, nullptr, 0);
-    return 1;
-  }
-  if (arg == "--vpu-mode") {
-    const char* v = need_value();
-    if (v == nullptr) {
-      return -1;
-    }
-    out->spec.vpu_mode = v;
-    return 1;
-  }
-  if (arg == "--spec") {
-    const char* v = need_value();
-    if (v == nullptr) {
-      return -1;
-    }
-    out->spec_file = v;
-    return 1;
-  }
-  return 0;
+  std::printf("%s\n", status->dump().c_str());
+  return status->find("state")->as_string() == "failed" ? 1 : 0;
 }
 
-/// Resolve --spec FILE (strict parse) or the accumulated field flags into
-/// a validated JobSpec. False on failure (diagnostic printed).
-bool resolve_spec(const SpecFlags& flags, JobSpec* out) {
-  try {
-    if (!flags.spec_file.empty()) {
-      std::string text;
-      if (!fpst::tools::slurp(flags.spec_file, &text)) {
-        std::fprintf(stderr, "tsim: cannot read %s\n",
-                     flags.spec_file.c_str());
-        return false;
+// ------------------------------------------------------------ command line
+
+/// The spec flags. Each fills one field of the JSON object that a
+/// --spec FILE holds, and serve::spec_from_json validates both, so a bad
+/// flag value fails with the SpecError code a wire request would get.
+struct SpecArgs {
+  std::string program;
+  std::string vpu_mode;
+  std::string file;
+  std::int64_t dim = 0;
+  std::int64_t threads = 0;
+  std::int64_t rounds = 0;
+  std::int64_t elems = 0;
+  std::uint64_t seed = 0;
+
+  explicit SpecArgs(Flags& flags) {
+    flags.text("--program", &program)
+        .number("--dim", &dim)
+        .number("--threads", &threads)
+        .number("--rounds", &rounds)
+        .number("--elems", &elems)
+        .number("--seed", &seed)
+        .text("--vpu-mode", &vpu_mode)
+        .text("--spec", &file);
+  }
+
+  /// The validated spec: --spec FILE's when given (it overrides the other
+  /// flags), else the defaults with each given flag's field set. False
+  /// after one "tsim: --flag: <code>: <what>" line.
+  bool resolve(const Flags& flags, JobSpec* out) const {
+    const struct {
+      const char* flag;
+      const char* key;
+      Value value;
+    } fields[] = {
+        {"--program", "program", Value::string(program)},
+        {"--dim", "dimension", Value::integer(dim)},
+        {"--threads", "threads", Value::integer(threads)},
+        {"--rounds", "rounds", Value::integer(rounds)},
+        {"--elems", "elems", Value::integer(elems)},
+        {"--seed", "seed", Value::integer(static_cast<std::int64_t>(seed))},
+        {"--vpu-mode", "vpu_mode", Value::string(vpu_mode)},
+    };
+    const char* flag = "--spec";
+    try {
+      if (flags.seen(flag)) {
+        std::string text;
+        if (!fpst::tools::slurp(file, &text)) {
+          std::fprintf(stderr, "tsim: --spec: cannot read %s\n", file.c_str());
+          return false;
+        }
+        *out = parse_spec(text);
+        return true;
       }
-      *out = parse_spec(text);
-    } else {
-      validate(flags.spec);
-      *out = flags.spec;
+      // One field at a time, each checked with those before it, so an
+      // error belongs to the flag just added.
+      Value doc = Value::object();
+      *out = JobSpec{};
+      for (const auto& f : fields) {
+        if (flags.seen(f.flag)) {
+          flag = f.flag;
+          doc[f.key] = f.value;
+          *out = spec_from_json(doc);
+        }
+      }
+      return true;
+    } catch (const SpecError& e) {
+      std::fprintf(stderr, "tsim: %s: %s: %s\n", flag, e.code().c_str(),
+                   e.what());
+      return false;
     }
-    return true;
-  } catch (const SpecError& e) {
-    std::fprintf(stderr, "tsim: %s: %s\n", e.code().c_str(), e.what());
-    return false;
   }
-}
+};
 
 void usage(std::FILE* to) {
   std::fprintf(
@@ -605,186 +547,99 @@ void usage(std::FILE* to) {
 int cmd_run_server(int argc, char** argv) {
   std::string socket_path;
   Service::Options opts;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tsim: %s needs a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      socket_path = v;
-    } else if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      opts.workers = std::atoi(v);
-    } else if (arg == "--queue") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      opts.queue_capacity = static_cast<std::size_t>(std::atoll(v));
-    } else if (arg == "--cache-mb") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      opts.cache_bytes = static_cast<std::size_t>(std::atoll(v)) << 20;
-    } else if (arg == "--no-cache") {
-      opts.cache_enabled = false;
-    } else {
-      std::fprintf(stderr, "tsim: unknown option %s\n", arg.c_str());
-      return 2;
-    }
+  std::size_t cache_mb = opts.cache_bytes >> 20;
+  bool no_cache = false;
+  Flags flags{kTool};
+  flags.text("--socket", &socket_path)
+      .number("--workers", &opts.workers, 1, 1024)
+      .number("--queue", &opts.queue_capacity, 1)
+      .number("--cache-mb", &cache_mb, 0, SIZE_MAX >> 20)
+      .flag("--no-cache", &no_cache);
+  if (!flags.parse(argc, argv, 2)) {
+    return 2;
   }
   if (socket_path.empty()) {
     std::fprintf(stderr, "tsim: run-server needs --socket PATH\n");
     return 2;
   }
+  opts.cache_bytes = cache_mb << 20;
+  opts.cache_enabled = !no_cache;
   std::fprintf(stderr, "tsim: serving on %s (%d workers)\n",
                socket_path.c_str(), opts.workers);
   return run_server(socket_path, opts, nullptr);
 }
 
-int cmd_submit(int argc, char** argv) {
-  std::string socket_path;
-  std::string tenant = "default";
-  std::string out_file;
-  bool wait = false;
-  SpecFlags flags;
-  for (int i = 2; i < argc; ++i) {
-    const int ate = eat_spec_flag(argc, argv, i, &flags);
-    if (ate == -1) {
-      return 2;
-    }
-    if (ate == 1) {
-      continue;
-    }
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "tsim: %s needs a value\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      socket_path = v;
-    } else if (arg == "--tenant") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      tenant = v;
-    } else if (arg == "--out") {
-      const char* v = value();
-      if (v == nullptr) {
-        return 2;
-      }
-      out_file = v;
-      wait = true;  // the result only exists once the job is done
-    } else if (arg == "--wait") {
-      wait = true;
-    } else {
-      std::fprintf(stderr, "tsim: unknown option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "tsim: submit needs --socket PATH\n");
-    return 2;
-  }
-  JobSpec spec;
-  if (!resolve_spec(flags, &spec)) {
-    return 2;
-  }
-
-  const int fd = connect_unix(socket_path);
-  if (fd < 0) {
-    return 2;
-  }
-  Conn conn{fd};
+/// submit: the job's address, or with --wait its final status, and with
+/// --out FILE its dump bytes written to FILE.
+int submit(Conn& conn, const JobSpec& spec, const std::string& tenant,
+           bool wait, const std::string& out_file) {
   Value req = Value::object();
   req["op"] = Value::string("submit");
   req["tenant"] = Value::string(tenant);
   req["spec"] = spec_to_json(spec);
-  const std::optional<Value> reply = roundtrip(conn, req);
+  const std::optional<Value> reply = call(conn, req);
   if (!reply) {
     return 2;
   }
-  if (!reply_ok(*reply)) {
-    print_reply_error(*reply);
-    return 2;
-  }
-  const JobId id = static_cast<JobId>(reply->find("id")->as_int());
   if (!wait) {
     std::printf("%s\n", reply->dump().c_str());
     return 0;
   }
-
-  const std::optional<Value> final_status = watch_job(conn, id, true);
-  if (!final_status) {
+  const std::int64_t id = reply->find("id")->as_int();
+  const int rc = print_final(watch_job(conn, static_cast<JobId>(id), true));
+  if (rc != 0 || out_file.empty()) {
+    return rc;
+  }
+  Value rreq = Value::object();
+  rreq["op"] = Value::string("result");
+  rreq["id"] = Value::integer(id);
+  const std::optional<Value> rreply = call(conn, rreq);
+  if (!rreply) {
     return 2;
   }
-  std::printf("%s\n", final_status->dump().c_str());
-  const bool failed = final_status->find("state")->as_string() == "failed";
-  if (!failed && !out_file.empty()) {
-    Value rreq = Value::object();
-    rreq["op"] = Value::string("result");
-    rreq["id"] = Value::integer(static_cast<std::int64_t>(id));
-    const std::optional<Value> rreply = roundtrip(conn, rreq);
-    if (!rreply || !reply_ok(*rreply)) {
-      if (rreply) {
-        print_reply_error(*rreply);
-      }
-      return 2;
-    }
-    const std::string& dump = rreply->find("dump")->as_string();
-    std::FILE* f = std::fopen(out_file.c_str(), "wb");
-    if (f == nullptr || std::fwrite(dump.data(), 1, dump.size(), f) !=
-                            dump.size()) {
-      std::fprintf(stderr, "tsim: cannot write %s\n", out_file.c_str());
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-      return 2;
-    }
-    std::fclose(f);
-    std::fprintf(stderr, "tsim: wrote %zu bytes to %s\n", dump.size(),
-                 out_file.c_str());
+  const std::string& dump = rreply->find("dump")->as_string();
+  if (!fpst::tools::write_text(kTool, out_file, dump)) {
+    return 2;
   }
-  return failed ? 1 : 0;
+  std::fprintf(stderr, "tsim: wrote %zu bytes to %s\n", dump.size(),
+               out_file.c_str());
+  return 0;
 }
 
-/// status / stats / shutdown share the one-request shape.
-int cmd_simple(int argc, char** argv, const std::string& op) {
+/// The client commands: submit, status, stats, metrics, trace, shutdown.
+/// Each makes one request, except that submit --wait and status --watch
+/// follow the job to its end.
+int cmd_client(const std::string& op, int argc, char** argv) {
   std::string socket_path;
+  std::string tenant = "default";
+  std::string out_file;
+  std::string chrome_file;
   std::int64_t id = -1;
+  bool wait = false;
   bool watch = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (arg == "--id" && i + 1 < argc) {
-      id = std::atoll(argv[++i]);
-    } else if (arg == "--watch" && op == "status") {
-      watch = true;
-    } else {
-      std::fprintf(stderr, "tsim: unknown option %s\n", arg.c_str());
-      return 2;
-    }
+  bool prom = false;
+  Flags flags{kTool};
+  flags.text("--socket", &socket_path);
+  std::optional<SpecArgs> spec_args;
+  if (op == "submit") {
+    spec_args.emplace(flags);
+    flags.text("--tenant", &tenant)
+        .flag("--wait", &wait)
+        .text("--out", &out_file);
+  } else if (op == "metrics") {
+    flags.flag("--prom", &prom);
+  } else {
+    flags.number("--id", &id, 0);
+  }
+  if (op == "status") {
+    flags.flag("--watch", &watch);
+  } else if (op == "trace") {
+    flags.text("--chrome", &chrome_file);
+  }
+  JobSpec spec;
+  if (!flags.parse(argc, argv, 2) ||
+      (spec_args && !spec_args->resolve(flags, &spec))) {
+    return 2;
   }
   if (socket_path.empty()) {
     std::fprintf(stderr, "tsim: %s needs --socket PATH\n", op.c_str());
@@ -798,169 +653,61 @@ int cmd_simple(int argc, char** argv, const std::string& op) {
   if (fd < 0) {
     return 2;
   }
-  Conn conn{fd};
+  Conn conn{kTool, fd};
+  if (op == "submit") {
+    return submit(conn, spec, tenant, wait || !out_file.empty(), out_file);
+  }
   if (watch) {
-    const std::optional<Value> final_status =
-        watch_job(conn, static_cast<JobId>(id), true);
-    if (!final_status) {
-      return 2;
-    }
-    std::printf("%s\n", final_status->dump().c_str());
-    return final_status->find("state")->as_string() == "failed" ? 1 : 0;
+    return print_final(watch_job(conn, static_cast<JobId>(id), true));
   }
   Value req = Value::object();
   req["op"] = Value::string(op);
   if (id >= 0) {
     req["id"] = Value::integer(id);
-  }
-  const std::optional<Value> reply = roundtrip(conn, req);
-  if (!reply) {
-    return 2;
-  }
-  if (!reply_ok(*reply)) {
-    print_reply_error(*reply);
-    return 2;
-  }
-  std::printf("%s\n", reply->dump(2).c_str());
-  return 0;
-}
-
-int cmd_metrics(int argc, char** argv) {
-  std::string socket_path;
-  bool prom = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (arg == "--prom") {
-      prom = true;
-    } else {
-      std::fprintf(stderr, "tsim: unknown option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "tsim: metrics needs --socket PATH\n");
-    return 2;
-  }
-  const int fd = connect_unix(socket_path);
-  if (fd < 0) {
-    return 2;
-  }
-  Conn conn{fd};
-  Value req = Value::object();
-  req["op"] = Value::string("metrics");
-  if (prom) {
-    req["format"] = Value::string("prom");
-  }
-  const std::optional<Value> reply = roundtrip(conn, req);
-  if (!reply) {
-    return 2;
-  }
-  if (!reply_ok(*reply)) {
-    print_reply_error(*reply);
-    return 2;
-  }
-  if (prom) {
-    const Value* text = reply->find("prom");
-    if (text == nullptr || !text->is_string()) {
-      std::fprintf(stderr, "tsim: malformed metrics reply\n");
-      return 2;
-    }
-    std::fputs(text->as_string().c_str(), stdout);
-    return 0;
-  }
-  const Value* metrics = reply->find("metrics");
-  if (metrics == nullptr) {
-    std::fprintf(stderr, "tsim: malformed metrics reply\n");
-    return 2;
-  }
-  std::printf("%s\n", metrics->dump(2).c_str());
-  return 0;
-}
-
-int cmd_trace(int argc, char** argv) {
-  std::string socket_path;
-  std::string chrome_file;
-  std::int64_t id = -1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--socket" && i + 1 < argc) {
-      socket_path = argv[++i];
-    } else if (arg == "--id" && i + 1 < argc) {
-      id = std::atoll(argv[++i]);
-    } else if (arg == "--chrome" && i + 1 < argc) {
-      chrome_file = argv[++i];
-    } else {
-      std::fprintf(stderr, "tsim: unknown option %s\n", arg.c_str());
-      return 2;
-    }
-  }
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "tsim: trace needs --socket PATH\n");
-    return 2;
-  }
-  const int fd = connect_unix(socket_path);
-  if (fd < 0) {
-    return 2;
-  }
-  Conn conn{fd};
-  Value req = Value::object();
-  req["op"] = Value::string("trace");
-  if (id >= 0) {
-    req["id"] = Value::integer(id);
   } else if (!chrome_file.empty()) {
     req["chrome"] = Value::boolean(true);
   }
-  const std::optional<Value> reply = roundtrip(conn, req);
+  if (prom) {
+    req["format"] = Value::string("prom");
+  }
+  const std::optional<Value> reply = call(conn, req);
   if (!reply) {
     return 2;
   }
-  if (!reply_ok(*reply)) {
-    print_reply_error(*reply);
+  // The member that carries the answer; status, stats and shutdown print
+  // the whole reply.
+  const char* member = op == "metrics" ? (prom ? "prom" : "metrics")
+                       : op != "trace" ? nullptr
+                       : id >= 0       ? "span"
+                       : !chrome_file.empty() ? "trace"
+                                              : "spans";
+  const Value* body = member == nullptr ? &*reply : reply->find(member);
+  if (body == nullptr || (prom && !body->is_string())) {
+    std::fprintf(stderr, "tsim: malformed %s reply\n", op.c_str());
     return 2;
   }
-  const Value* body = id >= 0                  ? reply->find("span")
-                      : !chrome_file.empty()   ? reply->find("trace")
-                                               : reply->find("spans");
-  if (body == nullptr) {
-    std::fprintf(stderr, "tsim: malformed trace reply\n");
-    return 2;
-  }
-  if (!chrome_file.empty()) {
-    const std::string text = body->dump(2) + "\n";
-    std::FILE* f = std::fopen(chrome_file.c_str(), "wb");
-    if (f == nullptr ||
-        std::fwrite(text.data(), 1, text.size(), f) != text.size()) {
-      std::fprintf(stderr, "tsim: cannot write %s\n", chrome_file.c_str());
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-      return 2;
-    }
-    std::fclose(f);
-    std::fprintf(stderr, "tsim: wrote %zu bytes to %s\n", text.size(),
-                 chrome_file.c_str());
+  if (prom) {
+    std::fputs(body->as_string().c_str(), stdout);
     return 0;
   }
-  std::printf("%s\n", body->dump(2).c_str());
+  const std::string text = body->dump(2) + "\n";
+  if (chrome_file.empty()) {
+    std::fputs(text.c_str(), stdout);
+    return 0;
+  }
+  if (!fpst::tools::write_text(kTool, chrome_file, text)) {
+    return 2;
+  }
+  std::fprintf(stderr, "tsim: wrote %zu bytes to %s\n", text.size(),
+               chrome_file.c_str());
   return 0;
 }
 
 int cmd_hash(int argc, char** argv) {
-  SpecFlags flags;
-  for (int i = 2; i < argc; ++i) {
-    const int ate = eat_spec_flag(argc, argv, i, &flags);
-    if (ate == -1) {
-      return 2;
-    }
-    if (ate == 0) {
-      std::fprintf(stderr, "tsim: unknown option %s\n", argv[i]);
-      return 2;
-    }
-  }
+  Flags flags{kTool};
+  SpecArgs spec_args{flags};
   JobSpec spec;
-  if (!resolve_spec(flags, &spec)) {
+  if (!flags.parse(argc, argv, 2) || !spec_args.resolve(flags, &spec)) {
     return 2;
   }
   std::printf("%s\n%s\n", canonical_spec(spec).c_str(),
@@ -989,7 +736,7 @@ bool selftest_body(const std::string& socket_path) {
     }
   }
   SELF_CHECK(fd >= 0, "connect to in-process server");
-  Conn conn{fd};
+  Conn conn{kTool, fd};
 
   const auto submit_and_wait = [&](std::uint64_t seed,
                                    Value* out) -> bool {
@@ -1206,7 +953,7 @@ bool selftest_body(const std::string& socket_path) {
   {
     const int ofd = connect_unix(socket_path, /*quiet=*/true);
     SELF_CHECK(ofd >= 0, "oversize connect");
-    Conn oconn{ofd};
+    Conn oconn{kTool, ofd};
     std::string big(kMaxRequestLine + 8192, 'x');
     big += '\n';
     // The server stops reading once the cap trips and closes after the
@@ -1242,7 +989,7 @@ bool selftest_body(const std::string& socket_path) {
   const int wfd = connect_unix(socket_path, /*quiet=*/true);
   SELF_CHECK(wfd >= 0, "watch connect");
   std::thread watcher([wfd, watch_id] {
-    Conn wconn{wfd};
+    Conn wconn{kTool, wfd};
     // Either outcome — final status or connection-closed — is fine; the
     // assertion is that this returns at all once shutdown lands.
     (void)watch_job(wconn, watch_id, false);
@@ -1299,23 +1046,15 @@ int main(int argc, char** argv) {
   if (cmd == "run-server") {
     return cmd_run_server(argc, argv);
   }
-  if (cmd == "submit") {
-    return cmd_submit(argc, argv);
-  }
-  if (cmd == "status" || cmd == "stats" || cmd == "shutdown") {
-    return cmd_simple(argc, argv, cmd);
-  }
-  if (cmd == "metrics") {
-    return cmd_metrics(argc, argv);
-  }
-  if (cmd == "trace") {
-    return cmd_trace(argc, argv);
+  if (cmd == "submit" || cmd == "status" || cmd == "stats" ||
+      cmd == "metrics" || cmd == "trace" || cmd == "shutdown") {
+    return cmd_client(cmd, argc, argv);
   }
   if (cmd == "hash") {
     return cmd_hash(argc, argv);
   }
   if (cmd == "selftest") {
-    return cmd_selftest();
+    return Flags{kTool}.parse(argc, argv, 2) ? cmd_selftest() : 2;
   }
   std::fprintf(stderr, "tsim: unknown command %s\n", cmd.c_str());
   usage(stderr);

@@ -11,9 +11,9 @@
 // Exit codes: 0 report printed (balance violations included), 1 balance
 // violation with --fail-on-violation, 2 usage or unreadable dump.
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "perf/chrome_trace.hpp"
 #include "perf/report.hpp"
@@ -42,46 +42,33 @@ void usage(std::FILE* to) {
 
 int main(int argc, char** argv) {
   std::string metric;
-  std::string path;
+  std::vector<std::string> paths;
+  bool help = false;
   bool fail_on_violation = false;
   bool messages = false;
   bool summary = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "-h" || arg == "--help") {
-      usage(stdout);
-      return 0;
-    }
-    if (arg == "--fail-on-violation") {
-      fail_on_violation = true;
-    } else if (arg == "--messages") {
-      messages = true;
-    } else if (arg == "--summary") {
-      summary = true;
-    } else if (arg == "--metric") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "ttrace: --metric needs a name\n");
-        return 2;
-      }
-      metric = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "ttrace: unknown option %s\n", arg.c_str());
-      usage(stderr);
-      return 2;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::fprintf(stderr, "ttrace: more than one dump file given\n");
-      return 2;
-    }
+  fpst::tools::Flags flags{"ttrace"};
+  flags.flag("-h", &help)
+      .flag("--help", &help)
+      .flag("--fail-on-violation", &fail_on_violation)
+      .flag("--messages", &messages)
+      .flag("--summary", &summary)
+      .text("--metric", &metric)
+      .positional(&paths);
+  if (!flags.parse(argc, argv)) {
+    return 2;
   }
-  if (path.empty()) {
+  if (help) {
+    usage(stdout);
+    return 0;
+  }
+  if (paths.size() != 1) {
     usage(stderr);
     return 2;
   }
 
   const std::optional<fpst::perf::Dump> loaded =
-      fpst::tools::load_dump("ttrace", path);
+      fpst::tools::load_dump("ttrace", paths[0]);
   if (!loaded) {
     return 2;
   }

@@ -108,11 +108,13 @@ double quantile(std::vector<double>* sorted, double q) {
 /// Run one storm phase: `jobs` requests, `dup_percent` of which re-draw
 /// from a hot pool of `pool_size` specs (the rest get unique seeds).
 PhaseResult run_phase(const std::string& name, int jobs, int dup_percent,
-                      int pool_size, int workers, bool cache_enabled) {
+                      int pool_size, int workers, bool cache) {
   serve::Service::Options opts;
   opts.workers = workers;
   opts.queue_capacity = static_cast<std::size_t>(jobs);  // open loop
-  opts.cache_enabled = cache_enabled;
+  if (!cache) {
+    opts.cache_bytes = 0;  // a zero budget stores nothing: every job misses
+  }
   serve::Service service{opts};
 
   Rng rng{0x5e21ed0c0ffeeULL};
@@ -243,16 +245,16 @@ int main(int argc, char** argv) {
   // Phase 1: the headline mixed storm — half the requests re-draw from a
   // 16-spec hot set, so the cache sees a realistic mixture.
   const PhaseResult mixed =
-      run_phase("mixed", jobs, 50, 16, workers, /*cache_enabled=*/true);
+      run_phase("mixed", jobs, 50, 16, workers, /*cache=*/true);
   print_row(mixed);
 
   // Phases 2+3: the cache ablation — same duplicate-heavy storm with and
   // without the result cache.
   const PhaseResult dup_cache =
-      run_phase("dup_cache", dup_jobs, 90, 8, workers, /*cache_enabled=*/true);
+      run_phase("dup_cache", dup_jobs, 90, 8, workers, /*cache=*/true);
   print_row(dup_cache);
   const PhaseResult dup_nocache = run_phase("dup_nocache", dup_jobs, 90, 8,
-                                            workers, /*cache_enabled=*/false);
+                                            workers, /*cache=*/false);
   print_row(dup_nocache);
 
   const double speedup = dup_nocache.jobs_per_sec > 0.0

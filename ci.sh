@@ -44,7 +44,9 @@
 #      elementwise form, both precisions, special operands — batch arm vs
 #      softfloat oracle, fixed seed) must pass, and the
 #      bench_kernels_scaling --batch-sweep must be bit-identical across
-#      modes with the batch arm's wall-clock speedup above conservative
+#      modes, match the committed BENCH_kernels.json rows' result_hash,
+#      events and sim_us when it has the committed rounds and elems, and
+#      keep the batch arm's wall-clock speedup above conservative
 #      flavour-dependent floors; elem_ops_per_sec is gated run over run
 #      with 30% slack (BENCH_kernels.json records the >=10x 10-cube
 #      trajectory measured on a quiet host — the CI floor is deliberately
@@ -113,7 +115,8 @@ ci.sh stages:
   7  bench_simcore throughput gate
   8  bench_serve storm: completion/hit-rate/cache-speedup/jobs-per-sec
      gates + p99 SLO gate + tmon span/metrics determinism gate
-  9  vpu batch arm: cross-validation fuzz + batch-sweep equivalence/speed gates
+  9  vpu batch arm: cross-validation fuzz + batch-sweep equivalence,
+     BENCH_kernels.json row pin and speed gates
  10  bench_parallel_scaling: events/sec-per-core trajectory gate +
      cross-thread determinism verify (FPST_FULL_SWEEP=1 -> 12-cube)
  11  perfbench smoke tests: benchmark checks + tree-vs-stream dump bytes
@@ -510,6 +513,42 @@ if want_stage 9; then
     echo "ci: batch arm diverged from the softfloat oracle in the sweep" >&2
     exit 1
   }
+  # Pin the deterministic fields of every (dim, mode) row to the committed
+  # record: results, event counts and simulated time. The equivalence gate
+  # above passes a change that moves both arms the same way; this does
+  # not. Only a sweep of the committed shape (rounds, elems) compares, so
+  # the sanitized leg's smaller sweep skips the pin.
+  python3 - "$kern_fresh" "$repo_root/BENCH_kernels.json" <<'PIN'
+import json
+import sys
+
+fresh, pinned = (json.load(open(path)) for path in sys.argv[1:3])
+shape = ("rounds", "elems")
+if any(fresh["meta"][k] != pinned["meta"][k] for k in shape):
+    print("ci: SKIPPED the BENCH_kernels.json pin: sweep rounds/elems "
+          f"{[fresh['meta'][k] for k in shape]} differ from the committed "
+          f"{[pinned['meta'][k] for k in shape]}", file=sys.stderr)
+    sys.exit(0)
+committed = {(r["dim"], r["mode"]): r for r in pinned["results"]["rows"]}
+bad = 0
+for row in fresh["results"]["rows"]:
+    key = (row["dim"], row["mode"])
+    ref = committed.get(key)
+    if ref is None:
+        print(f"ci: no committed BENCH_kernels.json row for {key}",
+              file=sys.stderr)
+        bad += 1
+        continue
+    for field in ("result_hash", "events", "sim_us"):
+        if row[field] != ref[field]:
+            print(f"ci: batch sweep {key} {field}={row[field]}, committed "
+                  f"{ref[field]}", file=sys.stderr)
+            bad += 1
+if bad:
+    sys.exit(1)
+print(f"ci: batch sweep pinned: {len(fresh['results']['rows'])} rows match "
+      "BENCH_kernels.json (result_hash, events, sim_us)")
+PIN
   # Speed floors are deliberately conservative: the committed release
   # baseline records >=10x at the 10-cube point, but shared runners see
   # wall-clock noise that a ratio gate at 10 would trip on. A real

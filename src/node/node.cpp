@@ -1,19 +1,68 @@
 #include "node/node.hpp"
 
-#include "vpu/recip.hpp"
-
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+
+#include "vpu/recip.hpp"
 
 namespace fpst::node {
 
 namespace {
+
 using mem::MemParams;
 using sim::Delay;
 using sim::SimTime;
-}  // namespace
 
-Node::Node(sim::Simulator& sim, std::uint32_t id)
-    : Node(sim, id, NodeConfig{}) {}
+/// True for the 64-bit view (host double), false for the 32-bit one.
+template <class Elem>
+constexpr bool kWide = std::is_same_v<Elem, double>;
+
+/// Copy host values into the leading elements of `a` (untimed).
+template <class Elem>
+void stage(mem::NodeMemory& m, const Array<Elem>& a,
+           std::span<const Elem> values, const char* call) {
+  if (values.size() > a.elems) {
+    throw std::invalid_argument(std::string(call) + ": too many values");
+  }
+  constexpr std::size_t kPerRow = Array<Elem>::kPerRow;
+  mem::VectorRegister reg;
+  for (std::size_t row = 0; row < a.rows(); ++row) {
+    m.load_row(a.first_row + row, reg);
+    const std::size_t base = row * kPerRow;
+    for (std::size_t i = 0; i < kPerRow && base + i < values.size(); ++i) {
+      if constexpr (kWide<Elem>) {
+        reg.set_f64(i, fp::T64::from_double(values[base + i]));
+      } else {
+        reg.set_f32(i, fp::T32::from_float(values[base + i]));
+      }
+    }
+    m.store_row(a.first_row + row, reg);
+  }
+}
+
+/// Read every element of `a` back to the host (untimed).
+template <class Elem>
+std::vector<Elem> unstage(mem::NodeMemory& m, const Array<Elem>& a) {
+  constexpr std::size_t kPerRow = Array<Elem>::kPerRow;
+  std::vector<Elem> out(a.elems);
+  mem::VectorRegister reg;
+  for (std::size_t row = 0; row < a.rows(); ++row) {
+    m.load_row(a.first_row + row, reg);
+    const std::size_t base = row * kPerRow;
+    for (std::size_t i = 0; i < kPerRow && base + i < a.elems; ++i) {
+      if constexpr (kWide<Elem>) {
+        out[base + i] = reg.f64(i).to_double();
+      } else {
+        out[base + i] = reg.f32(i).to_float();
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Node::Node(sim::Simulator& sim, std::uint32_t id, NodeConfig cfg)
     : sim_{&sim},
@@ -82,68 +131,19 @@ void Node::reset_allocator() {
 }
 
 void Node::write64(const Array64& a, std::span<const double> values) {
-  if (values.size() > a.elems) {
-    throw std::invalid_argument("Node::write64: too many values");
-  }
-  mem::VectorRegister reg;
-  for (std::size_t row = 0; row < a.rows(); ++row) {
-    memory_.load_row(a.first_row + row, reg);
-    const std::size_t base = row * MemParams::kElems64;
-    for (std::size_t i = 0; i < MemParams::kElems64; ++i) {
-      const std::size_t idx = base + i;
-      if (idx < values.size()) {
-        reg.set_f64(i, fp::T64::from_double(values[idx]));
-      }
-    }
-    memory_.store_row(a.first_row + row, reg);
-  }
-}
-
-std::vector<double> Node::read64(const Array64& a) const {
-  std::vector<double> out(a.elems);
-  mem::VectorRegister reg;
-  auto& m = const_cast<mem::NodeMemory&>(memory_);
-  for (std::size_t row = 0; row < a.rows(); ++row) {
-    m.load_row(a.first_row + row, reg);
-    const std::size_t base = row * MemParams::kElems64;
-    for (std::size_t i = 0; i < MemParams::kElems64 && base + i < a.elems;
-         ++i) {
-      out[base + i] = reg.f64(base + i - base).to_double();
-    }
-  }
-  return out;
+  stage(memory_, a, values, "Node::write64");
 }
 
 void Node::write32(const Array32& a, std::span<const float> values) {
-  if (values.size() > a.elems) {
-    throw std::invalid_argument("Node::write32: too many values");
-  }
-  mem::VectorRegister reg;
-  for (std::size_t row = 0; row < a.rows(); ++row) {
-    memory_.load_row(a.first_row + row, reg);
-    const std::size_t base = row * MemParams::kElems32;
-    for (std::size_t i = 0; i < MemParams::kElems32; ++i) {
-      if (base + i < values.size()) {
-        reg.set_f32(i, fp::T32::from_float(values[base + i]));
-      }
-    }
-    memory_.store_row(a.first_row + row, reg);
-  }
+  stage(memory_, a, values, "Node::write32");
+}
+
+std::vector<double> Node::read64(const Array64& a) const {
+  return unstage(const_cast<mem::NodeMemory&>(memory_), a);
 }
 
 std::vector<float> Node::read32(const Array32& a) const {
-  std::vector<float> out(a.elems);
-  mem::VectorRegister reg;
-  auto& m = const_cast<mem::NodeMemory&>(memory_);
-  for (std::size_t row = 0; row < a.rows(); ++row) {
-    m.load_row(a.first_row + row, reg);
-    const std::size_t base = row * MemParams::kElems32;
-    for (std::size_t i = 0; i < MemParams::kElems32 && base + i < a.elems;
-         ++i) {
-      out[base + i] = reg.f32(i).to_float();
-    }
-  }
-  return out;
+  return unstage(const_cast<mem::NodeMemory&>(memory_), a);
 }
 
 void Node::attach_perf(perf::CounterRegistry& reg) {
@@ -152,12 +152,6 @@ void Node::attach_perf(perf::CounterRegistry& reg) {
   memory_.set_sink(&reg.track(id_, "mem"));
   vpu_.set_sink(perf_vpu_);
   cpu_.set_sink(perf_cp_.sink());
-  for (int p = 0; p < link::LinkParams::kPhysicalLinks; ++p) {
-    if (links_.attached(p)) {
-      perf_link_[static_cast<std::size_t>(p)] =
-          &reg.track(id_, "link" + std::to_string(p));
-    }
-  }
 }
 
 vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
@@ -184,116 +178,98 @@ void Node::retire_op(const vpu::OpResult& r) {
   vpu_sem_.release();
 }
 
-sim::Proc Node::run_op(vpu::VectorOp op, vpu::OpResult* out) {
-  co_await vpu_sem_.acquire();
-  if (!cfg_.overlap) {
-    // Ablation: no CP/VPU overlap — the controller stalls for the whole
-    // vector operation.
-    co_await cp_sem_.acquire();
+template <class Elem>
+sim::Proc Node::strip_mine(vpu::VectorForm form, double a, Array<Elem> x,
+                           Array<Elem> y, Array<Elem> z, vpu::OpResult* out,
+                           const char* call) {
+  if (vpu::is_reduction(form)) {
+    throw std::invalid_argument(std::string(call) + ": " +
+                                vpu::to_string(form) +
+                                " is a reduction (use Node::vreduce)");
   }
-  const vpu::OpResult r = issue_op(op);
-  co_await Delay{r.duration};
-  retire_op(r);
+  if (x.elems != z.elems ||
+      (vpu::is_two_operand(form) && y.elems != x.elems)) {
+    throw std::invalid_argument(std::string(call) + ": length mismatch");
+  }
+  constexpr std::size_t kPerRow = Array<Elem>::kPerRow;
+  vpu::VectorOp op;
+  op.form = form;
+  op.prec = kWide<Elem> ? vpu::Precision::f64 : vpu::Precision::f32;
+  op.scalar = fp::T64::from_double(a);
+  vpu::OpResult total;
+  for (std::size_t row = 0; row < x.rows(); ++row) {
+    op.n = std::min(kPerRow, x.elems - row * kPerRow);
+    op.row_x = x.first_row + row;
+    op.row_y = y.first_row + row;
+    op.row_z = z.first_row + row;
+    // Acquire, delay and release inline: awaiting a child coroutine per
+    // stripe would cost two more event-queue round trips each.
+    co_await vpu_sem_.acquire();
+    if (!cfg_.overlap) {
+      // Ablation: no CP/VPU overlap, so the controller stalls for the
+      // whole vector operation.
+      co_await cp_sem_.acquire();
+    }
+    const vpu::OpResult r = issue_op(op);
+    co_await Delay{r.duration};
+    retire_op(r);
+    total.duration += r.duration;
+    total.flops += r.flops;
+    total.flags.merge(r.flags);
+  }
   if (out != nullptr) {
-    *out = r;
+    *out = total;
   }
 }
 
 sim::Proc Node::vbinary(vpu::VectorForm form, const Array64& x,
                         const Array64& y, const Array64& z,
                         vpu::OpResult* out) {
-  if (x.elems != z.elems ||
-      (vpu::is_two_operand(form) && y.elems != x.elems)) {
-    throw std::invalid_argument("Node::vbinary: length mismatch");
-  }
-  vpu::OpResult total;
-  for (std::size_t row = 0; row < x.rows(); ++row) {
-    const std::size_t done = row * MemParams::kElems64;
-    vpu::VectorOp op;
-    op.form = form;
-    op.prec = vpu::Precision::f64;
-    op.n = std::min(MemParams::kElems64, x.elems - done);
-    op.row_x = x.first_row + row;
-    op.row_y = y.first_row + row;
-    op.row_z = z.first_row + row;
-    // run_op, inlined: the strip-mine loops are the simulator's hottest
-    // path, and awaiting a nested child coroutine would cost two extra
-    // event-queue round trips per stripe. Same acquire/delay/release
-    // sequence, so simulated timing is identical.
-    co_await vpu_sem_.acquire();
-    if (!cfg_.overlap) {
-      co_await cp_sem_.acquire();
-    }
-    const vpu::OpResult r = issue_op(op);
-    co_await Delay{r.duration};
-    retire_op(r);
-    total.duration += r.duration;
-    total.flops += r.flops;
-    total.flags.merge(r.flags);
-  }
-  if (out != nullptr) {
-    *out = total;
-  }
+  return strip_mine(form, 0.0, x, y, z, out, "Node::vbinary");
 }
 
 sim::Proc Node::vscalar(vpu::VectorForm form, double a, const Array64& x,
                         const Array64& y, const Array64& z,
                         vpu::OpResult* out) {
-  if (x.elems != z.elems ||
-      (vpu::is_two_operand(form) && y.elems != x.elems)) {
-    throw std::invalid_argument("Node::vscalar: length mismatch");
-  }
-  vpu::OpResult total;
-  for (std::size_t row = 0; row < x.rows(); ++row) {
-    const std::size_t done = row * MemParams::kElems64;
-    vpu::VectorOp op;
-    op.form = form;
-    op.prec = vpu::Precision::f64;
-    op.n = std::min(MemParams::kElems64, x.elems - done);
-    op.row_x = x.first_row + row;
-    op.row_y = y.first_row + row;
-    op.row_z = z.first_row + row;
-    op.scalar = fp::T64::from_double(a);
-    // run_op, inlined: the strip-mine loops are the simulator's hottest
-    // path, and awaiting a nested child coroutine would cost two extra
-    // event-queue round trips per stripe. Same acquire/delay/release
-    // sequence, so simulated timing is identical.
-    co_await vpu_sem_.acquire();
-    if (!cfg_.overlap) {
-      co_await cp_sem_.acquire();
-    }
-    const vpu::OpResult r = issue_op(op);
-    co_await Delay{r.duration};
-    retire_op(r);
-    total.duration += r.duration;
-    total.flops += r.flops;
-    total.flags.merge(r.flags);
-  }
-  if (out != nullptr) {
-    *out = total;
-  }
+  return strip_mine(form, a, x, y, z, out, "Node::vscalar");
+}
+
+sim::Proc Node::vbinary32(vpu::VectorForm form, const Array32& x,
+                          const Array32& y, const Array32& z,
+                          vpu::OpResult* out) {
+  return strip_mine(form, 0.0, x, y, z, out, "Node::vbinary32");
+}
+
+sim::Proc Node::vscalar32(vpu::VectorForm form, double a, const Array32& x,
+                          const Array32& y, const Array32& z,
+                          vpu::OpResult* out) {
+  return strip_mine(form, a, x, y, z, out, "Node::vscalar32");
 }
 
 sim::Proc Node::vreduce(vpu::VectorForm form, const Array64& x,
                         const Array64& y, double* result,
                         std::size_t* arg_index) {
+  if (!vpu::is_reduction(form)) {
+    throw std::invalid_argument(std::string("Node::vreduce: ") +
+                                vpu::to_string(form) +
+                                " is not a reduction");
+  }
+  if (vpu::is_two_operand(form) && y.elems != x.elems) {
+    throw std::invalid_argument("Node::vreduce: length mismatch");
+  }
   fp::T64 acc{};
   fp::T64 best{};
   std::size_t best_index = 0;
   bool first = true;
   fp::Flags fl;
+  vpu::VectorOp op;
+  op.form = form;
   for (std::size_t row = 0; row < x.rows(); ++row) {
-    const std::size_t done = row * MemParams::kElems64;
-    vpu::VectorOp op;
-    op.form = form;
-    op.prec = vpu::Precision::f64;
-    op.n = std::min(MemParams::kElems64, x.elems - done);
+    const std::size_t done = row * Array64::kPerRow;
+    op.n = std::min(Array64::kPerRow, x.elems - done);
     op.row_x = x.first_row + row;
     op.row_y = y.first_row + row;
-    // run_op, inlined: the strip-mine loops are the simulator's hottest
-    // path, and awaiting a nested child coroutine would cost two extra
-    // event-queue round trips per stripe. Same acquire/delay/release
-    // sequence, so simulated timing is identical.
+    // The strip-mine loop's inline acquire, delay and release.
     co_await vpu_sem_.acquire();
     if (!cfg_.overlap) {
       co_await cp_sem_.acquire();
@@ -324,159 +300,42 @@ sim::Proc Node::vreduce(vpu::VectorForm form, const Array64& x,
   }
 }
 
-sim::Proc Node::vbinary32(vpu::VectorForm form, const Array32& x,
-                          const Array32& y, const Array32& z,
-                          vpu::OpResult* out) {
-  if (x.elems != z.elems ||
-      (vpu::is_two_operand(form) && y.elems != x.elems)) {
-    throw std::invalid_argument("Node::vbinary32: length mismatch");
-  }
-  vpu::OpResult total;
-  for (std::size_t row = 0; row < x.rows(); ++row) {
-    const std::size_t done = row * MemParams::kElems32;
-    vpu::VectorOp op;
-    op.form = form;
-    op.prec = vpu::Precision::f32;
-    op.n = std::min(MemParams::kElems32, x.elems - done);
-    op.row_x = x.first_row + row;
-    op.row_y = y.first_row + row;
-    op.row_z = z.first_row + row;
-    // run_op, inlined: the strip-mine loops are the simulator's hottest
-    // path, and awaiting a nested child coroutine would cost two extra
-    // event-queue round trips per stripe. Same acquire/delay/release
-    // sequence, so simulated timing is identical.
-    co_await vpu_sem_.acquire();
-    if (!cfg_.overlap) {
-      co_await cp_sem_.acquire();
-    }
-    const vpu::OpResult r = issue_op(op);
-    co_await Delay{r.duration};
-    retire_op(r);
-    total.duration += r.duration;
-    total.flops += r.flops;
-    total.flags.merge(r.flags);
-  }
-  if (out != nullptr) {
-    *out = total;
-  }
-}
-
-sim::Proc Node::vscalar32(vpu::VectorForm form, double a, const Array32& x,
-                          const Array32& y, const Array32& z,
-                          vpu::OpResult* out) {
-  if (x.elems != z.elems ||
-      (vpu::is_two_operand(form) && y.elems != x.elems)) {
-    throw std::invalid_argument("Node::vscalar32: length mismatch");
-  }
-  vpu::OpResult total;
-  for (std::size_t row = 0; row < x.rows(); ++row) {
-    const std::size_t done = row * MemParams::kElems32;
-    vpu::VectorOp op;
-    op.form = form;
-    op.prec = vpu::Precision::f32;
-    op.n = std::min(MemParams::kElems32, x.elems - done);
-    op.row_x = x.first_row + row;
-    op.row_y = y.first_row + row;
-    op.row_z = z.first_row + row;
-    op.scalar = fp::T64::from_double(a);
-    // run_op, inlined: the strip-mine loops are the simulator's hottest
-    // path, and awaiting a nested child coroutine would cost two extra
-    // event-queue round trips per stripe. Same acquire/delay/release
-    // sequence, so simulated timing is identical.
-    co_await vpu_sem_.acquire();
-    if (!cfg_.overlap) {
-      co_await cp_sem_.acquire();
-    }
-    const vpu::OpResult r = issue_op(op);
-    co_await Delay{r.duration};
-    retire_op(r);
-    total.duration += r.duration;
-    total.flops += r.flops;
-    total.flags.merge(r.flags);
-  }
-  if (out != nullptr) {
-    *out = total;
-  }
-}
-
-sim::Proc Node::gather32(std::size_t elems) {
+sim::Proc Node::hold_cp(std::uint64_t n, SimTime per, perf::SpanKind kind,
+                        perf::CounterSlot CpSlots::*count,
+                        const char* count_name) {
   co_await cp_sem_.acquire();
-  const SimTime t = static_cast<std::int64_t>(elems) *
-                    MemParams::gather_move32();
+  const SimTime t = static_cast<std::int64_t>(n) * per;
   if (perf::PerfSink* cp = perf_cp_.sink()) {
-    cp->record({.start = sim_->now(),
-                .duration = t,
-                .n = elems,
-                .kind = perf::SpanKind::gather32});
+    cp->record({.start = sim_->now(), .duration = t, .n = n, .kind = kind});
   }
   co_await Delay{t};
   cp_busy_ += t;
   if (perf::PerfSink* cp = perf_cp_.sink()) {
     CpSlots& s = perf_cp_.slots();
-    s.gather_elems.add(*cp, "gather_elems", elems);
+    (s.*count).add(*cp, count_name, n);
     s.busy.add(*cp, "busy", t);
   }
   cp_sem_.release();
 }
 
 sim::Proc Node::gather(std::size_t elems) {
-  co_await cp_sem_.acquire();
-  const SimTime t = static_cast<std::int64_t>(elems) *
-                    MemParams::gather_move64();
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    cp->record({.start = sim_->now(),
-                .duration = t,
-                .n = elems,
-                .kind = perf::SpanKind::gather64});
-  }
-  co_await Delay{t};
-  cp_busy_ += t;
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    CpSlots& s = perf_cp_.slots();
-    s.gather_elems.add(*cp, "gather_elems", elems);
-    s.busy.add(*cp, "busy", t);
-  }
-  cp_sem_.release();
+  return hold_cp(elems, MemParams::gather_move64(), perf::SpanKind::gather64,
+                 &CpSlots::gather_elems, "gather_elems");
+}
+
+sim::Proc Node::gather32(std::size_t elems) {
+  return hold_cp(elems, MemParams::gather_move32(), perf::SpanKind::gather32,
+                 &CpSlots::gather_elems, "gather_elems");
 }
 
 sim::Proc Node::scatter(std::size_t elems) {
-  co_await cp_sem_.acquire();
-  const SimTime t = static_cast<std::int64_t>(elems) *
-                    MemParams::gather_move64();
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    cp->record({.start = sim_->now(),
-                .duration = t,
-                .n = elems,
-                .kind = perf::SpanKind::scatter64});
-  }
-  co_await Delay{t};
-  cp_busy_ += t;
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    CpSlots& s = perf_cp_.slots();
-    s.scatter_elems.add(*cp, "scatter_elems", elems);
-    s.busy.add(*cp, "busy", t);
-  }
-  cp_sem_.release();
+  return hold_cp(elems, MemParams::gather_move64(), perf::SpanKind::scatter64,
+                 &CpSlots::scatter_elems, "scatter_elems");
 }
 
 sim::Proc Node::cp_work(std::uint64_t instructions) {
-  co_await cp_sem_.acquire();
-  const SimTime t =
-      static_cast<std::int64_t>(instructions) * cp::CpuParams::instr_time();
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    cp->record({.start = sim_->now(),
-                .duration = t,
-                .n = instructions,
-                .kind = perf::SpanKind::cp_work});
-  }
-  co_await Delay{t};
-  cp_busy_ += t;
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    CpSlots& s = perf_cp_.slots();
-    s.instr.add(*cp, "instr", instructions);
-    s.busy.add(*cp, "busy", t);
-  }
-  cp_sem_.release();
+  return hold_cp(instructions, cp::CpuParams::instr_time(),
+                 perf::SpanKind::cp_work, &CpSlots::instr, "instr");
 }
 
 sim::Proc Node::scalar_recip(double x, double* out) {
@@ -504,24 +363,6 @@ sim::Proc Node::row_move(std::size_t rows) {
   }
   co_await Delay{t};
   vpu_sem_.release();
-}
-
-sim::Proc Node::link_send(int port, link::Packet p) {
-  p.src = id_;
-  if (p.trace != 0 && port >= 0 && port < link::LinkParams::kPhysicalLinks) {
-    // tscope enqueue marker for ISA-level link I/O (the machine path
-    // records its own in TSeries::send_dim).
-    if (perf::PerfSink* sink = perf_link_[static_cast<std::size_t>(port)]) {
-      sink->record({.start = sim_->now(),
-                    .trace = p.trace,
-                    .kind = perf::SpanKind::msg_enqueue});
-    }
-  }
-  co_await links_.send(port, std::move(p));
-}
-
-sim::Channel<link::Packet>& Node::link_inbox(int port, int sublink) {
-  return links_.inbox(port, sublink);
 }
 
 }  // namespace fpst::node

@@ -3,23 +3,19 @@
 //
 // Besides composing the substrates, the node exposes the *timed host-level
 // API* that the Occam runtime and the scientific kernels program against:
-// coroutine operations that hold the proper hardware resource (vector unit,
-// CP gather engine, link wire) for exactly the §II durations. TISA programs
-// can also be loaded and run on the node's control processor for
-// cycle-level studies.
+// coroutine operations that hold the proper hardware resource (vector unit
+// or CP) for exactly the §II durations; link I/O goes through links().
+// TISA programs can also be loaded and run on the node's control processor
+// for cycle-level studies.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "cp/cpu.hpp"
 #include "link/link.hpp"
 #include "mem/memory.hpp"
-#include "vpu/vpu.hpp"
 #include "perf/counters.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
@@ -59,33 +55,26 @@ struct NodeConfig {
   vpu::VpuMode vpu_mode = vpu::VpuMode::softfloat;
 };
 
-/// A vector operand resident in node memory: `rows` consecutive rows
-/// starting at `first_row`, holding `elems` 64-bit elements.
-struct Array64 {
+/// A vector operand resident in node memory: `rows()` consecutive rows
+/// starting at `first_row`, holding `elems` elements of host type `Elem`.
+/// A 1024-byte row holds 128 64-bit or 256 32-bit elements (§II Memory:
+/// "for 32-bit operations, the vectors are 256 elements long").
+template <class Elem>
+struct Array {
+  static constexpr std::size_t kPerRow =
+      mem::MemParams::kRowBytes / sizeof(Elem);
+
   std::size_t first_row = 0;
   std::size_t elems = 0;
 
-  std::size_t rows() const {
-    return (elems + mem::MemParams::kElems64 - 1) / mem::MemParams::kElems64;
-  }
+  std::size_t rows() const { return (elems + kPerRow - 1) / kPerRow; }
 };
-
-/// The 32-bit view: vectors of up to 256 single-precision elements per row
-/// (§II Memory: "for 32-bit operations, the vectors are 256 elements
-/// long").
-struct Array32 {
-  std::size_t first_row = 0;
-  std::size_t elems = 0;
-
-  std::size_t rows() const {
-    return (elems + mem::MemParams::kElems32 - 1) / mem::MemParams::kElems32;
-  }
-};
+using Array64 = Array<double>;
+using Array32 = Array<float>;
 
 class Node {
  public:
-  Node(sim::Simulator& sim, std::uint32_t id);
-  Node(sim::Simulator& sim, std::uint32_t id, NodeConfig cfg);
+  Node(sim::Simulator& sim, std::uint32_t id, NodeConfig cfg = {});
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -115,9 +104,14 @@ class Node {
   std::vector<float> read32(const Array32& a) const;
 
   // ---- timed operations (the public compute API) ----
-  /// Run one vector form over full arrays, strip-mining row by row. For
-  /// two-operand forms x and y must be equal length; z receives the result.
-  /// The vector unit is held for the whole strip-mined sequence.
+  // Each returns a lazily started process. Bad geometry or a form of the
+  // wrong kind fails that process with std::invalid_argument naming the
+  // call, so it surfaces as a sim::ProcError when the process runs.
+
+  /// Run one element-wise vector form over full arrays, strip-mining row by
+  /// row (one vector op per row, the vector unit held for each). x and z
+  /// must be equal length, and so must y for two-operand forms; z receives
+  /// the result. Reduction forms are rejected (use vreduce).
   sim::Proc vbinary(vpu::VectorForm form, const Array64& x, const Array64& y,
                     const Array64& z, vpu::OpResult* out = nullptr);
   /// Scalar-register forms (vsadd/vsmul/vsaxpy with scalar a).
@@ -125,11 +119,12 @@ class Node {
                     const Array64& y, const Array64& z,
                     vpu::OpResult* out = nullptr);
   /// Reductions (vsum/vdot/vmaxval) over full arrays; partial results from
-  /// each stripe are combined on the CP (one add per stripe).
+  /// each stripe are combined on the CP (one add per stripe). vdot needs x
+  /// and y of equal length; other forms are rejected.
   sim::Proc vreduce(vpu::VectorForm form, const Array64& x, const Array64& y,
                     double* result, std::size_t* arg_index = nullptr);
 
-  /// 32-bit variants of the strip-mined forms (256 elements per stripe).
+  /// 32-bit variants of vbinary and vscalar (256 elements per stripe).
   sim::Proc vbinary32(vpu::VectorForm form, const Array32& x,
                       const Array32& y, const Array32& z,
                       vpu::OpResult* out = nullptr);
@@ -157,14 +152,10 @@ class Node {
   /// paper's "moving data physically" idiom (row pivoting, record sort).
   sim::Proc row_move(std::size_t rows);
 
-  // ---- link I/O ----
-  sim::Proc link_send(int port, link::Packet p);
-  sim::Channel<link::Packet>& link_inbox(int port, int sublink);
-
   /// Attach perf collection: registers this node's "vpu", "cp" and "mem"
-  /// tracks with the registry and wires the substrate sinks. Spans from the
-  /// timed API land on the vpu/cp tracks of the registry's timeline. The
-  /// registry must outlive the node.
+  /// tracks with the registry and wires the substrate sinks (a machine adds
+  /// the link tracks). Spans from the timed API land on the vpu/cp tracks
+  /// of the registry's timeline. The registry must outlive the node.
   void attach_perf(perf::CounterRegistry& reg);
 
   // ---- statistics ----
@@ -173,9 +164,25 @@ class Node {
   sim::SimTime cp_busy() const { return cp_busy_; }
 
  private:
-  sim::Proc run_op(vpu::VectorOp op, vpu::OpResult* out);
-  /// The non-suspending halves of run_op, for the strip-mine loops that
-  /// inline its acquire/delay/release sequence.
+  /// The cp-track slots the timed API adds to.
+  struct CpSlots {
+    perf::BusySlot busy;
+    perf::CounterSlot instr, gather_elems, scatter_elems;
+  };
+
+  /// The one strip-mine loop behind vbinary, vscalar, vbinary32 and
+  /// vscalar32 (`call` names the public call in errors).
+  template <class Elem>
+  sim::Proc strip_mine(vpu::VectorForm form, double a, Array<Elem> x,
+                       Array<Elem> y, Array<Elem> z, vpu::OpResult* out,
+                       const char* call);
+  /// The one CP hold behind gather, gather32, scatter and cp_work: holds
+  /// the controller for `n` items of `per` each, records one `kind` span
+  /// and adds `n` to the cp-track counter `count` (named `count_name`).
+  sim::Proc hold_cp(std::uint64_t n, sim::SimTime per, perf::SpanKind kind,
+                    perf::CounterSlot CpSlots::*count, const char* count_name);
+  /// The non-suspending halves of one vector op, around the strip-mine
+  /// loops' acquire and delay.
   vpu::OpResult issue_op(const vpu::VectorOp& op);
   void retire_op(const vpu::OpResult& r);
 
@@ -188,17 +195,8 @@ class Node {
   link::NodeLinks links_;
   sim::Semaphore vpu_sem_;
   sim::Semaphore cp_sem_;
-  /// The cp-track slots the timed API adds to.
-  struct CpSlots {
-    perf::BusySlot busy;
-    perf::CounterSlot instr, gather_elems, scatter_elems;
-  };
-
   perf::PerfSink* perf_vpu_ = nullptr;
   perf::Probe<CpSlots> perf_cp_;
-  /// Per-port link tracks; wired only for ports with an attached cable so
-  /// standalone-node dumps don't grow empty link tracks.
-  std::array<perf::PerfSink*, link::LinkParams::kPhysicalLinks> perf_link_{};
   std::size_t next_row_a_ = 0;
   std::size_t next_row_b_ = mem::MemParams::kBankARows;
   sim::SimTime cp_busy_{};

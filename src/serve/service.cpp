@@ -37,7 +37,7 @@ const char* to_string(JobState s) {
 
 Service::Service(Options opts)
     : opts_{opts},
-      cache_{opts.cache_enabled ? opts.cache_bytes : 0},
+      cache_{opts.cache_bytes},
       queue_{opts.queue_capacity},
       born_{std::chrono::steady_clock::now()} {
   if (opts_.workers < 1) {
@@ -285,22 +285,20 @@ void Service::worker_loop() {
 
 void Service::run_job(JobRecord& rec) {
   // Cache first: a hit completes the job without building an engine.
-  if (opts_.cache_enabled) {
-    const auto cache_t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<const std::string> hit = cache_.lookup(rec.address);
-    const double cache_ms =
-        ms_between(cache_t0, std::chrono::steady_clock::now());
+  const auto cache_t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<const std::string> hit = cache_.lookup(rec.address);
+  const double cache_ms =
+      ms_between(cache_t0, std::chrono::steady_clock::now());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    rec.cache_ms = cache_ms;
     if (hit) {
-      std::lock_guard<std::mutex> lock(mu_);
-      rec.cache_ms = cache_ms;
       rec.result = std::move(hit);
       rec.cache_hit = true;
       rec.final_events = 0;
       finish_locked(rec, JobState::kDone);
       return;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    rec.cache_ms = cache_ms;
   }
   std::unique_ptr<JobRun> run;
   try {
@@ -326,9 +324,7 @@ void Service::run_job(JobRecord& rec) {
       engine_barrier_ns_ += out.engine_barrier_ns;
       finish_locked(rec, JobState::kDone);
     }
-    if (opts_.cache_enabled) {
-      cache_.insert(rec.address, std::move(out.dump));
-    }
+    cache_.insert(rec.address, std::move(out.dump));
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mu_);
     rec.running = nullptr;

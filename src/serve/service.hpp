@@ -140,11 +140,9 @@ class Service {
     int workers = 2;
     /// Bounded queue capacity — the backpressure point.
     std::size_t queue_capacity = 1024;
-    /// Result-cache byte budget (0 disables storage).
+    /// Result-cache byte budget. 0 turns the cache off: nothing is
+    /// stored, so every job simulates (bench_serve's cache-ablation arm).
     std::size_t cache_bytes = std::size_t{64} << 20;
-    /// Master cache switch; off means every job simulates (bench_serve's
-    /// cache-ablation arm).
-    bool cache_enabled = true;
   };
 
   explicit Service(Options opts);

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 #include "vpu/batch.hpp"
 
@@ -14,6 +15,7 @@ using fp::Flags;
 using fp::Ordering;
 using fp::T32;
 using fp::T64;
+using mem::VectorRegister;
 
 int multiplier_stages(Precision p) {
   return p == Precision::f32 ? VpuParams::kMulStages32
@@ -38,20 +40,131 @@ int pipeline_depth(VectorForm f, Precision p) {
 /// through the adder: (p0+p1), (p2+p3), (p4+p5) -> (q0+q1) -> (+q2).
 /// This exact order is part of the machine model; reductions are
 /// reproducible but need not match left-to-right summation.
-T64 collapse_partials64(const std::array<T64, VpuParams::kAdderStages>& p,
-                        Flags& fl) {
-  const T64 q0 = add(p[0], p[1], fl);
-  const T64 q1 = add(p[2], p[3], fl);
-  const T64 q2 = add(p[4], p[5], fl);
+template <class T>
+T collapse_partials(const std::array<T, VpuParams::kAdderStages>& p,
+                    Flags& fl) {
+  const T q0 = add(p[0], p[1], fl);
+  const T q1 = add(p[2], p[3], fl);
+  const T q2 = add(p[4], p[5], fl);
   return add(add(q0, q1, fl), q2, fl);
 }
 
-T32 collapse_partials32(const std::array<T32, VpuParams::kAdderStages>& p,
-                        Flags& fl) {
-  const T32 q0 = add(p[0], p[1], fl);
-  const T32 q1 = add(p[2], p[3], fl);
-  const T32 q2 = add(p[4], p[5], fl);
-  return add(add(q0, q1, fl), q2, fl);
+/// One element width of a register row: the 64-bit lanes (T64) or the
+/// 32-bit ones (T32).
+template <class T>
+struct Lane;
+
+template <>
+struct Lane<T64> {
+  static T64 get(const VectorRegister& r, std::size_t i) { return r.f64(i); }
+  static void set(VectorRegister& r, std::size_t i, T64 v) { r.set_f64(i, v); }
+  static T64 one() { return T64::from_double(1.0); }
+  static T64 scalar(T64 s, Flags&) { return s; }
+  static T64 result(T64 v) { return v; }
+};
+
+template <>
+struct Lane<T32> {
+  static T32 get(const VectorRegister& r, std::size_t i) { return r.f32(i); }
+  static void set(VectorRegister& r, std::size_t i, T32 v) { r.set_f32(i, v); }
+  static T32 one() { return T32::from_float(1.0f); }
+  /// The scalar register narrows once per op, raising flags.
+  static T32 scalar(T64 s, Flags& fl) { return T32::narrowed(s, fl); }
+  /// A reduction result widens for OpResult without raising flags.
+  static T64 result(T32 v) { return v.widened(); }
+};
+
+/// The softfloat arm (the oracle): one src/fp call per element, at the
+/// op's width T. Conversions cross widths and run only at f64.
+template <class T>
+OpResult execute_soft(const VectorOp& op, const VectorRegister& vx,
+                      const VectorRegister& vy, VectorRegister& vz) {
+  using L = Lane<T>;
+  constexpr bool kWide = std::is_same_v<T, T64>;
+  if (!kWide && (op.form == VectorForm::vcvt_widen ||
+                 op.form == VectorForm::vcvt_narrow)) {
+    throw std::invalid_argument(
+        "VectorUnit: conversions dispatch with prec=f64");
+  }
+  OpResult res;
+  Flags& fl = res.flags;
+  const T s = L::scalar(op.scalar, fl);
+
+  std::array<T, VpuParams::kAdderStages> partials{};
+  T best{};
+  std::size_t best_i = 0;
+
+  for (std::size_t i = 0; i < op.n; ++i) {
+    const T x = L::get(vx, i);
+    switch (op.form) {
+      case VectorForm::vadd:
+        L::set(vz, i, add(x, L::get(vy, i), fl));
+        break;
+      case VectorForm::vsub:
+        L::set(vz, i, sub(x, L::get(vy, i), fl));
+        break;
+      case VectorForm::vmul:
+        L::set(vz, i, mul(x, L::get(vy, i), fl));
+        break;
+      case VectorForm::vsadd:
+        L::set(vz, i, add(s, x, fl));
+        break;
+      case VectorForm::vsmul:
+        L::set(vz, i, mul(s, x, fl));
+        break;
+      case VectorForm::vsaxpy:
+        L::set(vz, i, add(mul(s, x, fl), L::get(vy, i), fl));
+        break;
+      case VectorForm::vneg:
+        L::set(vz, i, x.negated());
+        break;
+      case VectorForm::vabs:
+        L::set(vz, i, x.abs());
+        break;
+      case VectorForm::vsum:
+        partials[i % partials.size()] =
+            add(partials[i % partials.size()], x, fl);
+        break;
+      case VectorForm::vdot:
+        partials[i % partials.size()] = add(
+            partials[i % partials.size()], mul(x, L::get(vy, i), fl), fl);
+        break;
+      case VectorForm::vmaxval: {
+        if (i == 0 || compare(x, best, fl) == Ordering::greater) {
+          best = x;
+          best_i = i;
+        }
+        break;
+      }
+      case VectorForm::vcmp_le: {
+        const Ordering o = compare(x, L::get(vy, i), fl);
+        const bool le = o == Ordering::less || o == Ordering::equal;
+        L::set(vz, i, le ? L::one() : T{});
+        break;
+      }
+      case VectorForm::vcvt_widen:
+        // x row holds 32-bit elements; output 64-bit. Conversion of a
+        // signalling NaN raises invalid (quieted, payload preserved).
+        if constexpr (kWide) {
+          vz.set_f64(i, T32::from_bits(vx.u32(i)).widened(fl));
+        }
+        break;
+      case VectorForm::vcvt_narrow:
+        if constexpr (kWide) {
+          vz.set_u32(i, T32::narrowed(x, fl).bits());
+        }
+        break;
+    }
+  }
+
+  if (op.form == VectorForm::vsum || op.form == VectorForm::vdot) {
+    res.scalar_result = L::result(collapse_partials(partials, fl));
+  } else if (op.form == VectorForm::vmaxval) {
+    res.scalar_result = L::result(best);
+    res.reduction_index = best_i;
+  }
+  res.flops = flops_for(op);
+  return res;
 }
 
 /// Checked-mode divergence report: throws naming the op and the first
@@ -80,8 +193,8 @@ std::uint64_t flags_bits(const Flags& fl) {
 /// registers start zeroed, so whole-row comparison is exact), flags,
 /// scalar result bits, reduction index and flops accounting.
 void check_divergence(const VectorOp& op, const OpResult& soft,
-                      const mem::VectorRegister& soft_z, const OpResult& bat,
-                      const mem::VectorRegister& bat_z) {
+                      const VectorRegister& soft_z, const OpResult& bat,
+                      const VectorRegister& bat_z) {
   if (!is_reduction(op.form)) {
     if (op.form == VectorForm::vcvt_narrow ||
         (op.prec == Precision::f32 && op.form != VectorForm::vcvt_widen)) {
@@ -250,9 +363,9 @@ OpResult VectorUnit::execute(const VectorOp& op) {
   // Operand rows load once and the result row stores once regardless of
   // mode, so row_accesses_ and the perf sink's row_loads/row_stores are
   // mode-independent (the serve-layer byte-identical-dump contract).
-  mem::VectorRegister vx;
-  mem::VectorRegister vy;
-  mem::VectorRegister vz;
+  VectorRegister vx;
+  VectorRegister vy;
+  VectorRegister vz;
   memory_->load_row(op.row_x, vx);
   if (is_two_operand(op.form)) {
     memory_->load_row(op.row_y, vy);
@@ -260,20 +373,20 @@ OpResult VectorUnit::execute(const VectorOp& op) {
   OpResult r;
   switch (cfg_.mode) {
     case VpuMode::softfloat:
-      r = op.prec == Precision::f64 ? execute64(op, vx, vy, vz)
-                                    : execute32(op, vx, vy, vz);
+      r = op.prec == Precision::f64 ? execute_soft<T64>(op, vx, vy, vz)
+                                    : execute_soft<T32>(op, vx, vy, vz);
       break;
     case VpuMode::batch:
       r = op.prec == Precision::f64 ? batch::execute64(op, vx, vy, vz)
                                     : batch::execute32(op, vx, vy, vz);
       break;
     case VpuMode::checked: {
-      mem::VectorRegister bz;
+      VectorRegister bz;
       const OpResult bat = op.prec == Precision::f64
                                ? batch::execute64(op, vx, vy, bz)
                                : batch::execute32(op, vx, vy, bz);
-      r = op.prec == Precision::f64 ? execute64(op, vx, vy, vz)
-                                    : execute32(op, vx, vy, vz);
+      r = op.prec == Precision::f64 ? execute_soft<T64>(op, vx, vy, vz)
+                                    : execute_soft<T32>(op, vx, vy, vz);
       check_divergence(op, r, vz, bat, bz);
       break;
     }
@@ -314,167 +427,6 @@ OpResult VectorUnit::execute(const VectorOp& op) {
     }
   }
   return r;
-}
-
-OpResult VectorUnit::execute64(const VectorOp& op,
-                               const mem::VectorRegister& vx,
-                               const mem::VectorRegister& vy,
-                               mem::VectorRegister& vz) const {
-  OpResult res;
-  Flags& fl = res.flags;
-  const T64 s = op.scalar;
-
-  std::array<T64, VpuParams::kAdderStages> partials{};
-  T64 best{};
-  std::size_t best_i = 0;
-
-  for (std::size_t i = 0; i < op.n; ++i) {
-    const T64 x = vx.f64(i);
-    switch (op.form) {
-      case VectorForm::vadd:
-        vz.set_f64(i, add(x, vy.f64(i), fl));
-        break;
-      case VectorForm::vsub:
-        vz.set_f64(i, sub(x, vy.f64(i), fl));
-        break;
-      case VectorForm::vmul:
-        vz.set_f64(i, mul(x, vy.f64(i), fl));
-        break;
-      case VectorForm::vsadd:
-        vz.set_f64(i, add(s, x, fl));
-        break;
-      case VectorForm::vsmul:
-        vz.set_f64(i, mul(s, x, fl));
-        break;
-      case VectorForm::vsaxpy:
-        vz.set_f64(i, add(mul(s, x, fl), vy.f64(i), fl));
-        break;
-      case VectorForm::vneg:
-        vz.set_f64(i, x.negated());
-        break;
-      case VectorForm::vabs:
-        vz.set_f64(i, x.abs());
-        break;
-      case VectorForm::vsum:
-        partials[i % partials.size()] =
-            add(partials[i % partials.size()], x, fl);
-        break;
-      case VectorForm::vdot:
-        partials[i % partials.size()] = add(
-            partials[i % partials.size()], mul(x, vy.f64(i), fl), fl);
-        break;
-      case VectorForm::vmaxval: {
-        if (i == 0 || compare(x, best, fl) == Ordering::greater) {
-          best = x;
-          best_i = i;
-        }
-        break;
-      }
-      case VectorForm::vcmp_le: {
-        const Ordering o = compare(x, vy.f64(i), fl);
-        const bool le = o == Ordering::less || o == Ordering::equal;
-        vz.set_f64(i, T64::from_double(le ? 1.0 : 0.0));
-        break;
-      }
-      case VectorForm::vcvt_widen: {
-        // x row holds 32-bit elements; output 64-bit. Conversion of a
-        // signalling NaN raises invalid (quieted, payload preserved).
-        vz.set_f64(i, fp::T32::from_bits(vx.u32(i)).widened(fl));
-        break;
-      }
-      case VectorForm::vcvt_narrow: {
-        vz.set_u32(i, fp::T32::narrowed(x, fl).bits());
-        break;
-      }
-    }
-  }
-
-  if (op.form == VectorForm::vsum || op.form == VectorForm::vdot) {
-    res.scalar_result = collapse_partials64(partials, fl);
-  } else if (op.form == VectorForm::vmaxval) {
-    res.scalar_result = best;
-    res.reduction_index = best_i;
-  }
-  res.flops = flops_for(op);
-  return res;
-}
-
-OpResult VectorUnit::execute32(const VectorOp& op,
-                               const mem::VectorRegister& vx,
-                               const mem::VectorRegister& vy,
-                               mem::VectorRegister& vz) const {
-  OpResult res;
-  Flags& fl = res.flags;
-  T32 s = T32::narrowed(op.scalar, fl);
-
-  std::array<T32, VpuParams::kAdderStages> partials{};
-  T32 best{};
-  std::size_t best_i = 0;
-
-  for (std::size_t i = 0; i < op.n; ++i) {
-    const T32 x = vx.f32(i);
-    switch (op.form) {
-      case VectorForm::vadd:
-        vz.set_f32(i, add(x, vy.f32(i), fl));
-        break;
-      case VectorForm::vsub:
-        vz.set_f32(i, sub(x, vy.f32(i), fl));
-        break;
-      case VectorForm::vmul:
-        vz.set_f32(i, mul(x, vy.f32(i), fl));
-        break;
-      case VectorForm::vsadd:
-        vz.set_f32(i, add(s, x, fl));
-        break;
-      case VectorForm::vsmul:
-        vz.set_f32(i, mul(s, x, fl));
-        break;
-      case VectorForm::vsaxpy:
-        vz.set_f32(i, add(mul(s, x, fl), vy.f32(i), fl));
-        break;
-      case VectorForm::vneg:
-        vz.set_f32(i, x.negated());
-        break;
-      case VectorForm::vabs:
-        vz.set_f32(i, x.abs());
-        break;
-      case VectorForm::vsum:
-        partials[i % partials.size()] =
-            add(partials[i % partials.size()], x, fl);
-        break;
-      case VectorForm::vdot:
-        partials[i % partials.size()] = add(
-            partials[i % partials.size()], mul(x, vy.f32(i), fl), fl);
-        break;
-      case VectorForm::vmaxval: {
-        if (i == 0 || compare(x, best, fl) == Ordering::greater) {
-          best = x;
-          best_i = i;
-        }
-        break;
-      }
-      case VectorForm::vcmp_le: {
-        const Ordering o = compare(x, vy.f32(i), fl);
-        const bool le = o == Ordering::less || o == Ordering::equal;
-        vz.set_f32(i, T32::from_float(le ? 1.0f : 0.0f));
-        break;
-      }
-      case VectorForm::vcvt_widen:
-      case VectorForm::vcvt_narrow:
-        // Conversions are precision-crossing; dispatched via the f64 path.
-        throw std::invalid_argument(
-            "VectorUnit: conversions dispatch with prec=f64");
-    }
-  }
-
-  if (op.form == VectorForm::vsum || op.form == VectorForm::vdot) {
-    res.scalar_result = collapse_partials32(partials, fl).widened();
-  } else if (op.form == VectorForm::vmaxval) {
-    res.scalar_result = best.widened();
-    res.reduction_index = best_i;
-  }
-  res.flops = flops_for(op);
-  return res;
 }
 
 }  // namespace fpst::vpu

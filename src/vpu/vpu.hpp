@@ -14,8 +14,9 @@
 //     only on completion or error.
 //
 // The model is functional + timed: element arithmetic is bit-exact soft
-// float (src/fp) and execute() returns the duration the operation would
-// occupy the pipes, which the node charges to simulated time.
+// float (src/fp), one stripe loop serving both widths, and execute()
+// returns the duration the operation would occupy the pipes, which the
+// node charges to simulated time.
 #pragma once
 
 #include <array>
@@ -215,13 +216,6 @@ class VectorUnit {
   VpuMode mode() const { return cfg_.mode; }
 
  private:
-  OpResult execute64(const VectorOp& op, const mem::VectorRegister& vx,
-                     const mem::VectorRegister& vy,
-                     mem::VectorRegister& vz) const;
-  OpResult execute32(const VectorOp& op, const mem::VectorRegister& vx,
-                     const mem::VectorRegister& vy,
-                     mem::VectorRegister& vz) const;
-
   mem::NodeMemory* memory_;
   Config cfg_;
   /// The counter slots execute() adds to.

@@ -3,7 +3,9 @@
 // matching host float arithmetic.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "node/node.hpp"
@@ -118,12 +120,62 @@ TEST_F(Node32Test, SinglePrecisionFlushesToZeroToo) {
 }
 
 TEST_F(Node32Test, LengthMismatchFailsTheProcess) {
-  // The node ops are coroutines: geometry errors surface when the process
-  // runs (as a ProcError from the simulator), not at call time.
-  const Array32 x = node.alloc32(mem::Bank::A, 10);
-  const Array32 z = node.alloc32(mem::Bank::B, 12);
-  sim.spawn(node.vbinary32(VectorForm::vadd, x, x, z));
-  EXPECT_THROW(sim.run(), sim::ProcError);
+  // The node ops are coroutines: a length mismatch or a form of the wrong
+  // kind surfaces when the process runs (as a ProcError from the simulator
+  // naming the call), not at call time. Every strip-mined call, both ways.
+  const Array64 x = node.alloc64(mem::Bank::A, 10);
+  const Array64 z = node.alloc64(mem::Bank::B, 12);
+  const Array32 x32 = node.alloc32(mem::Bank::A, 10);
+  const Array32 z32 = node.alloc32(mem::Bank::B, 12);
+  double r = 0.0;
+  struct Row {
+    const char* call;
+    const char* error;
+    std::function<Proc(Node&)> start;
+  };
+  const std::vector<Row> rows = {
+      {"Node::vbinary", "length mismatch",
+       [&](Node& n) { return n.vbinary(VectorForm::vadd, x, x, z); }},
+      {"Node::vbinary", "reduction",
+       [&](Node& n) { return n.vbinary(VectorForm::vsum, x, x, x); }},
+      {"Node::vscalar", "length mismatch",
+       [&](Node& n) { return n.vscalar(VectorForm::vsaxpy, 2.0, x, z, x); }},
+      {"Node::vscalar", "reduction",
+       [&](Node& n) { return n.vscalar(VectorForm::vdot, 2.0, x, x, x); }},
+      {"Node::vbinary32", "length mismatch",
+       [&](Node& n) { return n.vbinary32(VectorForm::vadd, x32, x32, z32); }},
+      {"Node::vbinary32", "reduction",
+       [&](Node& n) {
+         return n.vbinary32(VectorForm::vmaxval, x32, x32, x32);
+       }},
+      {"Node::vscalar32", "length mismatch",
+       [&](Node& n) {
+         return n.vscalar32(VectorForm::vsmul, 2.0, x32, Array32{}, z32);
+       }},
+      {"Node::vscalar32", "reduction",
+       [&](Node& n) {
+         return n.vscalar32(VectorForm::vsum, 2.0, x32, x32, x32);
+       }},
+      {"Node::vreduce", "length mismatch",
+       [&](Node& n) { return n.vreduce(VectorForm::vdot, x, z, &r); }},
+      {"Node::vreduce", "not a reduction",
+       [&](Node& n) { return n.vreduce(VectorForm::vadd, x, x, &r); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.call) + ": " + row.error);
+    Simulator s;
+    Node n{s, 0};
+    s.spawn(row.start(n));
+    try {
+      s.run();
+      ADD_FAILURE() << "the process did not fail";
+    } catch (const sim::ProcError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(row.call) + ": "), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(row.error), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

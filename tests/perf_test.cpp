@@ -23,6 +23,7 @@
 #include "perf/counters.hpp"
 #include "perf/report.hpp"
 #include "sim/proc.hpp"
+#include "vpu/recip.hpp"
 
 namespace fpst {
 namespace {
@@ -240,37 +241,119 @@ TEST(Timeline, SpanInvariants) {
   }
 }
 
-TEST(Timeline, NodeOperationsAreTraced) {
-  // The node's timed API names each span after its operation: vector form
-  // and length, gather width, CP work, row moves.
+/// What one run of every timed node call leaves behind: span names and
+/// their summed durations on the vpu and cp tracks, simulated time, events,
+/// and every counter of those two tracks (durations in ps, keyed
+/// "<track>.<name>").
+struct TimedCallRun {
+  std::vector<std::string> names;
+  sim::SimTime span_time;
+  sim::SimTime now;
+  std::uint64_t events = 0;
+  std::map<std::string, std::int64_t> counters;
+};
+
+/// Issues each timed call of the node API once, at both precisions, over
+/// a ragged 300-element length: three f64 stripes (128 + 128 + 44) and two
+/// f32 stripes (256 + 44).
+TimedCallRun run_every_timed_call(node::NodeConfig cfg) {
   sim::Simulator sim;
-  node::Node nd{sim, 3};
+  node::Node nd{sim, 3, cfg};
   CounterRegistry reg;
   nd.attach_perf(reg);
-  const node::Array64 x = nd.alloc64(mem::Bank::A, 128);
-  const node::Array64 z = nd.alloc64(mem::Bank::B, 128);
-  sim.spawn([](node::Node* n, node::Array64 ax,
-               node::Array64 az) -> sim::Proc {
-    co_await n->vscalar(vpu::VectorForm::vsmul, 2.0, ax, node::Array64{}, az);
+  constexpr std::size_t kN = 300;
+  const node::Array64 x = nd.alloc64(mem::Bank::A, kN);
+  const node::Array64 y = nd.alloc64(mem::Bank::B, kN);
+  const node::Array64 z = nd.alloc64(mem::Bank::B, kN);
+  const node::Array32 x32 = nd.alloc32(mem::Bank::A, kN);
+  const node::Array32 y32 = nd.alloc32(mem::Bank::B, kN);
+  const node::Array32 z32 = nd.alloc32(mem::Bank::B, kN);
+  sim.spawn([](node::Node* n, node::Array64 ax, node::Array64 ay,
+               node::Array64 az, node::Array32 ax32, node::Array32 ay32,
+               node::Array32 az32) -> sim::Proc {
+    using vpu::VectorForm;
+    double r = 0.0;
+    std::size_t at = 0;
+    co_await n->vbinary(VectorForm::vadd, ax, ay, az);
+    co_await n->vscalar(VectorForm::vsaxpy, 2.0, ax, ay, az);
+    co_await n->vreduce(VectorForm::vdot, ax, ay, &r);
+    co_await n->vreduce(VectorForm::vmaxval, ax, node::Array64{}, &r, &at);
+    co_await n->vbinary32(VectorForm::vmul, ax32, ay32, az32);
+    co_await n->vscalar32(VectorForm::vsadd, 0.5, ax32, node::Array32{}, az32);
     co_await n->gather(16);
+    co_await n->gather32(16);
+    co_await n->scatter(16);
     co_await n->cp_work(100);
+    co_await n->scalar_recip(4.0, &r);
     co_await n->row_move(2);
-  }(&nd, x, z));
+  }(&nd, x, y, z, x32, y32, z32));
   sim.run();
+  TimedCallRun out;
+  out.now = sim.now();
+  out.events = sim.events_processed();
   const std::uint32_t vpu = reg.track(3, "vpu").track_id();
   const std::uint32_t cp = reg.track(3, "cp").track_id();
-  std::vector<std::string> names;
-  sim::SimTime busy{};
   for (const perf::Span& s : reg.timeline().snapshot()) {
     if (s.track == vpu || s.track == cp) {
-      names.push_back(perf::span_name(s));
-      busy += s.duration;
+      out.names.push_back(perf::span_name(s));
+      out.span_time += s.duration;
     }
   }
-  EXPECT_EQ(names, (std::vector<std::string>{"VSMUL n=128", "gather64 16",
-                                             "work 100 instr", "rowmove 2"}));
-  // Everything ran serially, so the vpu and cp spans tile the whole run.
-  EXPECT_EQ(busy, sim.now());
+  for (const char* track : {"vpu", "cp"}) {
+    const perf::PerfSink& sink = reg.track(3, track);
+    for (const auto& [name, v] : sink.counts()) {
+      out.counters[std::string(track) + "." + name] =
+          static_cast<std::int64_t>(v);
+    }
+    for (const auto& [name, t] : sink.times()) {
+      out.counters[std::string(track) + "." + name] = t.ps();
+    }
+  }
+  return out;
+}
+
+TEST(Timeline, NodeOperationsAreTraced) {
+  // The node's timed API names each span after its operation: vector form
+  // and stripe length, gather width, CP work (vreduce's combine step too),
+  // row moves. Simulated time, events and every vpu/cp counter are pinned
+  // exactly, with and without CP/VPU overlap; only the cp busy time
+  // differs, by the vector time the stalled controller is charged.
+  const std::vector<std::string> names = {
+      "VADD n=128",   "VADD n=128",    "VADD n=44",     "VSAXPY n=128",
+      "VSAXPY n=128", "VSAXPY n=44",   "VDOT n=128",    "VDOT n=128",
+      "VDOT n=44",    "work 12 instr", "VMAXVAL n=128", "VMAXVAL n=128",
+      "VMAXVAL n=44", "work 12 instr", "VMUL n=256",    "VMUL n=44",
+      "VSADD n=256",  "VSADD n=44",    "gather64 16",   "gather32 16",
+      "scatter64 16", "work 100 instr", "rowmove 2"};
+  const std::map<std::string, std::int64_t> counters = {
+      {"cp.busy", 80533292},           {"cp.gather_elems", 32},
+      {"cp.instr", 124},               {"cp.scatter_elems", 16},
+      {"vpu.adder_results", 1500},     {"vpu.busy", 265900000},
+      {"vpu.busy.VADD", 42150000},     {"vpu.busy.VDOT", 50325000},
+      {"vpu.busy.VMAXVAL", 47700000},  {"vpu.busy.VMUL", 40350000},
+      {"vpu.busy.VSADD", 40600000},    {"vpu.busy.VSAXPY", 44775000},
+      {"vpu.flops", 2400},             {"vpu.mul_results", 900},
+      {"vpu.ops", 16}};
+  for (const bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlap" : "no overlap");
+    const TimedCallRun run = run_every_timed_call({.overlap = overlap});
+    EXPECT_EQ(run.names, names);
+    EXPECT_EQ(run.now, sim::SimTime::picoseconds(360533292));
+    EXPECT_EQ(run.events, 53u);
+    // Everything ran serially, so the spans tile the run, except for
+    // scalar_recip: it holds the vector unit for its Newton steps (two
+    // multiplies and a subtract at pipe latency each) without a span.
+    const sim::SimTime recip =
+        vpu::kRecipIterations *
+        (2 * vpu::VpuParams::kMulStages64 + vpu::VpuParams::kAdderStages) *
+        vpu::VpuParams::cycle();
+    EXPECT_EQ(run.span_time + recip, run.now);
+    std::map<std::string, std::int64_t> want = counters;
+    if (!overlap) {
+      want["cp.busy"] += want["vpu.busy"];
+    }
+    EXPECT_EQ(run.counters, want);
+  }
 }
 
 TEST(Timeline, RingBoundsSpansAndReportsDrops) {

@@ -842,14 +842,20 @@ TEST(TmonTest, ChromeTraceEmitsOneSliceRowPerStage) {
 TEST(ServiceTest, CacheDisabledNeverHits) {
   serve::Service::Options opts;
   opts.workers = 1;
-  opts.cache_enabled = false;
+  opts.cache_bytes = 0;
   serve::Service service{opts};
   (void)service.wait(service.submit("t", small_spec(1)));
   const serve::JobStatus second =
       service.wait(service.submit("t", small_spec(1)));
   EXPECT_FALSE(second.cache_hit);
   EXPECT_GT(second.events, 0u);
-  EXPECT_EQ(service.stats().cache_hits, 0u);
+  // A zero budget is the off switch: every lookup misses and every insert
+  // is rejected as oversize.
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.cache.oversize_rejects, 2u);
+  EXPECT_EQ(stats.cache.entries, 0u);
 }
 
 }  // namespace

@@ -562,8 +562,7 @@ int cmd_run_server(int argc, char** argv) {
     std::fprintf(stderr, "tsim: run-server needs --socket PATH\n");
     return 2;
   }
-  opts.cache_bytes = cache_mb << 20;
-  opts.cache_enabled = !no_cache;
+  opts.cache_bytes = no_cache ? 0 : cache_mb << 20;
   std::fprintf(stderr, "tsim: serving on %s (%d workers)\n",
                socket_path.c_str(), opts.workers);
   return run_server(socket_path, opts, nullptr);

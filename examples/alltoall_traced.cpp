@@ -20,7 +20,6 @@
 // parallel alike.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +30,7 @@
 #include "perf/counters.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/proc.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
@@ -51,24 +51,19 @@ sim::Proc drain(occam::Ctx* ctx, std::size_t peers, double* sum) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // From a 5-cube up, every node injecting all its sends at once saturates
+  // the store-and-forward routers into a communication deadlock.
+  std::string out = "alltoall.json";
+  int dim = 4;
   int threads = 1;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads") {
-      if (i + 1 >= argc || (threads = std::atoi(argv[++i])) < 1) {
-        std::fprintf(stderr,
-                     "usage: alltoall_traced [out.json] [dimension] "
-                     "[--threads N]\n");
-        return 2;
-      }
-    } else {
-      pos.push_back(arg);
-    }
+  if (!tools::Flags{"alltoall_traced"}
+           .text("out.json", &out)
+           .number("dimension", &dim, 0, 4)
+           .number("--threads", &threads, 1)
+           .parse(argc, argv)) {
+    return 2;
   }
-  const std::string out = !pos.empty() ? pos[0] : "alltoall.json";
-  const int dim = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 4;
 
   std::unique_ptr<sim::Simulator> sim;
   std::unique_ptr<sim::ParallelSim> psim;
@@ -132,4 +127,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (...) {
+  return tools::refused("alltoall_traced");
 }

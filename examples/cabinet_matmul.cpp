@@ -8,20 +8,24 @@
 // the product against a host reference.
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "kernels/kernels.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // Each node keeps n/16 rows of C and of the B panel: n = 1024 fills 1 MB.
   std::size_t n = 128;
-  if (argc > 1) {
-    n = static_cast<std::size_t>(std::atoll(argv[1]));
+  if (!tools::Flags{"cabinet_matmul"}
+           .number("n", &n, 16, 1024)
+           .parse(argc, argv)) {
+    return 2;
   }
   constexpr int kDim = 4;  // one cabinet: 16 nodes
   if (n % (1u << kDim) != 0) {
-    std::fprintf(stderr, "n must be a multiple of 16\n");
+    std::fprintf(stderr, "cabinet_matmul: n: %zu is not a multiple of 16\n",
+                 n);
     return 2;
   }
 
@@ -54,4 +58,6 @@ int main(int argc, char** argv) {
               "(paper's rule wants >= ~130)\n",
               n / (1u << kDim), 2 * (n / (1u << kDim)));
   return max_err < 1e-9 ? 0 : 1;
+} catch (...) {
+  return tools::refused("cabinet_matmul");
 }

@@ -7,11 +7,11 @@
 //   $ ./cg_solver [n] [dim] [iters]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "kernels/kernels.hpp"
 #include "occam/occam.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
@@ -27,18 +27,18 @@ double a_elem(std::size_t i, std::size_t j, std::size_t n) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // One row of A (n doubles) fits a node's bank A up to n = 32768; the
+  // node allocator refuses a split whose rows do not all fit.
   std::size_t n = 128;
   int dim = 3;
   int iters = 20;
-  if (argc > 1) {
-    n = static_cast<std::size_t>(std::atoll(argv[1]));
-  }
-  if (argc > 2) {
-    dim = std::atoi(argv[2]);
-  }
-  if (argc > 3) {
-    iters = std::atoi(argv[3]);
+  if (!tools::Flags{"cg_solver"}
+           .number("n", &n, 1, 32768)
+           .number("dim", &dim, 0, 14)
+           .number("iters", &iters, 1)
+           .parse(argc, argv)) {
+    return 2;
   }
 
   sim::Simulator sim;
@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   occam::Runtime rt{machine};
   const std::size_t nodes = machine.size();
   if (n % nodes != 0) {
-    std::fprintf(stderr, "n must divide by %zu\n", nodes);
+    std::fprintf(stderr, "cg_solver: n: %zu is not a multiple of %zu nodes\n",
+                 n, nodes);
     return 2;
   }
   const std::size_t blk = n / nodes;
@@ -176,4 +177,6 @@ int main(int argc, char** argv) {
   const bool converged = true_res < 1e-8;
   std::printf("  converged to 1e-8: %s\n", converged ? "yes" : "NO");
   return converged ? 0 : 1;
+} catch (...) {
+  return tools::refused("cg_solver");
 }

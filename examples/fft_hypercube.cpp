@@ -5,20 +5,21 @@
 //   $ ./fft_hypercube [log2_points] [dim]
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "kernels/kernels.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // The host keeps every point and a reference copy: 2^24 points is ~1 GB.
   int log2_n = 12;
   int dim = 3;
-  if (argc > 1) {
-    log2_n = std::atoi(argv[1]);
-  }
-  if (argc > 2) {
-    dim = std::atoi(argv[2]);
+  if (!tools::Flags{"fft_hypercube"}
+           .number("log2_points", &log2_n, 1, 24)
+           .number("dim", &dim, 0, 14)
+           .parse(argc, argv)) {
+    return 2;
   }
   const std::size_t n = std::size_t{1} << log2_n;
 
@@ -50,4 +51,6 @@ int main(int argc, char** argv) {
               static_cast<double>(r.link_bytes) / 1e3);
   std::printf("  max |X - ref|     : %g\n", max_err);
   return max_err < 1e-6 ? 0 : 1;
+} catch (...) {
+  return tools::refused("fft_hypercube");
 }

@@ -5,22 +5,23 @@
 //
 //   $ ./occam_pipeline [blocks] [block_elems]
 #include <cstdio>
-#include <cstdlib>
 
 #include "kernels/kernels.hpp"
 #include "net/hypercube.hpp"
 #include "occam/occam.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  // A stage holds one block in its bank A: 256 rows of 128 doubles.
   std::size_t blocks = 16;
   std::size_t elems = 128;
-  if (argc > 1) {
-    blocks = static_cast<std::size_t>(std::atoll(argv[1]));
-  }
-  if (argc > 2) {
-    elems = static_cast<std::size_t>(std::atoll(argv[2]));
+  if (!tools::Flags{"occam_pipeline"}
+           .number("blocks", &blocks, 1)
+           .number("block_elems", &elems, 1, 32768)
+           .parse(argc, argv)) {
+    return 2;
   }
 
   sim::Simulator sim;
@@ -81,4 +82,6 @@ int main(int argc, char** argv) {
               sink_checksums.size(), sink_checksums.front(),
               sink_checksums.back());
   return sink_checksums.size() == blocks ? 0 : 1;
+} catch (...) {
+  return tools::refused("occam_pipeline");
 }

@@ -9,36 +9,38 @@
 // when the static prediction and this measurement diverge.
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "cp/assembler.hpp"
 #include "node/node.hpp"
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
-int main(int argc, char** argv) {
-  if (argc < 2 || argc > 3) {
-    std::fprintf(stderr, "usage: tisa_traced <prog.tisa> [out.json]\n");
+int main(int argc, char** argv) try {
+  std::string path;
+  std::string out = "tisa_traced.json";
+  tools::Flags flags{"tisa_traced"};
+  flags.text("prog.tisa", &path).text("out.json", &out);
+  if (!flags.parse(argc, argv)) {
     return 2;
   }
-  const std::string path = argv[1];
-  const std::string out = argc > 2 ? argv[2] : "tisa_traced.json";
-
-  std::ifstream in(path);
-  if (!in) {
+  if (!flags.seen("prog.tisa")) {
+    std::fprintf(stderr,
+                 "tisa_traced: usage: tisa_traced <prog.tisa> [out.json]\n");
+    return 2;
+  }
+  std::string text;
+  if (!tools::slurp(path, &text)) {
     std::fprintf(stderr, "tisa_traced: cannot read %s\n", path.c_str());
     return 2;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
 
   cp::Program prog;
   try {
-    prog = cp::assemble(ss.str());
+    prog = cp::assemble(text);
   } catch (const cp::AsmError& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
     return 2;
@@ -74,4 +76,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s — diff with `tcheck --predict %s --against %s`\n",
               out.c_str(), path.c_str(), out.c_str());
   return 0;
+} catch (...) {
+  return tools::refused("tisa_traced");
 }

@@ -17,7 +17,6 @@
 // ci.sh asserts that equivalence to within 1%.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "perf/counters.hpp"
 #include "sim/parallel_sim.hpp"
 #include "sim/proc.hpp"
+#include "tool_util.hpp"
 
 using namespace fpst;
 
@@ -39,21 +39,15 @@ constexpr std::size_t kElems = 128;  // one full 64-bit row
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  std::string out = "traced_saxpy.json";
   int threads = 1;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads") {
-      if (i + 1 >= argc || (threads = std::atoi(argv[++i])) < 1) {
-        std::fprintf(stderr, "usage: traced_saxpy [out.json] [--threads N]\n");
-        return 2;
-      }
-    } else {
-      pos.push_back(arg);
-    }
+  if (!tools::Flags{"traced_saxpy"}
+           .text("out.json", &out)
+           .number("--threads", &threads, 1)
+           .parse(argc, argv)) {
+    return 2;
   }
-  const std::string out = !pos.empty() ? pos[0] : "traced_saxpy.json";
   constexpr int kDim = 2;
 
   std::unique_ptr<sim::Simulator> sim;
@@ -129,4 +123,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(machine.size() * (machine.size() + 1)) / 2
              ? 0
              : 1;
+} catch (...) {
+  return tools::refused("traced_saxpy");
 }

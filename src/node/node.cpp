@@ -168,7 +168,6 @@ vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
 
 void Node::retire_op(const vpu::OpResult& r) {
   if (!cfg_.overlap) {
-    cp_busy_ += r.duration;
     if (perf::PerfSink* cp = perf_cp_.sink()) {
       // The stalled controller is occupied for the whole vector op.
       perf_cp_.slots().busy.add(*cp, "busy", r.duration);
@@ -309,7 +308,6 @@ sim::Proc Node::hold_cp(std::uint64_t n, SimTime per, perf::SpanKind kind,
     cp->record({.start = sim_->now(), .duration = t, .n = n, .kind = kind});
   }
   co_await Delay{t};
-  cp_busy_ += t;
   if (perf::PerfSink* cp = perf_cp_.sink()) {
     CpSlots& s = perf_cp_.slots();
     (s.*count).add(*cp, count_name, n);

@@ -85,7 +85,6 @@ class Node {
   vpu::VectorUnit& vector_unit() { return vpu_; }
   cp::Cpu& cpu() { return cpu_; }
   link::NodeLinks& links() { return links_; }
-  const NodeConfig& config() const { return cfg_; }
 
   // ---- row allocation (bank-aware) ----
   /// Allocate `rows` consecutive rows in bank A or B. Throws when full.
@@ -159,9 +158,7 @@ class Node {
   void attach_perf(perf::CounterRegistry& reg);
 
   // ---- statistics ----
-  sim::SimTime vpu_busy() const { return vpu_.total_busy(); }
   std::uint64_t flops() const { return vpu_.total_flops(); }
-  sim::SimTime cp_busy() const { return cp_busy_; }
 
  private:
   /// The cp-track slots the timed API adds to.
@@ -199,7 +196,6 @@ class Node {
   perf::Probe<CpSlots> perf_cp_;
   std::size_t next_row_a_ = 0;
   std::size_t next_row_b_ = mem::MemParams::kBankARows;
-  sim::SimTime cp_busy_{};
 };
 
 }  // namespace fpst::node

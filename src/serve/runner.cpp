@@ -158,7 +158,7 @@ JobRun::JobRun(JobSpec spec) : spec_{std::move(spec)} {
 JobRun::~JobRun() = default;
 
 std::uint64_t JobRun::progress() const {
-  return psim_ ? psim_->progress() : sim_->progress();
+  return psim_ ? psim_->events_processed() : sim_->events_processed();
 }
 
 RunOutcome JobRun::execute() {

@@ -72,9 +72,9 @@ class JobRun {
   JobRun& operator=(const JobRun&) = delete;
 
   /// Events executed so far. Safe from any thread while another thread is
-  /// inside execute() — backed by Simulator::progress() /
-  /// ParallelSim::progress() (single-writer relaxed atomics; monotonic,
-  /// no synchronizes-with edge).
+  /// inside execute() — backed by Simulator::events_processed() /
+  /// ParallelSim::events_processed() (single-writer relaxed atomics;
+  /// monotonic, no synchronizes-with edge).
   std::uint64_t progress() const;
 
   /// Run the program to completion and serialise the dump. Call once,

@@ -12,7 +12,7 @@
 //              events, cache_hit = true
 //        miss: a JobRun executes the spec on this worker's core budget;
 //              while it runs, status() streams the live event count via
-//              Simulator::progress(); the dump bytes are stored in the
+//              JobRun::progress(); the dump bytes are stored in the
 //              cache and on the record
 //     -> kDone (or kFailed with the error string)
 //

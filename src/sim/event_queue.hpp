@@ -123,12 +123,6 @@ class EventQueue {
     return fn;
   }
 
-  /// Introspection for tests and the engine bench: storage committed to
-  /// the pools (high-water marks, not live counts).
-  std::size_t slab_capacity() const { return slab_.size(); }
-  std::size_t bucket_capacity() const { return buckets_.size(); }
-  std::size_t distinct_times() const { return heap_.size(); }
-
  private:
   /// 4-ary heap entry: one per distinct pending timestamp (times in the
   /// heap are unique, so time alone is the key).

@@ -1,6 +1,7 @@
 #include "sim/parallel_sim.hpp"
 
 #include <algorithm>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,7 +11,6 @@
 #include <thread>
 
 #include "sim/proc.hpp"  // completes Proc for Simulator's root-frame vector
-#include "sim/tree_barrier.hpp"
 
 namespace fpst::sim {
 
@@ -366,7 +366,7 @@ std::uint64_t ParallelSim::run() {
   if (!stop_) {
     const int nworkers = threads_;
     running_ = true;
-    TreeBarrier sync(nworkers, [this]() noexcept { serial_phase(); });
+    std::barrier sync(nworkers, [this]() noexcept { serial_phase(); });
     std::mutex err_mu;
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(nworkers));
@@ -374,8 +374,7 @@ std::uint64_t ParallelSim::run() {
       pool.emplace_back([this, w, nworkers, &sync, &err_mu] {
         // Worker w owns the contiguous Gray-coded shard block
         // [w*S/W, (w+1)*S/W): neighbouring subcubes stay on one worker
-        // (and, first-touch, on one NUMA node), and the barrier tree's
-        // sibling leaves are adjacent subcube groups.
+        // (and, first-touch, on one NUMA node).
         const int s_begin = (w * shards()) / nworkers;
         const int s_end = ((w + 1) * shards()) / nworkers;
         while (!stop_) {
@@ -419,7 +418,7 @@ std::uint64_t ParallelSim::run() {
                 wall_ns_since(t0), std::memory_order_relaxed);
           }
           const auto tb = std::chrono::steady_clock::now();
-          sync.arrive_and_wait(w);
+          sync.arrive_and_wait();
           worker_barrier_ns_[static_cast<std::size_t>(w)].v.fetch_add(
               wall_ns_since(tb), std::memory_order_relaxed);
         }
@@ -454,14 +453,6 @@ std::uint64_t ParallelSim::events_processed() const {
   return total;
 }
 
-std::uint64_t ParallelSim::progress() const {
-  std::uint64_t total = 0;
-  for (const auto& sim : sims_) {
-    total += sim->progress();
-  }
-  return total;
-}
-
 ParallelSim::Profile ParallelSim::profile() const {
   Profile p;
   p.epochs = epochs_.load(std::memory_order_relaxed);
@@ -475,7 +466,7 @@ ParallelSim::Profile ParallelSim::profile() const {
   for (std::size_t s = 0; s < sims_.size(); ++s) {
     p.shard_busy_ns.push_back(
         shard_busy_ns_[s].v.load(std::memory_order_relaxed));
-    p.shard_events.push_back(sims_[s]->progress());
+    p.shard_events.push_back(sims_[s]->events_processed());
     p.shard_syncs.push_back(
         shard_syncs_[s].v.load(std::memory_order_relaxed));
   }

@@ -58,13 +58,13 @@
 //     in (timestamp, trace id, shard id) order, which the determinism
 //     tests pin across thread counts.
 //
-//   * Workers meet at a combining-tree barrier (tree_barrier.hpp) rather
-//     than a flat counter: each worker owns a *contiguous block* of
-//     Gray-coded shards, so sibling leaves of the tree are neighbouring
-//     subcube halves and the barrier follows the cube hierarchy. The
-//     contiguous blocks also give first-touch locality — a worker's
-//     mailbox rows and event pools are touched only by that worker during
-//     parallel phases, so on NUMA hosts they settle on the worker's node.
+//   * Workers meet at one std::barrier whose completion step is the
+//     serial phase: it runs once per epoch on one thread after every
+//     worker has arrived, and it happens-before every worker's return
+//     from the wait. Each worker owns a *contiguous block* of Gray-coded
+//     shards, which gives first-touch locality — a worker's mailbox rows
+//     and event pools are touched only by that worker during parallel
+//     phases, so on NUMA hosts they settle on the worker's node.
 //
 // Worker-thread count is independent of the shard count: because each
 // shard's epoch work is sequential-deterministic, the epoch horizons are
@@ -216,16 +216,13 @@ class ParallelSim {
   /// completion time after run(); epoch padding is excluded).
   SimTime now() const;
 
-  /// Total events executed across all shards since construction. Intended
-  /// for the driving thread between runs; during a run prefer progress().
+  /// Total events executed across all shards since construction: the sum
+  /// of every shard's Simulator::events_processed(). Safe from any thread
+  /// while the workers run; the per-shard counters are single-writer
+  /// relaxed atomics, so the sum is monotonically nondecreasing but
+  /// carries no synchronizes-with edge — see
+  /// Simulator::events_processed() for the full memory-order contract.
   std::uint64_t events_processed() const;
-
-  /// Live machine-wide event-count snapshot, safe from any thread while
-  /// the workers run: the sum of every shard's Simulator::progress(). The
-  /// per-shard counters are single-writer relaxed atomics, so the sum is
-  /// monotonically nondecreasing but carries no synchronizes-with edge —
-  /// see Simulator::progress() for the full memory-order contract.
-  std::uint64_t progress() const;
 
   /// Where the engine's wall-clock goes — the answer to "why does scaling
   /// flatten". Host-time accumulators since construction:
@@ -262,10 +259,11 @@ class ParallelSim {
   };
 
   /// Snapshot of the accumulators, safe from any thread while the workers
-  /// run. Same memory-order contract as progress(): every accumulator has
-  /// a single writer (the owning worker for per-shard/per-worker slots,
-  /// the coordinator for the epoch-wide ones) storing relaxed; readers get
-  /// monotonically nondecreasing values with no synchronizes-with edge.
+  /// run. Same memory-order contract as events_processed(): every
+  /// accumulator has a single writer (the owning worker for
+  /// per-shard/per-worker slots, the coordinator for the epoch-wide ones)
+  /// storing relaxed; readers get monotonically nondecreasing values with
+  /// no synchronizes-with edge.
   Profile profile() const;
 
  private:

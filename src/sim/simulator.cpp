@@ -52,7 +52,7 @@ bool Simulator::step() {
   }
   // Single-writer counter: a relaxed load+store (not fetch_add) avoids the
   // locked RMW in the hot loop while staying exact, since only this thread
-  // writes. Cross-thread readers go through progress().
+  // writes. Cross-thread readers go through events_processed().
   events_processed_.store(events_processed_.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
   if (finished_roots_ > 0) {

@@ -89,14 +89,9 @@ class Simulator {
   /// completion time of the model's activity.
   SimTime last_event_time() const { return last_event_; }
 
-  /// Total events executed since construction (for the engine bench).
-  std::uint64_t events_processed() const {
-    return events_processed_.load(std::memory_order_relaxed);
-  }
-
-  /// Live event-count snapshot, safe to call from *any* thread while a
-  /// different thread drives run()/step() — the serve layer's status
-  /// streaming reads it while a worker executes the job.
+  /// Total events executed since construction. Safe to call from *any*
+  /// thread while a different thread drives run()/step() — the serve
+  /// layer's status streaming reads it while a worker executes the job.
   ///
   /// Memory-order contract: the counter is written only by the driving
   /// thread (step() is single-threaded by construction) with a relaxed
@@ -106,7 +101,7 @@ class Simulator {
   /// orders with no other simulator state. Any inference about model state
   /// (results, queues, roots) must go through an external acquire/release
   /// edge such as joining the driving thread or a mutex handoff.
-  std::uint64_t progress() const {
+  std::uint64_t events_processed() const {
     return events_processed_.load(std::memory_order_relaxed);
   }
 
@@ -127,8 +122,8 @@ class Simulator {
 
   SimTime now_{};
   SimTime last_event_{};
-  /// Single writer (the thread inside step()); see progress() for the
-  /// cross-thread read contract. Relaxed load+store keeps the hot event
+  /// Single writer (the thread inside step()); see events_processed() for
+  /// the cross-thread read contract. Relaxed load+store keeps the hot event
   /// loop at plain-move cost — no lock prefix — because there is exactly
   /// one writer.
   std::atomic<std::uint64_t> events_processed_{0};

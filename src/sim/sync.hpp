@@ -43,15 +43,6 @@ class Event {
     waiters_.clear();
   }
 
-  void notify_one() {
-    if (!waiters_.empty()) {
-      sim_->schedule_resume(SimTime{}, waiters_.front());
-      waiters_.pop_front();
-    }
-  }
-
-  std::size_t waiter_count() const { return waiters_.size(); }
-
  private:
   Simulator* sim_;
   std::deque<std::coroutine_handle<>> waiters_;
@@ -95,31 +86,10 @@ class Semaphore {
     }
   }
 
-  std::size_t available() const { return count_; }
-  std::size_t queue_length() const { return waiters_.size(); }
-
  private:
   Simulator* sim_;
   std::size_t count_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// RAII permit for Semaphore within a process:
-///   co_await sem.acquire();  ... ; sem.release();
-/// or use `ScopedPermit guard{sem};` after acquiring.
-class ScopedPermit {
- public:
-  explicit ScopedPermit(Semaphore& sem) : sem_{&sem} {}
-  ScopedPermit(const ScopedPermit&) = delete;
-  ScopedPermit& operator=(const ScopedPermit&) = delete;
-  ~ScopedPermit() {
-    if (sem_ != nullptr) {
-      sem_->release();
-    }
-  }
-
- private:
-  Semaphore* sem_;
 };
 
 /// Unbuffered CSP channel (Occam's `!` and `?`): a send rendezvouses with
@@ -173,13 +143,6 @@ class Channel {
     return SendAwaiter{this, std::move(value)};
   }
   [[nodiscard]] RecvAwaiter recv() { return RecvAwaiter{this}; }
-
-  /// True if a sender is blocked on this channel — the guard test used by
-  /// the Occam ALT construct.
-  bool ready() const { return !senders_.empty(); }
-
-  std::size_t pending_sends() const { return senders_.size(); }
-  std::size_t pending_recvs() const { return receivers_.size(); }
 
  private:
   struct PendingSend {

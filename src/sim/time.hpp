@@ -43,7 +43,6 @@ class SimTime {
   constexpr std::int64_t ps() const { return ps_; }
   constexpr double ns() const { return static_cast<double>(ps_) * 1e-3; }
   constexpr double us() const { return static_cast<double>(ps_) * 1e-6; }
-  constexpr double ms() const { return static_cast<double>(ps_) * 1e-9; }
   constexpr double sec() const { return static_cast<double>(ps_) * 1e-12; }
 
   constexpr bool is_zero() const { return ps_ == 0; }

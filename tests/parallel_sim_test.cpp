@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,41 +197,56 @@ TEST(ParallelSimTest, CrossShardPingPongIsDeterministicAcrossThreads) {
 }
 
 TEST(ParallelSimTest, ProfileCountersAreConsistentAcrossThreadCounts) {
-  const auto run_with = [](int threads) {
+  const auto run_with = [](int shards, int threads) {
     ParallelSim::Options po = two_shards();
+    po.shards = shards;
     po.threads = threads;
     ParallelSim psim{po};
-    // Local work on both shards plus cross-shard mail, spread over several
-    // lookahead windows so multiple epochs execute.
+    // Local work on every shard plus cross-shard mail from each shard to
+    // the next, spread over several lookahead windows so multiple epochs
+    // execute.
     for (int i = 0; i < 8; ++i) {
       const SimTime at = SimTime::microseconds(5 + 10 * i);
-      psim.shard(0).schedule_at(at, [] {});
-      psim.shard(1).schedule_at(at, [] {});
-      psim.post(0, 1, at + SimTime::microseconds(10),
-                static_cast<std::uint64_t>(i), [] {});
+      for (int s = 0; s < shards; ++s) {
+        psim.shard(s).schedule_at(at, [] {});
+        if (s + 1 < shards) {
+          psim.post(s, s + 1, at + SimTime::microseconds(10),
+                    static_cast<std::uint64_t>(i), [] {});
+        }
+      }
     }
     psim.run();
     return std::make_pair(psim.profile(), psim.events_processed());
   };
-  const auto [p1, ev1] = run_with(1);
-  const auto [p2, ev2] = run_with(2);
-  ASSERT_EQ(p1.shard_events.size(), 2u);
-  ASSERT_EQ(p2.shard_events.size(), 2u);
-  EXPECT_EQ(p2.worker_barrier_ns.size(), 2u);
-  // Every executed event is attributed to exactly one shard.
-  EXPECT_EQ(p1.shard_events[0] + p1.shard_events[1], ev1);
-  EXPECT_EQ(p2.shard_events[0] + p2.shard_events[1], ev2);
-  // The deterministic profile fields (epochs, per-shard event counts, mail
-  // deliveries) are pure functions of the event program and the lookahead
-  // windows — never of the worker-thread count. epochs in particular flows
-  // into the serve layer's dump *body*, so this is the property the
-  // determinism gates lean on.
-  EXPECT_EQ(ev1, ev2);
-  EXPECT_GT(p1.epochs, 0u);
-  EXPECT_EQ(p1.epochs, p2.epochs);
-  EXPECT_EQ(p1.shard_events, p2.shard_events);
-  EXPECT_EQ(p1.mail_delivered, p2.mail_delivered);
-  EXPECT_EQ(p1.mail_delivered, 8u);
+  // Odd worker counts split the 8 shards into uneven contiguous blocks.
+  const std::vector<std::pair<int, std::vector<int>>> configs = {
+      {2, {1, 2}}, {8, {1, 3, 5, 8}}};
+  for (const auto& [shards, thread_counts] : configs) {
+    const auto [p1, ev1] = run_with(shards, 1);
+    EXPECT_GT(p1.epochs, 0u);
+    EXPECT_EQ(p1.mail_delivered, 8u * static_cast<std::uint64_t>(shards - 1));
+    for (const int threads : thread_counts) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      const auto [p, ev] = run_with(shards, threads);
+      ASSERT_EQ(p.shard_events.size(), static_cast<std::size_t>(shards));
+      EXPECT_EQ(p.worker_barrier_ns.size(), static_cast<std::size_t>(threads));
+      // Every executed event is attributed to exactly one shard.
+      EXPECT_EQ(std::accumulate(p.shard_events.begin(), p.shard_events.end(),
+                                std::uint64_t{0}),
+                ev);
+      // The deterministic profile fields (epochs, per-shard event counts,
+      // mail deliveries) are pure functions of the event program and the
+      // lookahead windows — never of the worker-thread count. Equal epochs
+      // pins that the serial phase runs exactly once per epoch, and epochs
+      // flows into the serve layer's dump *body*, so this is the property
+      // the determinism gates lean on.
+      EXPECT_EQ(ev, ev1);
+      EXPECT_EQ(p.epochs, p1.epochs);
+      EXPECT_EQ(p.shard_events, p1.shard_events);
+      EXPECT_EQ(p.mail_delivered, p1.mail_delivered);
+    }
+  }
 }
 
 TEST(ParallelSimTest, WorkerExceptionIsRethrown) {
@@ -477,13 +493,17 @@ double alltoall_expect(int dim) {
 }
 
 TEST(ParallelMachineTest, AllToAllDumpsAreIdenticalAcrossThreadCounts) {
+  // 3 workers take the uneven shard blocks [0,1), [1,2) and [2,4).
   std::string t1;
   std::string t2;
+  std::string t3;
   std::string t4;
   EXPECT_EQ(run_alltoall(4, 4, 1, &t1), alltoall_expect(4));
   EXPECT_EQ(run_alltoall(4, 4, 2, &t2), alltoall_expect(4));
+  EXPECT_EQ(run_alltoall(4, 4, 3, &t3), alltoall_expect(4));
   EXPECT_EQ(run_alltoall(4, 4, 4, &t4), alltoall_expect(4));
   EXPECT_EQ(t1, t2);
+  EXPECT_EQ(t1, t3);
   EXPECT_EQ(t1, t4);
   EXPECT_FALSE(t1.empty());
 }

@@ -1,5 +1,6 @@
 // Shared plumbing for the command-line tools (tcheck, ttrace, tscope,
-// tsim, tmon) and the benches that read flags.
+// tsim, tmon), the benches that read flags and the examples that take
+// arguments.
 //
 // One implementation of each fragment the binaries would otherwise copy:
 // the flag table that is their only argv parser, file slurp and write,
@@ -30,6 +31,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -44,12 +46,14 @@ namespace fpst::tools {
 // ---- the flag table ----
 
 /// The one argv parser: a table of typed flags. A flag takes its value
-/// from the next argument, whatever that looks like. A value parses only
-/// if std::from_chars consumes the whole token and the result lies in the
-/// flag's range. An argument that starts with '-' and names no flag is an
-/// error; any other argument is positional, if the table takes positional
-/// arguments. parse() prints one "<tool>: <flag>: <what>" line on the
-/// first error and returns false; the caller exits 2.
+/// from the next argument, whatever that looks like. A text or number
+/// entry whose name does not start with '-' is a positional argument
+/// instead: arguments that name no flag fill those in table order, and
+/// the rest go to positional(), if the table takes them. A value parses
+/// only if std::from_chars consumes the whole token and the result lies
+/// in the entry's range. An argument that starts with '-' and names no
+/// flag is an error. parse() prints one "<tool>: <name>: <what>" line on
+/// the first error and returns false; the caller exits 2.
 class Flags {
  public:
   explicit Flags(const char* tool) : tool_{tool} {}
@@ -106,7 +110,7 @@ class Flags {
     });
   }
 
-  /// Collect the positional arguments, in order.
+  /// Collect the positional arguments no named entry takes, in order.
   Flags& positional(std::vector<std::string>* out) {
     positional_ = out;
     return *this;
@@ -121,8 +125,10 @@ class Flags {
         if (arg.starts_with('-')) {
           std::string have = "unknown option (have:";
           for (const Entry& known : entries_) {
-            have += ' ';
-            have += known.name;
+            if (known.name.starts_with('-')) {
+              have += ' ';
+              have += known.name;
+            }
           }
           return fail(arg, have + ")");
         }
@@ -132,19 +138,22 @@ class Flags {
         positional_->emplace_back(arg);
         continue;
       }
-      if (e->takes_value && i + 1 >= argc) {
+      // Only a flag reads the next argument. A switch ignores its value;
+      // a positional entry parses `arg` itself.
+      const bool reads_next = e->takes_value && arg.starts_with('-');
+      if (reads_next && i + 1 >= argc) {
         return fail(arg, "needs a value");
       }
-      const std::string err = e->set(e->takes_value ? argv[++i] : "");
+      const std::string err = e->set(reads_next ? argv[++i] : arg);
       if (!err.empty()) {
-        return fail(arg, err);
+        return fail(e->name, err);
       }
       e->seen = true;
     }
     return true;
   }
 
-  /// Whether parse() met the flag.
+  /// Whether parse() met the flag or filled the positional entry.
   bool seen(std::string_view name) const {
     for (const Entry& e : entries_) {
       if (e.name == name) {
@@ -193,9 +202,12 @@ class Flags {
     return *this;
   }
 
-  Entry* find(std::string_view name) {
+  /// The flag `arg` names; for an argument that is no flag, the first
+  /// positional entry not yet filled.
+  Entry* find(std::string_view arg) {
     for (Entry& e : entries_) {
-      if (e.name == name) {
+      if (arg.starts_with('-') ? e.name == arg
+                               : !e.name.starts_with('-') && !e.seen) {
         return &e;
       }
     }
@@ -212,6 +224,21 @@ class Flags {
   std::vector<Entry> entries_;
   std::vector<std::string>* positional_ = nullptr;
 };
+
+/// The handler of an example's `int main(...) try { ... } catch (...)`.
+/// A std::invalid_argument or std::runtime_error — a kernel or the node
+/// allocator refusing a size, the dump writer refusing a path — prints
+/// one "<tool>: <what>" line and returns 2; any other exception goes on.
+inline int refused(const char* tool) {
+  try {
+    throw;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s: %s\n", tool, e.what());
+  }
+  return 2;
+}
 
 // ---- files ----
 

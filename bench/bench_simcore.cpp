@@ -1,5 +1,6 @@
 // E12 — engineering benchmarks of the simulator itself (google-benchmark):
-// DES event throughput, soft-float operation rates, interpreter speed.
+// DES event throughput, channel and fork-join costs, soft-float operation
+// rates, interpreter speed.
 // These gate how large a machine the reproduction can simulate on a laptop.
 //
 // `--json <path>` skips google-benchmark and instead writes a BENCH record
@@ -20,6 +21,7 @@
 #include "fp/softfloat.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sync.hpp"
 #include "tool_util.hpp"
 
 namespace {
@@ -54,6 +56,64 @@ void BM_CoroutineDelays(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CoroutineDelays)->Arg(1 << 12);
+
+// Messaging primitives in isolation: the rendezvous and the fork-join every
+// occam message goes through. Neither allocates once the thread's frame
+// lists are warm.
+sim::Proc ping(sim::Channel<int>* out, sim::Channel<int>* in, int n) {
+  for (int i = 0; i < n; ++i) {
+    co_await out->send(i);
+    benchmark::DoNotOptimize(co_await in->recv());
+  }
+}
+
+sim::Proc pong(sim::Channel<int>* in, sim::Channel<int>* out, int n) {
+  for (int i = 0; i < n; ++i) {
+    const int v = co_await in->recv();
+    co_await out->send(v);
+  }
+}
+
+void BM_ChannelPingPong(benchmark::State& state) {
+  // Items are rendezvous: two per round trip.
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim::Channel<int> there{sim};
+    sim::Channel<int> back{sim};
+    sim.spawn(ping(&there, &back, n));
+    sim.spawn(pong(&there, &back, n));
+    benchmark::DoNotOptimize(sim.run());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_ChannelPingPong)->Arg(1 << 12);
+
+sim::Proc send_one(sim::Channel<int>* ch, int v) { co_await ch->send(v); }
+
+sim::Proc recv_one(sim::Channel<int>* ch) {
+  benchmark::DoNotOptimize(co_await ch->recv());
+}
+
+sim::Proc exchanges(sim::Channel<int>* ch, int n) {
+  for (int i = 0; i < n; ++i) {
+    // Ctx::exchange's shape: a PAR of one send and one receive.
+    co_await sim::WhenAll{send_one(ch, i), recv_one(ch)};
+  }
+}
+
+void BM_WhenAllForkJoin(benchmark::State& state) {
+  // Items are fork-joins, each with one rendezvous between its children.
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    sim::Channel<int> ch{sim};
+    sim.spawn(exchanges(&ch, n));
+    benchmark::DoNotOptimize(sim.run());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_WhenAllForkJoin)->Arg(1 << 12);
 
 void BM_SoftFloatAdd64(benchmark::State& state) {
   fp::Flags fl;

@@ -79,21 +79,16 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
   }
   nodes_.reserve(cube_.size());
   for (net::NodeId id = 0; id < cube_.size(); ++id) {
-    nodes_.push_back(std::make_unique<node::Node>(sim_for(id), id, cfg));
+    nodes_.push_back(std::make_unique<Site>(sim_for(id), id, cfg));
   }
   for (std::uint32_t m = 0; m < rep.modules; ++m) {
     modules_.push_back(std::make_unique<Module>(*this, m));
   }
-  // One full-duplex cable per cube edge; port mutexes make the four
-  // sublinks of a physical link share its bandwidth.
+  // One full-duplex cable per cube edge; each node's port mutexes (in its
+  // Site) make the four sublinks of a physical link share its bandwidth.
   cables_.resize(cube_.size());
-  port_mux_.resize(cube_.size());
   for (net::NodeId id = 0; id < cube_.size(); ++id) {
     cables_[id].resize(static_cast<std::size_t>(dimension));
-    for (int p = 0; p < link::LinkParams::kPhysicalLinks; ++p) {
-      port_mux_[id].push_back(
-          std::make_unique<sim::Semaphore>(sim_for(id), 1));
-    }
   }
   for (net::NodeId id = 0; id < cube_.size(); ++id) {
     for (int d = 0; d < dimension; ++d) {
@@ -124,7 +119,7 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
          ++d) {
       if (!smap_.dim_crosses_shards(d)) {
         Cable& c = cable(id, d);
-        nodes_[id]->links().attach(d, *c.wire, side_of(c, id));
+        nodes_[id]->node.links().attach(d, *c.wire, side_of(c, id));
       }
     }
   }
@@ -158,7 +153,8 @@ sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
   p.src = from;
   Cable& c = cable(from, dim);
   const int side = side_of(c, from);
-  sim::Semaphore& mux = *port_mux_[from][static_cast<std::size_t>(port)];
+  sim::Semaphore& mux =
+      nodes_[from]->port_mux[static_cast<std::size_t>(port)];
   if (p.trace != 0 && !link_sinks_.empty()) {
     // tscope enqueue marker: the gap to the matching tx span's start is the
     // hop's queueing delay (port mutex + wire direction contention).
@@ -192,7 +188,7 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
     reg.shard_spans(std::move(shard_of), psim_->shards());
   }
   for (const auto& n : nodes_) {
-    n->attach_perf(reg);
+    n->node.attach_perf(reg);
   }
   // Each cable side reports on the track of the node that transmits from
   // it, named after the physical port the dimension is multiplexed onto.
@@ -217,7 +213,7 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
 std::uint64_t TSeries::total_flops() const {
   std::uint64_t total = 0;
   for (const auto& n : nodes_) {
-    total += n->flops();
+    total += n->node.flops();
   }
   return total;
 }

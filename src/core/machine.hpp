@@ -119,7 +119,7 @@ class TSeries {
   std::size_t size() const { return cube_.size(); }
   const net::Hypercube& cube() const { return cube_; }
 
-  node::Node& node(net::NodeId id) { return *nodes_.at(id); }
+  node::Node& node(net::NodeId id) { return nodes_.at(id)->node; }
   std::size_t module_count() const { return modules_.size(); }
   Module& module(std::size_t m) { return *modules_.at(m); }
 
@@ -147,6 +147,17 @@ class TSeries {
  private:
   friend class Module;
 
+  /// One node and the mutexes of its physical ports, in one allocation.
+  struct Site {
+    Site(sim::Simulator& sim, net::NodeId id, const node::NodeConfig& cfg)
+        : node{sim, id, cfg},
+          port_mux{{sim::Semaphore{sim, 1}, sim::Semaphore{sim, 1},
+                    sim::Semaphore{sim, 1}, sim::Semaphore{sim, 1}}} {}
+    node::Node node;
+    // port_mux[port]: one transmission at a time per physical link.
+    std::array<sim::Semaphore, link::LinkParams::kPhysicalLinks> port_mux;
+  };
+
   struct Cable {
     std::unique_ptr<link::Link> wire;
     net::NodeId lo = 0;  // side 0
@@ -164,13 +175,11 @@ class TSeries {
   sim::ShardMap smap_{};
   net::Hypercube cube_;
   perf::CounterRegistry* perf_ = nullptr;
-  std::vector<std::unique_ptr<node::Node>> nodes_;
+  std::vector<std::unique_ptr<Site>> nodes_;
   std::vector<std::unique_ptr<Module>> modules_;
   // cables_[node][dim] shared between the two endpoint nodes (stored once,
   // indexed from the lower endpoint).
   std::vector<std::vector<Cable>> cables_;
-  // port_mux_[node][port]: one transmission at a time per physical link.
-  std::vector<std::vector<std::unique_ptr<sim::Semaphore>>> port_mux_;
   // link_sinks_[node][port]: the "link<port>" track of each wired port,
   // resolved by enable_perf so send_dim never looks a track up by name.
   // Empty while perf is off.

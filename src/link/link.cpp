@@ -22,6 +22,13 @@ constexpr std::array<std::string_view, LinkParams::kSublinksPerLink>
     kSublinkBusy = {"busy.sublink0", "busy.sublink1", "busy.sublink2",
                     "busy.sublink3"};
 
+/// One side's inbox channels, built in place: a Channel cannot move.
+std::array<sim::Channel<Packet>, LinkParams::kSublinksPerLink> make_inboxes(
+    sim::Simulator& sim) {
+  return {{sim::Channel<Packet>{sim}, sim::Channel<Packet>{sim},
+           sim::Channel<Packet>{sim}, sim::Channel<Packet>{sim}}};
+}
+
 }  // namespace
 
 void TxDirection::sent(sim::SimTime start, sim::SimTime elapsed,
@@ -53,25 +60,16 @@ void TxDirection::sent(sim::SimTime start, sim::SimTime elapsed,
 }
 
 Link::Link(sim::Simulator& sim)
-    : sim_{&sim, &sim}, dir_{{TxDirection{sim}, TxDirection{sim}}} {
-  for (auto& side : inboxes_) {
-    for (auto& ch : side) {
-      ch = std::make_unique<sim::Channel<Packet>>(sim);
-    }
-  }
-}
+    : sim_{&sim, &sim},
+      dir_{{TxDirection{sim}, TxDirection{sim}}},
+      inboxes_{{make_inboxes(sim), make_inboxes(sim)}} {}
 
 Link::Link(sim::ParallelSim& psim, int shard0, int shard1)
     : psim_{&psim},
       shard_{shard0, shard1},
       sim_{&psim.shard(shard0), &psim.shard(shard1)},
-      dir_{{TxDirection{*sim_[0]}, TxDirection{*sim_[1]}}} {
-  for (std::size_t side = 0; side < 2; ++side) {
-    for (auto& ch : inboxes_[side]) {
-      ch = std::make_unique<sim::Channel<Packet>>(*sim_[side]);
-    }
-  }
-}
+      dir_{{TxDirection{*sim_[0]}, TxDirection{*sim_[1]}}},
+      inboxes_{{make_inboxes(*sim_[0]), make_inboxes(*sim_[1])}} {}
 
 sim::Proc Link::transmit(int from_side, Packet p) {
   if (from_side != 0 && from_side != 1) {
@@ -97,9 +95,7 @@ sim::Proc Link::rendezvous(int from_side, Packet p) {
   d.sent(start, elapsed, p.wire_bytes(), p.payload.size(), p.sublink,
          p.trace, p.dst);
   const int sub = p.sublink;
-  sim::Channel<Packet>& box =
-      *inboxes_[static_cast<std::size_t>(to_side)]
-               [static_cast<std::size_t>(sub)];
+  sim::Channel<Packet>& box = inbox(to_side, sub);
   d.mutex.release();  // the wire frees as soon as the last ack returns
   co_await box.send(std::move(p));
 }
@@ -120,9 +116,7 @@ sim::Proc Link::post(int from_side, Packet p) {
   // conservative window can never admit it early. The packet itself rides
   // in the closure; trace is the deterministic same-instant merge key.
   {
-    sim::Channel<Packet>& box =
-        *inboxes_[static_cast<std::size_t>(to_side)]
-                 [static_cast<std::size_t>(sub)];
+    sim::Channel<Packet>& box = inbox(to_side, sub);
     sim::Simulator& dest = *sim_[static_cast<std::size_t>(to_side)];
     psim_->post(shard_[static_cast<std::size_t>(from_side)],
                 shard_[static_cast<std::size_t>(to_side)], start + elapsed,
@@ -136,8 +130,8 @@ sim::Proc Link::post(int from_side, Packet p) {
 }
 
 sim::Channel<Packet>& Link::inbox(int side, int sublink) {
-  return *inboxes_[static_cast<std::size_t>(side)]
-                  [static_cast<std::size_t>(sublink)];
+  return inboxes_[static_cast<std::size_t>(side)]
+                 [static_cast<std::size_t>(sublink)];
 }
 
 std::uint64_t Link::bytes_sent(int direction) const {

@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "perf/sink.hpp"
@@ -180,8 +179,7 @@ class Link {
   // receiving channels belong to the side that reads them.
   std::array<TxDirection, 2> dir_;
   // inboxes_[side][sublink]: the channels on which `side` receives.
-  std::array<std::array<std::unique_ptr<sim::Channel<Packet>>,
-                        LinkParams::kSublinksPerLink>,
+  std::array<std::array<sim::Channel<Packet>, LinkParams::kSublinksPerLink>,
              2>
       inboxes_;
 };

@@ -15,9 +15,11 @@
 // (time, schedule sequence) — i.e. deterministic.
 #pragma once
 
+#include <sanitizer/asan_interface.h>
+
 #include <coroutine>
+#include <cstddef>
 #include <exception>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -28,27 +30,47 @@ namespace fpst::sim {
 
 namespace detail {
 
-/// Recycler for coroutine frames. Stripe-grained vector ops create and
-/// destroy one short-lived `Proc` frame per stripe, so the malloc/free pair
-/// is on the simulator's hottest path. Frames cluster into a handful of
-/// sizes (one per coroutine body), so a small per-thread, size-bucketed
-/// stack of freed frames absorbs almost every allocation. Thread-local
-/// because the parallel engine runs one simulator per shard thread; a frame
-/// freed on a different thread than it was allocated on simply migrates to
-/// the freeing thread's cache, which is harmless.
+/// Recycler for coroutine frames. Every `co_await` of a child, every PAR
+/// branch and every stripe of a vector op creates and destroys a `Proc`
+/// frame, so malloc/free would sit on the simulator's hottest path. Frames
+/// cluster into a handful of sizes (one per coroutine body), so each size
+/// bucket keeps a free list linked through the dead frames themselves, and
+/// a freed frame always goes back on its list, so after warm-up a run
+/// allocates no frame at all. Thread-local because the parallel engine runs
+/// one simulator per shard thread. A thread's lists hold at most the most
+/// frames it ever had live at once, plus the frames it freed that another
+/// thread allocated (a frame migrates to the freeing thread's list). A
+/// thread's lists go back to the heap when it exits.
+///
+/// A listed frame is poisoned for AddressSanitizer (the macros compile to
+/// nothing in other builds), so resuming or reading a destroyed frame is
+/// still reported as it would be if the frame had gone back to the heap.
 inline constexpr std::size_t kFrameGrain = 64;
 inline constexpr std::size_t kFrameBuckets = 16;  // covers frames < 1 KiB
-inline constexpr std::size_t kFramesPerBucket = 8;
 
 struct FrameCache {
-  void* slot[kFrameBuckets][kFramesPerBucket];
-  std::size_t count[kFrameBuckets] = {};
+  void* head[kFrameBuckets] = {};
+
   ~FrameCache() {
     for (std::size_t b = 0; b < kFrameBuckets; ++b) {
-      for (std::size_t i = 0; i < count[b]; ++i) {
-        ::operator delete(slot[b][i]);
+      while (head[b] != nullptr) {
+        ::operator delete(pop(b));
       }
     }
+  }
+
+  /// Precondition: head[b] != nullptr.
+  void* pop(std::size_t b) {
+    void* p = head[b];
+    ASAN_UNPOISON_MEMORY_REGION(p, (b + 1) * kFrameGrain);
+    head[b] = *static_cast<void**>(p);
+    return p;
+  }
+
+  void push(std::size_t b, void* p) {
+    *static_cast<void**>(p) = head[b];
+    head[b] = p;
+    ASAN_POISON_MEMORY_REGION(p, (b + 1) * kFrameGrain);
   }
 };
 
@@ -66,8 +88,8 @@ inline void* frame_alloc(std::size_t size) {
   const std::size_t b = frame_bucket(size);
   if (b < kFrameBuckets) {
     FrameCache& c = frame_cache();
-    if (c.count[b] > 0) {
-      return c.slot[b][--c.count[b]];
+    if (c.head[b] != nullptr) {
+      return c.pop(b);
     }
     // Allocate the full bucket width so any same-bucket frame can reuse it.
     return ::operator new((b + 1) * kFrameGrain);
@@ -78,30 +100,32 @@ inline void* frame_alloc(std::size_t size) {
 inline void frame_free(void* p, std::size_t size) {
   const std::size_t b = frame_bucket(size);
   if (b < kFrameBuckets) {
-    FrameCache& c = frame_cache();
-    if (c.count[b] < kFramesPerBucket) {
-      c.slot[b][c.count[b]++] = p;
-      return;
-    }
+    frame_cache().push(b, p);
+    return;
   }
   ::operator delete(p);
 }
 
 }  // namespace detail
 
+class WhenAll;
+
 class Proc {
  public:
   struct promise_type {
+    /// `root` of a process the simulator does not own.
+    static constexpr std::size_t kNotRoot = static_cast<std::size_t>(-1);
+
     Simulator* sim = nullptr;
     /// Parent coroutine co_awaiting this process (structured join).
     std::coroutine_handle<> continuation{};
-    /// Callback alternative to `continuation` (used by WhenAll and spawn).
-    std::function<void()> on_complete{};
+    /// The fork-join this process is a branch of (see WhenAll), or null.
+    WhenAll* join = nullptr;
     std::exception_ptr exception{};
-    bool finished = false;
-    /// True when the simulator owns the frame (root process); the final
-    /// awaiter then must not expect a joining parent.
-    bool is_root = false;
+    /// Position in the simulator's root list while the simulator owns the
+    /// frame (a root process), else kNotRoot. The final awaiter hands it
+    /// back so the simulator reaps the frame without searching.
+    std::size_t root = kNotRoot;
 
     Proc get_return_object() {
       return Proc{std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -110,25 +134,7 @@ class Proc {
 
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
-      void await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        promise_type& p = h.promise();
-        p.finished = true;
-        if (p.is_root) {
-          // Let the simulator reap this frame opportunistically: a caller
-          // driving step() directly must not retain every completed root
-          // frame until run() returns.
-          p.sim->note_root_finished();
-          if (p.exception) {
-            p.sim->report_root_failure(p.exception);
-          }
-        }
-        if (p.continuation) {
-          p.sim->schedule_resume(SimTime{}, p.continuation);
-        }
-        if (p.on_complete) {
-          p.on_complete();
-        }
-      }
+      void await_suspend(std::coroutine_handle<promise_type> h) noexcept;
       void await_resume() noexcept {}
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
@@ -142,9 +148,6 @@ class Proc {
     static void operator delete(void* p, std::size_t size) {
       detail::frame_free(p, size);
     }
-    /// Unsized fallback: legal because cached frames come from the global
-    /// heap; it just skips recycling.
-    static void operator delete(void* p) { ::operator delete(p); }
   };
 
   Proc() = default;
@@ -161,9 +164,6 @@ class Proc {
   Proc(const Proc&) = delete;
   Proc& operator=(const Proc&) = delete;
   ~Proc() { destroy(); }
-
-  bool valid() const { return static_cast<bool>(handle_); }
-  bool done() const { return handle_ && handle_.promise().finished; }
 
   /// Awaiting a Proc starts it (inheriting the parent's simulator) and
   /// suspends the parent until it completes; exceptions propagate.
@@ -186,10 +186,7 @@ class Proc {
     return Awaiter{handle_};
   }
 
-  /// Internal: used by Simulator::spawn and WhenAll.
-  std::coroutine_handle<promise_type> release() {
-    return std::exchange(handle_, {});
-  }
+  /// Internal: used by Simulator and WhenAll.
   std::coroutine_handle<promise_type> handle() const { return handle_; }
 
  private:
@@ -226,7 +223,9 @@ struct ThisSim {
 
 /// Fork-join over a set of child processes — the Occam PAR construct. The
 /// parent resumes once every child has completed. If any child threw, the
-/// first (by completion order) exception is rethrown in the parent.
+/// exception of the first such child (in argument order) is rethrown in the
+/// parent. Each child's promise points at this awaiter, which lives in the
+/// parent's frame; the child that finishes last schedules the parent.
 class WhenAll {
  public:
   explicit WhenAll(std::vector<Proc> children) : children_{std::move(children)} {}
@@ -240,17 +239,14 @@ class WhenAll {
   bool await_ready() const noexcept { return children_.empty(); }
 
   void await_suspend(std::coroutine_handle<Proc::promise_type> parent) {
-    Simulator* sim = parent.promise().sim;
+    sim_ = parent.promise().sim;
+    parent_ = parent;
     remaining_ = children_.size();
     for (Proc& child : children_) {
       Proc::promise_type& cp = child.handle().promise();
-      cp.sim = sim;
-      cp.on_complete = [this, sim, parent] {
-        if (--remaining_ == 0) {
-          sim->schedule_resume(SimTime{}, parent);
-        }
-      };
-      sim->schedule_resume(SimTime{}, child.handle());
+      cp.sim = sim_;
+      cp.join = this;
+      sim_->schedule_resume(SimTime{}, child.handle());
     }
   }
 
@@ -263,8 +259,39 @@ class WhenAll {
   }
 
  private:
+  friend struct Proc::promise_type::FinalAwaiter;
+
+  /// One child finished; the last one schedules the parent.
+  void child_done() {
+    if (--remaining_ == 0) {
+      sim_->schedule_resume(SimTime{}, parent_);
+    }
+  }
+
   std::vector<Proc> children_;
+  Simulator* sim_ = nullptr;
+  std::coroutine_handle<> parent_{};
   std::size_t remaining_ = 0;
 };
+
+inline void Proc::promise_type::FinalAwaiter::await_suspend(
+    std::coroutine_handle<promise_type> h) noexcept {
+  promise_type& p = h.promise();
+  if (p.root != kNotRoot) {
+    // Let the simulator reap this frame after the current event: a caller
+    // driving step() directly must not retain every completed root frame
+    // until run() returns.
+    p.sim->note_root_finished(p.root);
+    if (p.exception) {
+      p.sim->report_root_failure(p.exception);
+    }
+  }
+  if (p.continuation) {
+    p.sim->schedule_resume(SimTime{}, p.continuation);
+  }
+  if (p.join != nullptr) {
+    p.join->child_done();
+  }
+}
 
 }  // namespace fpst::sim

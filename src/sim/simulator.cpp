@@ -33,7 +33,7 @@ void Simulator::schedule_resume(SimTime delay, std::coroutine_handle<> h) {
 void Simulator::spawn(Proc p) {
   Proc::promise_type& promise = p.handle().promise();
   promise.sim = this;
-  promise.is_root = true;
+  promise.root = roots_.size();
   schedule_resume(SimTime{}, p.handle());
   roots_.push_back(std::move(p));
 }
@@ -55,7 +55,7 @@ bool Simulator::step() {
   // writes. Cross-thread readers go through events_processed().
   events_processed_.store(events_processed_.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
-  if (finished_roots_ > 0) {
+  if (!finished_roots_.empty()) {
     reap_finished_roots();
   }
   if (root_failure_) {
@@ -83,9 +83,23 @@ std::size_t Simulator::run_until(SimTime deadline) {
   return n;
 }
 
+void Simulator::note_root_finished(std::size_t index) {
+  finished_roots_.push_back(index);
+}
+
 void Simulator::reap_finished_roots() {
-  std::erase_if(roots_, [](const Proc& p) { return p.done(); });
-  finished_roots_ = 0;
+  // Highest index first, so a swap-remove never moves a root that is still
+  // waiting here to be reaped.
+  std::sort(finished_roots_.begin(), finished_roots_.end(),
+            std::greater<>{});
+  for (const std::size_t i : finished_roots_) {
+    if (i + 1 != roots_.size()) {
+      roots_[i] = std::move(roots_.back());
+      roots_[i].handle().promise().root = i;
+    }
+    roots_.pop_back();
+  }
+  finished_roots_.clear();
 }
 
 void Simulator::rethrow_root_failure() {

@@ -112,11 +112,14 @@ class Simulator {
   /// Used by Proc's final awaiter to report a root-process failure.
   void report_root_failure(std::exception_ptr e) { root_failure_ = e; }
 
-  /// Used by Proc's final awaiter: marks that a root frame finished and is
-  /// ready to be reaped by the next step().
-  void note_root_finished() { ++finished_roots_; }
+  /// Used by Proc's final awaiter: the root frame at `index` of the root
+  /// list finished and is reaped when the current step() ends. Out of line,
+  /// so the vector growth path is not inlined into every coroutine body.
+  void note_root_finished(std::size_t index);
 
  private:
+  /// Swap-remove each finished root: O(1) per root, whatever the number of
+  /// live roots.
   void reap_finished_roots();
   [[noreturn]] void rethrow_root_failure();
 
@@ -127,8 +130,11 @@ class Simulator {
   /// loop at plain-move cost — no lock prefix — because there is exactly
   /// one writer.
   std::atomic<std::uint64_t> events_processed_{0};
-  std::size_t finished_roots_ = 0;
+  /// Root-list indices of roots that finished during the current event.
+  std::vector<std::size_t> finished_roots_;
   EventQueue queue_;
+  /// The root frames the simulator owns; each root's promise records its
+  /// index here.
   std::vector<Proc> roots_;
   std::exception_ptr root_failure_{};
 };

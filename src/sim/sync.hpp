@@ -3,11 +3,16 @@
 // the simulator event queue at the current instant (zero simulated delay),
 // preserving determinism; any real latency (link bit times, memory cycles)
 // is charged explicitly by the hardware models.
+//
+// Waiting allocates nothing. As on the transputer, where a channel is one
+// word naming the waiting process, each primitive keeps only the head and
+// tail of an intrusive FIFO linked through the awaiters themselves: an
+// awaiter lives in the suspended coroutine's frame for as long as it waits,
+// and a blocked send keeps its value there until a receiver takes it.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <utility>
 
@@ -15,6 +20,49 @@
 #include "sim/simulator.hpp"
 
 namespace fpst::sim {
+
+namespace detail {
+
+/// FIFO of waiters linked through their own `next` pointers. The waiters
+/// are awaiters inside suspended coroutine frames, so they stay put until
+/// popped; the queue owns nothing.
+template <class Waiter>
+class WaitQueue {
+ public:
+  bool empty() const { return head_ == nullptr; }
+
+  void push(Waiter* w) {
+    w->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = w;
+    } else {
+      tail_->next = w;
+    }
+    tail_ = w;
+  }
+
+  /// Precondition: !empty().
+  Waiter* pop() {
+    Waiter* w = head_;
+    head_ = w->next;
+    if (head_ == nullptr) {
+      tail_ = nullptr;
+    }
+    return w;
+  }
+
+  /// Detach the whole queue, oldest first.
+  Waiter* take_all() {
+    tail_ = nullptr;
+    return std::exchange(head_, nullptr);
+  }
+
+ private:
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
+};
+
+}  // namespace detail
 
 /// A broadcast condition: processes wait(); notify_all() wakes every current
 /// waiter (processes arriving after the notify wait for the next one).
@@ -27,9 +75,12 @@ class Event {
 
   struct Awaiter {
     Event* ev;
+    std::coroutine_handle<> h{};
+    Awaiter* next = nullptr;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<Proc::promise_type> h) {
-      ev->waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<Proc::promise_type> handle) {
+      h = handle;
+      ev->waiters_.push(this);
     }
     void await_resume() const noexcept {}
   };
@@ -37,15 +88,16 @@ class Event {
   [[nodiscard]] Awaiter wait() { return Awaiter{this}; }
 
   void notify_all() {
-    for (auto h : waiters_) {
-      sim_->schedule_resume(SimTime{}, h);
+    for (Awaiter* w = waiters_.take_all(); w != nullptr;) {
+      Awaiter* next = w->next;
+      sim_->schedule_resume(SimTime{}, w->h);
+      w = next;
     }
-    waiters_.clear();
   }
 
  private:
   Simulator* sim_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitQueue<Awaiter> waiters_;
 };
 
 /// FIFO counting semaphore. Used for exclusive hardware resources (a
@@ -61,6 +113,8 @@ class Semaphore {
 
   struct Awaiter {
     Semaphore* sem;
+    std::coroutine_handle<> h{};
+    Awaiter* next = nullptr;
     bool await_ready() const noexcept {
       if (sem->count_ > 0) {
         --sem->count_;
@@ -68,8 +122,9 @@ class Semaphore {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<Proc::promise_type> h) {
-      sem->waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<Proc::promise_type> handle) {
+      h = handle;
+      sem->waiters_.push(this);
     }
     void await_resume() const noexcept {}
   };
@@ -79,8 +134,7 @@ class Semaphore {
   void release() {
     if (!waiters_.empty()) {
       // Hand the permit directly to the longest waiter.
-      sim_->schedule_resume(SimTime{}, waiters_.front());
-      waiters_.pop_front();
+      sim_->schedule_resume(SimTime{}, waiters_.pop()->h);
     } else {
       ++count_;
     }
@@ -89,7 +143,7 @@ class Semaphore {
  private:
   Simulator* sim_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitQueue<Awaiter> waiters_;
 };
 
 /// Unbuffered CSP channel (Occam's `!` and `?`): a send rendezvouses with
@@ -106,16 +160,18 @@ class Channel {
   struct SendAwaiter {
     Channel* ch;
     T value;
+    std::coroutine_handle<> h{};
+    SendAwaiter* next = nullptr;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<Proc::promise_type> h) {
+    void await_suspend(std::coroutine_handle<Proc::promise_type> handle) {
       if (!ch->receivers_.empty()) {
-        PendingRecv r = std::move(ch->receivers_.front());
-        ch->receivers_.pop_front();
-        *r.slot = std::move(value);
-        ch->sim_->schedule_resume(SimTime{}, r.h);
-        ch->sim_->schedule_resume(SimTime{}, h);
+        RecvAwaiter* r = ch->receivers_.pop();
+        r->slot.emplace(std::move(value));
+        ch->sim_->schedule_resume(SimTime{}, r->h);
+        ch->sim_->schedule_resume(SimTime{}, handle);
       } else {
-        ch->senders_.push_back(PendingSend{std::move(value), h});
+        h = handle;
+        ch->senders_.push(this);  // the value waits here, in this frame
       }
     }
     void await_resume() const noexcept {}
@@ -124,16 +180,18 @@ class Channel {
   struct RecvAwaiter {
     Channel* ch;
     std::optional<T> slot{};
+    std::coroutine_handle<> h{};
+    RecvAwaiter* next = nullptr;
     bool await_ready() noexcept { return false; }
-    void await_suspend(std::coroutine_handle<Proc::promise_type> h) {
+    void await_suspend(std::coroutine_handle<Proc::promise_type> handle) {
       if (!ch->senders_.empty()) {
-        PendingSend s = std::move(ch->senders_.front());
-        ch->senders_.pop_front();
-        slot = std::move(s.value);
-        ch->sim_->schedule_resume(SimTime{}, s.h);
-        ch->sim_->schedule_resume(SimTime{}, h);
+        SendAwaiter* s = ch->senders_.pop();
+        slot.emplace(std::move(s->value));
+        ch->sim_->schedule_resume(SimTime{}, s->h);
+        ch->sim_->schedule_resume(SimTime{}, handle);
       } else {
-        ch->receivers_.push_back(PendingRecv{&slot, h});
+        h = handle;
+        ch->receivers_.push(this);
       }
     }
     T await_resume() { return std::move(*slot); }
@@ -145,18 +203,9 @@ class Channel {
   [[nodiscard]] RecvAwaiter recv() { return RecvAwaiter{this}; }
 
  private:
-  struct PendingSend {
-    T value;
-    std::coroutine_handle<> h;
-  };
-  struct PendingRecv {
-    std::optional<T>* slot;
-    std::coroutine_handle<> h;
-  };
-
   Simulator* sim_;
-  std::deque<PendingSend> senders_;
-  std::deque<PendingRecv> receivers_;
+  detail::WaitQueue<SendAwaiter> senders_;
+  detail::WaitQueue<RecvAwaiter> receivers_;
 
   friend struct SendAwaiter;
   friend struct RecvAwaiter;

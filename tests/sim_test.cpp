@@ -147,6 +147,61 @@ TEST(Simulator, FinishedRootsAreReapedMidRun) {
   EXPECT_EQ(sim.now(), 100_us);
 }
 
+/// Counts the destruction of the coroutine frame it is a by-value parameter
+/// of: the frame's copy is the only one left holding the counter.
+class FrameTracker {
+ public:
+  explicit FrameTracker(int* destroyed) : destroyed_{destroyed} {}
+  FrameTracker(FrameTracker&& other) noexcept
+      : destroyed_{std::exchange(other.destroyed_, nullptr)} {}
+  FrameTracker& operator=(FrameTracker&&) = delete;
+  ~FrameTracker() {
+    if (destroyed_ != nullptr) {
+      ++*destroyed_;
+    }
+  }
+
+ private:
+  int* destroyed_;
+};
+
+Proc counted_root(SimTime d, int* done, FrameTracker) {
+  co_await Delay{d};
+  ++*done;
+}
+
+TEST(Simulator, ManyShortRootsReapBesideLongLivedOnes) {
+  // Short roots finish in an order unrelated to their spawn order while
+  // long-lived roots sit between them in the root list, so most reaps move
+  // another root into the freed place.
+  Simulator sim;
+  int short_done = 0;
+  int long_done = 0;
+  int frames_destroyed = 0;
+  constexpr int kShort = 200;
+  constexpr int kLong = 10;
+  for (int i = 0; i < kShort; ++i) {
+    if (i % (kShort / kLong) == 0) {
+      sim.spawn(counted_root(1_ms, &long_done,
+                             FrameTracker{&frames_destroyed}));
+    }
+    sim.spawn(counted_root(SimTime::microseconds((i * 37) % 101 + 1),
+                           &short_done, FrameTracker{&frames_destroyed}));
+  }
+  EXPECT_EQ(sim.live_roots(), static_cast<std::size_t>(kShort + kLong));
+  while (short_done < kShort && sim.step()) {
+  }
+  EXPECT_EQ(short_done, kShort);
+  EXPECT_EQ(long_done, 0);
+  EXPECT_EQ(sim.live_roots(), static_cast<std::size_t>(kLong));
+  EXPECT_EQ(frames_destroyed, kShort);
+  sim.run();
+  EXPECT_EQ(long_done, kLong);
+  EXPECT_EQ(sim.live_roots(), 0u);
+  EXPECT_EQ(frames_destroyed, kShort + kLong);
+  EXPECT_EQ(sim.now(), 1_ms);
+}
+
 TEST(Simulator, NestedSchedulingAdvancesTime) {
   Simulator sim;
   SimTime seen{};
@@ -337,6 +392,195 @@ TEST(Sync, SendBlocksUntilReceiverArrives) {
   sim.run();
   EXPECT_EQ(value, 7);
   EXPECT_EQ(done, 9_us);
+}
+
+// FIFO order of the waiter queues: which waiter a primitive serves first.
+// Arrival order differs from spawn order throughout, so a queue that
+// served in spawn order (or LIFO) fails.
+constexpr int kArrivalNs[] = {30, 10, 40, 0, 20};
+
+Proc named_acquirer(Semaphore* sem, int name, std::vector<int>* order) {
+  co_await Delay{SimTime::nanoseconds(kArrivalNs[name])};
+  co_await sem->acquire();
+  order->push_back(name);
+  co_await Delay{1_us};
+  sem->release();
+}
+
+Proc release_once(Semaphore* sem) {
+  co_await Delay{10_us};
+  sem->release();
+}
+
+TEST(SyncOrder, SemaphoreHandsPermitsInArrivalOrder) {
+  Simulator sim;
+  Semaphore sem{sim, 0};
+  std::vector<int> order;
+  for (int name = 0; name < 5; ++name) {
+    sim.spawn(named_acquirer(&sem, name, &order));
+  }
+  sim.spawn(release_once(&sem));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 4, 0, 2}));
+  EXPECT_EQ(sim.now(), 15_us);
+}
+
+Proc named_sender(Channel<int>* ch, int name) {
+  co_await Delay{SimTime::nanoseconds(kArrivalNs[name])};
+  co_await ch->send(name);
+}
+
+Proc late_receiver(Channel<int>* ch, int n, std::vector<int>* got) {
+  co_await Delay{1_us};
+  for (int i = 0; i < n; ++i) {
+    got->push_back(co_await ch->recv());
+  }
+}
+
+TEST(SyncOrder, ChannelPairsBlockedSendersFirstComeFirstServed) {
+  Simulator sim;
+  Channel<int> ch{sim};
+  std::vector<int> got;
+  for (int name = 0; name < 3; ++name) {
+    sim.spawn(named_sender(&ch, name));
+  }
+  sim.spawn(late_receiver(&ch, 3, &got));
+  sim.run();
+  // Arrivals: sender 1 at 10 ns, sender 0 at 30 ns, sender 2 at 40 ns.
+  EXPECT_EQ(got, (std::vector<int>{1, 0, 2}));
+}
+
+Proc named_receiver(Channel<int>* ch, int name, std::vector<int>* got_by) {
+  co_await Delay{SimTime::nanoseconds(kArrivalNs[name])};
+  got_by[name].push_back(co_await ch->recv());
+}
+
+Proc late_sender(Channel<int>* ch, int n) {
+  co_await Delay{1_us};
+  for (int i = 0; i < n; ++i) {
+    co_await ch->send(100 + i);
+  }
+}
+
+TEST(SyncOrder, ChannelPairsBlockedReceiversFirstComeFirstServed) {
+  Simulator sim;
+  Channel<int> ch{sim};
+  std::vector<int> got_by[3];
+  for (int name = 0; name < 3; ++name) {
+    sim.spawn(named_receiver(&ch, name, got_by));
+  }
+  sim.spawn(late_sender(&ch, 3));
+  sim.run();
+  // Receiver 1 arrived first, then 0, then 2.
+  EXPECT_EQ(got_by[1], (std::vector<int>{100}));
+  EXPECT_EQ(got_by[0], (std::vector<int>{101}));
+  EXPECT_EQ(got_by[2], (std::vector<int>{102}));
+}
+
+Proc timed_waiter(Event* ev, Simulator* sim, SimTime* woke) {
+  co_await ev->wait();
+  *woke = sim->now();
+}
+
+Proc notify_then_wait(Event* ev, Simulator* sim, SimTime* woke) {
+  co_await Delay{5_us};
+  ev->notify_all();
+  // Arrives after the notify, at the same instant: waits for the next one.
+  co_await ev->wait();
+  *woke = sim->now();
+}
+
+Proc notify_at(Event* ev, SimTime t) {
+  co_await Delay{t};
+  ev->notify_all();
+}
+
+TEST(SyncOrder, EventWaiterArrivingAfterNotifyWaitsForTheNext) {
+  Simulator sim;
+  Event ev{sim};
+  SimTime early{};
+  SimTime late{};
+  sim.spawn(timed_waiter(&ev, &sim, &early));
+  sim.spawn(notify_then_wait(&ev, &sim, &late));
+  sim.spawn(notify_at(&ev, 10_us));
+  sim.run();
+  EXPECT_EQ(early, 5_us);
+  EXPECT_EQ(late, 10_us);
+}
+
+Proc fail_after(SimTime d, const char* what) {
+  co_await Delay{d};
+  throw std::runtime_error(what);
+}
+
+Proc finish_after(SimTime d, bool* done) {
+  co_await Delay{d};
+  *done = true;
+}
+
+Proc join_catching(Simulator* sim, bool* slow_done, bool* slow_done_at_catch,
+                   SimTime* caught_at, std::string* what) {
+  try {
+    co_await WhenAll{fail_after(1_us, "early"),
+                     finish_after(5_us, slow_done)};
+  } catch (const std::runtime_error& e) {
+    *slow_done_at_catch = *slow_done;
+    *caught_at = sim->now();
+    *what = e.what();
+  }
+}
+
+TEST(SyncOrder, WhenAllRethrowsOnlyAfterEveryChildFinished) {
+  Simulator sim;
+  bool slow_done = false;
+  bool slow_done_at_catch = false;
+  SimTime caught_at{};
+  std::string what;
+  sim.spawn(join_catching(&sim, &slow_done, &slow_done_at_catch, &caught_at,
+                          &what));
+  sim.run();
+  EXPECT_EQ(what, "early");
+  EXPECT_TRUE(slow_done_at_catch);
+  EXPECT_EQ(caught_at, 5_us);
+}
+
+Proc first_failure(std::string* what) {
+  try {
+    // The second child throws first in time; the first in argument order
+    // is the one rethrown.
+    co_await WhenAll{fail_after(3_us, "first"), fail_after(1_us, "second")};
+  } catch (const std::runtime_error& e) {
+    *what = e.what();
+  }
+}
+
+TEST(SyncOrder, WhenAllRethrowsTheFirstFailingChildInArgumentOrder) {
+  Simulator sim;
+  std::string what;
+  sim.spawn(first_failure(&what));
+  sim.run();
+  EXPECT_EQ(what, "first");
+}
+
+Proc inner_par(std::vector<int>* log) {
+  co_await WhenAll{sequential_child(log, 1, 2_us),
+                   sequential_child(log, 2, 1_us)};
+  log->push_back(3);
+}
+
+Proc outer_par(std::vector<int>* log) {
+  co_await WhenAll{inner_par(log), sequential_child(log, 4, 4_us)};
+  log->push_back(5);
+}
+
+TEST(SyncOrder, NestedWhenAllJoins) {
+  Simulator sim;
+  std::vector<int> log;
+  sim.spawn(outer_par(&log));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{2, 1, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), 4_us);
+  EXPECT_EQ(sim.live_roots(), 0u);
 }
 
 TEST(Simulator, RandomisedSchedulesDispatchByTimeThenScheduleOrder) {

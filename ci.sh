@@ -11,17 +11,14 @@
 #      ttrace must load it cleanly (no balance violation), its vpu-active
 #      MFLOPS must match bench_fig1_node's 128-element SAXPY rate within
 #      1%, and bench_overlap's no-overlap ablation dump must be flagged
-#      as a balance VIOLATION. The example is then re-run on the parallel
-#      engine at every --threads count: `--threads 1` must be
-#      byte-identical to the serial dump, and all multi-threaded dumps
-#      must be byte-identical to each other
-#   5. tscope pipeline: two identical 16-node all-to-all runs must produce
-#      byte-identical dumps and byte-identical tscope analyses, the
-#      routing invariants must hold (max hops <= log2 n, observed
-#      per-edge crossings exactly equal to the static e-cube congestion
-#      prediction), and the same --threads determinism sweep as stage 4
-#      runs against the all-to-all — including --check-ecube on the
-#      parallel engine's dump
+#      as a balance VIOLATION. The dumps of this example and of stage 5's
+#      all-to-all, serial and at --threads 1-4, are pinned to committed
+#      digests by the tier-1 digest_ledger test (tests/digest_ledger.txt)
+#   5. tscope pipeline: two tscope analyses of one 16-node all-to-all dump
+#      must be byte-identical, and the routing invariants must hold (max
+#      hops <= log2 n, observed per-edge crossings exactly equal to the
+#      static e-cube congestion prediction) on the serial dump and on a
+#      4-thread sharded one
 #   6. tcheck --predict cross-validation: the static cost model's
 #      prediction for the shipped vform SAXPY must match the tisa_traced
 #      measurement (instruction count exact, elapsed within the documented
@@ -91,7 +88,6 @@
 #   --sanitize MODE   sanitizer flavour for the stage-1 build: `none`,
 #                     `address,undefined` (default) or `thread`
 #   --threads LIST    comma list of worker-thread counts for the
-#                     determinism sweeps in stages 4 and 5 and the
 #                     stage-10 scaling sweep (default 1,2,4)
 set -eu
 
@@ -108,9 +104,9 @@ ci.sh stages:
   2  tcheck: shipped examples verify clean
   3  tcheck: corpus of broken programs all flagged
   4  tperf: traced_saxpy -> ttrace report -> MFLOPS cross-check,
-     E9 ablation flagged, --threads determinism sweep
-  5  tscope: all-to-all determinism, e-cube routing invariants,
-     --threads determinism sweep
+     E9 ablation flagged
+  5  tscope: analysis determinism, e-cube routing invariants (serial
+     and sharded)
   6  tcheck --predict: static cost/volume prediction vs measurement
   7  bench_simcore throughput gate
   8  bench_serve storm: completion/hit-rate/cache-speedup/jobs-per-sec
@@ -197,43 +193,6 @@ begin_stage() {
   stage_start=$(date +%s)
   stages_ran="$stages_ran${stages_ran:+,}$1"
   echo "== [$1/12] $2 =="
-}
-
-# determinism_sweep <example-bin> <serial-dump> <out-prefix> [extra args...]:
-# re-run a traced example on the parallel engine at each --threads count.
-# `--threads 1` takes the pure serial code path and must reproduce the
-# serial dump byte for byte; every multi-threaded run simulates the same
-# fixed shard partition and so must be byte-identical across thread counts.
-determinism_sweep() {
-  _bin=$1; _serial=$2; _prefix=$3; shift 3
-  _prev=""
-  _old_ifs=$IFS; IFS=,
-  for _t in $threads_list; do
-    IFS=$_old_ifs
-    _out="$_prefix.t$_t.json"
-    "$_bin" --threads "$_t" "$_out" "$@" > /dev/null
-    if [ "$_t" = 1 ]; then
-      cmp -s "$_serial" "$_out" || {
-        echo "ci: --threads 1 dump differs from the serial engine:" \
-             "$_serial vs $_out" >&2
-        exit 1
-      }
-      echo "ci: $(basename "$_bin") --threads 1 == serial (byte-identical)"
-    elif [ -n "$_prev" ]; then
-      cmp -s "$_prev" "$_out" || {
-        echo "ci: parallel dumps differ across thread counts:" \
-             "$_prev vs $_out" >&2
-        exit 1
-      }
-      echo "ci: $(basename "$_bin") dumps byte-identical:" \
-           "$(basename "$_prev") == $(basename "$_out")"
-      _prev=$_out
-    else
-      _prev=$_out
-    fi
-    _old_ifs=$IFS; IFS=,
-  done
-  IFS=$_old_ifs
 }
 
 # gate_record <bench> <fresh> <committed> <metric> <ge|le> <factor> ...:
@@ -346,46 +305,33 @@ if want_stage 4; then
     echo "ci: ttrace report does not mark the E9 ablation as VIOLATION" >&2
     exit 1
   }
-  # Parallel engine determinism on the same workload.
-  determinism_sweep "$build_dir/examples/traced_saxpy" "$dump" \
-                    "$build_dir/ci_traced_saxpy"
 fi
 
 if want_stage 5; then
   begin_stage 5 "tscope: 16-node all-to-all message tracing"
   tscope="$build_dir/tools/tscope"
-  a2a_a="$build_dir/ci_alltoall_a.json"
-  a2a_b="$build_dir/ci_alltoall_b.json"
-  "$build_dir/examples/alltoall_traced" "$a2a_a" 4 > /dev/null
-  "$build_dir/examples/alltoall_traced" "$a2a_b" 4 > /dev/null
-  # Determinism: identical runs must serialise byte-identically, and the
-  # stitched analyses must match byte for byte too.
-  cmp -s "$a2a_a" "$a2a_b" || {
-    echo "ci: traced all-to-all dumps differ between identical runs" >&2
-    exit 1
-  }
-  "$tscope" --json "$a2a_a" > "$build_dir/ci_alltoall_a.msg.json"
-  "$tscope" --json "$a2a_b" > "$build_dir/ci_alltoall_b.msg.json"
+  a2a="$build_dir/ci_alltoall.json"
+  a2a_t4="$build_dir/ci_alltoall.t4.json"
+  # The dumps themselves are pinned by the digest ledger; the stitched
+  # analyses of one dump must match byte for byte.
+  "$build_dir/examples/alltoall_traced" "$a2a" 4 > /dev/null
+  "$tscope" --json "$a2a" > "$build_dir/ci_alltoall_a.msg.json"
+  "$tscope" --json "$a2a" > "$build_dir/ci_alltoall_b.msg.json"
   cmp -s "$build_dir/ci_alltoall_a.msg.json" \
          "$build_dir/ci_alltoall_b.msg.json" || {
-    echo "ci: tscope analyses differ between identical runs" >&2
+    echo "ci: tscope analyses of one dump differ" >&2
     exit 1
   }
   # Routing invariants, hard error on any deviation: every flight within the
   # log2 n hop bound on minimal routes, and the observed per-edge crossings
   # exactly equal to net/hypercube's static e-cube congestion prediction.
-  "$tscope" --check-ecube "$a2a_a"
-  echo "ci: tscope p50_us=$("$tscope" --metric p50_us "$a2a_a")" \
-       "p99_us=$("$tscope" --metric p99_us "$a2a_a")" \
-       "critical_path_frac=$("$tscope" --metric critical_path_frac "$a2a_a")"
-  # Parallel engine determinism sweep; the sharded engine's dump must also
-  # satisfy the routing invariants.
-  determinism_sweep "$build_dir/examples/alltoall_traced" "$a2a_a" \
-                    "$build_dir/ci_alltoall" 4
-  for f in "$build_dir"/ci_alltoall.t*.json; do
-    [ -e "$f" ] || continue
-    "$tscope" --check-ecube "$f"
-  done
+  "$tscope" --check-ecube "$a2a"
+  echo "ci: tscope p50_us=$("$tscope" --metric p50_us "$a2a")" \
+       "p99_us=$("$tscope" --metric p99_us "$a2a")" \
+       "critical_path_frac=$("$tscope" --metric critical_path_frac "$a2a")"
+  # The sharded engine's dump must satisfy the routing invariants too.
+  "$build_dir/examples/alltoall_traced" --threads 4 "$a2a_t4" 4 > /dev/null
+  "$tscope" --check-ecube "$a2a_t4"
 fi
 
 if want_stage 6; then

@@ -105,6 +105,11 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
           // in one shard, so the cable hands packets over by rendezvous.
           c.wire = std::make_unique<link::Link>(sim_for(id));
         }
+        // Each side counts on its node's port: dim mod 4.
+        const auto port =
+            static_cast<std::size_t>(d % link::LinkParams::kPhysicalLinks);
+        c.wire->attach(0, nodes_[id]->port_stats[port], nullptr);
+        c.wire->attach(1, nodes_[peer]->port_stats[port], nullptr);
       }
     }
   }
@@ -190,8 +195,9 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
   for (const auto& n : nodes_) {
     n->node.attach_perf(reg);
   }
-  // Each cable side reports on the track of the node that transmits from
-  // it, named after the physical port the dimension is multiplexed onto.
+  // Each cable side counts into, and records its spans on, the track of
+  // the node that transmits from it, named after the physical port the
+  // dimension is multiplexed onto.
   link_sinks_.assign(size(), {});
   for (const auto& per_node : cables_) {
     for (std::size_t d = 0; d < per_node.size(); ++d) {
@@ -201,11 +207,14 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
       }
       const std::size_t port = d % link::LinkParams::kPhysicalLinks;
       const std::string comp = "link" + std::to_string(port);
-      perf::PerfSink* lo = &reg.track(c.lo, comp);
-      perf::PerfSink* hi = &reg.track(c.hi, comp);
-      link_sinks_[c.lo][port] = lo;
-      link_sinks_[c.hi][port] = hi;
-      c.wire->set_sinks(lo, hi);
+      for (int side = 0; side < 2; ++side) {
+        const net::NodeId at = side == 0 ? c.lo : c.hi;
+        perf::PerfSink& track = reg.track(at, comp, link::kFields);
+        link::LinkStats& stats = nodes_[at]->port_stats[port];
+        stats.attach(track);
+        link_sinks_[at][port] = &track;
+        c.wire->attach(side, stats, &track);
+      }
     }
   }
 }
@@ -220,11 +229,9 @@ std::uint64_t TSeries::total_flops() const {
 
 std::uint64_t TSeries::total_link_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& per_node : cables_) {
-    for (const Cable& c : per_node) {
-      if (c.wire) {
-        total += c.wire->bytes_sent(0) + c.wire->bytes_sent(1);
-      }
+  for (const auto& n : nodes_) {
+    for (const link::LinkStats& port : n->port_stats) {
+      total += port.count(link::kBytes);
     }
   }
   return total;

@@ -130,14 +130,17 @@ class TSeries {
   /// Arrival channel at node `at` for packets coming over dimension `dim`.
   sim::Channel<link::Packet>& inbox(net::NodeId at, int dim);
 
-  /// Aggregate statistics.
+  /// Aggregate statistics, since construction or the last enable_perf.
+  /// Link bytes are summed over node ports, each counting every cable it
+  /// carries.
   std::uint64_t total_flops() const;
   std::uint64_t total_link_bytes() const;
 
   /// Attach machine-wide perf collection: fills in the registry's meta
-  /// (dimension, node count), wires every node's vpu/cp/mem tracks, and
-  /// gives each cube cable the sink of its transmitting node ("link<p>" for
-  /// physical port p = dim mod 4). The registry must outlive the machine.
+  /// (dimension, node count), attaches every node's vpu/cp/mem tracks, and
+  /// makes each node's physical port p count into its "link<p>" track, which
+  /// so holds every cube dimension multiplexed onto p (p, p+4, p+8). The
+  /// registry must outlive the machine.
   void enable_perf(perf::CounterRegistry& reg);
   /// The attached registry, or null when perf was never enabled.
   perf::CounterRegistry* perf() { return perf_; }
@@ -147,7 +150,8 @@ class TSeries {
  private:
   friend class Module;
 
-  /// One node and the mutexes of its physical ports, in one allocation.
+  /// One node with the mutexes and statistics of its physical ports, in one
+  /// allocation.
   struct Site {
     Site(sim::Simulator& sim, net::NodeId id, const node::NodeConfig& cfg)
         : node{sim, id, cfg},
@@ -156,6 +160,9 @@ class TSeries {
     node::Node node;
     // port_mux[port]: one transmission at a time per physical link.
     std::array<sim::Semaphore, link::LinkParams::kPhysicalLinks> port_mux;
+    // port_stats[port]: what the port's link engine sent, over every cable
+    // it carries.
+    std::array<link::LinkStats, link::LinkParams::kPhysicalLinks> port_stats;
   };
 
   struct Cable {

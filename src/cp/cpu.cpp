@@ -141,9 +141,7 @@ void Cpu::deschedule_current() {
   SimTime ignored{};
   data_write(wptr_ - kWsIptr, iptr_, ignored);
   have_process_ = false;
-  if (sink_ != nullptr) {
-    sink_->counter("deschedules") += 1;
-  }
+  stats_.add(kDeschedules, 1);
 }
 
 void Cpu::fault(const std::string& what) {
@@ -173,10 +171,8 @@ sim::Proc Cpu::run() {
     }
     const std::uint64_t instr_before = instr_count_;
     const SimTime cost = exec_one();
-    if (sink_ != nullptr) {
-      sink_->counter("instr") += instr_count_ - instr_before;
-      sink_->busy("busy") += cost;
-    }
+    stats_.add(kInstr, instr_count_ - instr_before);
+    stats_.add(kBusy, cost);
     co_await Delay{cost};
     // A runnable high-priority process preempts a low-priority one at the
     // next instruction boundary ("two-level process priority", §II).
@@ -453,10 +449,8 @@ sim::SimTime Cpu::exec_secondary(SecOp op) {
       }
       // 2 reads + 2 writes per 64-bit element: 1.6 us each (§II Memory).
       cost += static_cast<std::int64_t>(count) * mem::MemParams::gather_move64();
-      if (sink_ != nullptr) {
-        sink_->counter(op == SecOp::gather ? "gather_elems"
-                                           : "scatter_elems") += count;
-      }
+      stats_.add(op == SecOp::gather ? kGatherElems : kScatterElems,
+                 std::uint64_t{count});
       break;
     }
     case SecOp::halt:

@@ -76,6 +76,16 @@ inline constexpr std::uint32_t kWsIptr = 4;
 inline constexpr std::uint32_t kWsChanPtr = 8;
 inline constexpr std::uint32_t kWsChanCount = 12;
 
+/// The control processor's statistics (perf/sink.hpp): instructions and
+/// busy time, which the node's timed CP work adds to as well, descheduled
+/// processes, and elements gathered and scattered.
+inline constexpr perf::FieldTable kFields{
+    {"instr"}, {"deschedules"}, {"gather_elems"}, {"scatter_elems"},
+    {"busy", perf::Field::time}};
+/// kFields' cells.
+enum Stat : std::size_t { kInstr, kDeschedules, kGatherElems, kScatterElems,
+                          kBusy };
+
 class Cpu {
  public:
   /// External services the node wires in. Hard channel hooks transfer raw
@@ -104,8 +114,9 @@ class Cpu {
 
   void set_hooks(Hooks h) { hooks_ = std::move(h); }
 
-  /// Perf instrumentation (see perf/sink.hpp); null disables collection.
-  void set_sink(perf::PerfSink* sink) { sink_ = sink; }
+  /// The "cp" statistics: the interpreter's, and those of the node's timed
+  /// CP operations, which share them.
+  perf::Stats<kFields>& stats() { return stats_; }
 
   // --- state inspection (tests / node services) ---
   bool halted() const { return halted_; }
@@ -162,7 +173,7 @@ class Cpu {
   sim::Simulator* sim_;
   mem::NodeMemory* memory_;
   vpu::VectorUnit* vpu_;
-  perf::PerfSink* sink_ = nullptr;
+  perf::Stats<kFields> stats_;
   Hooks hooks_{};
   std::array<std::uint8_t, kOnChipBytes> onchip_{};
 

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 namespace fpst::link {
@@ -16,12 +15,6 @@ sim::Proc cross_deliver(sim::Channel<Packet>& box, Packet p) {
   co_await box.send(std::move(p));
 }
 
-/// "busy.sublink<k>": the per-sublink busy accumulator's counter name.
-static_assert(LinkParams::kSublinksPerLink == 4);
-constexpr std::array<std::string_view, LinkParams::kSublinksPerLink>
-    kSublinkBusy = {"busy.sublink0", "busy.sublink1", "busy.sublink2",
-                    "busy.sublink3"};
-
 /// One side's inbox channels, built in place: a Channel cannot move.
 std::array<sim::Channel<Packet>, LinkParams::kSublinksPerLink> make_inboxes(
     sim::Simulator& sim) {
@@ -34,29 +27,22 @@ std::array<sim::Channel<Packet>, LinkParams::kSublinksPerLink> make_inboxes(
 void TxDirection::sent(sim::SimTime start, sim::SimTime elapsed,
                        std::uint64_t wire_bytes, std::uint64_t payload_bytes,
                        int sublink, std::uint32_t trace, std::uint32_t dst) {
-  bytes += wire_bytes;
-  ++packets;
-  busy += elapsed;
-  perf::PerfSink* sink = perf_.sink();
-  if (sink == nullptr) {
-    return;
-  }
-  Slots& s = perf_.slots();
-  s.bytes.add(*sink, "bytes", wire_bytes);
-  s.payload_bytes.add(*sink, "payload_bytes", payload_bytes);
-  s.packets.add(*sink, "packets", 1);
+  stats.add(kBytes, wire_bytes);
+  stats.add(kPayloadBytes, payload_bytes);
+  stats.add(kPackets, 1);
   // Two acknowledge bits return per byte sent (13 bit times per byte).
-  s.acks.add(*sink, "acks", 2 * wire_bytes);
-  s.dma_starts.add(*sink, "dma_starts", 1);
-  s.busy.add(*sink, "busy", elapsed);
-  const auto k = static_cast<std::size_t>(sublink);
-  s.sublink_busy[k].add(*sink, kSublinkBusy[k], elapsed);
-  sink->record({.start = start,
-                .duration = elapsed,
-                .n = payload_bytes,
-                .trace = trace,
-                .peer = dst,
-                .kind = perf::SpanKind::link_tx});
+  stats.add(kAcks, 2 * wire_bytes);
+  stats.add(kDmaStarts, 1);
+  stats.add(kBusy, elapsed);
+  stats.add(kBusySublink + static_cast<std::size_t>(sublink), elapsed);
+  if (track != nullptr) {
+    track->record({.start = start,
+                   .duration = elapsed,
+                   .n = payload_bytes,
+                   .trace = trace,
+                   .peer = dst,
+                   .kind = perf::SpanKind::link_tx});
+  }
 }
 
 Link::Link(sim::Simulator& sim)
@@ -132,18 +118,6 @@ sim::Proc Link::post(int from_side, Packet p) {
 sim::Channel<Packet>& Link::inbox(int side, int sublink) {
   return inboxes_[static_cast<std::size_t>(side)]
                  [static_cast<std::size_t>(sublink)];
-}
-
-std::uint64_t Link::bytes_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)].bytes;
-}
-
-sim::SimTime Link::busy_time(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)].busy;
-}
-
-std::uint64_t Link::packets_sent(int direction) const {
-  return dir_[static_cast<std::size_t>(direction)].packets;
 }
 
 const NodeLinks::PortRef& NodeLinks::port_at(int port, const char* who) const {

@@ -81,36 +81,40 @@ struct Packet {
   }
 };
 
-/// One transmit direction of a cable: the wire's FIFO mutex, its statistics
-/// and its perf instrumentation. Link holds both directions inline, so
-/// attaching a whole machine's link sinks touches no separate allocation per
+/// A link engine's statistics (perf/sink.hpp): bytes on the wire (headers
+/// included) and of payload, packets, acknowledge bits, DMA starts, and
+/// busy time in all and per sublink.
+inline constexpr perf::FieldTable kFields{
+    {"bytes"}, {"payload_bytes"}, {"packets"}, {"acks"}, {"dma_starts"},
+    {"busy", perf::Field::time}, {"busy.sublink0", perf::Field::time},
+    {"busy.sublink1", perf::Field::time}, {"busy.sublink2", perf::Field::time},
+    {"busy.sublink3", perf::Field::time}};
+/// kFields' cells; kBusySublink + k is sublink k's busy time.
+enum Stat : std::size_t { kBytes, kPayloadBytes, kPackets, kAcks, kDmaStarts,
+                          kBusy, kBusySublink };
+static_assert(kFields.size() == kBusySublink + LinkParams::kSublinksPerLink);
+using LinkStats = perf::Stats<kFields>;
+
+/// One transmit direction of a cable: the wire's FIFO mutex, where it
+/// counts, and the track its tx spans go to. Link holds both directions
+/// inline, so attaching a whole machine touches no separate allocation per
 /// direction.
 class TxDirection {
  public:
   explicit TxDirection(sim::Simulator& sim) : mutex{sim, 1} {}
 
-  /// The transmitting node's link track; null disables collection.
-  void set_sink(perf::PerfSink* sink) { perf_.attach(sink); }
-
   /// Account one packet that held the wire for [start, start + elapsed):
-  /// the statistics, the track's counters and its tx span.
+  /// the statistics and, while perf is attached, the tx span.
   void sent(sim::SimTime start, sim::SimTime elapsed,
             std::uint64_t wire_bytes, std::uint64_t payload_bytes,
             int sublink, std::uint32_t trace, std::uint32_t dst);
 
   sim::Semaphore mutex;
-  std::uint64_t bytes = 0;
-  std::uint64_t packets = 0;
-  sim::SimTime busy{};
-
- private:
-  struct Slots {
-    perf::CounterSlot bytes, payload_bytes, packets, acks, dma_starts;
-    perf::BusySlot busy;
-    std::array<perf::BusySlot, LinkParams::kSublinksPerLink> sublink_busy;
-  };
-
-  perf::Probe<Slots> perf_;
+  /// The direction's own cells on a standalone cable; in a machine, the
+  /// sending node's port cells, which every cable on that port shares.
+  LinkStats stats;
+  /// The sending node's link track for tx spans; null while perf is off.
+  perf::PerfSink* track = nullptr;
 };
 
 /// A full-duplex cable between two link ports. Side 0 and side 1 each own an
@@ -151,18 +155,19 @@ class Link {
   /// on that side's simulator).
   sim::Channel<Packet>& inbox(int side, int sublink);
 
-  /// Perf instrumentation: one sink per transmitting side (side 0's sink is
-  /// the track of the node wired to side 0, and likewise for side 1). Null
-  /// pointers disable collection for that side.
-  void set_sinks(perf::PerfSink* side0, perf::PerfSink* side1) {
-    dir_[0].set_sink(side0);
-    dir_[1].set_sink(side1);
+  /// Count `side`'s transmissions wherever `port` counts (its node port's
+  /// statistics) and record their tx spans on `track` (null: none).
+  void attach(int side, const LinkStats& port, perf::PerfSink* track) {
+    TxDirection& d = dir_[static_cast<std::size_t>(side)];
+    d.stats.attach(port);
+    d.track = track;
   }
 
-  // --- statistics per direction (0: side0->side1, 1: side1->side0) ---
-  std::uint64_t bytes_sent(int direction) const;
-  sim::SimTime busy_time(int direction) const;
-  std::uint64_t packets_sent(int direction) const;
+  // --- statistics per direction (0: side0->side1, 1: side1->side0); on a
+  // machine's cable, those of the sending node's port ---
+  std::uint64_t bytes_sent(int d) const { return stats(d).count(kBytes); }
+  sim::SimTime busy_time(int d) const { return stats(d).time(kBusy); }
+  std::uint64_t packets_sent(int d) const { return stats(d).count(kPackets); }
 
  private:
   /// Same-simulator hand-off: the sender blocks until the receiver takes
@@ -170,6 +175,9 @@ class Link {
   sim::Proc rendezvous(int from_side, Packet p);
   /// Cross-shard hand-off: the arrival travels through the engine mailbox.
   sim::Proc post(int from_side, Packet p);
+  const LinkStats& stats(int d) const {
+    return dir_[static_cast<std::size_t>(d)].stats;
+  }
 
   /// The sharded engine, or null when both sides share one simulator.
   sim::ParallelSim* psim_ = nullptr;

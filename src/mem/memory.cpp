@@ -100,10 +100,7 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
   }
   std::uint32_t v;
   std::memcpy(&v, data_.get() + addr, sizeof v);
-  ++word_accesses_;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    perf_.slots().word_reads.add(*sink, "word_reads", 1);
-  }
+  stats_.add(kWordReads, 1);
   return v;
 }
 
@@ -114,10 +111,7 @@ void NodeMemory::write_word(std::uint32_t addr, std::uint32_t v) {
   if (!corrupted_.empty()) {
     clear_corruption(addr, 4);
   }
-  ++word_accesses_;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    perf_.slots().word_writes.add(*sink, "word_writes", 1);
-  }
+  stats_.add(kWordWrites, 1);
 }
 
 std::uint8_t NodeMemory::read_byte(std::uint32_t addr) {
@@ -125,10 +119,7 @@ std::uint8_t NodeMemory::read_byte(std::uint32_t addr) {
   if (!corrupted_.empty()) {
     check_parity(addr);
   }
-  ++word_accesses_;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    perf_.slots().word_reads.add(*sink, "word_reads", 1);
-  }
+  stats_.add(kWordReads, 1);
   return data_[addr];
 }
 
@@ -138,10 +129,7 @@ void NodeMemory::write_byte(std::uint32_t addr, std::uint8_t v) {
   if (!corrupted_.empty()) {
     clear_corruption(addr, 1);
   }
-  ++word_accesses_;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    perf_.slots().word_writes.add(*sink, "word_writes", 1);
-  }
+  stats_.add(kWordWrites, 1);
 }
 
 void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
@@ -153,10 +141,7 @@ void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
     }
   }
   std::memcpy(reg.raw().data(), data_.get() + base, MemParams::kRowBytes);
-  ++row_accesses_;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    perf_.slots().row_loads.add(*sink, "row_loads", 1);
-  }
+  stats_.add(kRowLoads, 1);
 }
 
 void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
@@ -166,10 +151,7 @@ void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
   if (!corrupted_.empty()) {
     clear_corruption(static_cast<std::uint32_t>(base), MemParams::kRowBytes);
   }
-  ++row_accesses_;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    perf_.slots().row_stores.add(*sink, "row_stores", 1);
-  }
+  stats_.add(kRowStores, 1);
 }
 
 void NodeMemory::corrupt_byte(std::uint32_t addr, int bit) {

@@ -99,6 +99,12 @@ class VectorRegister {
   alignas(64) std::array<std::byte, MemParams::kRowBytes> bytes_;
 };
 
+/// Node memory's statistics (perf/sink.hpp): accesses per port and way.
+inline constexpr perf::FieldTable kFields{
+    {"word_reads"}, {"word_writes"}, {"row_loads"}, {"row_stores"}};
+/// kFields' cells.
+enum Stat : std::size_t { kWordReads, kWordWrites, kRowLoads, kRowStores };
+
 /// Where a parity violation was detected.
 struct ParityError {
   std::uint32_t byte_address;
@@ -151,15 +157,16 @@ class NodeMemory {
   std::optional<ParityError> take_parity_error();
   std::uint64_t parity_errors_detected() const { return parity_error_count_; }
 
-  /// Perf instrumentation (see perf/sink.hpp); null disables collection.
-  void set_sink(perf::PerfSink* sink) { perf_.attach(sink); }
+  /// Count into `track`'s cells from now on (a "mem" track made with
+  /// kFields).
+  void attach_perf(perf::PerfSink& track) { stats_.attach(track); }
 
-  // --- traffic statistics (for the bandwidth benches) ---
-  std::uint64_t word_accesses() const { return word_accesses_; }
-  std::uint64_t row_accesses() const { return row_accesses_; }
-  void reset_stats() {
-    word_accesses_ = 0;
-    row_accesses_ = 0;
+  // --- traffic statistics, since construction or the last attach ---
+  std::uint64_t word_accesses() const {
+    return stats_.count(kWordReads) + stats_.count(kWordWrites);
+  }
+  std::uint64_t row_accesses() const {
+    return stats_.count(kRowLoads) + stats_.count(kRowStores);
   }
 
  private:
@@ -171,12 +178,7 @@ class NodeMemory {
     void operator()(std::uint8_t* p) const noexcept;
   };
 
-  /// The counter slots the ports add to.
-  struct Slots {
-    perf::CounterSlot word_reads, word_writes, row_loads, row_stores;
-  };
-
-  perf::Probe<Slots> perf_;
+  perf::Stats<kFields> stats_;
   std::unique_ptr<std::uint8_t[], Unmap> data_;
   /// Bytes whose stored parity bit currently disagrees with their data:
   /// exactly the bytes corrupt_byte has flipped an odd number of times
@@ -186,8 +188,6 @@ class NodeMemory {
   std::set<std::uint32_t> corrupted_;
   std::optional<ParityError> pending_error_{};
   std::uint64_t parity_error_count_ = 0;
-  std::uint64_t word_accesses_ = 0;
-  std::uint64_t row_accesses_ = 0;
 };
 
 }  // namespace fpst::mem

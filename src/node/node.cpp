@@ -147,11 +147,11 @@ std::vector<float> Node::read32(const Array32& a) const {
 }
 
 void Node::attach_perf(perf::CounterRegistry& reg) {
-  perf_vpu_ = &reg.track(id_, "vpu");
-  perf_cp_.attach(&reg.track(id_, "cp"));
-  memory_.set_sink(&reg.track(id_, "mem"));
-  vpu_.set_sink(perf_vpu_);
-  cpu_.set_sink(perf_cp_.sink());
+  perf_vpu_ = &reg.track(id_, "vpu", vpu::kFields);
+  perf_cp_ = &reg.track(id_, "cp", cp::kFields);
+  vpu_.attach_perf(*perf_vpu_);
+  cpu_.stats().attach(*perf_cp_);
+  memory_.attach_perf(reg.track(id_, "mem", mem::kFields));
 }
 
 vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
@@ -168,10 +168,8 @@ vpu::OpResult Node::issue_op(const vpu::VectorOp& op) {
 
 void Node::retire_op(const vpu::OpResult& r) {
   if (!cfg_.overlap) {
-    if (perf::PerfSink* cp = perf_cp_.sink()) {
-      // The stalled controller is occupied for the whole vector op.
-      perf_cp_.slots().busy.add(*cp, "busy", r.duration);
-    }
+    // The stalled controller is occupied for the whole vector op.
+    cpu_.stats().add(cp::kBusy, r.duration);
     cp_sem_.release();
   }
   vpu_sem_.release();
@@ -300,40 +298,37 @@ sim::Proc Node::vreduce(vpu::VectorForm form, const Array64& x,
 }
 
 sim::Proc Node::hold_cp(std::uint64_t n, SimTime per, perf::SpanKind kind,
-                        perf::CounterSlot CpSlots::*count,
-                        const char* count_name) {
+                        cp::Stat count) {
   co_await cp_sem_.acquire();
   const SimTime t = static_cast<std::int64_t>(n) * per;
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    cp->record({.start = sim_->now(), .duration = t, .n = n, .kind = kind});
+  if (perf_cp_ != nullptr) {
+    perf_cp_->record(
+        {.start = sim_->now(), .duration = t, .n = n, .kind = kind});
   }
   co_await Delay{t};
-  if (perf::PerfSink* cp = perf_cp_.sink()) {
-    CpSlots& s = perf_cp_.slots();
-    (s.*count).add(*cp, count_name, n);
-    s.busy.add(*cp, "busy", t);
-  }
+  cpu_.stats().add(count, n);
+  cpu_.stats().add(cp::kBusy, t);
   cp_sem_.release();
 }
 
 sim::Proc Node::gather(std::size_t elems) {
   return hold_cp(elems, MemParams::gather_move64(), perf::SpanKind::gather64,
-                 &CpSlots::gather_elems, "gather_elems");
+                 cp::kGatherElems);
 }
 
 sim::Proc Node::gather32(std::size_t elems) {
   return hold_cp(elems, MemParams::gather_move32(), perf::SpanKind::gather32,
-                 &CpSlots::gather_elems, "gather_elems");
+                 cp::kGatherElems);
 }
 
 sim::Proc Node::scatter(std::size_t elems) {
   return hold_cp(elems, MemParams::gather_move64(), perf::SpanKind::scatter64,
-                 &CpSlots::scatter_elems, "scatter_elems");
+                 cp::kScatterElems);
 }
 
 sim::Proc Node::cp_work(std::uint64_t instructions) {
   return hold_cp(instructions, cp::CpuParams::instr_time(),
-                 perf::SpanKind::cp_work, &CpSlots::instr, "instr");
+                 perf::SpanKind::cp_work, cp::kInstr);
 }
 
 sim::Proc Node::scalar_recip(double x, double* out) {

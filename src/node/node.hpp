@@ -152,21 +152,16 @@ class Node {
   sim::Proc row_move(std::size_t rows);
 
   /// Attach perf collection: registers this node's "vpu", "cp" and "mem"
-  /// tracks with the registry and wires the substrate sinks (a machine adds
-  /// the link tracks). Spans from the timed API land on the vpu/cp tracks
-  /// of the registry's timeline. The registry must outlive the node.
+  /// tracks with the registry, and the vector unit, control processor and
+  /// memory count into their cells from now on (a machine adds the link
+  /// tracks). Spans from the timed API land on the vpu/cp tracks of the
+  /// registry's timeline. The registry must outlive the node.
   void attach_perf(perf::CounterRegistry& reg);
 
   // ---- statistics ----
   std::uint64_t flops() const { return vpu_.total_flops(); }
 
  private:
-  /// The cp-track slots the timed API adds to.
-  struct CpSlots {
-    perf::BusySlot busy;
-    perf::CounterSlot instr, gather_elems, scatter_elems;
-  };
-
   /// The one strip-mine loop behind vbinary, vscalar, vbinary32 and
   /// vscalar32 (`call` names the public call in errors).
   template <class Elem>
@@ -175,9 +170,9 @@ class Node {
                        const char* call);
   /// The one CP hold behind gather, gather32, scatter and cp_work: holds
   /// the controller for `n` items of `per` each, records one `kind` span
-  /// and adds `n` to the cp-track counter `count` (named `count_name`).
+  /// and adds `n` to the cp statistic `count`.
   sim::Proc hold_cp(std::uint64_t n, sim::SimTime per, perf::SpanKind kind,
-                    perf::CounterSlot CpSlots::*count, const char* count_name);
+                    cp::Stat count);
   /// The non-suspending halves of one vector op, around the strip-mine
   /// loops' acquire and delay.
   vpu::OpResult issue_op(const vpu::VectorOp& op);
@@ -192,8 +187,10 @@ class Node {
   link::NodeLinks links_;
   sim::Semaphore vpu_sem_;
   sim::Semaphore cp_sem_;
+  // The vpu and cp tracks the timed API records spans on; null while perf
+  // is off.
   perf::PerfSink* perf_vpu_ = nullptr;
-  perf::Probe<CpSlots> perf_cp_;
+  perf::PerfSink* perf_cp_ = nullptr;
   std::size_t next_row_a_ = 0;
   std::size_t next_row_b_ = mem::MemParams::kBankARows;
 };

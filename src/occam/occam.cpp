@@ -1,5 +1,6 @@
 #include "occam/occam.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -166,7 +167,8 @@ sim::Proc Ctx::allreduce_max(double* value, double* payload) {
   }
 }
 
-Runtime::Runtime(core::TSeries& machine) : machine_{&machine} {
+Runtime::Runtime(core::TSeries& machine)
+    : machine_{&machine}, stats_(machine.size()) {
   per_node_seq_.resize(machine_->size(), 0);
   for (net::NodeId id = 0; id < machine_->size(); ++id) {
     ctxs_.push_back(std::unique_ptr<Ctx>(new Ctx(*this, id)));
@@ -176,26 +178,33 @@ Runtime::Runtime(core::TSeries& machine) : machine_{&machine} {
   }
 }
 
-Runtime::OccamTrack* Runtime::occam_track(net::NodeId at) {
+std::uint64_t Runtime::packets_forwarded() const {
+  std::uint64_t total = 0;
+  for (const perf::Stats<kFields>& s : stats_) {
+    total += s.count(kPktsForwarded);
+  }
+  return total;
+}
+
+perf::PerfSink* Runtime::occam_track(net::NodeId at) {
   if (occam_tracks_.empty()) {
     return nullptr;
   }
-  OccamTrack& t = occam_tracks_[at];
-  if (t.sink() == nullptr) {
-    t.attach(&machine_->perf()->track(at, "occam"));
+  if (occam_tracks_[at] == nullptr) {
+    occam_tracks_[at] = &machine_->perf()->track(at, "occam", kFields);
+    stats_[at].attach(*occam_tracks_[at]);
   }
-  return &t;
+  return occam_tracks_[at];
 }
 
 void Runtime::deliver(net::NodeId at, Msg m) {
-  if (OccamTrack* t = occam_track(at)) {
-    t->slots().recv.add(*t->sink(), "msgs_recv", 1);
-    if (m.trace != 0) {
-      t->sink()->record({.start = machine_->sim_for(at).now(),
-                         .trace = m.trace,
-                         .peer = m.src,
-                         .kind = perf::SpanKind::msg_deliver});
-    }
+  perf::PerfSink* track = occam_track(at);
+  stats_[at].add(kMsgsRecv, 1);
+  if (track != nullptr && m.trace != 0) {
+    track->record({.start = machine_->sim_for(at).now(),
+                   .trace = m.trace,
+                   .peer = m.src,
+                   .kind = perf::SpanKind::msg_deliver});
   }
   Mailbox& box = *mailboxes_[at];
   box.queue.push_back(std::move(m));
@@ -207,17 +216,18 @@ sim::Proc Runtime::send_packet(net::NodeId from, net::NodeId dst,
   // Packetisation is control-processor work.
   co_await machine_->node(from).cp_work(RtParams::kSendInstr);
   std::uint32_t trace = 0;
-  if (OccamTrack* t = occam_track(from)) {
-    t->slots().sent.add(*t->sink(), "msgs_sent", 1);
+  perf::PerfSink* track = occam_track(from);
+  stats_[from].add(kMsgsSent, 1);
+  if (track != nullptr) {
     // tscope injection marker: id, destination, tag and encoded payload
     // size, in the grammar perf/tscope.hpp documents.
     trace = alloc_trace(from);
-    t->sink()->record({.start = machine_->sim_for(from).now(),
-                       .n = 4 + 8 * data.size(),
-                       .trace = trace,
-                       .peer = dst,
-                       .tag = tag,
-                       .kind = perf::SpanKind::msg_inject});
+    track->record({.start = machine_->sim_for(from).now(),
+                   .n = 4 + 8 * data.size(),
+                   .trace = trace,
+                   .peer = dst,
+                   .tag = tag,
+                   .kind = perf::SpanKind::msg_inject});
   }
   if (dst == from) {
     deliver(from, Msg{from, tag, trace, std::move(data)});
@@ -241,15 +251,13 @@ sim::Proc Runtime::router_listener(net::NodeId at, int dim) {
     }
     // Store-and-forward: inspect and retransmit along the next e-cube
     // dimension; the hop count rides in the packet.
-    forwarded_.fetch_add(1, std::memory_order_relaxed);
     ++p.hops;
-    if (OccamTrack* t = occam_track(at)) {
-      t->slots().forwarded.add(*t->sink(), "pkts_forwarded", 1);
-      if (p.trace != 0) {
-        t->sink()->record({.start = machine_->sim_for(at).now(),
-                           .trace = p.trace,
-                           .kind = perf::SpanKind::msg_forward});
-      }
+    perf::PerfSink* track = occam_track(at);
+    stats_[at].add(kPktsForwarded, 1);
+    if (track != nullptr && p.trace != 0) {
+      track->record({.start = machine_->sim_for(at).now(),
+                     .trace = p.trace,
+                     .kind = perf::SpanKind::msg_forward});
     }
     co_await machine_->node(at).cp_work(RtParams::kForwardInstr);
     co_await machine_->send_dim(at, first_route_dim(at, p.dst), std::move(p));
@@ -309,8 +317,13 @@ sim::SimTime Runtime::run(const std::vector<Body>& bodies) {
   if (bodies.size() != machine_->size()) {
     throw std::invalid_argument("Runtime::run: one body per node required");
   }
-  occam_tracks_.assign(machine_->perf() != nullptr ? machine_->size() : 0,
-                       OccamTrack{});
+  if (machine_->perf() != nullptr) {
+    // Each run resolves its tracks afresh, from the registry attached now.
+    // Until a node's first message attaches its statistics, they count in
+    // fresh cells of their own, never in a track of an earlier registry.
+    occam_tracks_.assign(machine_->size(), nullptr);
+    stats_ = std::vector<perf::Stats<kFields>>(machine_->size());
+  }
   if (machine_->parallel() != nullptr) {
     return run_parallel(bodies);
   }

@@ -16,7 +16,6 @@
 // net/hypercube.hpp, expressed as per-node code.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -51,6 +50,13 @@ struct Msg {
   std::uint32_t trace = 0;
   std::vector<double> data;
 };
+
+/// A node's messaging statistics (perf/sink.hpp): messages injected and
+/// delivered, and transit packets it forwarded.
+inline constexpr perf::FieldTable kFields{
+    {"msgs_sent"}, {"msgs_recv"}, {"pkts_forwarded"}};
+/// kFields' cells.
+enum Stat : std::size_t { kMsgsSent, kMsgsRecv, kPktsForwarded };
 
 /// Runtime tuning knobs (software costs on the control processor).
 struct RtParams {
@@ -130,9 +136,7 @@ class Runtime {
   Ctx& ctx(net::NodeId id) { return *ctxs_.at(id); }
 
   /// Messages forwarded in transit (router workload), for the benches.
-  std::uint64_t packets_forwarded() const {
-    return forwarded_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t packets_forwarded() const;
 
  private:
   friend class Ctx;
@@ -150,21 +154,14 @@ class Runtime {
                         std::vector<double> data);
   std::uint32_t alloc_trace(net::NodeId from);
   sim::SimTime run_parallel(const std::vector<Body>& bodies);
-  /// The slots a node's messages add to on its "occam" track.
-  struct OccamSlots {
-    perf::CounterSlot sent, recv, forwarded;
-  };
-  using OccamTrack = perf::Probe<OccamSlots>;
-  /// Node `at`'s occam track, or null while perf is off.
-  OccamTrack* occam_track(net::NodeId at);
+  /// Node `at`'s occam track, or null while perf is off. The node's
+  /// statistics count into it from the first call, its first message.
+  perf::PerfSink* occam_track(net::NodeId at);
 
   core::TSeries* machine_;
   std::vector<std::unique_ptr<Ctx>> ctxs_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   bool routers_started_ = false;
-  /// Atomic because shard workers forward concurrently in parallel runs
-  /// (relaxed: it is a statistic, not a synchronisation point).
-  std::atomic<std::uint64_t> forwarded_{0};
   /// Next tscope trace id; assigned at injection when perf is attached.
   /// Starts at 1 so 0 can mean "untraced" in link::Packet. Serial runs
   /// draw from this global counter (kept for byte-identical dumps);
@@ -174,12 +171,15 @@ class Runtime {
   /// Parallel trace allocation: per-source message sequence numbers. Entry
   /// n is written only by node n's shard worker.
   std::vector<std::uint32_t> per_node_seq_;
-  /// Per-node occam tracks, resolved once instead of per message; empty
-  /// while perf is off. Sharded runs fill every entry before the workers
-  /// start (a lazy fill from shard threads would race on the registry).
-  /// Serial runs fill an entry on the node's first message, so nodes that
-  /// never communicate grow no track and serial dumps keep their bytes.
-  std::vector<OccamTrack> occam_tracks_;
+  /// Per-node statistics; entry n is written only by node n's shard.
+  std::vector<perf::Stats<kFields>> stats_;
+  /// Per-node occam tracks for spans, resolved once instead of per message;
+  /// empty while perf is off. Sharded runs fill every entry before the
+  /// workers start (a lazy fill from shard threads would race on the
+  /// registry). Serial runs fill an entry on the node's first message, so
+  /// nodes that never communicate grow no track and serial dumps keep
+  /// their bytes.
+  std::vector<perf::PerfSink*> occam_tracks_;
 };
 
 }  // namespace fpst::occam

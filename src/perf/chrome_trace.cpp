@@ -364,8 +364,12 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
     DumpTrack t;
     t.node = key.first;
     t.component = key.second;
-    t.counts = sink->counts();
-    t.times = sink->times();
+    sink->each_touched(Field::time, [&t](std::string_view n, std::int64_t v) {
+      t.times.emplace(n, sim::SimTime::picoseconds(v));
+    });
+    sink->each_touched(Field::count, [&t](std::string_view n, std::int64_t v) {
+      t.counts.emplace(n, static_cast<std::uint64_t>(v));
+    });
     d.tracks.push_back(std::move(t));
   }
   SpanOrder(reg).each([&](const Span& s) {
@@ -406,15 +410,14 @@ void write_dump(std::string& out, const CounterRegistry& reg,
   w.key("counters").begin_object();
   for (const auto& [key, sink] : keyed) {
     w.key(key).begin_object();
+    const auto field = [&w](std::string_view name, std::int64_t v) {
+      w.key(name).integer(v);
+    };
     w.key("busy_ps").begin_object();
-    for (const auto& [name, tm] : sink->times()) {
-      w.key(name).integer(tm.ps());
-    }
+    sink->each_touched(Field::time, field);
     w.end_object();
     w.key("counts").begin_object();
-    for (const auto& [name, v] : sink->counts()) {
-      w.key(name).integer(static_cast<std::int64_t>(v));
-    }
+    sink->each_touched(Field::count, field);
     w.end_object();
     w.end_object();
   }

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -62,8 +64,8 @@ std::string span_name(const Span& s);
 struct DumpTrack {
   std::uint32_t node = 0;
   std::string component;
-  PerfSink::Counts counts;
-  PerfSink::Times times;
+  std::map<std::string, std::uint64_t, std::less<>> counts;
+  std::map<std::string, sim::SimTime, std::less<>> times;
 };
 
 /// One span as loaded back from a dump.

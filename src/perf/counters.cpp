@@ -2,25 +2,16 @@
 
 namespace fpst::perf {
 
-std::uint64_t PerfSink::value(std::string_view name) const {
-  const auto it = counts_.find(name);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-sim::SimTime PerfSink::time_value(std::string_view name) const {
-  const auto it = times_.find(name);
-  return it == times_.end() ? sim::SimTime{} : it->second;
-}
-
 PerfSink& CounterRegistry::track(std::uint32_t node,
-                                 std::string_view component) {
+                                 std::string_view component,
+                                 const FieldTable& fields) {
   const auto key = std::make_pair(node, std::string(component));
   const auto it = tracks_.find(key);
   if (it != tracks_.end()) {
     return *it->second;
   }
-  auto sink = std::unique_ptr<PerfSink>(
-      new PerfSink(node, key.second, next_id_++, timeline_for(node)));
+  auto sink = std::unique_ptr<PerfSink>(new PerfSink(
+      node, key.second, next_id_++, timeline_for(node), fields));
   PerfSink& ref = *sink;
   tracks_.emplace(key, std::move(sink));
   return ref;
@@ -56,37 +47,14 @@ const PerfSink* CounterRegistry::find(std::uint32_t node,
   return it == tracks_.end() ? nullptr : it->second.get();
 }
 
-std::uint64_t CounterRegistry::value(std::uint32_t node,
-                                     std::string_view component,
-                                     std::string_view name) const {
-  const PerfSink* t = find(node, component);
-  return t == nullptr ? 0 : t->value(name);
-}
-
-sim::SimTime CounterRegistry::time_value(std::uint32_t node,
-                                         std::string_view component,
-                                         std::string_view name) const {
-  const PerfSink* t = find(node, component);
-  return t == nullptr ? sim::SimTime{} : t->time_value(name);
-}
-
 std::uint64_t CounterRegistry::total(std::string_view component,
                                      std::string_view name) const {
   std::uint64_t sum = 0;
   for (const auto& [key, sink] : tracks_) {
     if (key.second == component) {
-      sum += sink->value(name);
-    }
-  }
-  return sum;
-}
-
-sim::SimTime CounterRegistry::total_time(std::string_view component,
-                                         std::string_view name) const {
-  sim::SimTime sum{};
-  for (const auto& [key, sink] : tracks_) {
-    if (key.second == component) {
-      sum += sink->time_value(name);
+      sink->each_touched(Field::count, [&](std::string_view n, std::int64_t v) {
+        sum += n == name ? static_cast<std::uint64_t>(v) : 0;
+      });
     }
   }
   return sum;

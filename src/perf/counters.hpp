@@ -1,12 +1,13 @@
-// The counter registry: named monotonically increasing counters and
-// duration accumulators for every (node, component) track of the machine,
-// plus the shared span timeline.
+// The counter registry: every (node, component) track of the machine, each
+// owning the statistics cells its component counts into while attached
+// (perf/sink.hpp), plus the shared span timeline.
 //
-// Components never see this class — they hold a PerfSink* (perf/sink.hpp)
-// handed out by track(); the registry owns the tracks and keeps them in a
-// sorted map so every query and every serialised dump is deterministic.
-// Attach a registry to a whole machine with core::TSeries::enable_perf, or
-// to a standalone node with node::Node::attach_perf.
+// Components never see this class — they count through a perf::Stats
+// attached to a track that track() hands out; the registry owns the tracks
+// and keeps them in a sorted map so every query and every serialised dump
+// is deterministic. It must outlive every machine attached to it. Attach a
+// registry to a whole machine with core::TSeries::enable_perf, or to a
+// standalone node with node::Node::attach_perf.
 #pragma once
 
 #include <cstdint>
@@ -43,22 +44,17 @@ class CounterRegistry {
   CounterRegistry(const CounterRegistry&) = delete;
   CounterRegistry& operator=(const CounterRegistry&) = delete;
 
-  /// The sink for (node, component); created on first use. Pointers stay
-  /// valid for the registry's lifetime.
-  PerfSink& track(std::uint32_t node, std::string_view component);
+  /// The track for (node, component), created on first use with the
+  /// component's field table and zeroed cells. Pointers stay valid for the
+  /// registry's lifetime.
+  PerfSink& track(std::uint32_t node, std::string_view component,
+                  const FieldTable& fields);
   /// Lookup without creation (nullptr when the track never existed).
   const PerfSink* find(std::uint32_t node, std::string_view component) const;
 
-  /// Counter value on one track, 0 when absent.
-  std::uint64_t value(std::uint32_t node, std::string_view component,
-                      std::string_view name) const;
-  /// Duration value on one track, zero when absent.
-  sim::SimTime time_value(std::uint32_t node, std::string_view component,
-                          std::string_view name) const;
-  /// Sum of `name` over every node's `component` track.
+  /// Sum of the count `name` over every node's `component` track (one
+  /// track's values: perf::snapshot's Dump::value).
   std::uint64_t total(std::string_view component, std::string_view name) const;
-  sim::SimTime total_time(std::string_view component,
-                          std::string_view name) const;
 
   /// All tracks in deterministic (node, component) order.
   const std::map<std::pair<std::uint32_t, std::string>,

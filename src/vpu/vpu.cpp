@@ -228,19 +228,6 @@ void check_divergence(const VectorOp& op, const OpResult& soft,
   }
 }
 
-/// "busy.<FORM>": the per-form busy accumulator's counter name.
-std::string_view form_busy_name(VectorForm f) {
-  static const std::array<std::string, kVectorForms> names = [] {
-    std::array<std::string, kVectorForms> out;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = "busy.";
-      out[i] += to_string(static_cast<VectorForm>(i));
-    }
-    return out;
-  }();
-  return names[static_cast<std::size_t>(f)];
-}
-
 }  // namespace
 
 bool is_two_operand(VectorForm f) {
@@ -299,12 +286,6 @@ VectorUnit::VectorUnit(mem::NodeMemory& memory)
 VectorUnit::VectorUnit(mem::NodeMemory& memory, Config cfg)
     : memory_{&memory}, cfg_{cfg} {}
 
-void VectorUnit::reset_stats() {
-  total_ops_ = 0;
-  total_flops_ = 0;
-  total_busy_ = sim::SimTime{};
-}
-
 sim::SimTime VectorUnit::duration_of(const VectorOp& op) const {
   using sim::SimTime;
   const SimTime cycle = VpuParams::cycle();
@@ -361,8 +342,8 @@ OpResult VectorUnit::execute(const VectorOp& op) {
     throw std::invalid_argument("VectorUnit: row out of range");
   }
   // Operand rows load once and the result row stores once regardless of
-  // mode, so row_accesses_ and the perf sink's row_loads/row_stores are
-  // mode-independent (the serve-layer byte-identical-dump contract).
+  // mode, so the memory's row_loads/row_stores are mode-independent (the
+  // serve-layer byte-identical-dump contract).
   VectorRegister vx;
   VectorRegister vy;
   VectorRegister vz;
@@ -395,37 +376,28 @@ OpResult VectorUnit::execute(const VectorOp& op) {
     memory_->store_row(op.row_z, vz);
   }
   r.duration = duration_of(op);
-  ++total_ops_;
-  total_flops_ += r.flops;
-  total_busy_ += r.duration;
-  if (perf::PerfSink* sink = perf_.sink()) {
-    Slots& s = perf_.slots();
-    s.ops.add(*sink, "ops", 1);
-    s.flops.add(*sink, "flops", r.flops);
-    // Pipe result counts: chained forms produce one result per pipe per
-    // element; pure multiplier forms keep the adder idle and vice versa.
-    const bool both = uses_both_pipes(op.form);
-    const bool mul_only =
-        op.form == VectorForm::vmul || op.form == VectorForm::vsmul;
-    const auto n = static_cast<std::uint64_t>(op.n);
-    if (both || !mul_only) {
-      s.adder_results.add(*sink, "adder_results", n);
-    }
-    if (both || mul_only) {
-      s.mul_results.add(*sink, "mul_results", n);
-    }
-    if (is_two_operand(op.form) &&
-        mem::NodeMemory::bank_of_row(op.row_x) ==
-            mem::NodeMemory::bank_of_row(op.row_y)) {
-      s.bank_conflicts.add(*sink, "bank_conflicts", 1);
-    }
-    s.busy.add(*sink, "busy", r.duration);
-    if (const auto f = static_cast<std::size_t>(op.form); f < kVectorForms) {
-      s.form_busy[f].add(*sink, form_busy_name(op.form), r.duration);
-    } else {
-      sink->busy("busy.?") += r.duration;  // a form no enumerator names
-    }
+  stats_.add(kOps, 1);
+  stats_.add(kFlops, r.flops);
+  // Pipe result counts: chained forms produce one result per pipe per
+  // element; pure multiplier forms keep the adder idle and vice versa.
+  const bool both = uses_both_pipes(op.form);
+  const bool mul_only =
+      op.form == VectorForm::vmul || op.form == VectorForm::vsmul;
+  const auto n = static_cast<std::uint64_t>(op.n);
+  if (both || !mul_only) {
+    stats_.add(kAdderResults, n);
   }
+  if (both || mul_only) {
+    stats_.add(kMulResults, n);
+  }
+  if (is_two_operand(op.form) &&
+      mem::NodeMemory::bank_of_row(op.row_x) ==
+          mem::NodeMemory::bank_of_row(op.row_y)) {
+    stats_.add(kBankConflicts, 1);
+  }
+  stats_.add(kBusy, r.duration);
+  const auto f = static_cast<std::size_t>(op.form);
+  stats_.add(f < kVectorForms ? kBusyForm + f : kBusyUnknown, r.duration);
   return r;
 }
 

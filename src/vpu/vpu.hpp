@@ -154,9 +154,35 @@ bool uses_both_pipes(VectorForm f);
 
 struct VectorOp;
 /// Flops charged for one executed form: one per element, two when the form
-/// chains both pipes. Single source of truth for total_flops_ and the perf
-/// sink so the softfloat and batch arms cannot drift in accounting.
+/// chains both pipes. The single source of the "flops" count, so the
+/// softfloat and batch arms cannot drift in accounting.
 std::uint64_t flops_for(const VectorOp& op);
+
+/// The vector unit's statistics (perf/sink.hpp): operations, flops, results
+/// per pipe, same-bank operand pairs, and busy time in all, for a form no
+/// enumerator names ("busy.?"), and per form in VectorForm order.
+inline constexpr perf::FieldTable kFields{
+    {"ops"}, {"flops"}, {"adder_results"}, {"mul_results"}, {"bank_conflicts"},
+    {"busy", perf::Field::time}, {"busy.?", perf::Field::time},
+    {"busy.VADD", perf::Field::time}, {"busy.VSUB", perf::Field::time},
+    {"busy.VMUL", perf::Field::time}, {"busy.VSADD", perf::Field::time},
+    {"busy.VSMUL", perf::Field::time}, {"busy.VSAXPY", perf::Field::time},
+    {"busy.VNEG", perf::Field::time}, {"busy.VABS", perf::Field::time},
+    {"busy.VSUM", perf::Field::time}, {"busy.VDOT", perf::Field::time},
+    {"busy.VMAXVAL", perf::Field::time}, {"busy.VCMPLE", perf::Field::time},
+    {"busy.VCVTW", perf::Field::time}, {"busy.VCVTN", perf::Field::time}};
+/// kFields' cells; kBusyForm + f is vector form f's busy time.
+enum Stat : std::size_t { kOps, kFlops, kAdderResults, kMulResults,
+                          kBankConflicts, kBusy, kBusyUnknown, kBusyForm };
+static_assert([] {
+  for (std::size_t f = 0; f < kVectorForms; ++f) {
+    if (kFields[kBusyForm + f].name.substr(5) !=
+        to_string(static_cast<VectorForm>(f))) {
+      return false;
+    }
+  }
+  return kFields.size() == kBusyForm + kVectorForms;
+}(), "kFields must name busy.<FORM> for every form, in VectorForm order");
 
 /// A vector operation as the control processor describes it to the
 /// micro-sequencer: the form, precision, element count, and the memory rows
@@ -200,14 +226,14 @@ class VectorUnit {
   /// rows). Timing is returned, not charged — the node model owns the clock.
   OpResult execute(const VectorOp& op);
 
-  /// Perf instrumentation (see perf/sink.hpp); null disables collection.
-  void set_sink(perf::PerfSink* sink) { perf_.attach(sink); }
+  /// Count into `track`'s cells from now on (a "vpu" track made with
+  /// kFields).
+  void attach_perf(perf::PerfSink& track) { stats_.attach(track); }
 
-  /// Cumulative statistics for the benches.
-  std::uint64_t total_ops() const { return total_ops_; }
-  std::uint64_t total_flops() const { return total_flops_; }
-  sim::SimTime total_busy() const { return total_busy_; }
-  void reset_stats();
+  /// Statistics for the benches, since construction or the last attach.
+  std::uint64_t total_ops() const { return stats_.count(kOps); }
+  std::uint64_t total_flops() const { return stats_.count(kFlops); }
+  sim::SimTime total_busy() const { return stats_.time(kBusy); }
 
   /// Timing model only (no data movement) — used for analytic sweeps.
   sim::SimTime duration_of(const VectorOp& op) const;
@@ -218,17 +244,7 @@ class VectorUnit {
  private:
   mem::NodeMemory* memory_;
   Config cfg_;
-  /// The counter slots execute() adds to.
-  struct Slots {
-    perf::CounterSlot ops, flops, adder_results, mul_results, bank_conflicts;
-    perf::BusySlot busy;
-    std::array<perf::BusySlot, kVectorForms> form_busy;
-  };
-
-  perf::Probe<Slots> perf_;
-  std::uint64_t total_ops_ = 0;
-  std::uint64_t total_flops_ = 0;
-  sim::SimTime total_busy_{};
+  perf::Stats<kFields> stats_;
 };
 
 }  // namespace fpst::vpu

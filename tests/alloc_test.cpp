@@ -1,8 +1,9 @@
-// Allocation bounds for building a machine and for passing occam messages.
-// Waiting, joining and coroutine frames allocate nothing once a thread's
-// frame lists are warm, so what is left per message is the payload's own
-// buffers. This binary replaces the global operator new to count calls,
-// which is why it is not part of another test executable.
+// Allocation bounds for building a machine, for passing occam messages, and
+// for attaching perf collection. Waiting, joining and coroutine frames
+// allocate nothing once a thread's frame lists are warm, so what is left per
+// message is the payload's own buffers. This binary replaces the global
+// operator new to count calls, which is why it is not part of another test
+// executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "core/machine.hpp"
 #include "occam/occam.hpp"
+#include "perf/counters.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
 
@@ -108,6 +110,39 @@ TEST(Allocations, OccamMessagesAreBoundedPerMessage) {
   // the frame lists.
   EXPECT_LE(per_message, 4.5) << made << " allocations for " << messages
                               << " messages";
+}
+
+/// Allocations made by a serial 10-cube's first run of an 8-round,
+/// 16-element allreduce, counting enable_perf when `perf` is set.
+std::uint64_t ten_cube_allreduce_allocations(bool perf) {
+  sim::Simulator sim;
+  core::TSeries machine{sim, 10};
+  occam::Runtime rt{machine};
+  perf::CounterRegistry reg;
+  const std::uint64_t before = allocations();
+  if (perf) {
+    machine.enable_perf(reg);
+  }
+  rt.run([](occam::Ctx& ctx) -> sim::Proc {
+    std::vector<double> xs(16, static_cast<double>(ctx.id()));
+    for (int r = 0; r < 8; ++r) {
+      co_await ctx.allreduce_sum(&xs);
+    }
+  });
+  return allocations() - before;
+}
+
+TEST(Allocations, PerfOnTenCubeRunIsBounded) {
+  // What perf collection adds to a run: attaching makes one track per
+  // node component and port, and the run one occam track per node at its
+  // first message. A counter adds nothing, since a component counts into
+  // its track's cells, so an allocation per counter name fails this.
+  // 16,404 more allocations than perf off when this bound was set.
+  (void)ten_cube_allreduce_allocations(false);  // warms the frame lists
+  const std::uint64_t off = ten_cube_allreduce_allocations(false);
+  const std::uint64_t on = ten_cube_allreduce_allocations(true);
+  EXPECT_LE(on - off, 18'000u)
+      << on << " allocations with perf on, " << off << " without";
 }
 
 }  // namespace

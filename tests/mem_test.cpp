@@ -126,7 +126,6 @@ TEST(NodeMemory, CleanTrafficRaisesNoParityErrors) {
 
 TEST(NodeMemory, StatsCountTraffic) {
   NodeMemory m;
-  m.reset_stats();
   m.write_word(0, 1);
   (void)m.read_word(0);
   VectorRegister reg;

@@ -1,5 +1,5 @@
 // Tests for the tperf observability subsystem (src/perf): counter
-// determinism, counter slots across re-attachment and unknown vector
+// determinism, counter cells across re-attachment and unknown vector
 // forms, span invariants, the Chrome trace_event dump schema, the
 // direct dump writer against the tree view, each span kind's name, the
 // loader's typed rejections, the JSON round-trip and parser limits, ring
@@ -65,22 +65,22 @@ sim::SimTime run_node_workload(CounterRegistry* reg) {
 
 TEST(Counters, NodeWorkloadFillsTracks) {
   CounterRegistry reg;
-  run_node_workload(&reg);
-  EXPECT_EQ(reg.value(0, "vpu", "ops"), 4u);
-  EXPECT_EQ(reg.value(0, "vpu", "flops"), 4u * 2u * 128u);
-  EXPECT_EQ(reg.value(0, "vpu", "adder_results"), 4u * 128u);
-  EXPECT_EQ(reg.value(0, "vpu", "mul_results"), 4u * 128u);
-  EXPECT_EQ(reg.value(0, "cp", "gather_elems"), 64u);
-  EXPECT_EQ(reg.value(0, "cp", "scatter_elems"), 32u);
-  EXPECT_GT(reg.value(0, "mem", "row_loads"), 0u);
-  EXPECT_GT(reg.value(0, "mem", "row_stores"), 0u);
+  const perf::Dump d = perf::snapshot(reg, run_node_workload(&reg));
+  EXPECT_EQ(d.value(0, "vpu", "ops"), 4u);
+  EXPECT_EQ(d.value(0, "vpu", "flops"), 4u * 2u * 128u);
+  EXPECT_EQ(d.value(0, "vpu", "adder_results"), 4u * 128u);
+  EXPECT_EQ(d.value(0, "vpu", "mul_results"), 4u * 128u);
+  EXPECT_EQ(d.value(0, "cp", "gather_elems"), 64u);
+  EXPECT_EQ(d.value(0, "cp", "scatter_elems"), 32u);
+  EXPECT_GT(d.value(0, "mem", "row_loads"), 0u);
+  EXPECT_GT(d.value(0, "mem", "row_stores"), 0u);
   // Busy accumulators: all vpu time here is VSAXPY time.
-  EXPECT_EQ(reg.time_value(0, "vpu", "busy"),
-            reg.time_value(0, "vpu", "busy.VSAXPY"));
-  EXPECT_FALSE(reg.time_value(0, "cp", "busy").is_zero());
+  EXPECT_EQ(d.time_value(0, "vpu", "busy"),
+            d.time_value(0, "vpu", "busy.VSAXPY"));
+  EXPECT_FALSE(d.time_value(0, "cp", "busy").is_zero());
   // Untouched names and tracks read as zero, without creating anything.
-  EXPECT_EQ(reg.value(0, "vpu", "bank_conflicts"), 0u);
-  EXPECT_EQ(reg.value(7, "vpu", "ops"), 0u);
+  EXPECT_EQ(d.find(0, "vpu")->counts.count("bank_conflicts"), 0u);
+  EXPECT_EQ(d.value(7, "vpu", "ops"), 0u);
   EXPECT_EQ(reg.find(7, "vpu"), nullptr);
 }
 
@@ -122,12 +122,13 @@ TEST(Counters, UnknownVectorFormCountsAsBusyQuestionMark) {
     nd.cpu().start_process(prog.entry(), 0x8000, 1);
     sim.spawn(nd.cpu().run());
     sim.run();
-    const perf::PerfSink* vpu = reg.find(0, "vpu");
+    const perf::Dump d = perf::snapshot(reg, sim.now());
+    const perf::DumpTrack* vpu = d.find(0, "vpu");
     ASSERT_NE(vpu, nullptr);
-    EXPECT_EQ(vpu->value("ops"), 1u) << "form " << form;
-    ASSERT_EQ(vpu->times().count("busy.?"), 1u) << "form " << form;
-    EXPECT_EQ(vpu->time_value("busy.?"), vpu->time_value("busy"));
-    EXPECT_EQ(vpu->times().size(), 2u) << "form " << form;
+    EXPECT_EQ(d.value(0, "vpu", "ops"), 1u) << "form " << form;
+    ASSERT_EQ(vpu->times.count("busy.?"), 1u) << "form " << form;
+    EXPECT_EQ(vpu->times.at("busy.?"), vpu->times.at("busy"));
+    EXPECT_EQ(vpu->times.size(), 2u) << "form " << form;
   }
 }
 
@@ -135,14 +136,14 @@ TEST(Counters, UnknownVectorFormCountsAsBusyQuestionMark) {
 std::map<std::string, std::int64_t> counter_values(
     const CounterRegistry& reg) {
   std::map<std::string, std::int64_t> out;
-  for (const auto& [key, sink] : reg.tracks()) {
+  for (const perf::DumpTrack& t : perf::snapshot(reg, {}).tracks) {
     const std::string prefix =
-        std::to_string(key.first) + "/" + key.second + "/";
-    for (const auto& [name, v] : sink->counts()) {
+        std::to_string(t.node) + "/" + t.component + "/";
+    for (const auto& [name, v] : t.counts) {
       out[prefix + name] = static_cast<std::int64_t>(v);
     }
-    for (const auto& [name, t] : sink->times()) {
-      out[prefix + name] = t.ps();
+    for (const auto& [name, tm] : t.times) {
+      out[prefix + name] = tm.ps();
     }
   }
   return out;
@@ -151,9 +152,9 @@ std::map<std::string, std::int64_t> counter_values(
 TEST(Counters, ReattachedMachineCountsIntoTheNewRegistry) {
   // A machine re-attached to a fresh registry after the first one is gone
   // counts every later event there. Each round below does the same work,
-  // so the second registry must hold exactly what the first held; a slot
-  // still resolved against a freed track would lose counts (and trip
-  // ASan).
+  // so the second registry must hold exactly what the first held; a
+  // component still counting into a freed track would lose counts (and
+  // trip ASan).
   sim::Simulator sim;
   core::TSeries machine{sim, /*dimension=*/2};
   occam::Runtime rt{machine};
@@ -194,25 +195,6 @@ TEST(Counters, ReattachedMachineCountsIntoTheNewRegistry) {
   EXPECT_EQ(counter_values(second), first_counts);
 }
 
-TEST(Counters, ProbeEmptiesSlotsWhenItsSinkChanges) {
-  struct Slots {
-    perf::CounterSlot n;
-  };
-  CounterRegistry reg;
-  perf::PerfSink& a = reg.track(0, "a");
-  perf::PerfSink& b = reg.track(0, "b");
-  perf::Probe<Slots> probe;
-  probe.attach(&a);
-  probe.slots().n.add(*probe.sink(), "n", 1);
-  probe.attach(&b);  // straight to another sink
-  probe.slots().n.add(*probe.sink(), "n", 2);
-  probe.attach(nullptr);  // and back through null
-  probe.attach(&a);
-  probe.slots().n.add(*probe.sink(), "n", 4);
-  EXPECT_EQ(a.value("n"), 5u);
-  EXPECT_EQ(b.value("n"), 2u);
-}
-
 TEST(Timeline, SpanInvariants) {
   CounterRegistry reg;
   const sim::SimTime wall = run_node_workload(&reg);
@@ -229,7 +211,7 @@ TEST(Timeline, SpanInvariants) {
     } else {
       EXPECT_FALSE(s.duration.is_zero());
     }
-    if (s.track == reg.track(0, "vpu").track_id()) {
+    if (s.track == reg.find(0, "vpu")->track_id()) {
       vpu_iv.emplace_back(s.start, s.start + s.duration);
     }
   }
@@ -291,22 +273,23 @@ TimedCallRun run_every_timed_call(node::NodeConfig cfg) {
   TimedCallRun out;
   out.now = sim.now();
   out.events = sim.events_processed();
-  const std::uint32_t vpu = reg.track(3, "vpu").track_id();
-  const std::uint32_t cp = reg.track(3, "cp").track_id();
+  const std::uint32_t vpu = reg.find(3, "vpu")->track_id();
+  const std::uint32_t cp = reg.find(3, "cp")->track_id();
   for (const perf::Span& s : reg.timeline().snapshot()) {
     if (s.track == vpu || s.track == cp) {
       out.names.push_back(perf::span_name(s));
       out.span_time += s.duration;
     }
   }
+  const perf::Dump d = perf::snapshot(reg, sim.now());
   for (const char* track : {"vpu", "cp"}) {
-    const perf::PerfSink& sink = reg.track(3, track);
-    for (const auto& [name, v] : sink.counts()) {
+    const perf::DumpTrack& t = *d.find(3, track);
+    for (const auto& [name, v] : t.counts) {
       out.counters[std::string(track) + "." + name] =
           static_cast<std::int64_t>(v);
     }
-    for (const auto& [name, t] : sink.times()) {
-      out.counters[std::string(track) + "." + name] = t.ps();
+    for (const auto& [name, tm] : t.times) {
+      out.counters[std::string(track) + "." + name] = tm.ps();
     }
   }
   return out;
@@ -362,8 +345,8 @@ TEST(Timeline, RingBoundsSpansAndReportsDrops) {
   EXPECT_LE(reg.timeline().size(), 2u);
   EXPECT_GT(reg.timeline().dropped(), 0u);
   // Counters are unaffected by span loss, and the dump declares the drops.
-  EXPECT_EQ(reg.value(0, "vpu", "ops"), 4u);
   const perf::Dump d = perf::from_json(perf::to_json(reg, wall));
+  EXPECT_EQ(d.value(0, "vpu", "ops"), 4u);
   EXPECT_EQ(d.spans_dropped, reg.timeline().dropped());
 }
 
@@ -415,8 +398,20 @@ TEST(ChromeTrace, RoundTripPreservesEverything) {
   for (const perf::DumpTrack& t : d.tracks) {
     const perf::PerfSink* s = reg.find(t.node, t.component);
     ASSERT_NE(s, nullptr);
-    EXPECT_EQ(t.counts, s->counts());
-    EXPECT_EQ(t.times, s->times());
+    std::size_t touched = 0;
+    s->each_touched(perf::Field::count, [&](std::string_view name,
+                                            std::int64_t v) {
+      EXPECT_EQ(t.counts.at(std::string(name)),
+                static_cast<std::uint64_t>(v));
+      ++touched;
+    });
+    s->each_touched(perf::Field::time, [&](std::string_view name,
+                                           std::int64_t ps) {
+      EXPECT_EQ(t.times.at(std::string(name)),
+                sim::SimTime::picoseconds(ps));
+      ++touched;
+    });
+    EXPECT_EQ(t.counts.size() + t.times.size(), touched);
   }
   ASSERT_EQ(d.spans.size(), reg.timeline().size());
   for (std::size_t i = 0; i < d.spans.size(); ++i) {
@@ -424,8 +419,7 @@ TEST(ChromeTrace, RoundTripPreservesEverything) {
     EXPECT_EQ(d.spans[i].duration, reg.timeline()[i].duration);
     EXPECT_EQ(d.spans[i].name, perf::span_name(reg.timeline()[i]));
   }
-  EXPECT_EQ(d.value(0, "vpu", "flops"), reg.value(0, "vpu", "flops"));
-  EXPECT_EQ(d.time_value(0, "vpu", "busy"), reg.time_value(0, "vpu", "busy"));
+  EXPECT_EQ(d.value(0, "vpu", "flops"), 4u * 2u * 128u);
   ASSERT_NE(d.results.find("answer"), nullptr);
   EXPECT_EQ(d.results.find("answer")->as_int(), 42);
 }
@@ -456,8 +450,9 @@ std::vector<perf::Span> one_span_of_every_kind() {
   };
 }
 
-// A registry with every shape the dump schema has: tracks whose counts or
-// busy_ps maps are empty, a counter touched with a zero delta, node numbers
+// A registry with every shape the dump schema has, built through the
+// components' field tables: tracks whose counts or busy_ps maps are empty,
+// a counter touched with a zero delta, node numbers
 // whose string order differs from their numeric order, four rounds of one
 // span of every kind (link spans and instants on node 10's link3 track, the
 // other complete spans on node 2's cp track, start times that tie across
@@ -468,14 +463,20 @@ void fill_edge_case_registry(CounterRegistry& reg) {
   reg.meta().dimension = 4;
   reg.meta().nodes = 16;
   reg.meta().workload = std::string("quote\" backslash\\ bell\x07 tab\t");
-  reg.track(0, "empty");
-  perf::PerfSink& cp = reg.track(2, "cp");
-  cp.counter("instr") += 7;
-  reg.track(10, "cp").busy("busy") += 3_us;
-  perf::PerfSink& link = reg.track(10, "link3");
-  link.counter("bytes") += 1ULL << 40;
-  link.counter("acks") += 0;
-  link.busy("busy.sublink1") += sim::SimTime::picoseconds(1);
+  reg.track(0, "empty", mem::kFields);
+  perf::PerfSink& cp_track = reg.track(2, "cp", cp::kFields);
+  perf::Stats<cp::kFields> cp2;
+  cp2.attach(cp_track);
+  cp2.add(cp::kInstr, 7);
+  perf::Stats<cp::kFields> cp10;
+  cp10.attach(reg.track(10, "cp", cp::kFields));
+  cp10.add(cp::kBusy, 3_us);
+  perf::PerfSink& link_track = reg.track(10, "link3", link::kFields);
+  link::LinkStats port;
+  port.attach(link_track);
+  port.add(link::kBytes, 1ULL << 40);
+  port.add(link::kAcks, 0);
+  port.add(link::kBusySublink + 1, sim::SimTime::picoseconds(1));
   const std::vector<perf::Span> kinds = one_span_of_every_kind();
   for (int round = 0; round < 4; ++round) {
     for (std::size_t k = 0; k < kinds.size(); ++k) {
@@ -486,10 +487,10 @@ void fill_edge_case_registry(CounterRegistry& reg) {
       }
       if (s.kind == perf::SpanKind::link_tx || s.is_instant()) {
         s.start = sim::SimTime::picoseconds(112199960 + 1000 * i);
-        link.record(s);
+        link_track.record(s);
       } else {
         s.start = sim::SimTime::picoseconds(112199960 + 1000 * (5 - i));
-        cp.record(s);
+        cp_track.record(s);
       }
     }
   }
@@ -588,9 +589,12 @@ bool rejected_as_bad_dump(const perf::json::Value& doc) {
 
 TEST(ChromeTrace, LoaderRejectsMalformedNodeNumbers) {
   CounterRegistry reg;
-  perf::PerfSink& cp = reg.track(7, "cp");
-  cp.counter("instr") += 1;
-  cp.record({.duration = 1_ns, .n = 1, .kind = perf::SpanKind::cp_work});
+  perf::PerfSink& cp_track = reg.track(7, "cp", cp::kFields);
+  perf::Stats<cp::kFields> cp7;
+  cp7.attach(cp_track);
+  cp7.add(cp::kInstr, 1);
+  cp_track.record(
+      {.duration = 1_ns, .n = 1, .kind = perf::SpanKind::cp_work});
   const perf::json::Value good = perf::to_json(reg, 1_us);
   EXPECT_EQ(perf::from_json(good).tracks.at(0).node, 7u);
 

@@ -292,7 +292,6 @@ TEST_F(VpuTest, MulPipelineDeeperIn64BitMode) {
 }
 
 TEST_F(VpuTest, StatsAccumulate) {
-  vpu.reset_stats();
   fill_row64(11, {1, 2});
   fill_row64(311, {3, 4});
   vpu.execute({VectorForm::vadd, Precision::f64, 2, 11, 311, 613, T64{}});

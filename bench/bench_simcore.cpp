@@ -1,6 +1,6 @@
 // E12 — engineering benchmarks of the simulator itself (google-benchmark):
 // DES event throughput, channel and fork-join costs, soft-float operation
-// rates, interpreter speed.
+// rates, interpreter speed, tperf dump serialisation.
 // These gate how large a machine the reproduction can simulate on a laptop.
 //
 // `--json <path>` skips google-benchmark and instead writes a BENCH record
@@ -13,12 +13,17 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_record.hpp"
 #include "bench_util.hpp"
+#include "core/machine.hpp"
 #include "cp/assembler.hpp"
 #include "cp/cpu.hpp"
 #include "fp/softfloat.hpp"
+#include "occam/occam.hpp"
+#include "perf/chrome_trace.hpp"
+#include "perf/counters.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -169,6 +174,34 @@ void BM_InterpreterLoop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterpreterLoop)->Unit(benchmark::kMillisecond);
+
+void BM_WriteDump(benchmark::State& state) {
+  // Serialisation: perf::write_dump of a perf-attached 7-cube's registry
+  // after an 8-round, 16-element allreduce, the dump serve streams for such
+  // a job (about 9.9 MB). Each iteration writes into a fresh string.
+  sim::Simulator sim;
+  core::TSeries machine{sim, 7};
+  occam::Runtime rt{machine};
+  perf::CounterRegistry reg;
+  machine.enable_perf(reg);
+  const sim::SimTime wall = rt.run([](occam::Ctx& ctx) -> sim::Proc {
+    std::vector<double> xs(16, static_cast<double>(ctx.id()));
+    for (int r = 0; r < 8; ++r) {
+      co_await ctx.allreduce_sum(&xs);
+    }
+  });
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::string out;
+    perf::write_dump(out, reg, wall);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_WriteDump)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // --json mode: direct wall-clock measurement of DES event throughput, as a

@@ -124,8 +124,7 @@ void Cpu::enqueue(std::uint32_t desc) {
 bool Cpu::pick_next() {
   for (std::size_t pri = 0; pri < 2; ++pri) {
     if (!runq_[pri].empty()) {
-      const std::uint32_t desc = runq_[pri].front();
-      runq_[pri].pop_front();
+      const std::uint32_t desc = runq_[pri].pop_front();
       wptr_ = wdesc_wptr(desc);
       cur_pri_ = static_cast<int>(pri);
       SimTime ignored{};
@@ -153,9 +152,7 @@ std::optional<std::string> Cpu::take_fault() {
   if (faults_.empty()) {
     return std::nullopt;
   }
-  std::string f = std::move(faults_.front());
-  faults_.pop_front();
-  return f;
+  return faults_.pop_front();
 }
 
 sim::Proc Cpu::run() {
@@ -590,8 +587,7 @@ sim::SimTime Cpu::do_vform() {
     data_write(vform_desc_addr_ + 44, flags, ignored);
     vpu_busy_ = false;
     while (!vpu_waiters_.empty()) {
-      enqueue(vpu_waiters_.front());
-      vpu_waiters_.pop_front();
+      enqueue(vpu_waiters_.pop_front());
     }
   });
   return cost;

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -22,6 +21,7 @@
 #include "cp/isa.hpp"
 #include "mem/memory.hpp"
 #include "perf/sink.hpp"
+#include "sim/fifo.hpp"
 #include "sim/proc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
@@ -188,16 +188,16 @@ class Cpu {
   bool halted_ = false;
   bool error_ = false;
 
-  std::array<std::deque<std::uint32_t>, 2> runq_{};
+  std::array<sim::Fifo<std::uint32_t>, 2> runq_{};
   sim::Event wake_;
 
   // vector unit completion
   bool vpu_busy_ = false;
-  std::deque<std::uint32_t> vpu_waiters_;
+  sim::Fifo<std::uint32_t> vpu_waiters_;
   std::uint32_t vform_desc_addr_ = 0;
 
   std::uint64_t instr_count_ = 0;
-  std::deque<std::string> faults_;
+  sim::Fifo<std::string> faults_;
 };
 
 }  // namespace fpst::cp

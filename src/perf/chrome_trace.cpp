@@ -1,6 +1,7 @@
 #include "perf/chrome_trace.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <charconv>
 #include <cstring>
 #include <fstream>
@@ -10,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 namespace fpst::perf {
@@ -90,7 +92,7 @@ class SpanOrder {
   std::vector<const Span*> merged_;
 };
 
-// --- span names -------------------------------------------------------------
+// --- text -------------------------------------------------------------------
 
 /// Longest label a name prints; the vector form names are at most 7.
 constexpr std::size_t kMaxLabel = 16;
@@ -98,9 +100,8 @@ constexpr std::size_t kMaxLabel = 16;
 /// widest is 58 characters).
 constexpr std::size_t kMaxSpanName = 64;
 
-/// Widest text std::to_chars gives an int64 or uint64, and a double.
+/// Widest text std::to_chars gives an int64 or uint64.
 constexpr std::size_t kIntChars = 20;
-constexpr std::size_t kDoubleChars = 24;
 
 char* put(char* p, std::string_view t) {
   std::memcpy(p, t.data(), t.size());
@@ -121,19 +122,156 @@ std::size_t digits(std::uint64_t v) {
   return n;
 }
 
-/// Writes a name's text.
-struct NameText {
+std::size_t int_chars(std::int64_t v) {
+  return v < 0 ? 1 + digits(0 - static_cast<std::uint64_t>(v))
+               : digits(static_cast<std::uint64_t>(v));
+}
+
+/// Writes text at a pointer into room sized for it: a span into its
+/// buffer, or the dump's head into its region of the output.
+struct TextAt {
   char* p;
   void text(std::string_view t) { p = put(p, t); }
-  void num(std::uint64_t v) { p = put_int(p, v); }
+  template <typename Int>
+  void num(Int v) {
+    p = put_int(p, v);
+  }
+  /// `len` bytes of text made earlier, copied at the full width of the
+  /// block that holds them: a fixed-size copy compiles to a few moves,
+  /// where a variable-length one does not. The room must allow for that.
+  template <std::size_t N>
+  void block(const char (&b)[N], std::size_t len) {
+    std::memcpy(p, b, N);
+    p += len;
+  }
 };
 
-/// Counts a name's text without writing it.
-struct NameSize {
+/// Counts the bytes a TextAt would write.
+struct TextSize {
   std::size_t n = 0;
   void text(std::string_view t) { n += t.size(); }
-  void num(std::uint64_t v) { n += digits(v); }
+  template <typename Int>
+  void num(Int v) {
+    if constexpr (std::is_signed_v<Int>) {
+      n += int_chars(v);
+    } else {
+      n += digits(v);
+    }
+  }
+  template <std::size_t N>
+  void block(const char (&)[N], std::size_t len) {
+    n += len;
+  }
 };
+
+// --- microseconds -----------------------------------------------------------
+
+/// Below this many picoseconds, ps / 10^6 has at most 15 significant
+/// digits, and two decimals of at most 15 significant digits never round
+/// to one double.
+constexpr std::int64_t kExactPs = 1'000'000'000'000'000;
+
+}  // namespace
+
+// SimTime::us() is the product ps * 1e-6, and std::to_chars prints it as
+// the shortest text that reads back as that double, fixed or scientific,
+// whichever is shorter, ties to fixed. When 0 <= ps < kExactPs and the
+// product is also the correctly rounded quotient ps / 10^6, that text is
+// the exact decimal ps / 10^6, printed here from the integer. Otherwise
+// to_chars prints the product: for about a fifth of a large cube's start
+// times it is one ulp off the quotient, and 881999940 ps prints as
+// 881.9999399999999.
+char* write_us(char* p, std::int64_t ps) {
+  const double us = sim::SimTime::picoseconds(ps).us();
+  if (ps < 0 || ps >= kExactPs || us != static_cast<double>(ps) / 1e6) {
+    return std::to_chars(p, p + kUsChars, us).ptr;
+  }
+  if (ps == 0) {
+    *p = '0';
+    return p + 1;
+  }
+  // ps is the k digits d free of trailing zeros, times 10^z, so the value
+  // is 0.d * 10^(whole - 6) and its exponent d.dd * 10^(whole - 7) lies
+  // in [-6, 8].
+  auto m = static_cast<std::uint64_t>(ps);
+  std::size_t z = 0;
+  for (; m % 10 == 0; m /= 10) {
+    ++z;
+  }
+  char d[kIntChars];
+  const auto k = static_cast<std::size_t>(put_int(d, m) - d);
+  const std::size_t whole = k + z;
+  const std::size_t fixed = z >= 6      ? whole - 6
+                            : whole > 6 ? k + 1
+                                        : k + 8 - whole;
+  const std::size_t scientific = k + (k > 1 ? 5 : 4);
+  if (fixed <= scientific) {
+    if (z >= 6) {  // whole microseconds: "24080"
+      p = put(p, {d, k});
+      std::memset(p, '0', z - 6);
+      return p + (z - 6);
+    }
+    if (whole > 6) {  // "1.5"
+      p = put(p, {d, whole - 6});
+      *p++ = '.';
+      return put(p, {d + (whole - 6), k - (whole - 6)});
+    }
+    p = put(p, "0.");  // "0.005"
+    std::memset(p, '0', 6 - whole);
+    return put(p + (6 - whole), {d, k});
+  }
+  *p++ = d[0];  // "5e-04", "1.5e+05"
+  if (k > 1) {
+    *p++ = '.';
+    p = put(p, {d + 1, k - 1});
+  }
+  *p++ = 'e';
+  *p++ = whole >= 7 ? '+' : '-';
+  *p++ = '0';
+  *p++ = static_cast<char>('0' + (whole >= 7 ? whole - 7 : 7 - whole));
+  return p;
+}
+
+namespace {
+
+/// One time field of a span as text: its picoseconds (for "args") and its
+/// microseconds ("ts" or "dur"), each in a block for TextAt::block(). The
+/// machine runs lock-step, so consecutive spans mostly share a start and a
+/// duration (a 7-cube allreduce's 16,128 starts change 64 times in dump
+/// order): the text is made again only when the value changes.
+struct TimeText {
+  static constexpr std::size_t kBlock = 32;
+  static_assert(kBlock >= kIntChars && kBlock >= kUsChars);
+
+  std::int64_t value = 0;
+  char ps[kBlock] = "0";
+  char us[kBlock] = "0";
+  std::uint8_t ps_len = 1;
+  std::uint8_t us_len = 1;
+
+  void set(std::int64_t t) {
+    if (t != value) {
+      value = t;
+      ps_len = static_cast<std::uint8_t>(put_int(ps, t) - ps);
+      us_len = static_cast<std::uint8_t>(write_us(us, t) - us);
+    }
+  }
+};
+
+/// The start and duration text of the span last seen. The sizing pass and
+/// the writing pass each keep one, per write_dump() call: serve writes
+/// dumps on several workers at once.
+struct SpanTimes {
+  TimeText start;
+  TimeText dur;
+
+  void set(const Span& s) {
+    start.set(s.start.ps());
+    dur.set(s.duration.ps());
+  }
+};
+
+// --- span names -------------------------------------------------------------
 
 std::string_view label_of(const Span& s) {
   return s.label == nullptr ? std::string_view{}
@@ -141,7 +279,7 @@ std::string_view label_of(const Span& s) {
 }
 
 /// The one spelling of every span kind's name (see SpanKind), through a
-/// NameText or a NameSize.
+/// TextAt or a TextSize.
 template <typename Out>
 void format_name(Out& out, const Span& s) {
   switch (s.kind) {
@@ -237,97 +375,157 @@ constexpr std::string_view kTidI = ",\n      \"s\": \"t\",\n      \"tid\": ";
 constexpr std::string_view kTs = ",\n      \"ts\": ";
 constexpr std::string_view kClose = "\n    }";
 
-constexpr std::size_t kFixedX = kOpen.size() + kStartPs.size() +
-                                kArgsEnd.size() + kDur.size() +
-                                kDurEnd.size() + kName.size() + kPidX.size() +
-                                kTidX.size() + kTs.size() + kClose.size();
-constexpr std::size_t kFixedI = kOpen.size() + kStartPs.size() +
-                                kArgsEnd.size() + kName.size() + kPidI.size() +
-                                kTidI.size() + kTs.size() + kClose.size();
-constexpr std::size_t kMaxSpanText = std::max(kFixedX, kFixedI) + 2 * 10 +
-                                     kMaxSpanName + 2 * kIntChars +
-                                     2 * kDoubleChars;
-
-/// A track's "pid" and "tid" values as text, computed once per dump.
+/// A track's "pid" and "tid" values as text, computed once per dump, each
+/// in a block for TextAt::block().
 struct TrackIds {
-  char pid[10]{};
-  char tid[10]{};
+  static constexpr std::size_t kBlock = 16;
+  char pid[kBlock]{};
+  char tid[kBlock]{};
   std::uint8_t pid_len = 0;
   std::uint8_t tid_len = 0;
 };
 
-std::size_t int_chars(std::int64_t v) {
-  return v < 0 ? 1 + digits(0 - static_cast<std::uint64_t>(v))
-               : digits(static_cast<std::uint64_t>(v));
-}
+/// Room for the longest span text, counting every block at its full width,
+/// which also covers the last block copy's overhang.
+constexpr std::size_t kSpanRoom =
+    kOpen.size() + kStartPs.size() + kArgsEnd.size() + kDur.size() +
+    kDurEnd.size() + kName.size() + kPidI.size() + kTidI.size() +
+    kTs.size() + kClose.size() + kMaxSpanName + 2 * TrackIds::kBlock +
+    4 * TimeText::kBlock;
 
-/// Upper bound on the shortest round-trip text of `ps` in microseconds:
-/// 17 significant digits at most, so "ddddd.dddddddddddd" (18) from 1 us
-/// up and "d.dddddddddddddddde-0d" (22) below.
-std::size_t us_chars_bound(std::int64_t ps) {
-  if (ps == 0) {
-    return 1;
-  }
-  if (ps < 0) {
-    return kDoubleChars;
-  }
-  return ps < 1'000'000 ? 22 : 18;
-}
-
-/// Like json::Writer::number(): shortest round-trip text. A SimTime in
-/// microseconds is always finite, so the writer's null case cannot arise.
-char* put_us(char* p, sim::SimTime t) {
-  return std::to_chars(p, p + kDoubleChars, to_us(t)).ptr;
-}
-
-/// Bytes write_span() may produce for `s`: exact but for the doubles.
-std::size_t span_text_bound(const Span& s, const TrackIds& ids) {
-  NameSize name;
-  format_name(name, s);
-  std::size_t n = name.n + ids.pid_len + ids.tid_len +
-                  int_chars(s.duration.ps()) + int_chars(s.start.ps()) +
-                  us_chars_bound(s.start.ps());
-  if (s.is_instant()) {
-    return n + kFixedI;
-  }
-  return n + kFixedX + us_chars_bound(s.duration.ps());
-}
-
-void write_span(std::string& out, const Span& s, const TrackIds& ids) {
-  char buf[kMaxSpanText];
-  char* p = put(buf, kOpen);
-  p = put_int(p, s.duration.ps());
-  p = put(p, kStartPs);
-  p = put_int(p, s.start.ps());
-  p = put(p, kArgsEnd);
+/// A span's trace event; `times` holds the text of its start and duration.
+template <typename Out>
+void span_text(Out& out, const Span& s, const TrackIds& ids,
+               const SpanTimes& times) {
   const bool instant = s.is_instant();
+  out.text(kOpen);
+  out.block(times.dur.ps, times.dur.ps_len);
+  out.text(kStartPs);
+  out.block(times.start.ps, times.start.ps_len);
+  out.text(kArgsEnd);
   if (!instant) {
-    p = put(p, kDur);
-    p = put_us(p, s.duration);
-    p = put(p, kDurEnd);
+    out.text(kDur);
+    out.block(times.dur.us, times.dur.us_len);
+    out.text(kDurEnd);
   }
-  p = put(p, kName);
-  NameText name{p};
-  format_name(name, s);
-  p = put(name.p, instant ? kPidI : kPidX);
-  p = put(p, {ids.pid, ids.pid_len});
-  p = put(p, instant ? kTidI : kTidX);
-  p = put(p, {ids.tid, ids.tid_len});
-  p = put(p, kTs);
-  p = put_us(p, s.start);
-  p = put(p, kClose);
-  out.append(buf, static_cast<std::size_t>(p - buf));
+  out.text(kName);
+  format_name(out, s);
+  out.text(instant ? kPidI : kPidX);
+  out.block(ids.pid, ids.pid_len);
+  out.text(instant ? kTidI : kTidX);
+  out.block(ids.tid, ids.tid_len);
+  out.text(kTs);
+  out.block(times.start.us, times.start.us_len);
+  out.text(kClose);
 }
 
-void write_metadata_event(json::Writer& w, const char* name, std::int64_t pid,
-                          std::int64_t tid, std::string_view value) {
-  w.begin_object();
-  w.key("args").begin_object().key("name").string(value).end_object();
-  w.key("name").string(name);
-  w.key("ph").string("M");
-  w.key("pid").integer(pid);
-  w.key("tid").integer(tid);
-  w.end_object();
+/// Bytes write_span() writes for `s`, given the spans before it in `times`.
+std::size_t span_size(const Span& s, const TrackIds& ids, SpanTimes& times) {
+  times.set(s);
+  TextSize size;
+  span_text(size, s, ids, times);
+  return size.n;
+}
+
+void write_span(std::string& out, const Span& s, const TrackIds& ids,
+                SpanTimes& times) {
+  times.set(s);
+  char buf[kSpanRoom];
+  TextAt text{buf};
+  span_text(text, s, ids, times);
+  out.append(buf, static_cast<std::size_t>(text.p - buf));
+}
+
+// --- the direct head writer -------------------------------------------------
+//
+// The counters object and the metadata events that name processes and
+// threads, as json::Writer lays them out at indent 2. Names need no
+// escaping: component and field names are plain_name() by construction,
+// and node names are decimal.
+
+/// One node's tracks: a run of the registry's (node, component) order.
+struct NodeTracks {
+  CounterRegistry::Tracks::const_iterator first;
+  CounterRegistry::Tracks::const_iterator last;
+  char text[10]{};  ///< the node number in decimal
+  std::uint8_t len = 0;
+
+  std::string_view number() const { return {text, len}; }
+};
+
+/// The touched fields of one kind, as the members of a track's "busy_ps"
+/// or "counts" object.
+template <typename Out>
+void fields_text(Out& out, const PerfSink& sink, Field::Kind kind) {
+  bool any = false;
+  sink.each_touched(kind, [&](std::string_view name, std::int64_t v) {
+    out.text(any ? ",\n        \"" : "\n        \"");
+    out.text(name);
+    out.text("\": ");
+    out.num(v);
+    any = true;
+  });
+  out.text(any ? "\n      }" : "}");
+}
+
+/// The "counters" object. Its keys, "node<k>.<component>", print in byte
+/// order: `by_text` lists the nodes in the order of their decimal text
+/// (node1. < node10. < node2.), and a node's components follow in registry
+/// order.
+template <typename Out>
+void counters_text(Out& out, const std::vector<const NodeTracks*>& by_text) {
+  out.text("{");
+  std::string_view sep = "\n    \"node";
+  for (const NodeTracks* n : by_text) {
+    for (auto it = n->first; it != n->last; ++it) {
+      out.text(sep);
+      out.text(n->number());
+      out.text(".");
+      out.text(it->first.second);
+      out.text("\": {\n      \"busy_ps\": {");
+      fields_text(out, it->second, Field::time);
+      out.text(",\n      \"counts\": {");
+      fields_text(out, it->second, Field::count);
+      out.text("\n    }");
+      sep = ",\n    \"node";
+    }
+  }
+  out.text(by_text.empty() ? "}" : "\n  }");
+}
+
+/// One "M" event naming a process (a node) or a thread (a track).
+template <typename Out>
+void name_event(Out& out, std::string_view sep, std::string_view prefix,
+                std::string_view name, std::string_view event,
+                std::string_view pid, std::size_t tid) {
+  out.text(sep);
+  out.text("{\n      \"args\": {\n        \"name\": \"");
+  out.text(prefix);
+  out.text(name);
+  out.text("\"\n      },\n      \"name\": \"");
+  out.text(event);
+  out.text("\",\n      \"ph\": \"M\",\n      \"pid\": ");
+  out.text(pid);
+  out.text(",\n      \"tid\": ");
+  out.num(tid);
+  out.text("\n    }");
+}
+
+/// The traceEvents array's metadata events, in registry order: a node's
+/// process_name, then a thread_name per track, tid the component's rank
+/// within its node, as in to_json().
+template <typename Out>
+void names_text(Out& out, const std::vector<NodeTracks>& nodes) {
+  std::string_view sep = "\n    ";
+  for (const NodeTracks& n : nodes) {
+    name_event(out, sep, "node", n.number(), "process_name", n.number(), 0);
+    sep = ",\n    ";
+    std::size_t tid = 0;
+    for (auto it = n.first; it != n.last; ++it) {
+      name_event(out, sep, "", it->first.second, "thread_name", n.number(),
+                 tid++);
+    }
+  }
 }
 
 void write_bytes(const std::string& path, std::string_view text) {
@@ -345,7 +543,7 @@ void write_bytes(const std::string& path, std::string_view text) {
 
 std::string span_name(const Span& s) {
   char buf[kMaxSpanName];
-  NameText name{buf};
+  TextAt name{buf};
   format_name(name, s);
   return std::string(buf, name.p);
 }
@@ -359,15 +557,14 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
   // Track-id -> (node, component) so timeline spans regain their identity.
   std::map<std::uint32_t, std::pair<std::uint32_t, const std::string*>> by_id;
   for (const auto& [key, sink] : reg.tracks()) {
-    by_id.emplace(sink->track_id(),
-                  std::make_pair(key.first, &key.second));
+    by_id.emplace(sink.track_id(), std::make_pair(key.first, &key.second));
     DumpTrack t;
     t.node = key.first;
     t.component = key.second;
-    sink->each_touched(Field::time, [&t](std::string_view n, std::int64_t v) {
+    sink.each_touched(Field::time, [&t](std::string_view n, std::int64_t v) {
       t.times.emplace(n, sim::SimTime::picoseconds(v));
     });
-    sink->each_touched(Field::count, [&t](std::string_view n, std::int64_t v) {
+    sink.each_touched(Field::count, [&t](std::string_view n, std::int64_t v) {
       t.counts.emplace(n, static_cast<std::uint64_t>(v));
     });
     d.tracks.push_back(std::move(t));
@@ -391,40 +588,20 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
 
 void write_dump(std::string& out, const CounterRegistry& reg,
                 sim::SimTime wall, const json::Value& results) {
-  // Everything before the spans goes through the generic writer into
-  // `head`, members in the sorted key order of to_json()'s std::map
-  // objects; the spans, most of the bytes, are written directly after it.
-  std::string head;
-  json::Writer w{head, 2};
+  // The document's frame goes through json::Writer, which owns the escapes
+  // a workload label or a results table may need: the braces, the
+  // displayTimeUnit, metadata and results members, and the traceEvents
+  // array's opening bracket. Members print in the sorted key order of
+  // to_json()'s std::map objects. The counters object, spliced in for the
+  // frame's "{}", and the events after the bracket are nearly all the
+  // bytes; they are written directly.
+  std::string frame;
+  json::Writer w{frame, 2};
   w.begin_object();
-
-  // Counter tracks are keyed "node<k>.<component>" and print in string
-  // order (node10 before node2), not the registry's (node, component) order.
-  std::vector<std::pair<std::string, const PerfSink*>> keyed;
-  keyed.reserve(reg.tracks().size());
-  for (const auto& [key, sink] : reg.tracks()) {
-    keyed.emplace_back(track_key(key.first, key.second), sink.get());
-  }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.key("counters").begin_object();
-  for (const auto& [key, sink] : keyed) {
-    w.key(key).begin_object();
-    const auto field = [&w](std::string_view name, std::int64_t v) {
-      w.key(name).integer(v);
-    };
-    w.key("busy_ps").begin_object();
-    sink->each_touched(Field::time, field);
-    w.end_object();
-    w.key("counts").begin_object();
-    sink->each_touched(Field::count, field);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_object();
-
+  w.key("counters");
+  const std::size_t splice = frame.size();
+  w.begin_object().end_object();
   w.key("displayTimeUnit").string("ns");
-
   const CounterRegistry::Meta& meta = reg.meta();
   w.key("metadata").begin_object();
   w.key("dimension").integer(meta.dimension);
@@ -437,48 +614,76 @@ void write_dump(std::string& out, const CounterRegistry& reg,
   w.key("wall_ps").integer(wall.ps());
   w.key("workload").string(meta.workload);
   w.end_object();
-
   if (!results.is_null()) {
     w.key("results").value(results);
   }
-
-  // Thread-name events in (node, component) order; tid is the component's
-  // rank within its node, as in to_json(). ids[track id] feeds the spans.
   w.key("traceEvents").begin_array();
-  std::vector<TrackIds> ids(reg.tracks().size());
-  std::optional<std::uint32_t> prev_node;
-  std::int64_t tid = 0;
-  for (const auto& [key, sink] : reg.tracks()) {
-    const std::int64_t pid = static_cast<std::int64_t>(key.first);
-    if (key.first != prev_node) {
-      prev_node = key.first;
-      tid = 0;
-      write_metadata_event(w, "process_name", pid, 0,
-                           "node" + std::to_string(key.first));
-    }
-    write_metadata_event(w, "thread_name", pid, tid, key.second);
-    TrackIds& t = ids[sink->track_id()];
-    t.pid_len = static_cast<std::uint8_t>(
-        std::to_chars(t.pid, t.pid + sizeof t.pid, key.first).ptr - t.pid);
-    t.tid_len = static_cast<std::uint8_t>(
-        std::to_chars(t.tid, t.tid + sizeof t.tid, tid).ptr - t.tid);
-    ++tid;
-  }
+  const std::string_view before = std::string_view(frame).substr(0, splice);
+  const std::string_view after = std::string_view(frame).substr(splice + 2);
 
+  // Each node's run of tracks, and each track's pid and tid text by track
+  // id for the spans.
+  std::vector<NodeTracks> nodes;
+  std::vector<TrackIds> ids(reg.tracks().size());
+  const auto end = reg.tracks().end();
+  for (auto it = reg.tracks().begin(); it != end;) {
+    NodeTracks& n = nodes.emplace_back();
+    const std::uint32_t node = it->first.first;
+    n.first = it;
+    n.len = static_cast<std::uint8_t>(
+        std::to_chars(n.text, n.text + sizeof n.text, node).ptr - n.text);
+    for (std::size_t tid = 0; it != end && it->first.first == node;
+         ++it, ++tid) {
+      TrackIds& t = ids[it->second.track_id()];
+      std::memcpy(t.pid, n.text, n.len);
+      t.pid_len = n.len;
+      t.tid_len = static_cast<std::uint8_t>(
+          std::to_chars(t.tid, t.tid + sizeof t.tid, tid).ptr - t.tid);
+    }
+    n.last = it;
+  }
+  std::vector<const NodeTracks*> by_text;
+  by_text.reserve(nodes.size());
+  for (const NodeTracks& n : nodes) {
+    by_text.push_back(&n);
+  }
+  std::sort(by_text.begin(), by_text.end(),
+            [](const NodeTracks* a, const NodeTracks* b) {
+              return a->number() < b->number();
+            });
+
+  // Size everything first, so `out` grows by one reservation that also
+  // holds the newline write_file() and serve append.
+  TextSize head;
+  head.text(before);
+  counters_text(head, by_text);
+  head.text(after);
+  names_text(head, nodes);
   const SpanOrder order(reg);
   std::size_t span_bytes = 0;
+  SpanTimes sizing;
   order.each([&](const Span& s) {
-    if (s.track < ids.size()) {
-      span_bytes += span_text_bound(s, ids[s.track]);
+    if (s.track < ids.size()) {  // else never registered (cannot happen)
+      span_bytes += span_size(s, ids[s.track], sizing);
     }
   });
   // The array closes on its own line once it holds an event.
   const std::string_view tail = ids.empty() ? "]\n}" : "\n  ]\n}";
-  out.reserve(out.size() + head.size() + span_bytes + tail.size() + 1);
-  out += head;
+  const std::size_t at = out.size();
+  out.reserve(at + head.n + span_bytes + tail.size() + 1);
+
+  // The head is written in place, into a region of exactly its size.
+  out.resize(at + head.n);
+  TextAt text{out.data() + at};
+  text.text(before);
+  counters_text(text, by_text);
+  text.text(after);
+  names_text(text, nodes);
+  assert(text.p == out.data() + out.size());
+  SpanTimes times;
   order.each([&](const Span& s) {
-    if (s.track < ids.size()) {  // else never registered (cannot happen)
-      write_span(out, s, ids[s.track]);
+    if (s.track < ids.size()) {
+      write_span(out, s, ids[s.track], times);
     }
   });
   out += tail;

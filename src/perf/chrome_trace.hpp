@@ -19,6 +19,7 @@
 // counters/metadata sections carry exact integer picoseconds (`*_ps`).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -53,6 +54,15 @@ json::Value to_json(const CounterRegistry& reg, sim::SimTime wall);
 /// Write any JSON document to `path` (pretty-printed). Throws
 /// std::runtime_error on I/O failure.
 void write_file(const std::string& path, const json::Value& doc);
+
+/// Room write_us() needs: the widest shortest round-trip double.
+inline constexpr std::size_t kUsChars = 24;
+
+/// Write SimTime::picoseconds(ps).us() at `p` exactly as std::to_chars
+/// prints that double, and return the end of the text: the dump's "ts" and
+/// "dur". Where the double is the exact decimal ps / 10^6 rounded, the text
+/// is printed from the integer (DESIGN.md §4.2).
+char* write_us(char* p, std::int64_t ps);
 
 /// A span's display name, as every dump prints it: the one formatter
 /// write_dump(), snapshot() and the tests share. Names need no JSON escaping

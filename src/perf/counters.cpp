@@ -1,20 +1,30 @@
 #include "perf/counters.hpp"
 
+#include <stdexcept>
+#include <tuple>
+
 namespace fpst::perf {
 
 PerfSink& CounterRegistry::track(std::uint32_t node,
                                  std::string_view component,
                                  const FieldTable& fields) {
-  const auto key = std::make_pair(node, std::string(component));
-  const auto it = tracks_.find(key);
-  if (it != tracks_.end()) {
-    return *it->second;
+  auto key = std::make_pair(node, std::string(component));
+  const auto it = tracks_.lower_bound(key);
+  if (it != tracks_.end() && it->first == key) {
+    return it->second;
   }
-  auto sink = std::unique_ptr<PerfSink>(new PerfSink(
-      node, key.second, next_id_++, timeline_for(node), fields));
-  PerfSink& ref = *sink;
-  tracks_.emplace(key, std::move(sink));
-  return ref;
+  if (!plain_name(component)) {
+    throw std::invalid_argument(std::string("perf: component name '")
+                                    .append(component)
+                                    .append("' needs JSON escaping"));
+  }
+  return tracks_
+      .emplace_hint(it, std::piecewise_construct,
+                    std::forward_as_tuple(std::move(key)),
+                    std::forward_as_tuple(node, std::string(component),
+                                          next_id_++, timeline_for(node),
+                                          fields))
+      ->second;
 }
 
 Timeline* CounterRegistry::timeline_for(std::uint32_t node) {
@@ -37,14 +47,14 @@ void CounterRegistry::shard_spans(std::vector<int> shard_of_node,
         std::make_unique<Timeline>(timeline_.capacity()));
   }
   for (auto& [key, sink] : tracks_) {
-    sink->timeline_ = timeline_for(key.first);
+    sink.timeline_ = timeline_for(key.first);
   }
 }
 
 const PerfSink* CounterRegistry::find(std::uint32_t node,
                                       std::string_view component) const {
   const auto it = tracks_.find(std::make_pair(node, std::string(component)));
-  return it == tracks_.end() ? nullptr : it->second.get();
+  return it == tracks_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t CounterRegistry::total(std::string_view component,
@@ -52,7 +62,7 @@ std::uint64_t CounterRegistry::total(std::string_view component,
   std::uint64_t sum = 0;
   for (const auto& [key, sink] : tracks_) {
     if (key.second == component) {
-      sink->each_touched(Field::count, [&](std::string_view n, std::int64_t v) {
+      sink.each_touched(Field::count, [&](std::string_view n, std::int64_t v) {
         sum += n == name ? static_cast<std::uint64_t>(v) : 0;
       });
     }

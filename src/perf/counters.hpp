@@ -44,9 +44,14 @@ class CounterRegistry {
   CounterRegistry(const CounterRegistry&) = delete;
   CounterRegistry& operator=(const CounterRegistry&) = delete;
 
+  /// Tracks by (node, component), held by value: a map node never moves,
+  /// so a track's address is fixed for the registry's lifetime.
+  using Tracks = std::map<std::pair<std::uint32_t, std::string>, PerfSink>;
+
   /// The track for (node, component), created on first use with the
   /// component's field table and zeroed cells. Pointers stay valid for the
-  /// registry's lifetime.
+  /// registry's lifetime. Throws std::invalid_argument for a component
+  /// name that is not plain_name(): the dump prints names unescaped.
   PerfSink& track(std::uint32_t node, std::string_view component,
                   const FieldTable& fields);
   /// Lookup without creation (nullptr when the track never existed).
@@ -57,11 +62,7 @@ class CounterRegistry {
   std::uint64_t total(std::string_view component, std::string_view name) const;
 
   /// All tracks in deterministic (node, component) order.
-  const std::map<std::pair<std::uint32_t, std::string>,
-                 std::unique_ptr<PerfSink>>&
-  tracks() const {
-    return tracks_;
-  }
+  const Tracks& tracks() const { return tracks_; }
 
   Timeline& timeline() { return timeline_; }
   const Timeline& timeline() const { return timeline_; }
@@ -88,8 +89,7 @@ class CounterRegistry {
  private:
   Timeline* timeline_for(std::uint32_t node);
 
-  std::map<std::pair<std::uint32_t, std::string>, std::unique_ptr<PerfSink>>
-      tracks_;
+  Tracks tracks_;
   Timeline timeline_;
   Meta meta_;
   std::vector<int> shard_of_node_;

@@ -5,9 +5,10 @@
 // Objects keep their keys in sorted order (std::map), so serialisation is
 // deterministic: two identical runs produce byte-identical dumps, which the
 // perf tests rely on. Writer owns the formatting rules: Value::dump() and
-// the head of a tperf dump (perf/chrome_trace.hpp) print through it, and
-// the dump's direct span writer, which copies fixed text around its
-// fields, is tested byte for byte against the tree printed here.
+// the frame of a tperf dump (perf/chrome_trace.hpp: its metadata and
+// results) print through it, and the dump's direct writers of counters,
+// metadata events and spans, which copy fixed text around their fields,
+// are tested byte for byte against the tree printed here.
 #pragma once
 
 #include <cstdint>

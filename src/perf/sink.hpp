@@ -51,6 +51,16 @@ struct Field {
   Kind kind = count;
 };
 
+/// True when `name` prints in a JSON string as it is: no quote, backslash
+/// or control character. Field and component names must be, since the dump
+/// writes them without escaping (FieldTable and CounterRegistry::track
+/// refuse any other).
+constexpr bool plain_name(std::string_view name) {
+  return std::none_of(name.begin(), name.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+}
+
 /// The most fields one component declares (the vector unit's); each has a
 /// bit in a 32-bit touched mask.
 inline constexpr std::size_t kMaxFields = 21;
@@ -65,6 +75,9 @@ class FieldTable {
       throw std::length_error("perf::FieldTable: more than kMaxFields");
     }
     for (const Field& f : fields) {
+      if (!plain_name(f.name)) {
+        throw std::invalid_argument("perf::FieldTable: name needs escaping");
+      }
       order_[size_] = static_cast<std::uint8_t>(size_);
       fields_[size_++] = f;
     }
@@ -91,6 +104,14 @@ class FieldTable {
 /// attached, and a handle into the timeline its spans go to.
 class PerfSink {
  public:
+  /// Made by CounterRegistry::track, which holds it in place.
+  PerfSink(std::uint32_t node, std::string component, std::uint32_t id,
+           Timeline* timeline, const FieldTable& fields)
+      : node_{node},
+        component_{std::move(component)},
+        id_{id},
+        timeline_{timeline},
+        fields_{&fields} {}
   PerfSink(const PerfSink&) = delete;
   PerfSink& operator=(const PerfSink&) = delete;
 
@@ -120,14 +141,6 @@ class PerfSink {
   friend class CounterRegistry;
   template <const FieldTable&>
   friend class Stats;
-
-  PerfSink(std::uint32_t node, std::string component, std::uint32_t id,
-           Timeline* timeline, const FieldTable& fields)
-      : node_{node},
-        component_{std::move(component)},
-        id_{id},
-        timeline_{timeline},
-        fields_{&fields} {}
 
   std::uint32_t node_;
   std::string component_;

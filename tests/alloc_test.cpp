@@ -65,16 +65,17 @@ TEST(Allocations, CountingReplacementSeesNewExpressions) {
 }
 
 TEST(Allocations, TenCubeConstructionIsBounded) {
-  // Perf off, one simulator: 15,498 allocations when this bound was set.
+  // Perf off, one simulator: 7,306 allocations when this bound was set.
   // Each of the 5,120 cables is one Link object that holds its direction
-  // mutexes and eight inbox channels, and each node's port mutexes share
-  // the node's allocation.
+  // mutexes and eight inbox channels, each node's port mutexes share the
+  // node's allocation, and a control processor's empty queues allocate
+  // nothing.
   sim::Simulator sim;
   const std::uint64_t before = allocations();
   const core::TSeries machine{sim, 10};
   const std::uint64_t made = allocations() - before;
-  EXPECT_LE(made, 17'000u) << "10-cube construction made " << made
-                           << " allocations";
+  EXPECT_LE(made, 8'000u) << "10-cube construction made " << made
+                          << " allocations";
 }
 
 TEST(Allocations, OccamMessagesAreBoundedPerMessage) {
@@ -135,13 +136,14 @@ std::uint64_t ten_cube_allreduce_allocations(bool perf) {
 TEST(Allocations, PerfOnTenCubeRunIsBounded) {
   // What perf collection adds to a run: attaching makes one track per
   // node component and port, and the run one occam track per node at its
-  // first message. A counter adds nothing, since a component counts into
-  // its track's cells, so an allocation per counter name fails this.
-  // 16,404 more allocations than perf off when this bound was set.
+  // first message; each track is one map node. A counter adds nothing,
+  // since a component counts into its track's cells, so an allocation per
+  // counter name fails this. 8,212 more allocations than perf off when
+  // this bound was set.
   (void)ten_cube_allreduce_allocations(false);  // warms the frame lists
   const std::uint64_t off = ten_cube_allreduce_allocations(false);
   const std::uint64_t on = ten_cube_allreduce_allocations(true);
-  EXPECT_LE(on - off, 18'000u)
+  EXPECT_LE(on - off, 9'000u)
       << on << " allocations with perf on, " << off << " without";
 }
 

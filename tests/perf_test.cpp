@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -193,6 +198,43 @@ TEST(Counters, ReattachedMachineCountsIntoTheNewRegistry) {
   machine.enable_perf(second);
   rt.run(round);
   EXPECT_EQ(counter_values(second), first_counts);
+}
+
+TEST(Counters, TrackAndFieldNamesNeedNoEscaping) {
+  // The direct dump writer copies component and field names verbatim into
+  // JSON, so every name a machine registers must print unescaped, and the
+  // registry and the field tables refuse a name that would not.
+  sim::Simulator sim;
+  core::TSeries machine{sim, /*dimension=*/1};
+  occam::Runtime rt{machine};
+  CounterRegistry reg;
+  machine.enable_perf(reg);
+  rt.run([](occam::Ctx& ctx) -> sim::Proc {
+    double v = 1.0;
+    co_await ctx.allreduce_sum(&v);
+  });
+  const auto unescaped = [](std::string_view name) {
+    return perf::json::Value::string(std::string(name)).dump() ==
+           '"' + std::string(name) + '"';
+  };
+  std::set<std::string> components;
+  for (const auto& [key, track] : reg.tracks()) {
+    components.insert(key.second);
+    EXPECT_TRUE(unescaped(key.second)) << key.second;
+    for (std::size_t f = 0; f < track.fields().size(); ++f) {
+      EXPECT_TRUE(unescaped(track.fields()[f].name));
+    }
+  }
+  EXPECT_EQ(components, (std::set<std::string>{"cp", "link0", "mem", "occam",
+                                                "vpu"}));
+  for (const char* bad : {"quote\"", "back\\slash", "tab\t", "bell\x07"}) {
+    EXPECT_FALSE(unescaped(bad)) << bad;
+    EXPECT_THROW(reg.track(0, bad, mem::kFields), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(perf::FieldTable{perf::Field{bad}}, std::invalid_argument)
+        << bad;
+  }
+  EXPECT_EQ(reg.find(0, "quote\""), nullptr);
 }
 
 TEST(Timeline, SpanInvariants) {
@@ -450,15 +492,36 @@ std::vector<perf::Span> one_span_of_every_kind() {
   };
 }
 
+// Spans whose microsecond text takes each path of perf::write_us(): a
+// start where SimTime::us()'s product is one ulp off the quotient
+// (881999940 ps prints 881.9999399999999), a round start of 10^5 us that
+// prints "1e+05", three equal starts and then the next picosecond, so the
+// dump's per-field text memo both hits and misses, and a 500 ps duration
+// that prints "5e-04".
+std::vector<perf::Span> edge_time_spans() {
+  std::vector<perf::Span> spans;
+  for (const std::int64_t start :
+       {881'999'940LL, 100'000'000'000LL, 100'000'000'000LL,
+        100'000'000'000LL, 100'000'000'001LL}) {
+    spans.push_back({.start = sim::SimTime::picoseconds(start),
+                     .duration = sim::SimTime::picoseconds(500),
+                     .n = 4,
+                     .label = vpu::to_string(vpu::VectorForm::vadd),
+                     .kind = perf::SpanKind::vector_op});
+  }
+  return spans;
+}
+
 // A registry with every shape the dump schema has, built through the
 // components' field tables: tracks whose counts or busy_ps maps are empty,
-// a counter touched with a zero delta, node numbers
-// whose string order differs from their numeric order, four rounds of one
-// span of every kind (link spans and instants on node 10's link3 track, the
-// other complete spans on node 2's cp track, start times that tie across
-// the two) so the ring drops spans yet keeps every kind, times whose
-// microsecond text needs 17 digits, and a workload label that needs
-// escaping.
+// a counter touched with a zero delta, node numbers 2, 10 and 100, whose
+// key order (node10. < node100. < node2.) differs from their numeric
+// order, four rounds of one span of every kind (link spans and instants on
+// node 10's link3 track, the other complete spans on node 2's cp track,
+// start times that tie across the two) so the ring drops spans yet keeps
+// every kind, times whose microsecond text needs 17 digits, and a workload
+// label that needs escaping. Node 100's vpu spans, recorded in the last
+// round, cover the microsecond text's cases (see edge_time_spans()).
 void fill_edge_case_registry(CounterRegistry& reg) {
   reg.meta().dimension = 4;
   reg.meta().nodes = 16;
@@ -477,8 +540,14 @@ void fill_edge_case_registry(CounterRegistry& reg) {
   port.add(link::kBytes, 1ULL << 40);
   port.add(link::kAcks, 0);
   port.add(link::kBusySublink + 1, sim::SimTime::picoseconds(1));
+  perf::PerfSink& vpu_track = reg.track(100, "vpu", vpu::kFields);
   const std::vector<perf::Span> kinds = one_span_of_every_kind();
   for (int round = 0; round < 4; ++round) {
+    if (round == 3) {
+      for (const perf::Span& s : edge_time_spans()) {
+        vpu_track.record(s);
+      }
+    }
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       perf::Span s = kinds[k];
       const auto i = static_cast<std::int64_t>(k) % 6;
@@ -517,10 +586,10 @@ void expect_stream_matches_tree(const CounterRegistry& reg,
   const sim::SimTime wall = 7_us;
   std::string streamed;
   perf::write_dump(streamed, reg, wall, results);
-  // One reservation, sized from the registry, holds the dump and the
-  // newline write_file appends; growing past it would double the capacity.
-  EXPECT_GT(streamed.capacity(), streamed.size());
-  EXPECT_LT(streamed.capacity(), streamed.size() + streamed.size() / 4);
+  // One reservation, sized exactly from the registry, holds the dump and
+  // the newline write_file appends; growing past it would double the
+  // capacity.
+  EXPECT_EQ(streamed.capacity(), streamed.size() + 1);
   perf::json::Value doc = perf::to_json(reg, wall);
   if (!results.is_null()) {
     doc["results"] = results;
@@ -542,13 +611,29 @@ TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
 
   const std::size_t every_kind = one_span_of_every_kind().size();
   CounterRegistry::Options small;
-  small.timeline_capacity = 16;  // 44 spans recorded: 28 dropped
+  small.timeline_capacity = 16;  // 49 spans recorded: 33 dropped
   CounterRegistry reg{small};
   fill_edge_case_registry(reg);
   ASSERT_GT(reg.timeline().dropped(), 0u);
   ASSERT_EQ(retained_kinds(reg).size(), every_kind);
   expect_stream_matches_tree(reg, perf::json::Value{});
   expect_stream_matches_tree(reg, results);
+
+  // The cases are in the dump, not dropped, and the keys print in byte
+  // order.
+  std::string dump;
+  perf::write_dump(dump, reg, 7_us);
+  for (const char* text :
+       {"\"ts\": 881.9999399999999", "\"ts\": 1e+05\n",
+        "\"ts\": 100000.000001\n", "\"dur\": 5e-04,"}) {
+    EXPECT_NE(dump.find(text), std::string::npos) << text;
+  }
+  const std::size_t node10 = dump.find("\"node10.cp\"");
+  const std::size_t node100 = dump.find("\"node100.vpu\"");
+  const std::size_t node2 = dump.find("\"node2.cp\"");
+  ASSERT_NE(node2, std::string::npos);
+  EXPECT_LT(node10, node100);
+  EXPECT_LT(node100, node2);
 
   // Sharded timelines merge by start time, ties broken by shard; node 2's
   // and node 10's spans tie in every round.
@@ -565,6 +650,95 @@ TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
   const CounterRegistry empty;
   expect_stream_matches_tree(empty, perf::json::Value{});
   expect_stream_matches_tree(empty, results);
+}
+
+/// perf::write_us()'s text for `ps`, and std::to_chars' for
+/// SimTime::us() when the two differ (empty strings when they agree).
+std::pair<std::string, std::string> us_text_mismatch(std::int64_t ps) {
+  char want[64];
+  char got[perf::kUsChars];
+  const std::string_view w(
+      want, static_cast<std::size_t>(
+                std::to_chars(want, want + sizeof want,
+                              sim::SimTime::picoseconds(ps).us())
+                    .ptr -
+                want));
+  const std::string_view g(
+      got, static_cast<std::size_t>(perf::write_us(got, ps) - got));
+  if (w == g) {
+    return {};
+  }
+  return {std::string(g), std::string(w)};
+}
+
+// The dump's "ts" and "dur" text: perf::write_us() prints from the integer
+// where SimTime::us() is the exact decimal ps / 10^6 rounded, and must
+// print what std::to_chars prints for SimTime::us() everywhere.
+TEST(ChromeTrace, MicrosecondTextMatchesToChars) {
+  // Every value up to 10 us, split over four threads (to_chars takes most
+  // of the time).
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::int64_t>> wrong_in(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t, &wrong_in] {
+      for (std::int64_t ps = t; ps <= 10'000'000; ps += kThreads) {
+        if (!us_text_mismatch(ps).first.empty()) {
+          wrong_in[static_cast<std::size_t>(t)].push_back(ps);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) {
+    w.join();
+  }
+  std::vector<std::int64_t> wrong;
+  for (const std::vector<std::int64_t>& w : wrong_in) {
+    wrong.insert(wrong.end(), w.begin(), w.end());
+  }
+  const auto check = [&wrong](std::int64_t ps) {
+    if (!us_text_mismatch(ps).first.empty()) {
+      wrong.push_back(ps);
+    }
+  };
+  // Round values k * 10^j, past the integer path's 10^15 ps limit.
+  for (std::int64_t scale = 1; scale <= 1'000'000'000'000'000; scale *= 10) {
+    for (std::int64_t k = 1; k < 1000; ++k) {
+      check(k * scale);
+    }
+  }
+  // A fixed-seed sample of every decade above 10^7 ps up to 10^15, and
+  // past it.
+  std::mt19937_64 rng{25};
+  for (std::int64_t lo = 10'000'000; lo <= 1'000'000'000'000'000; lo *= 10) {
+    std::uniform_int_distribution<std::int64_t> decade(lo, 10 * lo - 1);
+    for (int i = 0; i < 100'000; ++i) {
+      check(decade(rng));
+    }
+  }
+  // The fallbacks: negative values and the extremes.
+  std::uniform_int_distribution<std::int64_t> any_negative(
+      std::numeric_limits<std::int64_t>::min(), -1);
+  for (int i = 0; i < 100'000; ++i) {
+    check(any_negative(rng));
+    check(-static_cast<std::int64_t>(rng() % 10'000'000'000));
+  }
+  const std::int64_t extremes[] = {std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::int64_t{1} << 53,
+                                   (std::int64_t{1} << 53) + 1,
+                                   999'999'999'999'999,
+                                   1'000'000'000'000'000,
+                                   1'000'000'000'000'001};
+  for (const std::int64_t ps : extremes) {
+    check(ps);
+  }
+  for (std::size_t i = 0; i < std::min<std::size_t>(wrong.size(), 10); ++i) {
+    const auto [got, want] = us_text_mismatch(wrong[i]);
+    ADD_FAILURE() << wrong[i] << " ps prints " << got << ", to_chars prints "
+                  << want;
+  }
+  EXPECT_TRUE(wrong.empty()) << wrong.size() << " values differ";
 }
 
 TEST(ChromeTrace, RejectsForeignDocuments) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "sim/bits.hpp"
+#include "sim/fifo.hpp"
 #include "sim/proc.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
@@ -663,6 +665,33 @@ TEST_P(DeterminismTest, RepeatedRunsProduceIdenticalTraces) {
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, DeterminismTest,
                          ::testing::Values(1, 2, 5, 16, 64));
+
+TEST(Fifo, MatchesADequeAcrossWrapAndGrowth) {
+  // A third each of push_back, push_front and pop_front: the queue grows
+  // while its ring is wrapped, and pops in the order a deque would.
+  Fifo<int> q;
+  std::deque<int> model;
+  std::uint32_t lcg = 7;
+  for (int i = 0; i < 1000; ++i) {
+    lcg = lcg * 1664525u + 1013904223u;
+    const std::uint32_t op = (lcg >> 16) % 3;
+    if (op == 0 || model.empty()) {
+      q.push_back(i);
+      model.push_back(i);
+    } else if (op == 1) {
+      q.push_front(i);
+      model.push_front(i);
+    } else {
+      ASSERT_EQ(q.pop_front(), model.front());
+      model.pop_front();
+    }
+    ASSERT_EQ(q.empty(), model.empty());
+  }
+  for (; !model.empty(); model.pop_front()) {
+    ASSERT_EQ(q.pop_front(), model.front());
+  }
+  EXPECT_TRUE(q.empty());
+}
 
 TEST(RingBuffer, IndexingEmptyRingThrows) {
   // Regression: operator[] used to compute `% buf_.size()`, which is a

@@ -42,7 +42,7 @@ int main(int argc, char** argv) try {
   try {
     prog = cp::assemble(text);
   } catch (const cp::AsmError& e) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+    std::fprintf(stderr, "tisa_traced: %s: %s\n", path.c_str(), e.what());
     return 2;
   }
 

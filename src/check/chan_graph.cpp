@@ -1,6 +1,5 @@
 #include "check/chan_graph.hpp"
 
-#include <bit>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -42,10 +41,7 @@ struct Mail {
 std::vector<CommEvent> lower_comm(const CommSpec& spec, net::NodeId id) {
   const int dim = spec.dimension();
   std::vector<CommEvent> ev;
-  std::uint32_t internal_seq = 0;
-  const auto internal_tag = [&internal_seq]() {
-    return 0x8000u | (internal_seq++ & 0x7FFFu);
-  };
+  std::uint32_t collectives = 0;  // Ctx::internal_tag's counter
   // Collective hops always carry one 64-bit scalar (the occam.cpp
   // schedules exchange a single double per dimension).
   const auto push = [&](bool is_send, net::NodeId peer, std::uint32_t tag,
@@ -69,7 +65,7 @@ std::vector<CommEvent> lower_comm(const CommSpec& spec, net::NodeId id) {
         ev.push_back(CommEvent{false, true, 0, op.tag, op.elems, i, ""});
         break;
       case CommKind::kBarrier: {
-        const std::uint32_t t = internal_tag();
+        const std::uint32_t t = occam::collective_tag(collectives++);
         for (int k = 0; k < dim; ++k) {
           const net::NodeId peer = id ^ (net::NodeId{1} << k);
           const std::string d = "exchange, dimension " + std::to_string(k);
@@ -79,40 +75,35 @@ std::vector<CommEvent> lower_comm(const CommSpec& spec, net::NodeId id) {
         break;
       }
       case CommKind::kBroadcast: {
-        const std::uint32_t t = internal_tag();
-        const std::uint32_t rel = id ^ op.peer;
-        int first_send_dim = 0;
-        if (rel != 0) {
-          const int j = static_cast<int>(std::bit_width(rel)) - 1;
-          push(false, id ^ (net::NodeId{1} << j), t, 1, i,
-               "tree arrival, dimension " + std::to_string(j));
-          first_send_dim = j + 1;
+        const std::uint32_t t = occam::collective_tag(collectives++);
+        const int parent = net::tree_parent_dim(id, op.peer);
+        if (parent >= 0) {
+          push(false, id ^ (net::NodeId{1} << parent), t, 1, i,
+               "tree arrival, dimension " + std::to_string(parent));
         }
-        for (int k = first_send_dim; k < dim; ++k) {
+        for (int k = parent + 1; k < dim; ++k) {
           push(true, id ^ (net::NodeId{1} << k), t, 1, i,
                "tree fan-out, dimension " + std::to_string(k));
         }
         break;
       }
       case CommKind::kReduce: {
-        const std::uint32_t t = internal_tag();
-        const std::uint32_t rel = id ^ op.peer;
-        bool merged_upstream = false;
-        for (int k = dim - 1; k >= 0 && !merged_upstream; --k) {
-          const std::uint32_t bit = std::uint32_t{1} << k;
-          if (rel < bit) {
-            push(false, id ^ bit, t, 1, i,
+        const std::uint32_t t = occam::collective_tag(collectives++);
+        const int parent = net::tree_parent_dim(id, op.peer);
+        for (int k = dim - 1; k >= 0 && k >= parent; --k) {
+          const net::NodeId peer = id ^ (net::NodeId{1} << k);
+          if (k > parent) {
+            push(false, peer, t, 1, i,
                  "tree merge, dimension " + std::to_string(k));
-          } else if (rel < 2 * bit) {
-            push(true, id ^ bit, t, 1, i,
+          } else {
+            push(true, peer, t, 1, i,
                  "tree partial, dimension " + std::to_string(k));
-            merged_upstream = true;
           }
         }
         break;
       }
       case CommKind::kAllreduce: {
-        const std::uint32_t t = internal_tag();
+        const std::uint32_t t = occam::collective_tag(collectives++);
         for (int k = 0; k < dim; ++k) {
           const net::NodeId peer = id ^ (net::NodeId{1} << k);
           const std::string d =

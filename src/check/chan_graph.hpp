@@ -3,8 +3,9 @@
 //
 // Input is an occam::CommSpec — the per-node sequence of sends, receives
 // and collectives a program performs. The checker lowers every collective
-// to the exact point-to-point schedule occam.cpp executes (binomial trees,
-// dimension exchange, per-node internal tag counter) and then abstractly
+// to the exact point-to-point schedule occam.cpp executes (binomial trees
+// through net::tree_parent_dim, dimension exchange, the per-node
+// collective tag counter of occam/commspec.hpp) and then abstractly
 // executes the whole machine: sends are buffered (the runtime's routers
 // always drain the links), receives block until a matching (src, tag)
 // message is available. When execution stalls, the blocked nodes form a
@@ -30,8 +31,8 @@
 namespace fpst::check {
 
 /// One point-to-point event a CommOp lowers to. User sends/recvs map
-/// one-to-one; collectives expand to the occam.cpp schedule with internal
-/// 0x8000|seq tags.
+/// one-to-one; collectives expand to the occam.cpp schedule, tagged with
+/// occam::collective_tag.
 struct CommEvent {
   bool is_send = false;
   bool any = false;        ///< recv_any: match the tag from any source
@@ -43,8 +44,9 @@ struct CommEvent {
 };
 
 /// Lower one node's CommOp sequence to point-to-point events, mirroring
-/// the schedules in occam.cpp (including Ctx::internal_tag numbering:
-/// one fresh 0x8000|seq tag per collective call).
+/// the schedules in occam.cpp: the same tag numbering (one
+/// occam::collective_tag per collective call, as Ctx::internal_tag) and the
+/// same binomial tree (net::tree_parent_dim).
 std::vector<CommEvent> lower_comm(const occam::CommSpec& spec,
                                   net::NodeId id);
 

@@ -75,8 +75,8 @@ VolumeAnalysis analyze_volume(const CommSpec& spec) {
   // ---- channel-protocol checks ----
   for (const auto& [key, ch] : chans) {
     const auto& [dst, tag] = key;
-    if (tag >= 0x8000u) {
-      continue;  // internal collective tags: lowered pairwise, always sound
+    if (!occam::is_user_tag(tag)) {
+      continue;  // collective tags: lowered pairwise, always sound
     }
 
     // Arity: per-source when every recv names its source; totals once a

@@ -18,6 +18,10 @@
 //     the payload size (`elems`), so the receiver would copy a different
 //     number of bytes than the sender staged.
 //
+// Both checks cover the user tags only. A collective's tags
+// (occam::collective_tag) are lowered pairwise and always balance, and
+// CommSpec refuses a user op tagged in their range.
+//
 // When the spec declares a per-edge wire-byte budget (the `budget`
 // directive), edges whose predicted bytes exceed it raise `edge-overload`
 // as a performance-class error — the input would run, but violates the

@@ -229,12 +229,6 @@ class CostExecutor {
   }
 
   // -- memory model: word overlay over image bytes / zeroed RAM --
-  static bool in_dram(std::uint32_t addr) { return addr < cp::kDramBytes; }
-  static bool on_chip(std::uint32_t addr) {
-    return addr >= cp::kOnChipBase &&
-           addr < cp::kOnChipBase + cp::kOnChipBytes;
-  }
-
   AbsVal base_word(std::uint32_t aligned) const {
     if (havoc_) {
       return abs_unknown();
@@ -293,7 +287,7 @@ class CostExecutor {
     if (!addr.known) {
       return offchip();
     }
-    return in_dram(addr.v) ? offchip() : SimTime{};
+    return cp::in_dram(addr.v) ? offchip() : SimTime{};
   }
 
   AbsVal data_read(const AbsVal& addr, SimTime& cost) {
@@ -425,87 +419,27 @@ class CostExecutor {
     const std::uint32_t at = in.addr;
     const auto op = static_cast<SecOp>(in.d.operand);
 
-    const auto binop = [&](AbsVal result) {
-      a_ = result;
-      b_ = c_;
-      c_ = abs_const(0);
-    };
-    const auto arith2 = [&](auto f) {
-      binop(a_.known && b_.known ? abs_const(f(b_.v, a_.v)) : abs_unknown());
-    };
+    if (const std::optional<AbsAlu> r = abs_alu(op, b_, a_)) {
+      cost += r->extra_instrs * instr_time();
+      if (r->pops) {
+        b_ = c_;
+        c_ = abs_const(0);
+      }
+      a_ = r->value;
+      commit(T, cost);
+      iptr_ = next;
+      return true;
+    }
 
     switch (op) {
       case SecOp::rev:
         std::swap(a_, b_);
-        break;
-      case SecOp::add:
-        arith2([](std::uint32_t b, std::uint32_t a) { return b + a; });
-        break;
-      case SecOp::sub:
-        arith2([](std::uint32_t b, std::uint32_t a) { return b - a; });
-        break;
-      case SecOp::mul:
-        cost += (cp::CpuParams::kMulDivCostFactor - 1) * instr_time();
-        arith2([](std::uint32_t b, std::uint32_t a) {
-          return static_cast<std::uint32_t>(
-              static_cast<std::int64_t>(static_cast<std::int32_t>(b)) *
-              static_cast<std::int64_t>(static_cast<std::int32_t>(a)));
-        });
-        break;
-      case SecOp::divi:
-      case SecOp::rem:
-        cost += (cp::CpuParams::kMulDivCostFactor - 1) * instr_time();
-        if (a_.known && a_.v == 0) {
-          binop(abs_const(0));  // the interpreter faults and continues
-        } else if (a_.known && b_.known) {
-          const auto sa = static_cast<std::int32_t>(a_.v);
-          const auto sb = static_cast<std::int32_t>(b_.v);
-          binop(abs_const(static_cast<std::uint32_t>(
-              op == SecOp::divi ? sb / sa : sb % sa)));
-        } else {
-          binop(abs_unknown());
-        }
-        break;
-      case SecOp::land:
-        arith2([](std::uint32_t b, std::uint32_t a) { return b & a; });
-        break;
-      case SecOp::lor:
-        arith2([](std::uint32_t b, std::uint32_t a) { return b | a; });
-        break;
-      case SecOp::lxor:
-        arith2([](std::uint32_t b, std::uint32_t a) { return b ^ a; });
-        break;
-      case SecOp::lnot:
-        a_ = a_.known ? abs_const(~a_.v) : abs_unknown();
-        break;
-      case SecOp::shl:
-        arith2([](std::uint32_t b, std::uint32_t a) {
-          return a >= 32 ? 0u : b << a;
-        });
-        break;
-      case SecOp::shr:
-        arith2([](std::uint32_t b, std::uint32_t a) {
-          return a >= 32 ? 0u : b >> a;
-        });
-        break;
-      case SecOp::gt:
-        arith2([](std::uint32_t b, std::uint32_t a) {
-          return static_cast<std::int32_t>(b) > static_cast<std::int32_t>(a)
-                     ? 1u
-                     : 0u;
-        });
         break;
       case SecOp::mint:
         push(abs_const(cp::kNotProcess));
         break;
       case SecOp::ldpi:
         a_ = a_.known ? abs_const(in.next() + a_.v) : abs_unknown();
-        break;
-      case SecOp::wsub:
-        arith2([](std::uint32_t b, std::uint32_t a) { return a + 4 * b; });
-        break;
-      case SecOp::bsub:
-        arith2([](std::uint32_t b, std::uint32_t a) { return a + b; });
         break;
       case SecOp::lb:
         cost += access_cost(a_);
@@ -736,61 +670,33 @@ class CostExecutor {
       stop(at, "vform descriptor contents are not statically known");
       return false;
     }
-    const std::uint32_t form_w = w[0].v;
-    const std::uint32_t n = w[2].v;
-    const bool f64 = w[1].v != 0;
-    bool bad = false;
-    if (form_w > static_cast<std::uint32_t>(vpu::VectorForm::vcvt_narrow)) {
-      diag(Severity::kError, "vform-overrun", at,
-           "vform descriptor names undefined vector form " +
-               std::to_string(form_w));
-      bad = true;
-    } else {
-      const auto form = static_cast<vpu::VectorForm>(form_w);
-      const std::size_t max_n =
-          f64 ? mem::MemParams::kElems64 : mem::MemParams::kElems32;
-      const std::size_t limit = (form == vpu::VectorForm::vcvt_widen ||
-                                 form == vpu::VectorForm::vcvt_narrow)
-                                    ? mem::MemParams::kElems64
-                                    : max_n;
-      if (n == 0 || n > limit) {
-        diag(Severity::kError, "vform-overrun", at,
-             "vform element count " + std::to_string(n) +
-                 " overruns the " + std::to_string(limit) + "-element " +
-                 (f64 ? "64" : "32") + "-bit vector row");
-        bad = true;
-      }
-      for (int r = 3; r <= 5; ++r) {
-        if (w[r].v >= mem::MemParams::kRows) {
-          diag(Severity::kError, "vform-overrun", at,
-               "vform row index " + std::to_string(w[r].v) +
-                   " is outside the " +
-                   std::to_string(mem::MemParams::kRows) + "-row memory");
-          bad = true;
-          break;
-        }
-      }
-    }
-    if (bad) {
-      // The interpreter faults and continues without starting the pipes.
+    // The descriptor as Cpu::do_vform reads it, checked by the vector
+    // unit's own rule; a refused op faults and the CP carries on.
+    vpu::VectorOp vop;
+    vop.form = static_cast<vpu::VectorForm>(w[0].v);
+    vop.prec = w[1].v == 0 ? vpu::Precision::f32 : vpu::Precision::f64;
+    vop.n = w[2].v;
+    vop.row_x = w[3].v;
+    vop.row_y = w[4].v;
+    vop.row_z = w[5].v;
+    if (const std::optional<std::string> why = vpu::refusal(vop)) {
+      diag(Severity::kError, "vform-overrun", at, "vform " + *why);
       commit(T, cost);
       iptr_ = next;
       return true;
     }
-    vpu::VectorOp vop;
-    vop.form = static_cast<vpu::VectorForm>(form_w);
-    vop.prec = f64 ? vpu::Precision::f64 : vpu::Precision::f32;
-    vop.n = n;
-    vop.row_x = w[3].v;
-    vop.row_y = w[4].v;
-    vop.row_z = w[5].v;
+    if (static_cast<std::size_t>(vop.form) >= vpu::kVectorForms) {
+      diag(Severity::kError, "vform-overrun", at,
+           "vform descriptor names undefined vector form " +
+               std::to_string(static_cast<unsigned>(vop.form)) +
+               ", which the vector unit times but computes nothing for");
+    }
     const SimTime duration = vpu_.duration_of(vop);
     vpu_busy_ = true;
     vpu_done_ = T + duration;  // scheduled at exec time, before the delay
     out_->vpu_busy += duration;
     ++out_->vforms;
-    out_->flops +=
-        static_cast<std::uint64_t>(n) * (vpu::uses_both_pipes(vop.form) ? 2 : 1);
+    out_->flops += vpu::flops_for(vop);
     // Completion will overwrite the result words with data we can't know.
     store_range_unknown(desc.v + 32, 16);
     commit(T, cost);
@@ -856,12 +762,7 @@ CostPrediction predict_cost(const cp::Program& p, const CostOptions& opts) {
   for (LoopInfo& l : loops.info) {
     if (l.verdict == LoopVerdict::kUnbounded) {
       const std::string what =
-          "loop at " + [](std::uint32_t v) {
-            std::ostringstream os;
-            os << "0x" << std::hex << v;
-            return os.str();
-          }(l.head) +
-          " has no statically-known bound";
+          "loop at " + hex(l.head) + " has no statically-known bound";
       if (l.hot) {
         out.report.add(Severity::kWarning, "unbounded-hot-loop", l.back_edge,
                        0,

@@ -1,14 +1,18 @@
 // Static cycle-cost prediction for assembled TISA programs (DESIGN.md §4.4).
 //
 // predict_cost() symbolically executes a program over the recovered CFG
-// with the exact cost accounting of the interpreter in cp/cpu.cpp — the
-// timing constants are *shared* (cp::CpuParams, mem::MemParams,
-// vpu::VectorUnit::duration_of, link::LinkParams), never duplicated — so
-// for a program whose control flow is statically decidable the predicted
-// elapsed time equals the simulator's measurement bit-for-bit.
+// with the exact cost accounting of the interpreter in cp/cpu.cpp. The
+// timing constants are the simulator's own (cp::CpuParams, mem::MemParams,
+// vpu::VectorUnit::duration_of, link::LinkParams), and so are the rules:
+// the integer ALU and its mul/div cost (cp::alu, lifted by abs_alu), the
+// memory map (cp::in_dram), the vector unit's refusal of a vform
+// (vpu::refusal) and its flop count (vpu::flops_for). So for a program
+// whose control flow is statically decidable the predicted elapsed time
+// equals the simulator's measurement bit-for-bit.
 //
 // The executor is an abstract interpreter over the same constant lattice
-// the verifier uses (check/tisa_verify.hpp), extended with:
+// the verifier uses (check/tisa_verify.hpp), with its own instruction
+// switch (it tracks memory and time too), extended with:
 //   * a concrete workspace pointer (CostOptions::wptr, matching the value
 //     passed to Cpu::start_process),
 //   * a word-granular memory overlay seeded from the program image
@@ -26,10 +30,13 @@
 //     class); cold ones get an `unbounded-loop` note;
 //   * a bounded prediction whose instruction count exceeds
 //     CostOptions::max_steps raises `cost-overflow` and stops;
-//   * vform descriptors that are constant but violate the vector unit's
-//     geometry (element count over the 128/256-element row limit, row
-//     index out of range, undefined form) raise `vform-overrun` — the
-//     static twin of the std::invalid_argument VectorUnit::execute throws.
+//   * a constant vform descriptor the vector unit refuses (vpu::refusal:
+//     an element count outside the row, an f32 conversion, a row out of
+//     range) raises `vform-overrun` — the static twin of the
+//     std::invalid_argument VectorUnit::execute throws — and is predicted
+//     as the fault the CP takes. A form no enumerator names raises it too,
+//     though the unit runs that form (timed, computing nothing), and is
+//     predicted as that run.
 //
 // Modelling assumptions, stated rather than hidden: hard-channel partners
 // are assumed ready (a transfer costs link::LinkParams::transfer_time and

@@ -27,6 +27,22 @@ bool abs_join(AbsStack& into, const AbsStack& from) {
   return changed;
 }
 
+std::optional<AbsAlu> abs_alu(cp::SecOp op, const AbsVal& b,
+                              const AbsVal& a) {
+  // An unknown B reads as 0: the only fault B = 0 raises, a zero divisor,
+  // is raised whatever B holds.
+  const std::optional<cp::AluResult> r = cp::alu(op, b.known ? b.v : 0, a.v);
+  if (!r) {
+    return std::nullopt;
+  }
+  AbsAlu out{abs_unknown(), r->pops, r->extra_instrs, nullptr};
+  if (a.known && (b.known || !r->pops || r->fault != nullptr)) {
+    out.value = abs_const(r->value);
+    out.fault = r->fault;
+  }
+  return out;
+}
+
 bool abs_leq(const AbsStack& x, const AbsStack& y) {
   const auto val_leq = [](const AbsVal& a, const AbsVal& b) {
     return !b.known || (a.known && a.v == b.v);
@@ -47,11 +63,11 @@ constexpr int kMaxDepth = 3;
 
 class Verifier;
 
-// The single transfer function shared by the verifier (v != nullptr:
-// diagnostics and hard-channel discovery fire) and by pure abstract
-// stepping via abs_step (v == nullptr: stack effect only). Keeping one
-// switch guarantees the cost model and the property tests interpret
-// instructions exactly as the verifier does.
+// The single transfer function of the verifier (v != nullptr: diagnostics
+// and hard-channel discovery fire) and of pure abstract stepping via
+// abs_step (v == nullptr: stack effect only), which the property tests
+// check. The cost model keeps its own switch, because it also tracks
+// memory and time; it shares the arithmetic through abs_alu.
 void step(const Insn& in, AbsStack& st, Verifier* v);
 
 class Verifier {
@@ -89,18 +105,7 @@ class Verifier {
     }
   }
 
-  // ---- memory-map checks ----
-  bool mapped_word(std::uint32_t addr) const {
-    return (addr + 3 < cp::kDramBytes) ||
-           (addr >= cp::kOnChipBase &&
-            addr + 3 < cp::kOnChipBase + cp::kOnChipBytes);
-  }
-  bool mapped_byte(std::uint32_t addr) const {
-    return addr < cp::kDramBytes ||
-           (addr >= cp::kOnChipBase &&
-            addr < cp::kOnChipBase + cp::kOnChipBytes);
-  }
-
+  // ---- memory-map checks (cp/isa.hpp) ----
   void check_word_addr(std::uint32_t at, const AbsVal& a, const char* what) {
     if (!a.known) {
       return;
@@ -111,7 +116,7 @@ class Verifier {
                " is in the hard-channel region — not data memory");
       return;
     }
-    if (!mapped_word(a.v)) {
+    if (!cp::in_ram(a.v)) {
       diag(Severity::kError, "bad-address", at,
            std::string(what) + " address " + hex(a.v) +
                " is outside the DRAM / on-chip memory map");
@@ -128,7 +133,7 @@ class Verifier {
     if (!a.known) {
       return;
     }
-    if (cp::is_hard_chan(a.v) || !mapped_byte(a.v)) {
+    if (!cp::in_ram(a.v)) {
       diag(Severity::kError, "bad-address", at,
            std::string(what) + " address " + hex(a.v) +
                " is outside the DRAM / on-chip memory map");
@@ -141,10 +146,8 @@ class Verifier {
     }
     const std::uint32_t c = chan.v;
     if (cp::is_hard_chan(c)) {
-      const int port = static_cast<int>((c >> 3) & 0xF);
-      const int sublink = static_cast<int>((c >> 1) & 0x3);
-      const int dir = static_cast<int>(c & 1u);
-      if ((c & 0x0FFF'FF80u) != 0) {
+      const auto [port, sublink, dir, reserved_bits] = cp::decode_hard_chan(c);
+      if (reserved_bits) {
         diag(Severity::kError, "bad-hard-chan", at,
              "hard-channel address " + hex(c) +
                  " has reserved bits set — not a valid (port, sublink, dir) "
@@ -187,11 +190,11 @@ class Verifier {
     }
     const std::uint32_t d = desc.v;
     const std::uint32_t bytes = cp::kVformDescWords * 4;
-    if (d >= cp::kDramBytes || d + bytes > cp::kDramBytes) {
+    if (d + std::uint64_t{bytes} > cp::ram_end(d)) {
       diag(Severity::kError, "bad-vform-desc", at,
-           "vform descriptor at " + hex(d) + " does not fit in DRAM (" +
-               std::to_string(bytes) + "-byte block must lie below " +
-               hex(cp::kDramBytes) + ")");
+           "vform descriptor at " + hex(d) + " does not fit in RAM (its " +
+               std::to_string(bytes) +
+               "-byte block must lie within one RAM region)");
       return;
     }
     if ((d & 3u) != 0) {
@@ -421,77 +424,32 @@ void step_secondary(const Insn& in, AbsStack& st, Verifier* v) {
   const std::uint32_t at = in.addr;
   const auto op = static_cast<SecOp>(in.d.operand);
 
-  // B-and-A arithmetic: need 2, pop 1, combine into A.
-  const auto binop = [&](const char* name, auto f) {
-    do_need(st, at, 2, name, v);
-    AbsVal r = abs_unknown();
-    if (st.a.known && st.b.known) {
-      r = abs_const(f(st.b.v, st.a.v));
+  if (const std::optional<AbsAlu> r = abs_alu(op, st.b, st.a)) {
+    const std::string name = cp::to_string(op);
+    do_need(st, at, r->pops ? 2 : 1, name.c_str(), v);
+    if (r->fault != nullptr && v != nullptr) {
+      if (st.a.v == 0) {
+        v->diag(Severity::kError, "div-by-zero", at,
+                "division by a constant zero traps at run time");
+      } else {
+        v->diag(Severity::kError, "div-overflow", at,
+                name + " of constant " + hex(st.b.v) + " by " + hex(st.a.v) +
+                    " overflows 32 bits and traps at run time");
+      }
     }
-    const AbsVal saved_c = st.c;
-    do_pop(st);
-    st.a = r;
-    st.b = saved_c;
-  };
+    if (r->pops) {
+      const AbsVal saved_c = st.c;
+      do_pop(st);
+      st.b = saved_c;
+    }
+    st.a = r->value;
+    return;
+  }
 
   switch (op) {
     case SecOp::rev:
       do_need(st, at, 2, "rev", v);
       std::swap(st.a, st.b);
-      break;
-    case SecOp::add:
-      binop("add", [](std::uint32_t b, std::uint32_t a) { return b + a; });
-      break;
-    case SecOp::sub:
-      binop("sub", [](std::uint32_t b, std::uint32_t a) { return b - a; });
-      break;
-    case SecOp::mul:
-      binop("mul", [](std::uint32_t b, std::uint32_t a) {
-        return static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(static_cast<std::int32_t>(b)) *
-            static_cast<std::int64_t>(static_cast<std::int32_t>(a)));
-      });
-      break;
-    case SecOp::divi:
-    case SecOp::rem: {
-      do_need(st, at, 2, op == SecOp::divi ? "div" : "rem", v);
-      if (st.a.known && st.a.v == 0 && v != nullptr) {
-        v->diag(Severity::kError, "div-by-zero", at,
-                "division by a constant zero traps at run time");
-      }
-      do_pop(st);
-      st.a = abs_unknown();
-      break;
-    }
-    case SecOp::land:
-      binop("and", [](std::uint32_t b, std::uint32_t a) { return b & a; });
-      break;
-    case SecOp::lor:
-      binop("or", [](std::uint32_t b, std::uint32_t a) { return b | a; });
-      break;
-    case SecOp::lxor:
-      binop("xor", [](std::uint32_t b, std::uint32_t a) { return b ^ a; });
-      break;
-    case SecOp::lnot:
-      do_need(st, at, 1, "not", v);
-      st.a = st.a.known ? abs_const(~st.a.v) : abs_unknown();
-      break;
-    case SecOp::shl:
-      binop("shl", [](std::uint32_t b, std::uint32_t a) {
-        return a >= 32 ? 0u : b << a;
-      });
-      break;
-    case SecOp::shr:
-      binop("shr", [](std::uint32_t b, std::uint32_t a) {
-        return a >= 32 ? 0u : b >> a;
-      });
-      break;
-    case SecOp::gt:
-      binop("gt", [](std::uint32_t b, std::uint32_t a) {
-        return static_cast<std::int32_t>(b) > static_cast<std::int32_t>(a)
-                   ? 1u
-                   : 0u;
-      });
       break;
     case SecOp::mint:
       do_push(st, at, abs_const(cp::kNotProcess), v);
@@ -499,14 +457,6 @@ void step_secondary(const Insn& in, AbsStack& st, Verifier* v) {
     case SecOp::ldpi:
       do_need(st, at, 1, "ldpi", v);
       st.a = st.a.known ? abs_const(in.next() + st.a.v) : abs_unknown();
-      break;
-    case SecOp::wsub:
-      binop("wsub",
-            [](std::uint32_t b, std::uint32_t a) { return a + 4 * b; });
-      break;
-    case SecOp::bsub:
-      binop("bsub",
-            [](std::uint32_t b, std::uint32_t a) { return a + b; });
       break;
     case SecOp::lb:
       do_need(st, at, 1, "lb", v);

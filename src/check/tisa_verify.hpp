@@ -11,12 +11,13 @@
 //     overflow (pushing a fourth value silently drops the C register),
 //   * ldnl/stnl/lb/sb/move/gather/scatter addresses provably outside the
 //     DRAM / on-chip / hard-channel memory map of cp/isa.hpp,
-//   * vform descriptor addresses outside DRAM, unaligned, or whose 48-byte
-//     descriptor block does not fit in DRAM,
+//   * vform descriptor addresses that are unaligned, or whose 48-byte
+//     descriptor block does not lie within one RAM region,
 //   * in/out on malformed hard-channel addresses: port or sublink out of
 //     range for a 4-link node, reserved bits set, or a direction bit that
 //     contradicts the operation,
-//   * division by a constant zero,
+//   * division by a constant zero, or of a constant 0x80000000 by -1
+//     (cp::alu's faulting cases),
 //   * unreachable code (gaps the CFG walk never reached that are neither
 //     zero-filled padding nor labelled data).
 //
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -36,10 +38,10 @@ namespace fpst::check {
 
 // ---- the abstract-interpretation lattice ------------------------------
 //
-// Exported so the cost model (check/cost_model.hpp) reuses the exact
-// transfer functions the verifier fixpoints over, and so property tests
-// can check the lattice laws (join commutativity/associativity/
-// idempotence, transfer monotonicity) directly.
+// Exported so the cost model (check/cost_model.hpp) lifts the ALU the same
+// way the verifier does (abs_alu), and so property tests can check the
+// lattice laws (join commutativity/associativity/idempotence, transfer
+// monotonicity) directly.
 
 /// One abstract register: a known 32-bit constant or top (unknown).
 struct AbsVal {
@@ -78,6 +80,19 @@ bool abs_join(AbsStack& into, const AbsStack& from);
 /// Partial order: x ⊑ y iff every concrete state x describes, y describes
 /// too (y is at least as abstract as x).
 bool abs_leq(const AbsStack& x, const AbsStack& y);
+
+/// cp::alu over the lattice. A is known afterwards when A was and B was
+/// too, or when the result does not depend on B: a `not`, or a zero
+/// divisor, which faults and leaves A = 0 whatever B holds. `fault` is set
+/// only when the op certainly faults. nullopt for a non-ALU op.
+struct AbsAlu {
+  AbsVal value;
+  bool pops = true;
+  int extra_instrs = 0;
+  const char* fault = nullptr;
+};
+std::optional<AbsAlu> abs_alu(cp::SecOp op, const AbsVal& b,
+                               const AbsVal& a);
 
 /// Diagnostic-free transfer function: the stack effect of one decoded
 /// instruction, byte-identical to what the verifier applies while it also

@@ -75,17 +75,37 @@ struct Statement {
   bool is_org = false;
 };
 
-bool parse_int(const std::string& text, std::int64_t& out) {
+/// Read a number (decimal, 0x hex, 0 octal, negative). False when `text`
+/// is no number (a label, say); a number outside [-2^31, 2^32 - 1] fits no
+/// 32-bit word and is refused.
+bool parse_int(const std::string& text, std::size_t line, std::int64_t& out) {
   if (text.empty()) {
     return false;
   }
+  const auto too_wide = [&] {
+    return AsmError(line, "number " + text + " does not fit in 32 bits");
+  };
   std::size_t pos = 0;
   try {
-    out = std::stoll(text, &pos, 0);  // handles 0x..., decimal, negative
+    out = std::stoll(text, &pos, 0);
+  } catch (const std::out_of_range&) {
+    throw too_wide();
   } catch (...) {
     return false;
   }
-  return pos == text.size();
+  if (pos != text.size()) {
+    return false;
+  }
+  if (out < INT32_MIN || out > UINT32_MAX) {
+    throw too_wide();
+  }
+  return true;
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
 }
 
 }  // namespace
@@ -233,10 +253,13 @@ Program assemble(const std::string& source) {
         throw AsmError(lineno, ".org must appear once, before any code");
       }
       std::int64_t v = 0;
-      if (!parse_int(st.operand, v)) {
+      if (!parse_int(st.operand, lineno, v)) {
         throw AsmError(lineno, "bad .org operand");
       }
       org = static_cast<std::uint32_t>(v);
+      if (!in_ram(org)) {
+        throw AsmError(lineno, ".org " + hex(org) + " is not RAM");
+      }
       org_set = true;
       continue;
     }
@@ -268,13 +291,13 @@ Program assemble(const std::string& source) {
     }
     if (st.is_space) {
       std::int64_t v = 0;
-      if (!parse_int(st.operand, v) || v < 0) {
+      if (!parse_int(st.operand, st.line, v) || v < 0) {
         throw AsmError(st.line, "bad .space operand");
       }
       return static_cast<std::uint32_t>(v);
     }
     std::int64_t num = 0;
-    const bool numeric = parse_int(st.operand, num);
+    const bool numeric = parse_int(st.operand, st.line, num);
     if (const auto prim = primary_by_name(st.mnemonic)) {
       if (st.operand.empty()) {
         throw AsmError(st.line, st.mnemonic + " needs an operand");
@@ -302,23 +325,30 @@ Program assemble(const std::string& source) {
     return st.is_word ? ((4 - (a & 3u)) & 3u) : 0u;
   };
 
+  // The image must lie within the RAM region it starts in; refuse it
+  // before pass 2 allocates it.
   Program prog;
   prog.org = org;
-  std::uint32_t addr = org;
+  const std::uint64_t end = ram_end(org);
+  std::uint64_t pc = org;
   for (const Statement& st : stmts) {
-    addr += word_pad(st, addr);
+    pc += word_pad(st, static_cast<std::uint32_t>(pc));
     for (const std::string& l : st.labels) {
-      if (!prog.symbols.emplace(l, addr).second) {
+      if (!prog.symbols.emplace(l, static_cast<std::uint32_t>(pc)).second) {
         throw AsmError(st.line, "duplicate label '" + l + "'");
       }
     }
-    addr += statement_size(st, addr);
+    pc += statement_size(st, static_cast<std::uint32_t>(pc));
+    if (pc > end) {
+      throw AsmError(st.line, "the image runs past the end of its RAM "
+                              "region at " + hex(end));
+    }
   }
 
   // ---- pass 2: emit ----
   auto resolve = [&](const Statement& st) -> std::int32_t {
     std::int64_t num = 0;
-    if (parse_int(st.operand, num)) {
+    if (parse_int(st.operand, st.line, num)) {
       return static_cast<std::int32_t>(num);
     }
     auto it = prog.symbols.find(st.operand);
@@ -328,7 +358,7 @@ Program assemble(const std::string& source) {
     return static_cast<std::int32_t>(it->second);
   };
 
-  addr = org;
+  std::uint32_t addr = org;
   for (const Statement& st : stmts) {
     const std::uint32_t pad = word_pad(st, addr);
     prog.bytes.insert(prog.bytes.end(), pad, 0);
@@ -355,7 +385,7 @@ Program assemble(const std::string& source) {
       continue;
     }
     std::int64_t num = 0;
-    const bool numeric = parse_int(st.operand, num);
+    const bool numeric = parse_int(st.operand, st.line, num);
     if (const auto prim = primary_by_name(st.mnemonic)) {
       std::vector<std::uint8_t> enc;
       if (numeric) {
@@ -365,6 +395,12 @@ Program assemble(const std::string& source) {
         if (*prim == Op::j || *prim == Op::cj || *prim == Op::call) {
           // Relative to the next instruction.
           value -= static_cast<std::int32_t>(addr + size);
+        }
+        if (encode(*prim, value).size() > kLabelEncodedBytes) {
+          throw AsmError(st.line, "label operand " + st.operand +
+                                      " does not fit the fixed " +
+                                      std::to_string(kLabelEncodedBytes) +
+                                      "-byte label encoding");
         }
         enc = encode_fixed(*prim, value);
       }

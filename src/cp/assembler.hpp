@@ -17,6 +17,12 @@
 // Numeric operands get the minimal pfix/nfix chain ("variable operand
 // sizes", §II); label operands use a fixed six-byte encoding so that two
 // passes suffice.
+//
+// assemble() throws a line-numbered AsmError for any text the machine
+// cannot take: a number outside [-2^31, 2^32 - 1], a label operand the
+// six bytes cannot hold, and an image that leaves the RAM region of the
+// memory map (cp/isa.hpp) its `.org` lies in, which it refuses before
+// allocating the image.
 #pragma once
 
 #include <cstdint>

@@ -9,21 +9,21 @@ using sim::Delay;
 using sim::SimTime;
 
 std::int32_t s32(std::uint32_t v) { return static_cast<std::int32_t>(v); }
-std::uint32_t u32(std::int32_t v) { return static_cast<std::uint32_t>(v); }
 }  // namespace
 
 Cpu::Cpu(sim::Simulator& sim, mem::NodeMemory& memory, vpu::VectorUnit& vpu)
     : sim_{&sim}, memory_{&memory}, vpu_{&vpu}, wake_{sim} {}
 
 void Cpu::load(const Program& p) {
+  if (p.org + p.bytes.size() > ram_end(p.org)) {
+    throw std::invalid_argument("Cpu::load: image outside RAM");
+  }
   for (std::size_t i = 0; i < p.bytes.size(); ++i) {
     const std::uint32_t a = p.org + static_cast<std::uint32_t>(i);
     if (in_dram(a)) {
       memory_->poke_byte(a, p.bytes[i]);
-    } else if (on_chip(a)) {
-      onchip_[a - kOnChipBase] = p.bytes[i];
     } else {
-      throw std::out_of_range("Cpu::load: image outside RAM");
+      onchip_[a - kOnChipBase] = p.bytes[i];
     }
   }
 }
@@ -267,70 +267,28 @@ sim::SimTime Cpu::exec_one() {
 
 sim::SimTime Cpu::exec_secondary(SecOp op) {
   SimTime cost{};
-  auto binop = [this](std::uint32_t result) {
-    areg_ = result;
-    breg_ = creg_;
-    creg_ = 0;
-  };
+  if (const std::optional<AluResult> r = alu(op, breg_, areg_)) {
+    cost += r->extra_instrs * CpuParams::instr_time();
+    if (r->fault != nullptr) {
+      fault(r->fault);
+    }
+    if (r->pops) {
+      breg_ = creg_;
+      creg_ = 0;
+    }
+    areg_ = r->value;
+    return cost;
+  }
 
   switch (op) {
     case SecOp::rev:
       std::swap(areg_, breg_);
-      break;
-    case SecOp::add:
-      binop(breg_ + areg_);
-      break;
-    case SecOp::sub:
-      binop(breg_ - areg_);
-      break;
-    case SecOp::mul:
-      cost += (CpuParams::kMulDivCostFactor - 1) * CpuParams::instr_time();
-      binop(u32(s32(breg_) * s32(areg_)));
-      break;
-    case SecOp::divi:
-    case SecOp::rem:
-      cost += (CpuParams::kMulDivCostFactor - 1) * CpuParams::instr_time();
-      if (areg_ == 0) {
-        fault("division by zero");
-        binop(0);
-      } else if (op == SecOp::divi) {
-        binop(u32(s32(breg_) / s32(areg_)));
-      } else {
-        binop(u32(s32(breg_) % s32(areg_)));
-      }
-      break;
-    case SecOp::land:
-      binop(breg_ & areg_);
-      break;
-    case SecOp::lor:
-      binop(breg_ | areg_);
-      break;
-    case SecOp::lxor:
-      binop(breg_ ^ areg_);
-      break;
-    case SecOp::lnot:
-      areg_ = ~areg_;
-      break;
-    case SecOp::shl:
-      binop(areg_ >= 32 ? 0 : breg_ << areg_);
-      break;
-    case SecOp::shr:
-      binop(areg_ >= 32 ? 0 : breg_ >> areg_);
-      break;
-    case SecOp::gt:
-      binop(s32(breg_) > s32(areg_) ? 1u : 0u);
       break;
     case SecOp::mint:
       push(kNotProcess);
       break;
     case SecOp::ldpi:
       areg_ = iptr_ + areg_;
-      break;
-    case SecOp::wsub:
-      binop(areg_ + 4 * breg_);
-      break;
-    case SecOp::bsub:
-      binop(areg_ + breg_);
       break;
     case SecOp::lb:
       areg_ = data_read_byte(areg_, cost);
@@ -474,8 +432,7 @@ sim::SimTime Cpu::do_channel(SecOp op) {
   pop();
 
   if (is_hard_chan(chan)) {
-    const int port = static_cast<int>((chan >> 3) & 0xF);
-    const int sublink = static_cast<int>((chan >> 1) & 0x3);
+    const HardChan hc = decode_hard_chan(chan);
     const std::uint32_t desc = wdesc(wptr_, cur_pri_);
     deschedule_current();
     if (op == SecOp::out) {
@@ -492,7 +449,7 @@ sim::SimTime Cpu::do_channel(SecOp op) {
                      std::uint32_t dsc) -> sim::Proc {
         co_await cpu->hooks_.hard_out(pt, sl, std::move(d));
         cpu->enqueue(dsc);
-      }(this, port, sublink, std::move(data), desc));
+      }(this, hc.port, hc.sublink, std::move(data), desc));
     } else {
       if (!hooks_.hard_in) {
         fault("hard channel input with no link hook");
@@ -507,7 +464,7 @@ sim::SimTime Cpu::do_channel(SecOp op) {
           cpu->data_write_byte(dst + i, buf[i], ignored);
         }
         cpu->enqueue(dsc);
-      }(this, port, sublink, ptr, count, desc));
+      }(this, hc.port, hc.sublink, ptr, count, desc));
     }
     return cost;
   }

@@ -45,8 +45,6 @@ struct CpuParams {
   static constexpr sim::SimTime word_access() {
     return sim::SimTime::nanoseconds(400);
   }
-  /// Multiply/divide are microcoded multi-cycle operations.
-  static constexpr int kMulDivCostFactor = 5;
   /// Process switch overhead.
   static constexpr sim::SimTime switch_time() {
     return sim::SimTime::microseconds(1);
@@ -102,7 +100,8 @@ class Cpu {
 
   Cpu(sim::Simulator& sim, mem::NodeMemory& memory, vpu::VectorUnit& vpu);
 
-  /// Copy a program image into DRAM.
+  /// Copy a program image into RAM. Throws std::invalid_argument when the
+  /// image does not lie within one RAM region of the memory map.
   void load(const Program& p);
 
   /// Make (entry, wptr, priority) runnable. Call before run().
@@ -134,11 +133,7 @@ class Cpu {
     std::uint32_t desc;
   };
 
-  // memory map
-  bool on_chip(std::uint32_t addr) const {
-    return addr >= kOnChipBase && addr < kOnChipBase + kOnChipBytes;
-  }
-  bool in_dram(std::uint32_t addr) const { return addr < kDramBytes; }
+  // memory map (cp/isa.hpp)
   std::uint8_t fetch_byte(std::uint32_t addr);
   std::uint32_t data_read(std::uint32_t addr, sim::SimTime& cost);
   void data_write(std::uint32_t addr, std::uint32_t v, sim::SimTime& cost);

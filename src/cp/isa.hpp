@@ -53,15 +53,18 @@ enum class SecOp : std::uint16_t {
   rev = 0x00,    ///< swap A and B
   add = 0x01,    ///< A = B + A; pop
   sub = 0x02,    ///< A = B - A; pop
-  mul = 0x03,    ///< A = B * A; pop (slow: kMulDivCostFactor)
-  divi = 0x04,   ///< A = B / A; pop (trap on 0)
-  rem = 0x05,    ///< A = B % A; pop
+  mul = 0x03,    ///< A = B * A, low 32 bits; pop (slow: kMulDivCostFactor)
+  divi = 0x04,   ///< A = B / A signed, rounded toward zero; pop (slow). A
+                 ///< zero divisor, and 0x80000000 / -1 (a quotient of 2^31),
+                 ///< set the error flag and leave A = 0
+  rem = 0x05,    ///< A = B % A signed; pop (slow). A zero divisor sets the
+                 ///< error flag and leaves A = 0; 0x80000000 % -1 is 0
   land = 0x06,   ///< A = B & A; pop
   lor = 0x07,    ///< A = B | A; pop
   lxor = 0x08,   ///< A = B ^ A; pop
   lnot = 0x09,   ///< A = ~A
-  shl = 0x0A,    ///< A = B << A; pop
-  shr = 0x0B,    ///< A = B >> A (logical); pop
+  shl = 0x0A,    ///< A = B << A (0 once A >= 32); pop
+  shr = 0x0B,    ///< A = B >> A (logical; 0 once A >= 32); pop
   gt = 0x0C,     ///< A = (B > A) signed; pop
   mint = 0x0D,   ///< push 0x80000000 (NotProcess)
   ldpi = 0x0E,   ///< A = Iptr(next) + A  (address of code-relative data)
@@ -87,12 +90,91 @@ enum class SecOp : std::uint16_t {
   testerr = 0x22,///< push and clear the error flag
 };
 
+/// Multiply, divide and remainder are microcoded multi-cycle operations:
+/// each takes this many instruction times.
+inline constexpr int kMulDivCostFactor = 5;
+
+/// What the integer ALU makes of one secondary op (see alu()).
+struct AluResult {
+  std::uint32_t value = 0;      ///< A's new value
+  bool pops = true;             ///< B and A give way to `value`; false: A does
+  int extra_instrs = 0;         ///< instruction times beyond the first
+  const char* fault = nullptr;  ///< why the op sets the error flag, if it does
+};
+
+/// The integer ALU, the one definition of the arithmetic and logic ops
+/// add ... bsub (all but mint, a constant push, and ldpi, which reads
+/// Iptr): what A becomes from B and A, whether the op faults, and what it
+/// costs; nullopt for any other op. The interpreter, the verifier and the
+/// cost model each keep their own stack, memory and time, and call this
+/// for the arithmetic.
+constexpr std::optional<AluResult> alu(SecOp op, std::uint32_t b,
+                                       std::uint32_t a) {
+  const auto sb = static_cast<std::int32_t>(b);
+  const auto sa = static_cast<std::int32_t>(a);
+  AluResult r;
+  switch (op) {
+    case SecOp::add: r.value = b + a; break;
+    case SecOp::sub: r.value = b - a; break;
+    case SecOp::mul:
+      r.value = b * a;  // the low 32 bits of the signed product too
+      r.extra_instrs = kMulDivCostFactor - 1;
+      break;
+    case SecOp::divi:
+    case SecOp::rem:
+      r.extra_instrs = kMulDivCostFactor - 1;
+      if (a == 0) {
+        r.fault = "division by zero";
+      } else if (sb == INT32_MIN && sa == -1) {
+        r.fault = op == SecOp::divi ? "division overflow" : nullptr;
+      } else {
+        r.value = static_cast<std::uint32_t>(op == SecOp::divi ? sb / sa
+                                                               : sb % sa);
+      }
+      break;
+    case SecOp::land: r.value = b & a; break;
+    case SecOp::lor: r.value = b | a; break;
+    case SecOp::lxor: r.value = b ^ a; break;
+    case SecOp::lnot:
+      r.value = ~a;
+      r.pops = false;
+      break;
+    case SecOp::shl: r.value = a >= 32 ? 0 : b << a; break;
+    case SecOp::shr: r.value = a >= 32 ? 0 : b >> a; break;
+    case SecOp::gt: r.value = sb > sa ? 1 : 0; break;
+    case SecOp::wsub: r.value = a + 4 * b; break;
+    case SecOp::bsub: r.value = a + b; break;
+    default: return std::nullopt;
+  }
+  return r;
+}
+
 /// Memory map.
 inline constexpr std::uint32_t kDramBase = 0x0000'0000;     // 1 MB DRAM
 inline constexpr std::uint32_t kDramBytes = 1u << 20;
 inline constexpr std::uint32_t kOnChipBase = 0x1000'0000;   // 2 KB fast RAM
 inline constexpr std::uint32_t kOnChipBytes = 2048;
 inline constexpr std::uint32_t kHardChanBase = 0xF000'0000;
+
+/// Which addresses are RAM. A word access ignores its address's two low
+/// bits, so a word is RAM exactly when its address is.
+inline constexpr bool in_dram(std::uint32_t addr) {
+  return addr - kDramBase < kDramBytes;
+}
+inline constexpr bool on_chip(std::uint32_t addr) {
+  return addr - kOnChipBase < kOnChipBytes;
+}
+inline constexpr bool in_ram(std::uint32_t addr) {
+  return in_dram(addr) || on_chip(addr);
+}
+/// One past the last byte of the RAM region holding `addr` (0 when `addr`
+/// is no RAM). A program image must lie within one region.
+inline constexpr std::uint64_t ram_end(std::uint32_t addr) {
+  return in_dram(addr)   ? std::uint64_t{kDramBase} + kDramBytes
+         : on_chip(addr) ? std::uint64_t{kOnChipBase} + kOnChipBytes
+                         : 0;
+}
+
 /// Hard channel word: kHardChanBase | port<<3 | sublink<<1 | dir.
 /// dir 0 = output (this node transmits), 1 = input.
 inline constexpr std::uint32_t hard_chan_addr(int port, int sublink, int dir) {
@@ -103,12 +185,24 @@ inline constexpr std::uint32_t hard_chan_addr(int port, int sublink, int dir) {
 inline constexpr bool is_hard_chan(std::uint32_t addr) {
   return (addr & 0xF000'0000) == kHardChanBase;
 }
+/// The fields of a hard channel word, hard_chan_addr's inverse.
+struct HardChan {
+  int port = 0;
+  int sublink = 0;
+  int dir = 0;
+  bool reserved_bits = false;  ///< bits outside the three fields are set
+};
+inline constexpr HardChan decode_hard_chan(std::uint32_t addr) {
+  return HardChan{static_cast<int>((addr >> 3) & 0xF),
+                  static_cast<int>((addr >> 1) & 0x3),
+                  static_cast<int>(addr & 1u), (addr & 0x0FFF'FF80u) != 0};
+}
 
 /// The "not a process" marker stored in empty channel words.
 inline constexpr std::uint32_t kNotProcess = 0x8000'0000;
 
 /// Descriptor block layout for `vform` (word offsets from the descriptor
-/// address, which must lie in DRAM):
+/// address; the whole block must lie within one RAM region):
 ///   +0 form (vpu::VectorForm)   +4 precision (0=f32, 1=f64)
 ///   +8 n                        +12 row_x
 ///   +16 row_y                   +20 row_z

@@ -679,10 +679,8 @@ class Codegen {
       throw CompileError(s.line,
                          "linkout/linkin need constant port and sublink 0-3");
     }
-    return cp::kHardChanBase |
-           (static_cast<std::uint32_t>(port.value) << 3) |
-           (static_cast<std::uint32_t>(sub.value) << 1) |
-           static_cast<std::uint32_t>(dir);
+    return cp::hard_chan_addr(static_cast<int>(port.value),
+                              static_cast<int>(sub.value), dir);
   }
 
   int alloc_temp(std::size_t line) {

@@ -17,6 +17,7 @@
 // are exact rather than sampled.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -132,6 +133,12 @@ struct CommStep {
 /// Binomial-tree broadcast from `root`: log2 N steps, node counts double
 /// each step.
 std::vector<CommStep> broadcast_schedule(const Hypercube& cube, NodeId root);
+/// The dimension along which `node` hears from its parent in that tree (the
+/// highest bit in which it differs from `root`); -1 for the root. Its
+/// children hang off every higher dimension.
+inline int tree_parent_dim(NodeId node, NodeId root) {
+  return static_cast<int>(std::bit_width(node ^ root)) - 1;
+}
 /// Binomial-tree reduction to `root` (broadcast reversed).
 std::vector<CommStep> reduce_schedule(const Hypercube& cube, NodeId root);
 /// Recursive-doubling allreduce: step k exchanges along dimension k; every

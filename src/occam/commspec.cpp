@@ -60,6 +60,10 @@ void CommSpec::append(net::NodeId id, CommOp op) {
   if (op.elems == 0) {
     throw CommSpecError("CommSpec: payload size must be at least 1 element");
   }
+  if (!is_user_tag(op.tag)) {
+    throw CommSpecError("CommSpec: tag " + std::to_string(op.tag) +
+                        " is outside the user tags 0-32767");
+  }
   // Self-sends are legal in the runtime (delivered locally); keep them.
   ops_[id].push_back(op);
 }
@@ -222,9 +226,10 @@ CommSpec parse_comm_spec(const std::string& text) {
                                  " or " + std::to_string(hi) + " operand(s)");
         }
       };
-      const auto tag16 = [&](std::uint32_t v) -> std::uint16_t {
-        if (v > 0xFFFF) {
-          parse_fail(lineno, "tag " + std::to_string(v) + " exceeds 16 bits");
+      const auto user_tag = [&](std::uint32_t v) -> std::uint16_t {
+        if (!is_user_tag(v)) {
+          parse_fail(lineno, "tag " + std::to_string(v) +
+                                 " is outside the user tags 0-32767");
         }
         return static_cast<std::uint16_t>(v);
       };
@@ -240,13 +245,13 @@ CommSpec parse_comm_spec(const std::string& text) {
       try {
         if (name == "send") {
           want_between(2, 3);
-          seq.send(args[0], tag16(args[1]), elems_arg(2));
+          seq.send(args[0], user_tag(args[1]), elems_arg(2));
         } else if (name == "recv") {
           want_between(2, 3);
-          seq.recv(args[0], tag16(args[1]), elems_arg(2));
+          seq.recv(args[0], user_tag(args[1]), elems_arg(2));
         } else if (name == "recvany") {
           want(1);
-          seq.recv_any(tag16(args[0]));
+          seq.recv_any(user_tag(args[0]));
         } else if (name == "barrier") {
           want(0);
           seq.barrier();

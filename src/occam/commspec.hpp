@@ -8,8 +8,10 @@
 // check/chan_graph.hpp can prove the communication structure sound before
 // a single simulated cycle runs. The checker lowers collectives with the
 // exact binomial-tree / dimension-exchange schedules occam.cpp executes,
-// including the per-node internal tag counter, so tag-skew bugs (one node
-// running a different number of collectives than another) are caught too.
+// including the per-node collective tag counter, so tag-skew bugs (one
+// node running a different number of collectives than another) are caught
+// too. The tag space itself is defined here, once, for the runtime and
+// the checkers (collective_tag, is_user_tag).
 //
 // The textual `.comm` form consumed by tools/tcheck is parsed by
 // parse_comm_spec:
@@ -24,6 +26,7 @@
 //
 // Ops: send <dst> <tag> [elems] | recv <src> <tag> [elems] |
 //      recvany <tag> | barrier | bcast <root> | reduce <root> | allreduce.
+//      A tag is a user tag, 0 .. 0x7FFF (is_user_tag below).
 //      `elems` is the payload size in 64-bit elements (default 1); it
 //      feeds the static per-edge volume analysis (check/comm_volume.hpp)
 //      and the send/recv payload-consistency check. Unlisted nodes run an
@@ -50,6 +53,19 @@ enum class CommKind : std::uint8_t {
   kAllreduce,
 };
 
+/// The message tag space, the one definition the runtime, its static
+/// checkers and the spec builder share. User messages carry tags 0 ..
+/// 0x7FFF; a node's n-th collective call carries kCollectiveTagBase | n
+/// (n mod 0x8000), so no user message can match a collective's receive.
+inline constexpr std::uint16_t kCollectiveTagBase = 0x8000;
+inline constexpr bool is_user_tag(std::uint32_t tag) {
+  return tag < kCollectiveTagBase;
+}
+inline constexpr std::uint16_t collective_tag(std::uint32_t n) {
+  return static_cast<std::uint16_t>(kCollectiveTagBase |
+                                    (n % kCollectiveTagBase));
+}
+
 /// Payload size (64-bit elements) assumed when an op does not declare one:
 /// one double, matching the scalar exchanges the collectives perform.
 inline constexpr std::uint32_t kDefaultElems = 1;
@@ -57,7 +73,7 @@ inline constexpr std::uint32_t kDefaultElems = 1;
 struct CommOp {
   CommKind kind;
   net::NodeId peer = 0;    ///< dst (send), src (recv), root (collectives)
-  std::uint16_t tag = 0;   ///< user tag; unused for collectives
+  std::uint16_t tag = 0;   ///< user tag (is_user_tag); unused for collectives
   std::uint32_t elems = kDefaultElems;  ///< payload, 64-bit elements
   std::size_t line = 0;    ///< 1-based `.comm` source line (0 = built in C++)
 };
@@ -76,6 +92,8 @@ class CommSpec {
   explicit CommSpec(int dimension);
 
   /// Builder handle for one node's sequence; methods mirror occam::Ctx.
+  /// They throw CommSpecError for a node out of range, an empty payload or
+  /// a tag in the collective range.
   class NodeSeq {
    public:
     NodeSeq& send(net::NodeId dst, std::uint16_t tag,

@@ -48,9 +48,7 @@ int Ctx::dimension() const { return rt_->machine_->dimension(); }
 node::Node& Ctx::node() { return rt_->machine_->node(id_); }
 core::TSeries& Ctx::machine() { return *rt_->machine_; }
 
-std::uint16_t Ctx::internal_tag() {
-  return static_cast<std::uint16_t>(0x8000u | (internal_seq_++ & 0x7FFFu));
-}
+std::uint16_t Ctx::internal_tag() { return collective_tag(internal_seq_++); }
 
 sim::Proc Ctx::send(net::NodeId dst, std::uint16_t tag,
                     std::vector<double> data) {
@@ -105,31 +103,27 @@ sim::Proc Ctx::barrier() {
 
 sim::Proc Ctx::broadcast(net::NodeId root, std::vector<double>* data) {
   const std::uint16_t tag = internal_tag();
-  const std::uint32_t rel = id_ ^ root;
-  int first_send_dim = 0;
-  if (rel != 0) {
-    const int j = static_cast<int>(std::bit_width(rel)) - 1;  // arrival dim
-    co_await recv(id_ ^ (net::NodeId{1} << j), tag, data);
-    first_send_dim = j + 1;
+  const int parent = net::tree_parent_dim(id_, root);
+  if (parent >= 0) {
+    co_await recv(id_ ^ (net::NodeId{1} << parent), tag, data);
   }
-  for (int k = first_send_dim; k < dimension(); ++k) {
+  for (int k = parent + 1; k < dimension(); ++k) {
     co_await send(id_ ^ (net::NodeId{1} << k), tag, *data);
   }
 }
 
 sim::Proc Ctx::reduce_sum(net::NodeId root, double* x) {
   const std::uint16_t tag = internal_tag();
-  const std::uint32_t rel = id_ ^ root;
-  for (int k = dimension() - 1; k >= 0; --k) {
-    const std::uint32_t bit = std::uint32_t{1} << k;
-    if (rel < bit) {
+  const int parent = net::tree_parent_dim(id_, root);
+  for (int k = dimension() - 1; k >= 0 && k >= parent; --k) {
+    const net::NodeId peer = id_ ^ (net::NodeId{1} << k);
+    if (k > parent) {
       std::vector<double> partial;
-      co_await recv(id_ ^ bit, tag, &partial);
+      co_await recv(peer, tag, &partial);
       *x += partial.at(0);
-    } else if (rel < 2 * bit) {
+    } else {
       std::vector<double> partial(1, *x);
-      co_await send(id_ ^ bit, tag, std::move(partial));
-      co_return;  // this node's part is merged upstream
+      co_await send(peer, tag, std::move(partial));  // merged upstream
     }
   }
 }

@@ -27,6 +27,7 @@
 #include "core/machine.hpp"
 #include "net/hypercube.hpp"
 #include "node/node.hpp"
+#include "occam/commspec.hpp"
 #include "sim/proc.hpp"
 #include "sim/sync.hpp"
 
@@ -78,6 +79,11 @@ class Ctx {
   core::TSeries& machine();
 
   // ---- point-to-point messaging (multi-hop, e-cube routed) ----
+  // A body's tags must be user tags, 0 .. 0x7FFF (occam/commspec.hpp's
+  // is_user_tag): the collectives below tag their messages from 0x8000 up,
+  // and a receive takes the oldest message that matches its source and
+  // tag, so a user message tagged in that range could be consumed by a
+  // collective. The runtime does not check; CommSpec and tcheck do.
   sim::Proc send(net::NodeId dst, std::uint16_t tag,
                  std::vector<double> data);
   /// Receive the oldest message matching (src, tag).

@@ -75,17 +75,12 @@ struct Lane<T32> {
 };
 
 /// The softfloat arm (the oracle): one src/fp call per element, at the
-/// op's width T. Conversions cross widths and run only at f64.
+/// op's width T. Conversions cross widths and run only at f64 (refusal()).
 template <class T>
 OpResult execute_soft(const VectorOp& op, const VectorRegister& vx,
                       const VectorRegister& vy, VectorRegister& vz) {
   using L = Lane<T>;
   constexpr bool kWide = std::is_same_v<T, T64>;
-  if (!kWide && (op.form == VectorForm::vcvt_widen ||
-                 op.form == VectorForm::vcvt_narrow)) {
-    throw std::invalid_argument(
-        "VectorUnit: conversions dispatch with prec=f64");
-  }
   OpResult res;
   Flags& fl = res.flags;
   const T s = L::scalar(op.scalar, fl);
@@ -253,6 +248,28 @@ bool uses_both_pipes(VectorForm f) {
   return f == VectorForm::vsaxpy || f == VectorForm::vdot;
 }
 
+std::optional<std::string> refusal(const VectorOp& op) {
+  const bool f64 = op.prec == Precision::f64;
+  if (!f64 && (op.form == VectorForm::vcvt_widen ||
+               op.form == VectorForm::vcvt_narrow)) {
+    return std::string(to_string(op.form)) + " converts at f64 only, not f32";
+  }
+  const std::size_t limit =
+      f64 ? mem::MemParams::kElems64 : mem::MemParams::kElems32;
+  if (op.n == 0 || op.n > limit) {
+    return "element count " + std::to_string(op.n) + " is outside 1.." +
+           std::to_string(limit) + " for an " + (f64 ? "f64" : "f32") +
+           " row";
+  }
+  for (const std::size_t row : {op.row_x, op.row_y, op.row_z}) {
+    if (row >= mem::MemParams::kRows) {
+      return "row " + std::to_string(row) + " is outside the " +
+             std::to_string(mem::MemParams::kRows) + "-row memory";
+    }
+  }
+  return std::nullopt;
+}
+
 std::uint64_t flops_for(const VectorOp& op) {
   return static_cast<std::uint64_t>(op.n) *
          (uses_both_pipes(op.form) ? 2U : 1U);
@@ -325,21 +342,8 @@ sim::SimTime VectorUnit::duration_of(const VectorOp& op) const {
 }
 
 OpResult VectorUnit::execute(const VectorOp& op) {
-  const std::size_t max_n = op.prec == Precision::f64
-                                ? mem::MemParams::kElems64
-                                : mem::MemParams::kElems32;
-  // Conversions read/write mixed widths; the 64-bit side bounds them.
-  const std::size_t limit = (op.form == VectorForm::vcvt_widen ||
-                             op.form == VectorForm::vcvt_narrow)
-                                ? mem::MemParams::kElems64
-                                : max_n;
-  if (op.n == 0 || op.n > limit) {
-    throw std::invalid_argument("VectorUnit: bad element count");
-  }
-  if (op.row_x >= mem::MemParams::kRows ||
-      op.row_y >= mem::MemParams::kRows ||
-      op.row_z >= mem::MemParams::kRows) {
-    throw std::invalid_argument("VectorUnit: row out of range");
+  if (const std::optional<std::string> why = refusal(op)) {
+    throw std::invalid_argument("VectorUnit: " + *why);
   }
   // Operand rows load once and the result row stores once regardless of
   // mode, so the memory's row_loads/row_stores are mode-independent (the

@@ -197,6 +197,15 @@ struct VectorOp {
   fp::T64 scalar{};           // scalar-register forms (narrowed for f32)
 };
 
+/// Why the vector unit refuses `op`, or nullopt when it runs it: the one
+/// check VectorUnit::execute makes before it loads a row, and the static
+/// cost model makes on a constant vform descriptor. The element count must
+/// be 1 .. the row's length at the op's precision, a conversion runs at
+/// f64 only, and every row must exist. A form no enumerator names runs:
+/// timed like an adder form, it computes nothing, stores a zeroed result
+/// row and is charged to "busy.?".
+std::optional<std::string> refusal(const VectorOp& op);
+
 /// What came back from the micro-sequencer with the completion interrupt.
 struct OpResult {
   sim::SimTime duration{};       // pipe occupancy, charged by the node
@@ -222,8 +231,9 @@ class VectorUnit {
   VectorUnit(mem::NodeMemory& memory, Config cfg);
 
   /// Execute one vector form over at most a full row. Throws
-  /// std::invalid_argument for geometry violations (n too large, missing
-  /// rows). Timing is returned, not charged — the node model owns the clock.
+  /// std::invalid_argument naming the refusal() reason, before any row
+  /// moves. Timing is returned, not charged — the node model owns the
+  /// clock.
   OpResult execute(const VectorOp& op);
 
   /// Count into `track`'s cells from now on (a "vpu" track made with

@@ -195,6 +195,13 @@ TEST(TisaVerify, FlagsLoadJustPastDram) {
 TEST(TisaVerify, OnChipWindowIsMapped) {
   const auto res = verify_src("main:\n ldc 7\n ldc 0x10000000\n stnl 0\n halt\n");
   EXPECT_FALSE(res.report.has_errors()) << res.report.to_string("test");
+  // The CP reads a vform descriptor like any data, so on-chip RAM holds one.
+  const auto desc =
+      verify_src("main:\n ldc 0x100007D0\n vform\n vwait\n halt\n");
+  EXPECT_FALSE(desc.report.has_errors()) << desc.report.to_string("test");
+  EXPECT_TRUE(verify_src("main:\n ldc 0x100007D4\n vform\n halt\n")
+                  .report.has("bad-vform-desc"))
+      << "a block past the end of on-chip RAM";
 }
 
 TEST(TisaVerify, FlagsDataAccessToHardChanRegion) {
@@ -274,7 +281,15 @@ TEST(TisaVerify, ZeroPaddingAndLabelledDataAreNotUnreachable) {
 // ------------------------------------------------------------ cost model --
 
 TEST(CostModel, StraightLinePredictionIsBitExact) {
-  const cp::Program p = cp::assemble(R"(
+  // Each program runs straight through to halt. `fault_code` is the
+  // performance diagnostic the model must raise for it, if any.
+  struct Case {
+    const char* name;
+    const char* fault_code;
+    const char* source;
+  };
+  const Case cases[] = {
+      {"memory and arithmetic", nullptr, R"(
    main:
       ldc 7
       ldc 0x2000
@@ -284,13 +299,109 @@ TEST(CostModel, StraightLinePredictionIsBitExact) {
       adc 35
       stl 1
       halt
-  )");
-  const CostPrediction pred = predict_cost(p);
-  EXPECT_TRUE(pred.complete) << pred.stop_reason;
-  EXPECT_FALSE(pred.report.has_errors()) << pred.report.to_string("test");
-  const Measured m = run_on_node(p);
-  EXPECT_EQ(pred.instructions, m.instructions);
-  EXPECT_EQ(pred.elapsed.ps(), m.elapsed.ps());
+  )"},
+      // Every edge of cp::alu. Each result steers a branch to `bad`, whose
+      // stopp ends the prediction incomplete.
+      {"ALU edges", nullptr, R"(
+   main:
+      ldc 1
+      ldc 31
+      shl           ; 0x80000000
+      eqc 0x80000000
+      cj bad
+      ldc 1
+      ldc 32
+      shl           ; 0
+      eqc 0
+      cj bad
+      mint
+      ldc 33
+      shr           ; 0
+      eqc 0
+      cj bad
+      ldc 0
+      mint
+      gt            ; 0 > INT32_MIN
+      eqc 1
+      cj bad
+      mint
+      ldc 0
+      gt            ; INT32_MIN > 0
+      eqc 0
+      cj bad
+      ldc 0x10000
+      ldc 0x10000
+      mul           ; 2^32, low word 0
+      eqc 0
+      cj bad
+      ldc 0x7fffffff
+      ldc 2
+      mul           ; 0xfffffffe
+      eqc -2
+      cj bad
+      ldc 7
+      ldc 0
+      div           ; faults, 0
+      eqc 0
+      cj bad
+      ldc 7
+      ldc 0
+      rem           ; faults, 0
+      eqc 0
+      cj bad
+      mint
+      ldc -1
+      div           ; faults: the quotient 2^31 does not fit
+      eqc 0
+      cj bad
+      mint
+      ldc -1
+      rem           ; 0
+      eqc 0
+      cj bad
+      ldc -7
+      ldc -1
+      div           ; 7
+      eqc 7
+      cj bad
+      halt
+   bad:
+      stopp
+  )"},
+      // The vector unit converts at f64 only: an f32 VCVTW is refused and
+      // the CP faults and carries on without starting the pipes.
+      {"f32 conversion", "vform-overrun", R"(
+   main:
+      ldc 12          ; form = VCVTW
+      ldc desc
+      stnl 0
+      ldc 16          ; n, precision word left 0 = f32
+      ldc desc
+      stnl 2
+      ldc desc
+      vform
+      vwait
+      halt
+   .align
+   desc:
+      .space 48
+  )"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const cp::Program p = cp::assemble(c.source);
+    const CostPrediction pred = predict_cost(p);
+    EXPECT_TRUE(pred.complete) << pred.stop_reason;
+    if (c.fault_code == nullptr) {
+      EXPECT_FALSE(pred.report.has_errors()) << pred.report.to_string("test");
+    } else {
+      EXPECT_TRUE(pred.report.has(c.fault_code))
+          << pred.report.to_string("test");
+    }
+    const Measured m = run_on_node(p);
+    EXPECT_EQ(pred.instructions, m.instructions);
+    EXPECT_EQ(pred.elapsed.ps(), m.elapsed.ps());
+  }
 }
 
 TEST(CostModel, CountedLoopIsBoundedAndBitExact) {
@@ -586,6 +697,28 @@ TEST(CommParse, RejectsMalformedInput) {
                occam::CommSpecError);
   EXPECT_THROW(occam::parse_comm_spec("dim 1\n0: send 1\n"),
                occam::CommSpecError);
+}
+
+TEST(CommParse, RefusesCollectiveTags) {
+  // Tags from 0x8000 up are the collectives'. A user message tagged there
+  // would escape the channel checks and could be consumed by a barrier.
+  for (const char* text : {"dim 1\n0: send 1 32768 ; send 1 32768\n"
+                           "1: recv 0 32768\n",
+                           "dim 1\n0: send 1 32768 ; barrier\n"
+                           "1: barrier ; recv 0 32768\n",
+                           "dim 1\n0: recvany 65535\n"}) {
+    try {
+      occam::parse_comm_spec(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const occam::CommSpecError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line 2: ", 0), 0u) << e.what();
+    }
+  }
+  occam::CommSpec spec{1};
+  EXPECT_THROW(spec.node(0).send(1, occam::kCollectiveTagBase),
+               occam::CommSpecError);
+  EXPECT_THROW(spec.node(1).recv(0, 0xFFFF), occam::CommSpecError);
+  EXPECT_NO_THROW(spec.node(0).send(1, 0x7FFF).recv_any(0));
 }
 
 // ------------------------------------ static verdicts match the runtime --

@@ -5,6 +5,8 @@
 # and never starts any work. A bad positional argument names the argument
 # instead of a flag, and a size or path that an example's model cannot run
 # prints the model's own error after the example's name, also with exit 2.
+# Malformed program text through tisa_traced and tcheck ends with a
+# documented exit code too, never with a signal or a hang.
 #
 # usage: cli_flag_contract.sh TSIM TCHECK BENCH_PARALLEL_SCALING BENCH_SERVE
 #                             SOURCE_DIR EXAMPLES_DIR
@@ -66,6 +68,54 @@ probe cabinet_matmul n "$ex/cabinet_matmul" 40
 probe traced_saxpy perf "$ex/traced_saxpy" "$scratch/no_such_dir/x.json"
 probe tisa_traced perf "$ex/tisa_traced" "$src/examples/tisa/hello.tisa" \
       "$scratch/no_such_dir/x.json"
+
+# ends CODE CMD...: CMD must end within 20 s with exit CODE, never with a
+# signal or a hang; exit 2 must come with one "<tool>: " stderr line.
+ends() {
+  _want=$1
+  shift
+  _tool=$(basename "$1")
+  timeout 20 "$@" > "$scratch/out" 2> "$scratch/err"
+  _rc=$?
+  if [ "$_rc" -eq "$_want" ] &&
+     { [ "$_rc" -ne 2 ] || { [ "$(wc -l < "$scratch/err")" -eq 1 ] &&
+                             grep -q "^$_tool: " "$scratch/err"; }; }; then
+    echo "ok: exit $_rc: $*"
+  else
+    echo "FAIL (exit $_rc, want $_want): $*" >&2
+    sed 's/^/  stderr: /' "$scratch/err" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+# A few lines of program text never kill or hang a tool. The machine
+# faults on a 32-bit division overflow and carries on; the assembler
+# refuses an image outside RAM, a number past 32 bits and a label operand
+# its six-byte encoding cannot hold; a .comm spec may not use the
+# collectives' tags.
+printf 'main:\n mint\n ldc -1\n div\n halt\n' > "$scratch/div_overflow.tisa"
+printf 'main:\n mint\n ldc -1\n rem\n halt\n' > "$scratch/rem_overflow.tisa"
+printf 'main:\n .space 2000000\n halt\n' > "$scratch/space_2m.tisa"
+printf 'main:\n .space 4000000000\n halt\n' > "$scratch/space_4g.tisa"
+printf 'main:\n halt\n .word 0x1ffffffff\n' > "$scratch/word_33_bits.tisa"
+printf 'main:\n ldc -2147483649\n halt\n' > "$scratch/ldc_33_bits.tisa"
+printf '.org 0x10000000\nmain:\n ldc main\n halt\n' \
+       > "$scratch/onchip_label.tisa"
+printf 'dim 1\n0: send 1 32768 ; barrier\n1: barrier ; recv 0 32768\n' \
+       > "$scratch/collective_tag.comm"
+for p in div_overflow rem_overflow; do
+  ends 0 "$ex/tisa_traced" "$scratch/$p.tisa" "$scratch/$p.json"
+done
+ends 1 "$tcheck" "$scratch/div_overflow.tisa"
+ends 1 "$tcheck" --predict "$scratch/div_overflow.tisa"
+ends 0 "$tcheck" "$scratch/rem_overflow.tisa"
+ends 0 "$tcheck" --predict "$scratch/rem_overflow.tisa"
+for p in space_2m space_4g word_33_bits ldc_33_bits onchip_label; do
+  ends 2 "$ex/tisa_traced" "$scratch/$p.tisa" "$scratch/$p.json"
+  ends 1 "$tcheck" "$scratch/$p.tisa"
+  ends 1 "$tcheck" --predict "$scratch/$p.tisa"
+done
+ends 1 "$tcheck" "$scratch/collective_tag.comm"
 
 # A good value still works: the ring 3-cube's content address.
 address=$("$tsim" hash --program ring --dim 3 | tail -n 1)

@@ -71,6 +71,35 @@ TEST(Assembler, Errors) {
   EXPECT_THROW(assemble("ldc"), AsmError) << "primary ops need an operand";
 }
 
+TEST(Assembler, RefusesImagesOutsideRamAndNumbersPast32Bits) {
+  const auto refused_at = [](const std::string& src) -> std::size_t {
+    try {
+      assemble(src);
+    } catch (const AsmError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  // The image must lie within the RAM region it starts in.
+  EXPECT_EQ(refused_at("main: .space 2000000\n halt\n"), 1u);
+  EXPECT_EQ(refused_at("halt\n.space 4000000000\n"), 2u);
+  EXPECT_EQ(refused_at(".org 0x100000\nhalt\n"), 1u);
+  EXPECT_EQ(refused_at(".org 0x20000000\nhalt\n"), 1u);
+  EXPECT_EQ(refused_at(".org 0x10000000\nhalt\n.space 2047\n"), 3u);
+  EXPECT_EQ(refused_at(".org 0xFFFFF\nldc 0\nldc 0\n"), 3u);
+  // Numbers must fit a 32-bit word, signed or unsigned.
+  EXPECT_EQ(refused_at("halt\n.word 0x1ffffffff\n"), 2u);
+  EXPECT_EQ(refused_at("ldc -2147483649\nhalt\n"), 1u);
+  EXPECT_EQ(refused_at("ldc 99999999999999999999\n"), 1u);
+  EXPECT_EQ(refused_at(".org 99999999999999999999\n"), 1u);
+  // A label operand must fit its fixed six-byte encoding.
+  EXPECT_EQ(refused_at(".org 0x10000000\nmain: ldc main\n"), 2u);
+
+  EXPECT_NO_THROW(assemble(".org 0x10000000\nhalt\n.space 2046\n"));
+  EXPECT_NO_THROW(assemble(".org 0xFFFFF\nldc 0\n"));
+  EXPECT_NO_THROW(assemble("ldc -2147483648\n.word 0xffffffff\n"));
+}
+
 TEST(Assembler, DisassemblerRoundTrip) {
   const Program p = assemble("ldc 300\nadc -7\nhalt\n");
   const std::string dis = disassemble(p);
@@ -215,6 +244,52 @@ TEST_F(CpuTest, DivisionByZeroSetsErrorFlag) {
   EXPECT_EQ(cpu.read_word(0x2000), 1u);
   EXPECT_FALSE(cpu.error_flag()) << "testerr clears the flag";
   EXPECT_TRUE(cpu.take_fault().has_value());
+}
+
+TEST_F(CpuTest, DivisionOverflowSetsErrorFlagAndRemainderIsZero) {
+  // 0x80000000 / -1 = 2^31 does not fit: div faults and leaves 0 (plus 5
+  // below); the exact remainder is 0, and rem does not fault.
+  run_source(R"(
+      mint
+      ldc -1
+      div
+      adc 5
+      testerr
+      ldc 0x2004
+      stnl 0
+      ldc 0x2000
+      stnl 0
+      mint
+      ldc -1
+      rem
+      adc 5
+      testerr
+      ldc 0x200C
+      stnl 0
+      ldc 0x2008
+      stnl 0
+      halt
+  )");
+  EXPECT_EQ(cpu.read_word(0x2000), 5u);
+  EXPECT_EQ(cpu.read_word(0x2004), 1u) << "div set the error flag";
+  EXPECT_EQ(cpu.read_word(0x2008), 5u);
+  EXPECT_EQ(cpu.read_word(0x200C), 0u) << "rem did not";
+  EXPECT_EQ(cpu.take_fault(), "division overflow");
+  EXPECT_FALSE(cpu.take_fault().has_value());
+}
+
+TEST_F(CpuTest, LoadRefusesAnImageOutsideRam) {
+  Program p;
+  p.bytes = {1, 2, 3, 4};
+  for (const std::uint32_t org :
+       {kDramBytes - 2, kOnChipBase + kOnChipBytes - 3, kOnChipBase - 4,
+        kHardChanBase}) {
+    p.org = org;
+    EXPECT_THROW(cpu.load(p), std::invalid_argument) << std::hex << org;
+  }
+  p.org = kOnChipBase + kOnChipBytes - 4;
+  EXPECT_NO_THROW(cpu.load(p));
+  EXPECT_EQ(cpu.read_word(p.org), 0x04030201u);
 }
 
 TEST_F(CpuTest, InstructionRateIs7point5Mips) {

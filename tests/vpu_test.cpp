@@ -237,6 +237,23 @@ TEST_F(VpuTest, GeometryViolationsThrow) {
                std::invalid_argument);
 }
 
+TEST(VpuRefusal, F32ConversionThrowsBeforeAnyRowMoves) {
+  for (const VpuMode mode :
+       {VpuMode::softfloat, VpuMode::batch, VpuMode::checked}) {
+    mem::NodeMemory memory;
+    VectorUnit vpu{memory, VectorUnit::Config{true, mode}};
+    for (const VectorForm form :
+         {VectorForm::vcvt_widen, VectorForm::vcvt_narrow}) {
+      const VectorOp op{form, Precision::f32, 16, 0, 300, 600, T64{}};
+      ASSERT_TRUE(refusal(op).has_value()) << to_string(form);
+      EXPECT_THROW(vpu.execute(op), std::invalid_argument)
+          << to_string(mode) << " " << to_string(form);
+    }
+    EXPECT_EQ(memory.row_accesses(), 0u) << to_string(mode);
+    EXPECT_EQ(vpu.total_ops(), 0u) << to_string(mode);
+  }
+}
+
 // --------------------------- timing model ---------------------------------
 
 TEST_F(VpuTest, FullVectorSaxpyApproachesPeak) {

@@ -194,6 +194,124 @@ TEST(Occam, RecvAnyActsAsAlt) {
   }
 }
 
+/// Send one single-element message `v` from the calling node.
+Proc send_one(Ctx& ctx, NodeId dst, std::uint16_t tag, double v) {
+  std::vector<double> data(1, v);
+  co_await ctx.send(dst, tag, std::move(data));
+}
+
+TEST(Occam, RecvTakesOldestMatchPastOlderNonMatches) {
+  // Node 0 receives only after every message below has arrived, so each
+  // recv picks from a full mailbox: messages from the other neighbour and
+  // with another tag wait ahead of the one it asks for.
+  Simulator sim;
+  core::TSeries machine{sim, 2};
+  Runtime rt{machine};
+  std::vector<double> got;
+  rt.run([&](Ctx& ctx) -> Proc {
+    if (ctx.id() == 0) {
+      co_await sim::Delay{1_ms};
+      co_await ctx.recv(1, 6, &got);
+    } else if (ctx.id() == 1) {
+      co_await send_one(ctx, 0, 5, 10.0);
+      co_await send_one(ctx, 0, 6, 11.0);
+    } else if (ctx.id() == 2) {
+      co_await send_one(ctx, 0, 6, 20.0);
+    }
+  });
+  EXPECT_EQ(got, (std::vector<double>{11.0}));
+}
+
+TEST(Occam, SameSourceAndTagComeOutInArrivalOrder) {
+  Simulator sim;
+  core::TSeries machine{sim, 2};
+  Runtime rt{machine};
+  std::vector<double> order;
+  rt.run([&](Ctx& ctx) -> Proc {
+    if (ctx.id() == 0) {
+      co_await sim::Delay{1_ms};
+      for (int i = 0; i < 3; ++i) {
+        std::vector<double> in;
+        co_await ctx.recv(1, 6, &in);
+        order.push_back(in.at(0));
+      }
+    } else if (ctx.id() == 1) {
+      co_await send_one(ctx, 0, 6, 1.0);
+      co_await send_one(ctx, 0, 5, 99.0);
+      co_await send_one(ctx, 0, 6, 2.0);
+      co_await send_one(ctx, 0, 6, 3.0);
+    }
+  });
+  EXPECT_EQ(order, (std::vector<double>{1.0, 2.0, 3.0}));
+}
+
+TEST(Occam, RecvAnyTakesItsTagInArrivalOrderAcrossSources) {
+  // Node 0's three neighbours send 200 us apart, in an order that is not
+  // their id order, and node 0 drains its mailbox only after all have
+  // arrived. A message of another tag arrives first and stays.
+  Simulator sim;
+  core::TSeries machine{sim, 3};
+  Runtime rt{machine};
+  std::vector<NodeId> sources;
+  std::vector<double> values;
+  std::vector<double> other;
+  rt.run([&](Ctx& ctx) -> Proc {
+    const auto at = [&ctx](int slot) -> Proc {
+      co_await sim::Delay{static_cast<std::int64_t>(slot) * 200_us};
+      co_await send_one(ctx, 0, 9, 10.0 * ctx.id() + slot);
+    };
+    switch (ctx.id()) {
+      case 0:
+        co_await sim::Delay{2_ms};
+        for (int i = 0; i < 4; ++i) {
+          Msg m;
+          co_await ctx.recv_any(9, &m);
+          sources.push_back(m.src);
+          values.push_back(m.data.at(0));
+        }
+        co_await ctx.recv(1, 8, &other);
+        break;
+      case 1:
+        co_await send_one(ctx, 0, 8, -1.0);
+        co_await at(3);
+        break;
+      case 2:
+        co_await at(2);
+        break;
+      case 4:
+        co_await at(1);
+        co_await at(1);  // 200 us after its first, so after node 1's
+        break;
+      default:
+        break;
+    }
+  });
+  EXPECT_EQ(sources, (std::vector<NodeId>{4, 2, 4, 1}));
+  EXPECT_EQ(values, (std::vector<double>{41.0, 22.0, 41.0, 13.0}));
+  EXPECT_EQ(other, (std::vector<double>{-1.0}));
+}
+
+TEST(Occam, MessageToSelfIsReceivedLikeAnyOther) {
+  Simulator sim;
+  core::TSeries machine{sim, 2};
+  Runtime rt{machine};
+  std::vector<Msg> got(machine.size());
+  std::vector<std::vector<double>> second(machine.size());
+  rt.run([&](Ctx& ctx) -> Proc {
+    co_await send_one(ctx, ctx.id(), 4, 1.0 + ctx.id());
+    co_await send_one(ctx, ctx.id(), 4, 2.0 + ctx.id());
+    co_await ctx.recv_any(4, &got[ctx.id()]);
+    co_await ctx.recv(ctx.id(), 4, &second[ctx.id()]);
+  });
+  for (NodeId i = 0; i < machine.size(); ++i) {
+    EXPECT_EQ(got[i].src, i);
+    EXPECT_EQ(got[i].tag, 4u);
+    EXPECT_EQ(got[i].data, (std::vector<double>{1.0 + i}));
+    EXPECT_EQ(second[i], (std::vector<double>{2.0 + i}));
+  }
+  EXPECT_EQ(rt.packets_forwarded(), 0u);
+}
+
 TEST(Occam, CollectiveTimeScalesLogarithmically) {
   // An allreduce costs ~dimension sequential exchange steps: time(dim=6)
   // should be ~2x time(dim=3), not 8x.

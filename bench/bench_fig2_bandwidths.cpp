@@ -25,7 +25,7 @@ double measure_link_mb_s() {
   sim.spawn([](link::Link* l) -> sim::Proc {
     for (int i = 0; i < kPackets; ++i) {
       link::Packet p;
-      p.payload.assign(kBytes, 0);
+      p.payload_bytes = kBytes;
       co_await l->transmit(0, std::move(p));
     }
   }(&cable));

@@ -6,12 +6,23 @@
 // `--json <path>` skips google-benchmark and instead writes a BENCH record
 // (bench_record.hpp) with the measured event throughput of the two queue
 // arms, so ci.sh can track the engine's perf trajectory (BENCH_simcore.json)
-// and gate on regressions; `--metric NAME FILE` reads one back.
+// and gate on regressions; `--metric NAME FILE` reads one back. The record
+// also holds the host cost of the occam message path by machine size
+// (ungated): ns per event of a perf-off allreduce at the 7-, 10- and
+// 12-cube, the path's allocations per message, and the state each node
+// holds after a run.
 #include <benchmark/benchmark.h>
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -28,6 +39,26 @@
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "tool_util.hpp"
+
+namespace {
+
+/// Every operator new this process makes, for allocs_per_message.
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) {
+    throw std::bad_alloc{};
+  }
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -258,6 +289,71 @@ double best_over_budget(double (*measure)(int, int), int n,
   return best;
 }
 
+/// Bytes this process holds resident (VmRSS).
+double resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      double kb = 0.0;
+      status >> kb;
+      return kb * 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+/// The host cost of the occam message path on a `dim`-cube.
+struct MessagePath {
+  double ns_per_event = 0.0;  ///< best run's engine time per event
+  double allocs_per_message = 0.0;  ///< in the last run
+  double state_bytes_per_node = 0.0;  ///< RSS growth over the first run
+};
+
+/// Runs of a perf-off, 8-round, 16-element allreduce on a `dim`-cube, each
+/// on a fresh machine, for at least `budget` and at least one run. Only
+/// Runtime::run is timed. The first run's machine also gives the state per
+/// node: the growth of the process's resident set from before the machine
+/// was built to after its run, over the node count.
+MessagePath measure_message_path(int dim, std::chrono::milliseconds budget) {
+  constexpr int kRounds = 8;
+  constexpr std::size_t kElems = 16;
+  const occam::Runtime::Body body = [](occam::Ctx& ctx) -> sim::Proc {
+    std::vector<double> xs(kElems, static_cast<double>(ctx.id()));
+    for (int r = 0; r < kRounds; ++r) {
+      co_await ctx.allreduce_sum(&xs);
+    }
+  };
+  MessagePath m;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (bool first = true;
+       first || std::chrono::steady_clock::now() - t0 < budget;
+       first = false) {
+    malloc_trim(0);  // earlier machines' freed bytes must not hide growth
+    const double rss_before = resident_bytes();
+    sim::Simulator sim;
+    core::TSeries machine{sim, dim};
+    occam::Runtime rt{machine};
+    const std::uint64_t allocs_before = g_allocations.load();
+    const auto run0 = std::chrono::steady_clock::now();
+    rt.run(body);
+    const auto run1 = std::chrono::steady_clock::now();
+    const double messages = static_cast<double>(kRounds * dim) *
+                            static_cast<double>(machine.size());
+    m.allocs_per_message =
+        static_cast<double>(g_allocations.load() - allocs_before) / messages;
+    const double ns =
+        std::chrono::duration<double, std::nano>(run1 - run0).count() /
+        static_cast<double>(sim.events_processed());
+    m.ns_per_event = first ? ns : std::min(m.ns_per_event, ns);
+    if (first) {
+      m.state_bytes_per_node = (resident_bytes() - rss_before) /
+                               static_cast<double>(machine.size());
+    }
+  }
+  return m;
+}
+
 int write_json_dump(const std::string& path) {
   constexpr int kEvents = 1 << 16;
   constexpr std::chrono::milliseconds kBudget{1500};
@@ -271,6 +367,19 @@ int write_json_dump(const std::string& path) {
   results["events_per_sec"] = json::Value::number(closure);
   results["resume_events_per_sec"] = json::Value::number(resume);
   results["queue_events"] = json::Value::integer(kEvents);
+  // Smallest machine first, so each machine's state is measured on a heap
+  // that no larger machine has grown.
+  for (const int dim : {7, 10, 12}) {
+    const MessagePath m = measure_message_path(dim, kBudget);
+    const std::string cube = "_cube" + std::to_string(dim);
+    results["msg_ns_per_event" + cube] = json::Value::number(m.ns_per_event);
+    results["state_bytes_per_node" + cube] =
+        json::Value::number(m.state_bytes_per_node);
+    if (dim == 10) {
+      results["allocs_per_message"] =
+          json::Value::number(m.allocs_per_message);
+    }
+  }
   bench::write_record(path, "bench_simcore", std::move(results));
 
   // Machine-readable echo for the CI gate (same idiom as bench_fig1_node's

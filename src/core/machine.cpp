@@ -3,8 +3,27 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 namespace fpst::core {
+
+namespace {
+
+/// Rank of cube edge (lo, lo | 1 << dim) among dimension `dim`'s edges: its
+/// lower endpoint with bit `dim` removed.
+std::size_t edge_rank(net::NodeId lo, int dim) {
+  const net::NodeId below = lo & ((net::NodeId{1} << dim) - 1);
+  return ((lo >> (dim + 1)) << dim) | below;
+}
+
+/// The lower endpoint of dimension `dim`'s edge of rank `rank`.
+net::NodeId edge_low_end(std::size_t rank, int dim) {
+  const auto r = static_cast<net::NodeId>(rank);
+  const net::NodeId below = r & ((net::NodeId{1} << dim) - 1);
+  return ((r >> dim) << (dim + 1)) | below;
+}
+
+}  // namespace
 
 ConfigReport ConfigReport::derive(int dimension) {
   if (dimension < 0 || dimension > SystemParams::kMaxDim) {
@@ -77,40 +96,37 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
     throw std::invalid_argument(
         "TSeries: dimension exceeds the node's 16-sublink budget");
   }
-  nodes_.reserve(cube_.size());
-  for (net::NodeId id = 0; id < cube_.size(); ++id) {
-    nodes_.push_back(std::make_unique<Site>(sim_for(id), id, cfg));
-  }
+  nodes_ = sim::PinnedArray<Site>(cube_.size(), [&](std::size_t id) {
+    const auto n = static_cast<net::NodeId>(id);
+    return Site{sim_for(n), n, cfg};
+  });
+  modules_.reserve(rep.modules);
   for (std::uint32_t m = 0; m < rep.modules; ++m) {
-    modules_.push_back(std::make_unique<Module>(*this, m));
+    modules_.emplace_back(*this, m);
   }
   // One full-duplex cable per cube edge; each node's port mutexes (in its
   // Site) make the four sublinks of a physical link share its bandwidth.
-  cables_.resize(cube_.size());
-  for (net::NodeId id = 0; id < cube_.size(); ++id) {
-    cables_[id].resize(static_cast<std::size_t>(dimension));
-  }
+  const std::size_t per_dim = cube_.size() / 2;
+  links_ = sim::PinnedArray<link::Link>(
+      per_dim * static_cast<std::size_t>(dimension),
+      [&](std::size_t i) -> link::Link {
+        const int d = static_cast<int>(i / per_dim);
+        const net::NodeId lo = edge_low_end(i % per_dim, d);
+        const net::NodeId hi = lo | (net::NodeId{1} << d);
+        if (smap_.dim_crosses_shards(d)) {
+          return link::Link{*psim_, smap_.shard_of(lo), smap_.shard_of(hi)};
+        }
+        // Subcube sharding keeps both endpoints of a low-dimension edge in
+        // one shard, so the cable hands packets over by rendezvous.
+        return link::Link{sim_for(lo)};
+      });
   for (net::NodeId id = 0; id < cube_.size(); ++id) {
     for (int d = 0; d < dimension; ++d) {
-      const net::NodeId peer = cube_.neighbor(id, d);
-      if (id < peer) {
-        Cable& c = cables_[id][static_cast<std::size_t>(d)];
-        c.lo = id;
-        c.hi = peer;
-        if (smap_.dim_crosses_shards(d)) {
-          c.wire = std::make_unique<link::Link>(
-              *psim_, smap_.shard_of(id), smap_.shard_of(peer));
-        } else {
-          // Subcube sharding keeps both endpoints of a low-dimension edge
-          // in one shard, so the cable hands packets over by rendezvous.
-          c.wire = std::make_unique<link::Link>(sim_for(id));
-        }
-        // Each side counts on its node's port: dim mod 4.
-        const auto port =
-            static_cast<std::size_t>(d % link::LinkParams::kPhysicalLinks);
-        c.wire->attach(0, nodes_[id]->port_stats[port], nullptr);
-        c.wire->attach(1, nodes_[peer]->port_stats[port], nullptr);
-      }
+      // Each side counts on its node's port: dim mod 4.
+      const auto port =
+          static_cast<std::size_t>(d % link::LinkParams::kPhysicalLinks);
+      cable(id, d).attach(side_of(id, d), nodes_[id].port_stats[port],
+                          nullptr);
     }
   }
   // Wire each node's NodeLinks ports to its first four cube cables so that
@@ -123,8 +139,7 @@ TSeries::TSeries(sim::Simulator* sim, sim::ParallelSim* psim, int dimension,
     for (int d = 0; d < std::min(dimension, link::LinkParams::kPhysicalLinks);
          ++d) {
       if (!smap_.dim_crosses_shards(d)) {
-        Cable& c = cable(id, d);
-        nodes_[id]->node.links().attach(d, *c.wire, side_of(c, id));
+        nodes_[id].node.links().attach(d, cable(id, d), side_of(id, d));
       }
     }
   }
@@ -134,32 +149,21 @@ sim::Simulator& TSeries::sim_for(net::NodeId id) {
   return psim_ != nullptr ? psim_->shard(smap_.shard_of(id)) : *sim_;
 }
 
-TSeries::Cable& TSeries::cable(net::NodeId at, int dim) {
-  const net::NodeId peer = cube_.neighbor(at, dim);
-  const net::NodeId lo = std::min(at, peer);
-  Cable& c = cables_[lo][static_cast<std::size_t>(dim)];
-  if (!c.wire) {
-    throw std::logic_error("TSeries::cable: unwired edge");
-  }
-  return c;
+link::Link& TSeries::cable(net::NodeId at, int dim) {
+  const net::NodeId lo = std::min(at, cube_.neighbor(at, dim));
+  return links_[static_cast<std::size_t>(dim) * (size() / 2) +
+                edge_rank(lo, dim)];
 }
 
-int TSeries::side_of(const Cable& c, net::NodeId at) const {
-  return at == c.lo ? 0 : 1;
-}
-
-sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
+sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet&& p) {
   if (dim < 0 || dim >= dimension()) {
     throw std::invalid_argument("TSeries::send_dim: bad dimension");
   }
   const int port = dim % link::LinkParams::kPhysicalLinks;
   p.sublink =
       static_cast<std::uint8_t>(dim / link::LinkParams::kPhysicalLinks);
-  p.src = from;
-  Cable& c = cable(from, dim);
-  const int side = side_of(c, from);
-  sim::Semaphore& mux =
-      nodes_[from]->port_mux[static_cast<std::size_t>(port)];
+  link::Link& c = cable(from, dim);
+  sim::Semaphore& mux = nodes_[from].port_mux[static_cast<std::size_t>(port)];
   if (p.trace != 0 && !link_sinks_.empty()) {
     // tscope enqueue marker: the gap to the matching tx span's start is the
     // hop's queueing delay (port mutex + wire direction contention).
@@ -169,14 +173,13 @@ sim::Proc TSeries::send_dim(net::NodeId from, int dim, link::Packet p) {
          .kind = perf::SpanKind::msg_enqueue});
   }
   co_await mux.acquire();
-  co_await c.wire->transmit(side, std::move(p));
+  co_await c.transmit(side_of(from, dim), std::move(p));
   mux.release();
 }
 
 sim::Channel<link::Packet>& TSeries::inbox(net::NodeId at, int dim) {
-  Cable& c = cable(at, dim);
   const int sub = dim / link::LinkParams::kPhysicalLinks;
-  return c.wire->inbox(side_of(c, at), sub);
+  return cable(at, dim).inbox(side_of(at, dim), sub);
 }
 
 void TSeries::enable_perf(perf::CounterRegistry& reg) {
@@ -192,28 +195,29 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
     }
     reg.shard_spans(std::move(shard_of), psim_->shards());
   }
-  for (const auto& n : nodes_) {
-    n->node.attach_perf(reg);
+  for (Site& n : nodes_) {
+    n.node.attach_perf(reg);
   }
   // Each cable side counts into, and records its spans on, the track of
   // the node that transmits from it, named after the physical port the
-  // dimension is multiplexed onto.
+  // dimension is multiplexed onto. Tracks are made edge by edge, by lower
+  // endpoint and then dimension.
   link_sinks_.assign(size(), {});
-  for (const auto& per_node : cables_) {
-    for (std::size_t d = 0; d < per_node.size(); ++d) {
-      const Cable& c = per_node[d];
-      if (!c.wire) {
+  for (net::NodeId lo = 0; lo < cube_.size(); ++lo) {
+    for (int d = 0; d < dimension(); ++d) {
+      if (side_of(lo, d) != 0) {
         continue;
       }
-      const std::size_t port = d % link::LinkParams::kPhysicalLinks;
+      const auto port =
+          static_cast<std::size_t>(d % link::LinkParams::kPhysicalLinks);
       const std::string comp = "link" + std::to_string(port);
       for (int side = 0; side < 2; ++side) {
-        const net::NodeId at = side == 0 ? c.lo : c.hi;
+        const net::NodeId at = side == 0 ? lo : lo | (net::NodeId{1} << d);
         perf::PerfSink& track = reg.track(at, comp, link::kFields);
-        link::LinkStats& stats = nodes_[at]->port_stats[port];
+        link::LinkStats& stats = nodes_[at].port_stats[port];
         stats.attach(track);
         link_sinks_[at][port] = &track;
-        c.wire->attach(side, stats, &track);
+        cable(lo, d).attach(side, stats, &track);
       }
     }
   }
@@ -221,16 +225,16 @@ void TSeries::enable_perf(perf::CounterRegistry& reg) {
 
 std::uint64_t TSeries::total_flops() const {
   std::uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    total += n->node.flops();
+  for (const Site& n : nodes_) {
+    total += n.node.flops();
   }
   return total;
 }
 
 std::uint64_t TSeries::total_link_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    for (const link::LinkStats& port : n->port_stats) {
+  for (const Site& n : nodes_) {
+    for (const link::LinkStats& port : n.port_stats) {
       total += port.count(link::kBytes);
     }
   }

@@ -23,7 +23,7 @@ void Cpu::load(const Program& p) {
     if (in_dram(a)) {
       memory_->poke_byte(a, p.bytes[i]);
     } else {
-      onchip_[a - kOnChipBase] = p.bytes[i];
+      onchip()[a - kOnChipBase] = p.bytes[i];
     }
   }
 }
@@ -40,7 +40,7 @@ std::uint8_t Cpu::fetch_byte(std::uint32_t addr) {
     return memory_->peek_byte(addr);
   }
   if (on_chip(addr)) {
-    return onchip_[addr - kOnChipBase];
+    return onchip()[addr - kOnChipBase];
   }
   fault("instruction fetch outside RAM");
   halted_ = true;
@@ -57,7 +57,7 @@ std::uint32_t Cpu::data_read(std::uint32_t addr, SimTime& cost) {
     const std::uint32_t off = (addr - kOnChipBase) & ~3u;
     std::uint32_t v = 0;
     for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | onchip_[off + static_cast<std::uint32_t>(i)];
+      v = (v << 8) | onchip()[off + static_cast<std::uint32_t>(i)];
     }
     return v;
   }
@@ -74,7 +74,7 @@ void Cpu::data_write(std::uint32_t addr, std::uint32_t v, SimTime& cost) {
   if (on_chip(addr)) {
     const std::uint32_t off = (addr - kOnChipBase) & ~3u;
     for (std::uint32_t i = 0; i < 4; ++i) {
-      onchip_[off + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
+      onchip()[off + i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
     }
     return;
   }
@@ -87,7 +87,7 @@ std::uint8_t Cpu::data_read_byte(std::uint32_t addr, SimTime& cost) {
     return memory_->read_byte(addr);
   }
   if (on_chip(addr)) {
-    return onchip_[addr - kOnChipBase];
+    return onchip()[addr - kOnChipBase];
   }
   fault("byte read from unmapped address");
   return 0;
@@ -100,7 +100,7 @@ void Cpu::data_write_byte(std::uint32_t addr, std::uint8_t v, SimTime& cost) {
     return;
   }
   if (on_chip(addr)) {
-    onchip_[addr - kOnChipBase] = v;
+    onchip()[addr - kOnChipBase] = v;
     return;
   }
   fault("byte write to unmapped address");

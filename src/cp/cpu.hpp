@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -165,12 +166,20 @@ class Cpu {
   sim::SimTime do_channel(SecOp op);
   sim::SimTime do_vform();
 
+  /// The on-chip RAM, zeroed on first use: no occam program touches it.
+  std::uint8_t* onchip() {
+    if (!onchip_) {
+      onchip_ = std::make_unique<std::uint8_t[]>(kOnChipBytes);
+    }
+    return onchip_.get();
+  }
+
   sim::Simulator* sim_;
   mem::NodeMemory* memory_;
   vpu::VectorUnit* vpu_;
   perf::Stats<kFields> stats_;
   Hooks hooks_{};
-  std::array<std::uint8_t, kOnChipBytes> onchip_{};
+  std::unique_ptr<std::uint8_t[]> onchip_;
 
   // machine state
   std::uint32_t areg_ = 0;

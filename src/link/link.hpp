@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "perf/sink.hpp"
@@ -63,10 +64,14 @@ struct LinkParams {
   }
 };
 
-/// One message travelling over a link. Payload is raw bytes; higher layers
-/// (net/occam) define their own framing inside it.
+/// One message travelling over a link. The wire charges `payload_bytes`;
+/// `payload` carries them as 64-bit words. An occam message's doubles
+/// travel as they are, from the sender's buffer into the receiver's, while
+/// the wire still charges the 4-byte source word occam frames them with
+/// (occam/occam.hpp). A hard channel's bytes are packed in order into the
+/// words (set_bytes), so their count is exact even when it is odd.
 struct Packet {
-  std::uint32_t src = 0;  ///< originating node id
+  std::uint32_t src = 0;  ///< originating node id, set once at injection
   std::uint32_t dst = 0;  ///< final destination node id (multi-hop routing)
   std::uint16_t tag = 0;  ///< user message tag
   std::uint8_t sublink = 0;  ///< receive-side demux (0..3)
@@ -74,11 +79,19 @@ struct Packet {
   /// tscope trace id (0 = untraced). Side-band simulator metadata — not part
   /// of the wire format, so it never contributes to wire_bytes() or timing.
   std::uint32_t trace = 0;
-  std::vector<std::uint8_t> payload;
+  /// Payload bytes on the wire (the header excluded).
+  std::uint32_t payload_bytes = 0;
+  std::vector<double> payload;
 
   std::size_t wire_bytes() const {
-    return payload.size() + LinkParams::kHeaderBytes;
+    return payload_bytes + LinkParams::kHeaderBytes;
   }
+
+  /// Carry `data` exactly: its bytes packed in order into the payload
+  /// words, the last word zero-padded.
+  void set_bytes(std::span<const std::uint8_t> data);
+  /// The first `n` payload bytes, zero past the ones carried.
+  std::vector<std::uint8_t> get_bytes(std::size_t n) const;
 };
 
 /// A link engine's statistics (perf/sink.hpp): bytes on the wire (headers
@@ -148,8 +161,11 @@ class Link {
   /// Transmit `p` from `from_side` (0/1): acquires that direction, charges
   /// DMA startup + wire time, then hands the packet to the receiving side's
   /// per-sublink inbox. Runs on the sending side's simulator; co_await the
-  /// returned Proc. Throws std::logic_error for a bad side or sublink.
-  sim::Proc transmit(int from_side, Packet p);
+  /// returned Proc. The process moves the packet out of `p`, which must
+  /// outlive it: the frame that awaits it owns the packet, so each hop's
+  /// frames hold a reference, not a copy. Throws std::logic_error for a bad
+  /// side or sublink.
+  sim::Proc transmit(int from_side, Packet&& p);
 
   /// Inbox of `side` for packets arriving addressed to `sublink` (a channel
   /// on that side's simulator).
@@ -172,9 +188,9 @@ class Link {
  private:
   /// Same-simulator hand-off: the sender blocks until the receiver takes
   /// the packet.
-  sim::Proc rendezvous(int from_side, Packet p);
+  sim::Proc rendezvous(int from_side, Packet& p);
   /// Cross-shard hand-off: the arrival travels through the engine mailbox.
-  sim::Proc post(int from_side, Packet p);
+  sim::Proc post(int from_side, Packet& p);
   const LinkStats& stats(int d) const {
     return dir_[static_cast<std::size_t>(d)].stats;
   }
@@ -206,9 +222,10 @@ class NodeLinks {
   /// Number of ports wired to cables.
   int attached_count() const;
 
-  /// Send via a port. The Proc fails with std::logic_error when the port
-  /// is bad or not wired.
-  sim::Proc send(int port, Packet p);
+  /// Send via a port; `p` must outlive the process, as for
+  /// Link::transmit. The Proc fails with std::logic_error when the port is
+  /// bad or not wired.
+  sim::Proc send(int port, Packet&& p);
   /// Throws std::logic_error when the port is bad or not wired.
   sim::Channel<Packet>& inbox(int port, int sublink);
 

@@ -2,40 +2,15 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 namespace fpst::occam {
 
 namespace {
 
-/// Wire format inside a packet payload: [orig_src u32][doubles...]. The
-/// Packet's own src field is rewritten hop by hop, so the originating node
-/// travels in-band.
-std::vector<std::uint8_t> encode_payload(net::NodeId src,
-                                         const std::vector<double>& data) {
-  std::vector<std::uint8_t> bytes(4 + 8 * data.size());
-  std::memcpy(bytes.data(), &src, 4);
-  if (!data.empty()) {
-    std::memcpy(bytes.data() + 4, data.data(), 8 * data.size());
-  }
-  return bytes;
-}
-
-Msg decode_payload(const link::Packet& p) {
-  Msg m;
-  m.tag = p.tag;
-  m.trace = p.trace;
-  if (p.payload.size() < 4 || (p.payload.size() - 4) % 8 != 0) {
-    throw std::runtime_error("occam: malformed packet payload");
-  }
-  std::memcpy(&m.src, p.payload.data(), 4);
-  m.data.resize((p.payload.size() - 4) / 8);
-  if (!m.data.empty()) {
-    std::memcpy(m.data.data(), p.payload.data() + 4, 8 * m.data.size());
-  }
-  return m;
-}
+/// The source word the node software frames every message with: the
+/// packet's src carries the node, and the wire still charges the word.
+constexpr std::uint32_t kSourceWordBytes = 4;
 
 int first_route_dim(net::NodeId at, net::NodeId dst) {
   return std::countr_zero(at ^ dst);  // e-cube: lowest differing dimension
@@ -57,47 +32,36 @@ sim::Proc Ctx::send(net::NodeId dst, std::uint16_t tag,
 
 sim::Proc Ctx::recv(net::NodeId src, std::uint16_t tag,
                     std::vector<double>* out) {
-  Runtime::Mailbox& box = *rt_->mailboxes_[id_];
-  for (;;) {
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->src == src && it->tag == tag) {
-        *out = std::move(it->data);
-        box.queue.erase(it);
-        co_return;
-      }
-    }
+  Runtime::Mailbox& box = rt_->mailboxes_[id_];
+  while (!box.take(src, tag, out)) {
     co_await box.arrived.wait();
   }
 }
 
 sim::Proc Ctx::recv_any(std::uint16_t tag, Msg* out) {
-  Runtime::Mailbox& box = *rt_->mailboxes_[id_];
-  for (;;) {
-    for (auto it = box.queue.begin(); it != box.queue.end(); ++it) {
-      if (it->tag == tag) {
-        *out = std::move(*it);
-        box.queue.erase(it);
-        co_return;
-      }
-    }
+  Runtime::Mailbox& box = rt_->mailboxes_[id_];
+  while (!box.take_any(tag, out)) {
     co_await box.arrived.wait();
   }
 }
 
-sim::Proc Ctx::exchange(int dim, std::uint16_t tag,
-                        std::vector<double> out_data,
-                        std::vector<double>* in_data) {
+sim::Proc Ctx::exchange(int dim, std::uint16_t tag, std::vector<double>* out,
+                        std::vector<double>* in) {
   const net::NodeId peer = rt_->machine_->cube().neighbor(id_, dim);
-  co_await Par{send(peer, tag, std::move(out_data)),
-               recv(peer, tag, in_data)};
+  co_await Par{send(peer, tag, std::move(*out)), recv(peer, tag, in)};
 }
+
+// The step-by-step collectives send each step's message in the vector they
+// received the step before, so a node allocates one buffer per collective.
 
 sim::Proc Ctx::barrier() {
   const std::uint16_t tag = internal_tag();
+  std::vector<double> token;
+  std::vector<double> in;
   for (int k = 0; k < dimension(); ++k) {
-    std::vector<double> token(1, 0.0);
-    std::vector<double> dummy_in;
-    co_await exchange(k, tag, std::move(token), &dummy_in);
+    token.assign(1, 0.0);
+    co_await exchange(k, tag, &token, &in);
+    token = std::move(in);
   }
 }
 
@@ -115,14 +79,14 @@ sim::Proc Ctx::broadcast(net::NodeId root, std::vector<double>* data) {
 sim::Proc Ctx::reduce_sum(net::NodeId root, double* x) {
   const std::uint16_t tag = internal_tag();
   const int parent = net::tree_parent_dim(id_, root);
+  std::vector<double> partial;
   for (int k = dimension() - 1; k >= 0 && k >= parent; --k) {
     const net::NodeId peer = id_ ^ (net::NodeId{1} << k);
     if (k > parent) {
-      std::vector<double> partial;
       co_await recv(peer, tag, &partial);
       *x += partial.at(0);
     } else {
-      std::vector<double> partial(1, *x);
+      partial.assign(1, *x);
       co_await send(peer, tag, std::move(partial));  // merged upstream
     }
   }
@@ -136,39 +100,102 @@ sim::Proc Ctx::allreduce_sum(double* x) {
 
 sim::Proc Ctx::allreduce_sum(std::vector<double>* xs) {
   const std::uint16_t tag = internal_tag();
+  std::vector<double> out;
+  std::vector<double> in;
   for (int k = 0; k < dimension(); ++k) {
-    std::vector<double> in;
-    co_await exchange(k, tag, *xs, &in);
+    out.assign(xs->begin(), xs->end());
+    co_await exchange(k, tag, &out, &in);
     for (std::size_t i = 0; i < xs->size(); ++i) {
       (*xs)[i] += in.at(i);
     }
+    out = std::move(in);
   }
 }
 
 sim::Proc Ctx::allreduce_max(double* value, double* payload) {
   const std::uint16_t tag = internal_tag();
+  std::vector<double> out;
+  std::vector<double> in;
   for (int k = 0; k < dimension(); ++k) {
-    std::vector<double> out(2);
+    out.resize(2);
     out[0] = *value;
     out[1] = *payload;
-    std::vector<double> in;
-    co_await exchange(k, tag, std::move(out), &in);
+    co_await exchange(k, tag, &out, &in);
     if (in.at(0) > *value ||
         (in.at(0) == *value && in.at(1) < *payload)) {
       *value = in[0];
       *payload = in[1];
     }
+    out = std::move(in);
   }
 }
 
+void Runtime::Mailbox::push(Msg m) {
+  std::uint32_t i = free_;
+  if (i != kNone) {
+    free_ = slots_[i].next;
+    slots_[i].msg = std::move(m);
+  } else {
+    i = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(Slot{std::move(m)});
+  }
+  slots_[i].next = kNone;
+  (tail_ == kNone ? head_ : slots_[tail_].next) = i;
+  tail_ = i;
+}
+
+template <class Match>
+std::uint32_t Runtime::Mailbox::unlink(Match match) {
+  std::uint32_t prev = kNone;
+  for (std::uint32_t i = head_; i != kNone; prev = i, i = slots_[i].next) {
+    if (!match(slots_[i].msg)) {
+      continue;
+    }
+    (prev == kNone ? head_ : slots_[prev].next) = slots_[i].next;
+    if (tail_ == i) {
+      tail_ = prev;
+    }
+    slots_[i].next = free_;
+    free_ = i;
+    return i;
+  }
+  return kNone;
+}
+
+bool Runtime::Mailbox::take(net::NodeId src, std::uint16_t tag,
+                            std::vector<double>* out) {
+  const std::uint32_t i =
+      unlink([&](const Msg& m) { return m.src == src && m.tag == tag; });
+  if (i == kNone) {
+    return false;
+  }
+  *out = std::move(slots_[i].msg.data);
+  return true;
+}
+
+bool Runtime::Mailbox::take_any(std::uint16_t tag, Msg* out) {
+  const std::uint32_t i = unlink([&](const Msg& m) { return m.tag == tag; });
+  if (i == kNone) {
+    return false;
+  }
+  *out = std::move(slots_[i].msg);
+  return true;
+}
+
 Runtime::Runtime(core::TSeries& machine)
-    : machine_{&machine}, stats_(machine.size()) {
+    : machine_{&machine},
+      // Each node's mailbox signals on that node's shard simulator (the
+      // single simulator when the machine is serial).
+      mailboxes_(machine.size(),
+                 [&machine](std::size_t id) {
+                   return Mailbox{
+                       machine.sim_for(static_cast<net::NodeId>(id))};
+                 }),
+      stats_(machine.size()) {
   per_node_seq_.resize(machine_->size(), 0);
+  ctxs_.reserve(machine_->size());
   for (net::NodeId id = 0; id < machine_->size(); ++id) {
-    ctxs_.push_back(std::unique_ptr<Ctx>(new Ctx(*this, id)));
-    // Each node's mailbox signals on that node's shard simulator (the
-    // single simulator when the machine is serial).
-    mailboxes_.push_back(std::make_unique<Mailbox>(machine_->sim_for(id)));
+    ctxs_.push_back(Ctx(*this, id));
   }
 }
 
@@ -191,47 +218,48 @@ perf::PerfSink* Runtime::occam_track(net::NodeId at) {
   return occam_tracks_[at];
 }
 
-void Runtime::deliver(net::NodeId at, Msg m) {
+void Runtime::deliver(net::NodeId at, link::Packet& p) {
   perf::PerfSink* track = occam_track(at);
   stats_[at].add(kMsgsRecv, 1);
-  if (track != nullptr && m.trace != 0) {
+  if (track != nullptr && p.trace != 0) {
     track->record({.start = machine_->sim_for(at).now(),
-                   .trace = m.trace,
-                   .peer = m.src,
+                   .trace = p.trace,
+                   .peer = p.src,
                    .kind = perf::SpanKind::msg_deliver});
   }
-  Mailbox& box = *mailboxes_[at];
-  box.queue.push_back(std::move(m));
+  Mailbox& box = mailboxes_[at];
+  box.push(Msg{p.src, p.tag, p.trace, std::move(p.payload)});
   box.arrived.notify_all();
 }
 
 sim::Proc Runtime::send_packet(net::NodeId from, net::NodeId dst,
-                               std::uint16_t tag, std::vector<double> data) {
+                               std::uint16_t tag, std::vector<double>&& data) {
   // Packetisation is control-processor work.
   co_await machine_->node(from).cp_work(RtParams::kSendInstr);
-  std::uint32_t trace = 0;
+  link::Packet p;
+  p.src = from;
+  p.dst = dst;
+  p.tag = tag;
+  p.payload_bytes =
+      kSourceWordBytes + static_cast<std::uint32_t>(8 * data.size());
+  p.payload = std::move(data);
   perf::PerfSink* track = occam_track(from);
   stats_[from].add(kMsgsSent, 1);
   if (track != nullptr) {
-    // tscope injection marker: id, destination, tag and encoded payload
-    // size, in the grammar perf/tscope.hpp documents.
-    trace = alloc_trace(from);
+    // tscope injection marker: id, destination, tag and payload size on
+    // the wire, in the grammar perf/tscope.hpp documents.
+    p.trace = alloc_trace(from);
     track->record({.start = machine_->sim_for(from).now(),
-                   .n = 4 + 8 * data.size(),
-                   .trace = trace,
+                   .n = p.payload_bytes,
+                   .trace = p.trace,
                    .peer = dst,
                    .tag = tag,
                    .kind = perf::SpanKind::msg_inject});
   }
   if (dst == from) {
-    deliver(from, Msg{from, tag, trace, std::move(data)});
+    deliver(from, p);
     co_return;
   }
-  link::Packet p;
-  p.dst = dst;
-  p.tag = tag;
-  p.trace = trace;
-  p.payload = encode_payload(from, data);
   co_await machine_->send_dim(from, first_route_dim(from, dst), std::move(p));
 }
 
@@ -240,7 +268,7 @@ sim::Proc Runtime::router_listener(net::NodeId at, int dim) {
     link::Packet p = co_await machine_->inbox(at, dim).recv();
     if (p.dst == at) {
       co_await machine_->node(at).cp_work(RtParams::kSendInstr);
-      deliver(at, decode_payload(p));
+      deliver(at, p);
       continue;
     }
     // Store-and-forward: inspect and retransmit along the next e-cube
@@ -285,11 +313,11 @@ void Runtime::start_routers() {
 
 namespace {
 sim::Proc run_all(const std::vector<Runtime::Body>* bodies,
-                  std::vector<std::unique_ptr<Ctx>>* ctxs, bool* done) {
+                  std::vector<Ctx>* ctxs, bool* done) {
   std::vector<sim::Proc> procs;
   procs.reserve(bodies->size());
   for (std::size_t i = 0; i < bodies->size(); ++i) {
-    procs.push_back((*bodies)[i](*(*ctxs)[i]));
+    procs.push_back((*bodies)[i]((*ctxs)[i]));
   }
   co_await Par{std::move(procs)};
   *done = true;
@@ -347,7 +375,7 @@ sim::SimTime Runtime::run_parallel(const std::vector<Body>& bodies) {
   const sim::SimTime start = psim.now();
   std::atomic<std::size_t> done{0};
   for (net::NodeId id = 0; id < machine_->size(); ++id) {
-    machine_->sim_for(id).spawn(run_one(&bodies[id], ctxs_[id].get(), &done));
+    machine_->sim_for(id).spawn(run_one(&bodies[id], &ctxs_[id], &done));
   }
   psim.run();
   if (done.load(std::memory_order_relaxed) != machine_->size()) {

@@ -14,13 +14,16 @@
 // neighbour links only. Collectives (barrier, broadcast, reduce, allreduce)
 // are the standard binomial-tree / dimension-exchange algorithms from
 // net/hypercube.hpp, expressed as per-node code.
+//
+// A message's doubles are its packet's payload words: the vector a body
+// hands to send travels, uncopied, into the receiving node's mailbox and
+// then into the vector recv fills. The packet's src names the originating
+// node, and the wire charges the 4-byte source word the node software
+// frames each message with: 4 + 8n payload bytes for n doubles.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -28,6 +31,7 @@
 #include "net/hypercube.hpp"
 #include "node/node.hpp"
 #include "occam/commspec.hpp"
+#include "sim/pinned_array.hpp"
 #include "sim/proc.hpp"
 #include "sim/sync.hpp"
 
@@ -110,8 +114,10 @@ class Ctx {
   friend class Runtime;
   Ctx(Runtime& rt, net::NodeId id) : rt_{&rt}, id_{id} {}
 
-  sim::Proc exchange(int dim, std::uint16_t tag, std::vector<double> out_data,
-                     std::vector<double>* in_data);
+  /// Send `*out` (moving it away) to the neighbour across `dim` while
+  /// receiving the neighbour's message into `*in`.
+  sim::Proc exchange(int dim, std::uint16_t tag, std::vector<double>* out,
+                     std::vector<double>* in);
   std::uint16_t internal_tag();
 
   Runtime* rt_;
@@ -139,7 +145,7 @@ class Runtime {
   sim::SimTime run(const std::vector<Body>& bodies);
 
   core::TSeries& machine() { return *machine_; }
-  Ctx& ctx(net::NodeId id) { return *ctxs_.at(id); }
+  Ctx& ctx(net::NodeId id) { return ctxs_.at(id); }
 
   /// Messages forwarded in transit (router workload), for the benches.
   std::uint64_t packets_forwarded() const;
@@ -147,17 +153,49 @@ class Runtime {
  private:
   friend class Ctx;
 
-  struct Mailbox {
+  /// A node's delivered messages, oldest first. A consumed message's slot
+  /// takes a later arrival, so a warm mailbox allocates nothing, and a
+  /// receive unlinks its match wherever it waits.
+  class Mailbox {
+   public:
     explicit Mailbox(sim::Simulator& sim) : arrived{sim} {}
-    std::deque<Msg> queue;
+
+    void push(Msg m);
+    /// Move the data of the oldest message from `src` tagged `tag` into
+    /// *out; false when none waits.
+    bool take(net::NodeId src, std::uint16_t tag, std::vector<double>* out);
+    /// Move the oldest message tagged `tag` into *out; false when none
+    /// waits.
+    bool take_any(std::uint16_t tag, Msg* out);
+
     sim::Event arrived;
+
+   private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    struct Slot {
+      Msg msg;
+      std::uint32_t next = kNone;
+    };
+
+    /// Unlink the oldest message `match` accepts and free its slot, whose
+    /// message stays readable until the next push; kNone when none does.
+    template <class Match>
+    std::uint32_t unlink(Match match);
+
+    std::vector<Slot> slots_;
+    std::uint32_t head_ = kNone;  ///< oldest message
+    std::uint32_t tail_ = kNone;  ///< newest message
+    std::uint32_t free_ = kNone;  ///< consumed slots, linked through next
   };
 
   sim::Proc router_listener(net::NodeId at, int dim);
   void start_routers();
-  void deliver(net::NodeId at, Msg m);
+  /// Put packet `p`, addressed to node `at`, in that node's mailbox.
+  void deliver(net::NodeId at, link::Packet& p);
+  /// Send `data` (moving it away) from `from` to `dst`; `data` must
+  /// outlive the process.
   sim::Proc send_packet(net::NodeId from, net::NodeId dst, std::uint16_t tag,
-                        std::vector<double> data);
+                        std::vector<double>&& data);
   std::uint32_t alloc_trace(net::NodeId from);
   sim::SimTime run_parallel(const std::vector<Body>& bodies);
   /// Node `at`'s occam track, or null while perf is off. The node's
@@ -165,8 +203,8 @@ class Runtime {
   perf::PerfSink* occam_track(net::NodeId at);
 
   core::TSeries* machine_;
-  std::vector<std::unique_ptr<Ctx>> ctxs_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<Ctx> ctxs_;
+  sim::PinnedArray<Mailbox> mailboxes_;
   bool routers_started_ = false;
   /// Next tscope trace id; assigned at injection when perf is attached.
   /// Starts at 1 so 0 can mean "untraced" in link::Packet. Serial runs

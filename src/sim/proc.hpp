@@ -17,9 +17,11 @@
 
 #include <sanitizer/asan_interface.h>
 
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <exception>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -225,33 +227,42 @@ struct ThisSim {
 /// parent resumes once every child has completed. If any child threw, the
 /// exception of the first such child (in argument order) is rethrown in the
 /// parent. Each child's promise points at this awaiter, which lives in the
-/// parent's frame; the child that finishes last schedules the parent.
+/// parent's frame; the child that finishes last schedules the parent. Up to
+/// two children listed as arguments are held in the awaiter itself, so a
+/// PAR of a send and a receive, the shape of every message exchange,
+/// allocates nothing.
 class WhenAll {
  public:
-  explicit WhenAll(std::vector<Proc> children) : children_{std::move(children)} {}
+  explicit WhenAll(std::vector<Proc> children) : many_{std::move(children)} {}
 
   template <class... Procs>
   explicit WhenAll(Procs&&... procs) {
-    children_.reserve(sizeof...(procs));
-    (children_.push_back(std::forward<Procs>(procs)), ...);
+    if constexpr (sizeof...(procs) <= kInline) {
+      ((few_[few_count_++] = std::forward<Procs>(procs)), ...);
+    } else {
+      many_.reserve(sizeof...(procs));
+      (many_.push_back(std::forward<Procs>(procs)), ...);
+    }
   }
 
-  bool await_ready() const noexcept { return children_.empty(); }
+  bool await_ready() const noexcept {
+    return few_count_ == 0 && many_.empty();
+  }
 
   void await_suspend(std::coroutine_handle<Proc::promise_type> parent) {
-    sim_ = parent.promise().sim;
     parent_ = parent;
-    remaining_ = children_.size();
-    for (Proc& child : children_) {
+    const std::span<Proc> all = children();
+    remaining_ = all.size();
+    for (Proc& child : all) {
       Proc::promise_type& cp = child.handle().promise();
-      cp.sim = sim_;
+      cp.sim = parent.promise().sim;
       cp.join = this;
-      sim_->schedule_resume(SimTime{}, child.handle());
+      cp.sim->schedule_resume(SimTime{}, child.handle());
     }
   }
 
   void await_resume() {
-    for (Proc& child : children_) {
+    for (Proc& child : children()) {
       if (child.handle().promise().exception) {
         std::rethrow_exception(child.handle().promise().exception);
       }
@@ -261,16 +272,26 @@ class WhenAll {
  private:
   friend struct Proc::promise_type::FinalAwaiter;
 
+  static constexpr std::size_t kInline = 2;
+
+  /// The children in argument order, wherever they are held. Computed on
+  /// each use, so moving the awaiter before it is awaited is safe.
+  std::span<Proc> children() {
+    return few_count_ != 0 ? std::span<Proc>{few_.data(), few_count_}
+                           : std::span<Proc>{many_};
+  }
+
   /// One child finished; the last one schedules the parent.
   void child_done() {
     if (--remaining_ == 0) {
-      sim_->schedule_resume(SimTime{}, parent_);
+      parent_.promise().sim->schedule_resume(SimTime{}, parent_);
     }
   }
 
-  std::vector<Proc> children_;
-  Simulator* sim_ = nullptr;
-  std::coroutine_handle<> parent_{};
+  std::array<Proc, kInline> few_{};
+  std::size_t few_count_ = 0;
+  std::vector<Proc> many_;
+  std::coroutine_handle<Proc::promise_type> parent_{};
   std::size_t remaining_ = 0;
 };
 

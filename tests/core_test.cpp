@@ -89,7 +89,7 @@ Proc send_one(TSeries* m, net::NodeId from, int dim, std::uint16_t tag) {
   link::Packet p;
   p.tag = tag;
   p.dst = m->cube().neighbor(from, dim);
-  p.payload.assign(8, 0);
+  p.payload_bytes = 8;
   co_await m->send_dim(from, dim, std::move(p));
 }
 
@@ -113,7 +113,7 @@ TEST(TSeries, DimensionAddressedMessaging) {
 Proc burst(TSeries* m, net::NodeId from, int dim) {
   link::Packet p;
   p.dst = m->cube().neighbor(from, dim);
-  p.payload.assign(8, 0);
+  p.payload_bytes = 8;
   co_await m->send_dim(from, dim, std::move(p));
 }
 

@@ -34,7 +34,7 @@ TEST(LinkParams, PaperConstants) {
 Packet make_packet(std::size_t n, std::uint8_t sublink = 0) {
   Packet p;
   p.sublink = sublink;
-  p.payload.assign(n, 0xab);
+  p.set_bytes(std::vector<std::uint8_t>(n, 0xab));
   return p;
 }
 
@@ -61,7 +61,12 @@ TEST(Link, SingleTransferTiming) {
   sim.spawn(do_recv(&link, 1, 0, &got, &arrival, &sim));
   sim.spawn(do_send(&link, 0, make_packet(100), nullptr, &sim));
   sim.run();
-  EXPECT_EQ(got.payload.size(), 100u);
+  EXPECT_EQ(got.payload_bytes, 100u);
+  EXPECT_EQ(got.get_bytes(101), [] {
+    std::vector<std::uint8_t> sent(100, 0xab);
+    sent.push_back(0);  // a byte past the carried ones reads as zero
+    return sent;
+  }());
   // startup + (100 payload + 8 header) bytes * 2 us
   EXPECT_EQ(arrival, 5_us + 108 * LinkParams::byte_time());
 }
@@ -191,12 +196,14 @@ TEST(NodeLinks, AttachAndRoute) {
     Packet p;
     p.sublink = 1;
     p.tag = 9;
-    p.payload = {1, 2, 3};
+    const std::vector<std::uint8_t> bytes{1, 2, 3};
+    p.set_bytes(bytes);
     co_await links->send(2, std::move(p));
   }(&a));
   sim.run();
   EXPECT_EQ(got.tag, 9);
-  EXPECT_EQ(got.payload, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(got.payload_bytes, 3u);
+  EXPECT_EQ(got.get_bytes(3), (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
 TEST(Link, CrossShardHandOffMatchesSameSimulatorTiming) {
@@ -241,7 +248,7 @@ TEST(Link, CrossShardHandOffMatchesSameSimulatorTiming) {
     const End& e = end[static_cast<std::size_t>(side)];
     SCOPED_TRACE(side);
     EXPECT_EQ(e.got.tag, 10 + side);
-    EXPECT_EQ(e.got.payload.size(), kPayload);
+    EXPECT_EQ(e.got.payload_bytes, kPayload);
     EXPECT_EQ(e.arrival, e.sent_at + LinkParams::transfer_time(kPayload));
     EXPECT_EQ(e.wire_free, e.arrival);
   }

@@ -178,19 +178,22 @@ class Node {
   vpu::OpResult issue_op(const vpu::VectorOp& op);
   void retire_op(const vpu::OpResult& r);
 
+  // What the timed API touches comes first, in the node's first 96 bytes:
+  // every occam message holds the CP of two nodes, while the memory, vector
+  // unit, interpreter and links below are cold for occam traffic.
   sim::Simulator* sim_;
   std::uint32_t id_;
   NodeConfig cfg_;
-  mem::NodeMemory memory_;
-  vpu::VectorUnit vpu_;
-  cp::Cpu cpu_;
-  link::NodeLinks links_;
   sim::Semaphore vpu_sem_;
   sim::Semaphore cp_sem_;
   // The vpu and cp tracks the timed API records spans on; null while perf
   // is off.
   perf::PerfSink* perf_vpu_ = nullptr;
   perf::PerfSink* perf_cp_ = nullptr;
+  mem::NodeMemory memory_;
+  vpu::VectorUnit vpu_;
+  cp::Cpu cpu_;
+  link::NodeLinks links_;
   std::size_t next_row_a_ = 0;
   std::size_t next_row_b_ = mem::MemParams::kBankARows;
 };

@@ -10,7 +10,8 @@
 // also holds the host cost of the occam message path by machine size
 // (ungated): ns per event of a perf-off allreduce at the 7-, 10- and
 // 12-cube, the path's allocations per message, and the state each node
-// holds after a run.
+// holds after a run; and, at the same sizes, a served job's fixed cost
+// per node: building a perf-on machine and freeing it.
 #include <benchmark/benchmark.h>
 
 #include <malloc.h>
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -354,6 +356,47 @@ MessagePath measure_message_path(int dim, std::chrono::milliseconds budget) {
   return m;
 }
 
+/// A perf-on machine's fixed cost per node, in microseconds.
+struct FixedCost {
+  double setup_us_per_node = 0.0;  ///< construction plus enable_perf
+  double teardown_us_per_node = 0.0;  ///< freeing the machine and registry
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// Medians over runs, for at least `budget` and at least five runs, of
+/// building a serial `dim`-cube with perf attached, as serve builds one,
+/// and of freeing it without a run.
+FixedCost measure_fixed_cost(int dim, std::chrono::milliseconds budget) {
+  using Clock = std::chrono::steady_clock;
+  const auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  std::vector<double> setup;
+  std::vector<double> teardown;
+  const auto t0 = Clock::now();
+  while (setup.size() < 5 || Clock::now() - t0 < budget) {
+    const auto built0 = Clock::now();
+    auto sim = std::make_unique<sim::Simulator>();
+    auto machine = std::make_unique<core::TSeries>(*sim, dim);
+    auto reg = std::make_unique<perf::CounterRegistry>();
+    machine->enable_perf(*reg);
+    const auto built1 = Clock::now();
+    machine.reset();
+    reg.reset();
+    sim.reset();
+    const auto freed = Clock::now();
+    setup.push_back(us(built1 - built0));
+    teardown.push_back(us(freed - built1));
+  }
+  const double nodes = static_cast<double>(std::size_t{1} << dim);
+  return {median(setup) / nodes, median(teardown) / nodes};
+}
+
 int write_json_dump(const std::string& path) {
   constexpr int kEvents = 1 << 16;
   constexpr std::chrono::milliseconds kBudget{1500};
@@ -379,6 +422,11 @@ int write_json_dump(const std::string& path) {
       results["allocs_per_message"] =
           json::Value::number(m.allocs_per_message);
     }
+    const FixedCost f = measure_fixed_cost(dim, kBudget);
+    results["setup_us_per_node" + cube] =
+        json::Value::number(f.setup_us_per_node);
+    results["teardown_us_per_node" + cube] =
+        json::Value::number(f.teardown_us_per_node);
   }
   bench::write_record(path, "bench_simcore", std::move(results));
 

@@ -29,14 +29,14 @@ std::array<sim::Channel<Packet>, LinkParams::kSublinksPerLink> make_inboxes(
 void TxDirection::sent(sim::SimTime start, sim::SimTime elapsed,
                        std::uint64_t wire_bytes, std::uint64_t payload_bytes,
                        int sublink, std::uint32_t trace, std::uint32_t dst) {
-  stats.add(kBytes, wire_bytes);
-  stats.add(kPayloadBytes, payload_bytes);
-  stats.add(kPackets, 1);
+  stats->add(kBytes, wire_bytes);
+  stats->add(kPayloadBytes, payload_bytes);
+  stats->add(kPackets, 1);
   // Two acknowledge bits return per byte sent (13 bit times per byte).
-  stats.add(kAcks, 2 * wire_bytes);
-  stats.add(kDmaStarts, 1);
-  stats.add(kBusy, elapsed);
-  stats.add(kBusySublink + static_cast<std::size_t>(sublink), elapsed);
+  stats->add(kAcks, 2 * wire_bytes);
+  stats->add(kDmaStarts, 1);
+  stats->add(kBusy, elapsed);
+  stats->add(kBusySublink + static_cast<std::size_t>(sublink), elapsed);
   if (track != nullptr) {
     track->record({.start = start,
                    .duration = elapsed,
@@ -83,6 +83,9 @@ sim::Proc Link::transmit(int from_side, Packet&& p) {
   }
   if (p.sublink >= LinkParams::kSublinksPerLink) {
     throw std::logic_error("Link::transmit: bad sublink");
+  }
+  if (dir_[static_cast<std::size_t>(from_side)].stats == nullptr) {
+    throw std::logic_error("Link::transmit: side not attached");
   }
   return psim_ == nullptr ? rendezvous(from_side, p) : post(from_side, p);
 }

@@ -108,10 +108,10 @@ enum Stat : std::size_t { kBytes, kPayloadBytes, kPackets, kAcks, kDmaStarts,
 static_assert(kFields.size() == kBusySublink + LinkParams::kSublinksPerLink);
 using LinkStats = perf::Stats<kFields>;
 
-/// One transmit direction of a cable: the wire's FIFO mutex, where it
-/// counts, and the track its tx spans go to. Link holds both directions
-/// inline, so attaching a whole machine touches no separate allocation per
-/// direction.
+/// One transmit direction of a cable: the wire's FIFO mutex, the cells it
+/// counts into, and the track its tx spans go to. Link holds both
+/// directions inline, so attaching a whole machine touches no separate
+/// allocation per direction.
 class TxDirection {
  public:
   explicit TxDirection(sim::Simulator& sim) : mutex{sim, 1} {}
@@ -123,9 +123,10 @@ class TxDirection {
             int sublink, std::uint32_t trace, std::uint32_t dst);
 
   sim::Semaphore mutex;
-  /// The direction's own cells on a standalone cable; in a machine, the
-  /// sending node's port cells, which every cable on that port shares.
-  LinkStats stats;
+  /// Where the direction counts, null until attached: in a machine, the
+  /// sending node's port statistics, which every cable on that port
+  /// shares; on a standalone cable, statistics its owner keeps.
+  LinkStats* stats = nullptr;
   /// The sending node's link track for tx spans; null while perf is off.
   perf::PerfSink* track = nullptr;
 };
@@ -164,23 +165,25 @@ class Link {
   /// returned Proc. The process moves the packet out of `p`, which must
   /// outlive it: the frame that awaits it owns the packet, so each hop's
   /// frames hold a reference, not a copy. Throws std::logic_error for a bad
-  /// side or sublink.
+  /// side or sublink, or a side that attach() never gave statistics.
   sim::Proc transmit(int from_side, Packet&& p);
 
   /// Inbox of `side` for packets arriving addressed to `sublink` (a channel
   /// on that side's simulator).
   sim::Channel<Packet>& inbox(int side, int sublink);
 
-  /// Count `side`'s transmissions wherever `port` counts (its node port's
-  /// statistics) and record their tx spans on `track` (null: none).
-  void attach(int side, const LinkStats& port, perf::PerfSink* track) {
+  /// Count `side`'s transmissions in `port` (in a machine, its node port's
+  /// statistics), which must outlive the cable, and record their tx spans
+  /// on `track` (null: none).
+  void attach(int side, LinkStats& port, perf::PerfSink* track) {
     TxDirection& d = dir_[static_cast<std::size_t>(side)];
-    d.stats.attach(port);
+    d.stats = &port;
     d.track = track;
   }
 
-  // --- statistics per direction (0: side0->side1, 1: side1->side0); on a
-  // machine's cable, those of the sending node's port ---
+  // --- statistics per attached direction (0: side0->side1, 1:
+  // side1->side0); on a machine's cable, those of the sending node's
+  // port ---
   std::uint64_t bytes_sent(int d) const { return stats(d).count(kBytes); }
   sim::SimTime busy_time(int d) const { return stats(d).time(kBusy); }
   std::uint64_t packets_sent(int d) const { return stats(d).count(kPackets); }
@@ -192,7 +195,7 @@ class Link {
   /// Cross-shard hand-off: the arrival travels through the engine mailbox.
   sim::Proc post(int from_side, Packet& p);
   const LinkStats& stats(int d) const {
-    return dir_[static_cast<std::size_t>(d)].stats;
+    return *dir_[static_cast<std::size_t>(d)].stats;
   }
 
   /// The sharded engine, or null when both sides share one simulator.

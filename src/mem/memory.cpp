@@ -17,6 +17,32 @@ std::size_t guard_bytes() {
   return page;
 }
 
+/// An array of kBytes with `prot` access and a PROT_NONE guard page after
+/// it; throws std::bad_alloc when either cannot be set up. Sanitizers do
+/// not track mmap'd memory; without the guard an overrun would read a
+/// neighbouring mapping instead of faulting.
+std::uint8_t* map_guarded(int prot) {
+  void* p = mmap(nullptr, MemParams::kBytes + guard_bytes(), prot,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  auto* base = static_cast<std::uint8_t*>(p);
+  if (mprotect(base + MemParams::kBytes, guard_bytes(), PROT_NONE) != 0) {
+    munmap(p, MemParams::kBytes + guard_bytes());
+    throw std::bad_alloc();
+  }
+  return base;
+}
+
+/// The read-only zero array every unwritten memory reads through, mapped
+/// once per process and never unmapped. Reading it maps no memory of its
+/// own: the kernel backs every page with its shared zero page.
+const std::uint8_t* zero_view() {
+  static const std::uint8_t* const zeros = map_guarded(PROT_READ);
+  return zeros;
+}
+
 }  // namespace
 
 std::uint32_t VectorRegister::u32(std::size_t i) const {
@@ -43,23 +69,15 @@ void VectorRegister::set_u64(std::size_t i, std::uint64_t v) {
   std::memcpy(bytes_.data() + i * 8, &v, sizeof v);
 }
 
-NodeMemory::NodeMemory() {
+NodeMemory::NodeMemory() : view_{zero_view()} {}
+
+void NodeMemory::map() {
   // Not a vector, which writes every byte up front, nor calloc: once memory
   // has been freed, glibc serves 1 MiB from recycled heap chunks and
-  // re-zeroes them. A fresh array is consistent: the stored parity bit of
-  // every byte matches its data, so the mismatch set starts empty.
-  void* p = mmap(nullptr, MemParams::kBytes + guard_bytes(),
-                 PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (p == MAP_FAILED) {
-    throw std::bad_alloc();
-  }
-  auto* base = static_cast<std::uint8_t*>(p);
-  data_.reset(base);
-  // Sanitizers do not track mmap'd memory; without the guard an overrun
-  // would read a neighbouring mapping instead of faulting.
-  if (mprotect(base + MemParams::kBytes, guard_bytes(), PROT_NONE) != 0) {
-    throw std::bad_alloc();
-  }
+  // re-zeroes them. The fresh array holds the zeros the shared view showed,
+  // and the stored parity bit of every byte matches its data.
+  data_.reset(map_guarded(PROT_READ | PROT_WRITE));
+  view_ = data_.get();
 }
 
 void NodeMemory::Unmap::operator()(std::uint8_t* p) const noexcept {
@@ -99,7 +117,7 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
     }
   }
   std::uint32_t v;
-  std::memcpy(&v, data_.get() + addr, sizeof v);
+  std::memcpy(&v, view_ + addr, sizeof v);
   stats_.add(kWordReads, 1);
   return v;
 }
@@ -107,7 +125,7 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
 void NodeMemory::write_word(std::uint32_t addr, std::uint32_t v) {
   addr &= ~3u;
   assert(addr + 3 < MemParams::kBytes);
-  std::memcpy(data_.get() + addr, &v, sizeof v);
+  std::memcpy(writable() + addr, &v, sizeof v);
   if (!corrupted_.empty()) {
     clear_corruption(addr, 4);
   }
@@ -120,12 +138,12 @@ std::uint8_t NodeMemory::read_byte(std::uint32_t addr) {
     check_parity(addr);
   }
   stats_.add(kWordReads, 1);
-  return data_[addr];
+  return view_[addr];
 }
 
 void NodeMemory::write_byte(std::uint32_t addr, std::uint8_t v) {
   assert(addr < MemParams::kBytes);
-  data_[addr] = v;
+  writable()[addr] = v;
   if (!corrupted_.empty()) {
     clear_corruption(addr, 1);
   }
@@ -140,14 +158,14 @@ void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
       check_parity(static_cast<std::uint32_t>(base + i));
     }
   }
-  std::memcpy(reg.raw().data(), data_.get() + base, MemParams::kRowBytes);
+  std::memcpy(reg.raw().data(), view_ + base, MemParams::kRowBytes);
   stats_.add(kRowLoads, 1);
 }
 
 void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
   assert(row < MemParams::kRows);
   const std::size_t base = row * MemParams::kRowBytes;
-  std::memcpy(data_.get() + base, reg.raw().data(), MemParams::kRowBytes);
+  std::memcpy(writable() + base, reg.raw().data(), MemParams::kRowBytes);
   if (!corrupted_.empty()) {
     clear_corruption(static_cast<std::uint32_t>(base), MemParams::kRowBytes);
   }
@@ -157,7 +175,8 @@ void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
 void NodeMemory::corrupt_byte(std::uint32_t addr, int bit) {
   assert(addr < MemParams::kBytes);
   assert(bit >= 0 && bit < 8);
-  data_[addr] = static_cast<std::uint8_t>(data_[addr] ^ (1u << bit));
+  std::uint8_t* data = writable();
+  data[addr] = static_cast<std::uint8_t>(data[addr] ^ (1u << bit));
   // Each call flips exactly one data bit without touching the stored parity
   // bit, so the byte's mismatch toggles: an even number of flipped bits per
   // byte restores matching parity and goes undetected, exactly as one

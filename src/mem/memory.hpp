@@ -16,11 +16,14 @@
 // timing constants are exposed for the node-level cost model. Parity is
 // modelled so fault injection (corrupt_byte) is detected on the next read.
 //
-// Storage: each NodeMemory maps its 1 MByte as anonymous private memory,
-// which the kernel zero-fills one page at a time on first write, so a
-// machine costs host memory only for the pages its program writes. One
-// PROT_NONE guard page follows the array: an access past the end faults
-// in every build type, sanitized or not.
+// Storage: a NodeMemory maps nothing until its first write. Until then it
+// reads through one read-only zero array that every unwritten memory in
+// the process shares. The first write through any writing port maps the
+// node's own 1 MByte as anonymous private memory, which the kernel
+// zero-fills one page at a time as it is written, so a machine costs host
+// memory only for the nodes, and the pages, its program writes. One
+// PROT_NONE guard page follows each array, the shared one included: an
+// access past the end faults in every build type, sanitized or not.
 #pragma once
 
 #include <array>
@@ -112,9 +115,15 @@ struct ParityError {
 
 class NodeMemory {
  public:
-  /// Maps the zero-filled array; throws std::bad_alloc if the mapping or
-  /// its guard page cannot be set up.
+  /// An unmapped memory, reading as zero. Its first write maps the array,
+  /// and throws std::bad_alloc if the mapping or its guard page cannot be
+  /// set up.
   NodeMemory();
+  NodeMemory(const NodeMemory&) = delete;
+  NodeMemory& operator=(const NodeMemory&) = delete;
+
+  /// True once a write has mapped the array.
+  bool mapped() const { return data_ != nullptr; }
 
   // --- random-access (CP / link) port: functional ---
   /// Read the aligned 32-bit word containing `addr` (little-endian model).
@@ -141,9 +150,9 @@ class NodeMemory {
   // --- debug / loader access (no timing, no stats, no parity checks) ---
   /// Raw byte view used for instruction fetch (the CP's prefetch stream) and
   /// by the checkpoint engine; does not model a timed port.
-  std::uint8_t peek_byte(std::uint32_t addr) const { return data_[addr]; }
+  std::uint8_t peek_byte(std::uint32_t addr) const { return view_[addr]; }
   void poke_byte(std::uint32_t addr, std::uint8_t v) {
-    data_[addr] = v;
+    writable()[addr] = v;
     if (!corrupted_.empty()) {
       clear_corruption(addr, 1);
     }
@@ -173,12 +182,27 @@ class NodeMemory {
   void check_parity(std::uint32_t addr);
   void clear_corruption(std::uint32_t addr, std::uint32_t len);
 
+  /// The array, for a write: mapped here by the first one.
+  std::uint8_t* writable() {
+    if (data_ == nullptr) {
+      map();
+    }
+    return data_.get();
+  }
+  void map();
+
   /// Unmaps the array and its guard page.
   struct Unmap {
     void operator()(std::uint8_t* p) const noexcept;
   };
 
   perf::Stats<kFields> stats_;
+  /// What reads see: the shared zero array until the first write, the
+  /// node's own array from then on.
+  const std::uint8_t* view_;
+  /// The node's own array, null until the first write maps it. Only the
+  /// node's shard thread writes its memory, or staging before the run
+  /// starts, so mapping takes no lock.
   std::unique_ptr<std::uint8_t[], Unmap> data_;
   /// Bytes whose stored parity bit currently disagrees with their data:
   /// exactly the bytes corrupt_byte has flipped an odd number of times

@@ -445,8 +445,8 @@ void write_span(std::string& out, const Span& s, const TrackIds& ids,
 
 /// One node's tracks: a run of the registry's (node, component) order.
 struct NodeTracks {
-  CounterRegistry::Tracks::const_iterator first;
-  CounterRegistry::Tracks::const_iterator last;
+  const PerfSink* const* first;
+  const PerfSink* const* last;
   char text[10]{};  ///< the node number in decimal
   std::uint8_t len = 0;
 
@@ -481,11 +481,11 @@ void counters_text(Out& out, const std::vector<const NodeTracks*>& by_text) {
       out.text(sep);
       out.text(n->number());
       out.text(".");
-      out.text(it->first.second);
+      out.text((*it)->component());
       out.text("\": {\n      \"busy_ps\": {");
-      fields_text(out, it->second, Field::time);
+      fields_text(out, **it, Field::time);
       out.text(",\n      \"counts\": {");
-      fields_text(out, it->second, Field::count);
+      fields_text(out, **it, Field::count);
       out.text("\n    }");
       sep = ",\n    \"node";
     }
@@ -522,8 +522,8 @@ void names_text(Out& out, const std::vector<NodeTracks>& nodes) {
     sep = ",\n    ";
     std::size_t tid = 0;
     for (auto it = n.first; it != n.last; ++it) {
-      name_event(out, sep, "", it->first.second, "thread_name", n.number(),
-                 tid++);
+      name_event(out, sep, "", (*it)->component(), "thread_name",
+                 n.number(), tid++);
     }
   }
 }
@@ -554,29 +554,27 @@ Dump snapshot(const CounterRegistry& reg, sim::SimTime wall) {
   d.wall = wall;
   d.span_capacity = reg.timeline().capacity();
   d.spans_dropped = spans_dropped(reg);
-  // Track-id -> (node, component) so timeline spans regain their identity.
-  std::map<std::uint32_t, std::pair<std::uint32_t, const std::string*>> by_id;
-  for (const auto& [key, sink] : reg.tracks()) {
-    by_id.emplace(sink.track_id(), std::make_pair(key.first, &key.second));
+  for (const PerfSink* sink : reg.ordered()) {
     DumpTrack t;
-    t.node = key.first;
-    t.component = key.second;
-    sink.each_touched(Field::time, [&t](std::string_view n, std::int64_t v) {
+    t.node = sink->node();
+    t.component = sink->component();
+    sink->each_touched(Field::time, [&t](std::string_view n, std::int64_t v) {
       t.times.emplace(n, sim::SimTime::picoseconds(v));
     });
-    sink.each_touched(Field::count, [&t](std::string_view n, std::int64_t v) {
+    sink->each_touched(Field::count, [&t](std::string_view n, std::int64_t v) {
       t.counts.emplace(n, static_cast<std::uint64_t>(v));
     });
     d.tracks.push_back(std::move(t));
   }
+  // A span's track id is its track's index, which gives back its identity.
   SpanOrder(reg).each([&](const Span& s) {
-    const auto it = by_id.find(s.track);
-    if (it == by_id.end()) {
+    if (s.track >= reg.tracks().size()) {
       return;  // track was never registered (cannot happen via PerfSink)
     }
+    const PerfSink& track = reg.tracks()[s.track];
     DumpSpan out;
-    out.node = it->second.first;
-    out.component = *it->second.second;
+    out.node = track.node();
+    out.component = track.component();
     out.start = s.start;
     out.duration = s.duration;
     out.name = span_name(s);
@@ -623,18 +621,19 @@ void write_dump(std::string& out, const CounterRegistry& reg,
 
   // Each node's run of tracks, and each track's pid and tid text by track
   // id for the spans.
+  const std::vector<const PerfSink*> tracks = reg.ordered();
   std::vector<NodeTracks> nodes;
-  std::vector<TrackIds> ids(reg.tracks().size());
-  const auto end = reg.tracks().end();
-  for (auto it = reg.tracks().begin(); it != end;) {
+  std::vector<TrackIds> ids(tracks.size());
+  const PerfSink* const* const end = tracks.data() + tracks.size();
+  for (const PerfSink* const* it = tracks.data(); it != end;) {
     NodeTracks& n = nodes.emplace_back();
-    const std::uint32_t node = it->first.first;
+    const std::uint32_t node = (*it)->node();
     n.first = it;
     n.len = static_cast<std::uint8_t>(
         std::to_chars(n.text, n.text + sizeof n.text, node).ptr - n.text);
-    for (std::size_t tid = 0; it != end && it->first.first == node;
+    for (std::size_t tid = 0; it != end && (*it)->node() == node;
          ++it, ++tid) {
-      TrackIds& t = ids[it->second.track_id()];
+      TrackIds& t = ids[(*it)->track_id()];
       std::memcpy(t.pid, n.text, n.len);
       t.pid_len = n.len;
       t.tid_len = static_cast<std::uint8_t>(

@@ -104,19 +104,20 @@ class FieldTable {
 /// attached, and a handle into the timeline its spans go to.
 class PerfSink {
  public:
-  /// Made by CounterRegistry::track, which holds it in place.
-  PerfSink(std::uint32_t node, std::string component, std::uint32_t id,
+  /// Made by CounterRegistry::track, which holds it in place and owns the
+  /// component name.
+  PerfSink(std::uint32_t node, std::string_view component, std::uint32_t id,
            Timeline* timeline, const FieldTable& fields)
       : node_{node},
-        component_{std::move(component)},
         id_{id},
+        component_{component},
         timeline_{timeline},
         fields_{&fields} {}
   PerfSink(const PerfSink&) = delete;
   PerfSink& operator=(const PerfSink&) = delete;
 
   std::uint32_t node() const { return node_; }
-  const std::string& component() const { return component_; }
+  std::string_view component() const { return component_; }
   std::uint32_t track_id() const { return id_; }
   const FieldTable& fields() const { return *fields_; }
 
@@ -142,11 +143,16 @@ class PerfSink {
   template <const FieldTable&>
   friend class Stats;
 
+  /// No next track: the end of a node's chain.
+  static constexpr std::uint32_t kNoTrack = ~std::uint32_t{0};
+
   std::uint32_t node_;
-  std::string component_;
   std::uint32_t id_;
+  std::string_view component_;
   Timeline* timeline_;
   const FieldTable* fields_;
+  /// The id of the node's next track, in creation order (the registry's).
+  std::uint32_t next_ = kNoTrack;
   std::uint32_t touched_ = 0;
   std::array<std::uint64_t, kMaxFields> cells_{};
 };

@@ -123,6 +123,17 @@ occam::Runtime::Body ring_body(const JobSpec& spec,
 
 }  // namespace
 
+/// The staged program: its body, the data it works on, and where each node
+/// leaves its share of the checksum.
+struct JobRun::Program {
+  std::vector<double> check;
+  // saxpy's arrays, allocated on each node's memory banks and seeded.
+  std::vector<node::Array64> xs;
+  std::vector<node::Array64> ys;
+  std::vector<node::Array64> zs;
+  occam::Runtime::Body body;
+};
+
 int shards_for(const JobSpec& spec) {
   const int nodes = 1 << spec.dimension;
   const int cap = std::min(spec.threads, nodes);
@@ -153,6 +164,30 @@ JobRun::JobRun(JobSpec spec) : spec_{std::move(spec)} {
   reg_ = std::make_unique<perf::CounterRegistry>();
   machine_->enable_perf(*reg_);
   reg_->meta().workload = "serve " + canonical_spec(spec_);
+
+  runtime_ = std::make_unique<occam::Runtime>(*machine_);
+  program_ = std::make_unique<Program>();
+  Program& p = *program_;
+  p.check.assign(machine_->size(), 0.0);
+  if (spec_.program == "saxpy") {
+    const std::size_t elems = static_cast<std::size_t>(spec_.elems);
+    p.xs.resize(machine_->size());
+    p.ys.resize(machine_->size());
+    p.zs.resize(machine_->size());
+    for (net::NodeId id = 0; id < machine_->size(); ++id) {
+      node::Node& nd = machine_->node(id);
+      p.xs[id] = nd.alloc64(mem::Bank::A, elems);
+      p.ys[id] = nd.alloc64(mem::Bank::B, elems);
+      p.zs[id] = nd.alloc64(mem::Bank::B, elems);
+      nd.write64(p.xs[id], seeded_vector(spec_, id));
+      nd.write64(p.ys[id], seeded_vector(spec_, id + machine_->size()));
+    }
+    p.body = saxpy_body(spec_, &p.xs, &p.ys, &p.zs, &p.check);
+  } else if (spec_.program == "ring") {
+    p.body = ring_body(spec_, &p.check);
+  } else {
+    p.body = allreduce_body(spec_, &p.check);
+  }
 }
 
 JobRun::~JobRun() = default;
@@ -162,37 +197,8 @@ std::uint64_t JobRun::progress() const {
 }
 
 RunOutcome JobRun::execute() {
-  occam::Runtime rt{*machine_};
-  std::vector<double> check(machine_->size(), 0.0);
-
-  // The saxpy arrays must outlive the run; allocate them up front on the
-  // machine's memory banks, seeded per node.
-  std::vector<node::Array64> xs;
-  std::vector<node::Array64> ys;
-  std::vector<node::Array64> zs;
-  occam::Runtime::Body body;
-  if (spec_.program == "saxpy") {
-    const std::size_t elems = static_cast<std::size_t>(spec_.elems);
-    xs.resize(machine_->size());
-    ys.resize(machine_->size());
-    zs.resize(machine_->size());
-    for (net::NodeId id = 0; id < machine_->size(); ++id) {
-      node::Node& nd = machine_->node(id);
-      xs[id] = nd.alloc64(mem::Bank::A, elems);
-      ys[id] = nd.alloc64(mem::Bank::B, elems);
-      zs[id] = nd.alloc64(mem::Bank::B, elems);
-      nd.write64(xs[id], seeded_vector(spec_, id));
-      nd.write64(ys[id], seeded_vector(spec_, id + machine_->size()));
-    }
-    body = saxpy_body(spec_, &xs, &ys, &zs, &check);
-  } else if (spec_.program == "ring") {
-    body = ring_body(spec_, &check);
-  } else {
-    body = allreduce_body(spec_, &check);
-  }
-
   const auto exec_t0 = std::chrono::steady_clock::now();
-  const sim::SimTime elapsed = rt.run(body);
+  const sim::SimTime elapsed = runtime_->run(program_->body);
   const auto exec_t1 = std::chrono::steady_clock::now();
 
   RunOutcome out;
@@ -208,7 +214,7 @@ RunOutcome JobRun::execute() {
         std::accumulate(prof.worker_barrier_ns.begin(),
                         prof.worker_barrier_ns.end(), std::uint64_t{0});
   }
-  for (const double c : check) {
+  for (const double c : program_->check) {
     out.checksum += c;
   }
 

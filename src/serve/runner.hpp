@@ -3,8 +3,10 @@
 // A run builds a fresh engine (serial Simulator, or the sharded
 // ParallelSim when the spec asks for threads > 1), a TSeries machine of
 // 2^dimension nodes with machine-wide perf collection attached, and an
-// occam Runtime; it then executes the spec's program and serialises the
-// tperf dump to bytes. Everything that shapes the simulation — the shard
+// occam Runtime, and stages the spec's program: saxpy writes its arrays
+// into node memory. All of that is the constructor's, so a Service times
+// it as the job's setup. execute() then runs the program and serialises
+// the tperf dump to bytes. Everything that shapes the simulation — the shard
 // partition included — is derived from the spec alone, never from the
 // host, so the bytes are a pure function of the spec (the property the
 // content-addressed cache rests on).
@@ -22,6 +24,9 @@
 
 namespace fpst::core {
 class TSeries;
+}
+namespace fpst::occam {
+class Runtime;
 }
 namespace fpst::perf {
 class CounterRegistry;
@@ -64,7 +69,8 @@ int shards_for(const JobSpec& spec);
 
 class JobRun {
  public:
-  /// Builds the engine and machine; throws SpecError for an invalid spec.
+  /// Builds the engine and machine and stages the program; throws
+  /// SpecError for an invalid spec.
   explicit JobRun(JobSpec spec);
   ~JobRun();
 
@@ -81,12 +87,19 @@ class JobRun {
   /// from one thread.
   RunOutcome execute();
 
+  /// The machine the job runs on, to inspect once execute() returned.
+  core::TSeries& machine() { return *machine_; }
+
  private:
+  struct Program;
+
   JobSpec spec_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<sim::ParallelSim> psim_;
   std::unique_ptr<perf::CounterRegistry> reg_;
   std::unique_ptr<core::TSeries> machine_;
+  std::unique_ptr<occam::Runtime> runtime_;
+  std::unique_ptr<Program> program_;
 };
 
 }  // namespace fpst::serve

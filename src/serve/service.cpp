@@ -279,7 +279,6 @@ void Service::worker_loop() {
       rec->started = std::chrono::steady_clock::now();
     }
     run_job(*rec);
-    done_cv_.notify_all();
   }
 }
 
@@ -289,16 +288,20 @@ void Service::run_job(JobRecord& rec) {
   std::shared_ptr<const std::string> hit = cache_.lookup(rec.address);
   const double cache_ms =
       ms_between(cache_t0, std::chrono::steady_clock::now());
+  const bool cached = hit != nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     rec.cache_ms = cache_ms;
-    if (hit) {
+    if (cached) {
       rec.result = std::move(hit);
       rec.cache_hit = true;
       rec.final_events = 0;
       finish_locked(rec, JobState::kDone);
-      return;
     }
+  }
+  if (cached) {
+    done_cv_.notify_all();
+    return;
   }
   std::unique_ptr<JobRun> run;
   try {
@@ -312,10 +315,13 @@ void Service::run_job(JobRecord& rec) {
       rec.running = run.get();
     }
     RunOutcome out = run->execute();
+    // Cached before the job is done, so whatever wakes a waiter, a resubmit
+    // after its wait() is a hit.
+    cache_.insert(rec.address, out.dump);
     {
       std::lock_guard<std::mutex> lock(mu_);
       rec.running = nullptr;  // before `run` dies below
-      rec.result = out.dump;
+      rec.result = std::move(out.dump);
       rec.final_events = out.events;
       rec.exec_ms = out.exec_ms;
       rec.serialize_ms = out.serialize_ms;
@@ -324,13 +330,14 @@ void Service::run_job(JobRecord& rec) {
       engine_barrier_ns_ += out.engine_barrier_ns;
       finish_locked(rec, JobState::kDone);
     }
-    cache_.insert(rec.address, std::move(out.dump));
   } catch (const std::exception& e) {
     std::lock_guard<std::mutex> lock(mu_);
     rec.running = nullptr;
     rec.error = e.what();
     finish_locked(rec, JobState::kFailed);
   }
+  // Waiters wake before the teardown, which is not the job's.
+  done_cv_.notify_all();
   if (run) {
     // Freeing the machine follows the terminal state, so it is timed as
     // its own stage rather than inside total_ms.

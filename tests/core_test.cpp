@@ -6,8 +6,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/machine.hpp"
@@ -203,6 +205,30 @@ TEST(Checkpoint, RestoreRecoversMemoryAfterCorruption) {
   EXPECT_TRUE(ck.restore());
   EXPECT_EQ(machine.node(2).memory().read_word(0x1234 & ~3u), 0xfeedfaceu);
   EXPECT_FALSE(machine.node(2).memory().take_parity_error().has_value());
+}
+
+// A node whose memory was never written is never mapped, and its image
+// holds the zeros every port reads.
+TEST(Checkpoint, SnapshotOfUnwrittenMemoryIsAllZero) {
+  Simulator sim;
+  TSeries machine{sim, 3};
+  CheckpointEngine ck{machine};
+  machine.node(2).memory().write_word(0x40, 0xfeedface);
+  sim.spawn(take_snapshot(&ck));
+  sim.run();
+  const Disk::Image* img = machine.module(0).board().disk().last();
+  ASSERT_NE(img, nullptr);
+  for (int i = 0; i < Module::size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::vector<std::uint8_t>& bytes =
+        img->node_memories[static_cast<std::size_t>(i)];
+    ASSERT_EQ(bytes.size(), mem::MemParams::kBytes);
+    const auto nonzero = static_cast<std::size_t>(std::count_if(
+        bytes.begin(), bytes.end(), [](std::uint8_t b) { return b != 0; }));
+    EXPECT_EQ(nonzero, i == 2 ? 4u : 0u);
+    EXPECT_EQ(machine.node(static_cast<net::NodeId>(i)).memory().mapped(),
+              i == 2);
+  }
 }
 
 TEST(Checkpoint, RestoreWithoutSnapshotFails) {

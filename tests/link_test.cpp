@@ -19,6 +19,10 @@ using sim::Proc;
 using sim::SimTime;
 using sim::Simulator;
 
+// A machine holds one Link per cube edge, built and first touched on every
+// job, so a cable keeps no statistics cells of its own.
+static_assert(sizeof(Link) <= 448);
+
 TEST(LinkParams, PaperConstants) {
   EXPECT_EQ(LinkParams::kPhysicalLinks, 4);
   EXPECT_EQ(LinkParams::kSublinksPerLink, 4);
@@ -30,6 +34,16 @@ TEST(LinkParams, PaperConstants) {
   // wire time (the paper's "16 us" excludes startup and framing).
   EXPECT_EQ(8 * LinkParams::byte_time(), 16_us);
 }
+
+/// The statistics of both directions of a standalone cable, attached to
+/// it: a cable counts only into cells its owner keeps.
+struct CableStats {
+  explicit CableStats(Link& cable) {
+    cable.attach(0, dir[0], nullptr);
+    cable.attach(1, dir[1], nullptr);
+  }
+  std::array<LinkStats, 2> dir;
+};
 
 Packet make_packet(std::size_t n, std::uint8_t sublink = 0) {
   Packet p;
@@ -56,6 +70,7 @@ Proc do_recv(Link* link, int side, int sublink, Packet* out, SimTime* when,
 TEST(Link, SingleTransferTiming) {
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   Packet got;
   SimTime arrival{};
   sim.spawn(do_recv(&link, 1, 0, &got, &arrival, &sim));
@@ -74,6 +89,7 @@ TEST(Link, SingleTransferTiming) {
 TEST(Link, DirectionsAreIndependent) {
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   Packet a;
   Packet b;
   SimTime ta{};
@@ -91,6 +107,7 @@ TEST(Link, DirectionsAreIndependent) {
 TEST(Link, SameDirectionSendsSerialise) {
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   Packet a;
   Packet b;
   SimTime ta{};
@@ -108,6 +125,7 @@ TEST(Link, SameDirectionSendsSerialise) {
 TEST(Link, SublinkDemuxRoutesToMatchingInbox) {
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   Packet got2;
   Packet got3;
   Packet p2 = make_packet(4, 2);
@@ -128,6 +146,7 @@ TEST(Link, SenderBlocksUntilReceiverTakesPacket) {
   // transfer only completes when the receiving end is listening.
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   SimTime send_done{};
   Packet got;
   sim.spawn(do_send(&link, 0, make_packet(1), &send_done, &sim));
@@ -143,6 +162,7 @@ TEST(Link, SenderBlocksUntilReceiverTakesPacket) {
 TEST(Link, StatsAccumulatePerDirection) {
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   Packet a;
   sim.spawn(do_recv(&link, 1, 0, &a, nullptr, &sim));
   sim.spawn(do_send(&link, 0, make_packet(92), nullptr, &sim));
@@ -158,6 +178,7 @@ TEST(Link, MeasuredBandwidthApproachesHalfMegabytePerSecond) {
   // little under 0.5 MB/s (header + startup overhead).
   Simulator sim;
   Link link{sim};
+  const CableStats link_stats{link};
   constexpr int kPackets = 100;
   constexpr std::size_t kBytes = 1024;
   sim.spawn([](Link* l, Simulator*) -> Proc {
@@ -180,6 +201,7 @@ TEST(Link, MeasuredBandwidthApproachesHalfMegabytePerSecond) {
 TEST(NodeLinks, AttachAndRoute) {
   Simulator sim;
   Link cable{sim};
+  const CableStats cable_stats{cable};
   NodeLinks a;
   NodeLinks b;
   a.attach(2, cable, 0);
@@ -218,6 +240,7 @@ TEST(Link, CrossShardHandOffMatchesSameSimulatorTiming) {
   po.lookahead = LinkParams::transfer_time(0);
   sim::ParallelSim psim{po};
   Link cross{psim, 0, 1};
+  const CableStats cross_stats{cross};
 
   struct End {
     SimTime sent_at{};
@@ -255,6 +278,7 @@ TEST(Link, CrossShardHandOffMatchesSameSimulatorTiming) {
 
   Simulator sim;
   Link local{sim};
+  const CableStats local_stats{local};
   Packet got;
   sim.spawn(do_recv(&local, 1, 2, &got, nullptr, &sim));
   sim.spawn(do_send(&local, 0, make_packet(kPayload, 2), nullptr, &sim));
@@ -282,6 +306,7 @@ TEST(NodeLinks, OutOfRangePortThrowsOnEveryCall) {
   // ports 4-15 of a node that has only four.
   Simulator sim;
   Link cable{sim};
+  const CableStats cable_stats{cable};
   NodeLinks a;
   for (int port = 0; port < LinkParams::kPhysicalLinks; ++port) {
     a.attach(port, cable, 0);

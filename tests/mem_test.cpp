@@ -2,7 +2,11 @@
 // transfers, parity fault injection, and the paper's bandwidth constants.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "mem/memory.hpp"
 
@@ -134,10 +138,11 @@ TEST(NodeMemory, StatsCountTraffic) {
   EXPECT_EQ(m.row_accesses(), 1u);
 }
 
-// The array is mapped, not written, at construction: every port must still
-// read an untouched byte as zero, up to the last one.
+// Nothing is mapped at construction: every port must still read an
+// untouched byte as zero, up to the last one, and reading maps nothing.
 TEST(NodeMemory, FreshMemoryReadsZeroThroughEveryPort) {
   NodeMemory m;
+  EXPECT_FALSE(m.mapped());
   EXPECT_EQ(m.read_word(MemParams::kBytes - 4), 0u);
   EXPECT_EQ(m.read_byte(MemParams::kBytes - 1), 0u);
   VectorRegister reg;
@@ -150,15 +155,73 @@ TEST(NodeMemory, FreshMemoryReadsZeroThroughEveryPort) {
     EXPECT_EQ(m.peek_byte(a), 0u) << "address " << a;
   }
   EXPECT_EQ(m.peek_byte(MemParams::kBytes - 1), 0u);
+  EXPECT_FALSE(m.mapped()) << "a read mapped the array";
+  EXPECT_EQ(m.word_accesses(), 2u);
+  EXPECT_EQ(m.row_accesses(), 1u);
+}
+
+// The first write through any writing port maps the array, which then
+// holds the written byte and zero everywhere else.
+TEST(NodeMemory, FirstWriteThroughEveryWritingPortMaps) {
+  constexpr std::uint32_t kAt = 0x2468;
+  const std::vector<std::pair<const char*, std::function<void(NodeMemory&)>>>
+      ports = {
+          {"write_word", [](NodeMemory& m) { m.write_word(kAt, 0x5a); }},
+          {"write_byte", [](NodeMemory& m) { m.write_byte(kAt, 0x5a); }},
+          {"store_row",
+           [](NodeMemory& m) {
+             VectorRegister reg;
+             reg.raw()[kAt % MemParams::kRowBytes] = std::byte{0x5a};
+             m.store_row(NodeMemory::row_of_address(kAt), reg);
+           }},
+          {"poke_byte", [](NodeMemory& m) { m.poke_byte(kAt, 0x5a); }},
+          {"corrupt_byte",
+           [](NodeMemory& m) {
+             for (const int bit : {1, 3, 4, 6}) {  // 0x5a
+               m.corrupt_byte(kAt, bit);
+             }
+           }},
+      };
+  for (const auto& [port, write] : ports) {
+    SCOPED_TRACE(port);
+    NodeMemory m;
+    write(m);
+    EXPECT_TRUE(m.mapped());
+    EXPECT_EQ(m.peek_byte(kAt), 0x5au);
+    EXPECT_EQ(m.peek_byte(kAt + 1), 0u);
+    EXPECT_EQ(m.peek_byte(MemParams::kBytes - 1), 0u);
+  }
+}
+
+// Flipping a bit of a byte never written still leaves its stored parity
+// bit behind, so the next read reports it.
+TEST(NodeMemory, CorruptingAnUnwrittenByteReportsParity) {
+  NodeMemory m;
+  m.corrupt_byte(0x123, 2);
+  EXPECT_TRUE(m.mapped());
+  EXPECT_EQ(m.read_byte(0x123), 4u);
+  const auto err = m.take_parity_error();
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->byte_address, 0x123u);
 }
 
 // ASan does not watch mmap'd memory, so the guard page after the array is
-// what turns an overrun into a fault, in release and sanitized builds alike.
+// what turns an overrun into a fault, in release and sanitized builds alike:
+// after the shared zero array while the memory is unwritten, after its own
+// once written.
 TEST(NodeMemoryDeathTest, ReadPastTheEndFaults) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_DEATH(
       {
         NodeMemory m;
+        volatile std::uint8_t byte = m.peek_byte(MemParams::kBytes);
+        (void)byte;
+      },
+      "");
+  ASSERT_DEATH(
+      {
+        NodeMemory m;
+        m.write_byte(0, 1);
         volatile std::uint8_t byte = m.peek_byte(MemParams::kBytes);
         (void)byte;
       },

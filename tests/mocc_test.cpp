@@ -3,6 +3,8 @@
 // simulated control processor's timing.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/machine.hpp"
 #include "mocc/mocc.hpp"
 #include "node/node.hpp"
@@ -403,6 +405,9 @@ TEST(MoccLink, TwoNodesExchangeOverAPhysicalLink) {
   node::Node a{sim, 0};
   node::Node b{sim, 1};
   link::Link cable{sim};
+  std::array<link::LinkStats, 2> sent;  // a standalone cable's statistics
+  cable.attach(0, sent[0], nullptr);
+  cable.attach(1, sent[1], nullptr);
   a.links().attach(0, cable, 0);
   b.links().attach(0, cable, 1);
 

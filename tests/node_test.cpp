@@ -3,6 +3,7 @@
 // exchanging data over a link from TISA programs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <random>
 #include <string>
@@ -165,6 +166,9 @@ TEST(NodeLinkIntegration, TisaProgramsExchangeWordOverALink) {
   Node a{sim, 0};
   Node b{sim, 1};
   link::Link cable{sim};
+  std::array<link::LinkStats, 2> sent;  // a standalone cable's statistics
+  cable.attach(0, sent[0], nullptr);
+  cable.attach(1, sent[1], nullptr);
   a.links().attach(0, cable, 0);
   b.links().attach(0, cable, 1);
 

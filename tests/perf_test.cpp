@@ -89,6 +89,22 @@ TEST(Counters, NodeWorkloadFillsTracks) {
   EXPECT_EQ(reg.find(7, "vpu"), nullptr);
 }
 
+// A (node, component) has one track: making it again returns that track,
+// cells and all, and makes no other.
+TEST(Counters, MakingATrackTwiceReturnsTheSameTrack) {
+  CounterRegistry reg;
+  perf::PerfSink& first = reg.track(3, "mem", mem::kFields);
+  perf::Stats<mem::kFields> stats;
+  stats.attach(first);
+  stats.add(mem::kRowLoads, 5);
+  (void)reg.track(3, "cp", cp::kFields);
+  perf::PerfSink& again = reg.track(3, "mem", mem::kFields);
+  EXPECT_EQ(&again, &first);
+  EXPECT_EQ(again.track_id(), 0u);
+  EXPECT_EQ(reg.tracks().size(), 2u);
+  EXPECT_EQ(reg.total("mem", "row_loads"), 5u);
+}
+
 TEST(Counters, IdenticalRunsProduceIdenticalDumps) {
   CounterRegistry a;
   CounterRegistry b;
@@ -218,9 +234,9 @@ TEST(Counters, TrackAndFieldNamesNeedNoEscaping) {
            '"' + std::string(name) + '"';
   };
   std::set<std::string> components;
-  for (const auto& [key, track] : reg.tracks()) {
-    components.insert(key.second);
-    EXPECT_TRUE(unescaped(key.second)) << key.second;
+  for (const perf::PerfSink& track : reg.tracks()) {
+    components.insert(std::string(track.component()));
+    EXPECT_TRUE(unescaped(track.component())) << track.component();
     for (std::size_t f = 0; f < track.fields().size(); ++f) {
       EXPECT_TRUE(unescaped(track.fields()[f].name));
     }
@@ -674,6 +690,63 @@ std::pair<std::string, std::string> us_text_mismatch(std::int64_t ps) {
 // The dump's "ts" and "dur" text: perf::write_us() prints from the integer
 // where SimTime::us() is the exact decimal ps / 10^6 rounded, and must
 // print what std::to_chars prints for SimTime::us() everywhere.
+// Tracks are kept in creation order, so a track's id is its index, but a
+// dump lists them by (node, component), whatever order they were made in:
+// here node 1's occam track is made after the link tracks, as a serial run
+// makes it at the node's first message, and node 0's tracks after node 1's.
+TEST(Counters, TracksMadeOutOfOrderKeepTheirIdsAndDumpOrder) {
+  const std::vector<std::pair<std::uint32_t, std::string>> made = {
+      {1, "vpu"},  {1, "link1"}, {1, "link0"}, {0, "link0"},
+      {1, "occam"}, {0, "occam"}, {1, "cp"},   {0, "cp"}};
+  CounterRegistry reg;
+  for (std::size_t i = 0; i < made.size(); ++i) {
+    perf::PerfSink& t = reg.track(made[i].first, made[i].second, mem::kFields);
+    EXPECT_EQ(t.track_id(), i);
+    perf::Stats<mem::kFields> stats;
+    stats.attach(t);
+    stats.add(mem::kWordReads, i);
+  }
+  reg.track(1, "occam", mem::kFields)
+      .record({.start = 2_us, .n = 1, .kind = perf::SpanKind::cp_work});
+  ASSERT_EQ(reg.tracks().size(), made.size());
+  for (std::size_t i = 0; i < made.size(); ++i) {
+    EXPECT_EQ(reg.tracks()[i].track_id(), i);
+    EXPECT_EQ(reg.find(made[i].first, made[i].second), &reg.tracks()[i]);
+  }
+
+  const std::vector<std::pair<std::uint32_t, std::string>> dump_order = {
+      {0, "cp"},   {0, "link0"}, {0, "occam"}, {1, "cp"},
+      {1, "link0"}, {1, "link1"}, {1, "occam"}, {1, "vpu"}};
+  const perf::Dump d = perf::snapshot(reg, 3_us);
+  ASSERT_EQ(d.tracks.size(), dump_order.size());
+  for (std::size_t i = 0; i < d.tracks.size(); ++i) {
+    EXPECT_EQ(d.tracks[i].node, dump_order[i].first) << i;
+    EXPECT_EQ(d.tracks[i].component, dump_order[i].second) << i;
+  }
+  ASSERT_EQ(d.spans.size(), 1u);
+  EXPECT_EQ(d.spans[0].node, 1u);
+  EXPECT_EQ(d.spans[0].component, "occam");
+
+  // The streamed dump: counter keys in that order, and the span on node
+  // 1's occam thread.
+  std::string text;
+  perf::write_dump(text, reg, 3_us);
+  std::size_t at = 0;
+  for (const auto& [node, component] : dump_order) {
+    const std::string key =
+        "\"node" + std::to_string(node) + "." + component + "\": {";
+    const std::size_t found = text.find(key);
+    ASSERT_NE(found, std::string::npos) << key;
+    EXPECT_GT(found, at) << key;
+    at = found;
+  }
+  const perf::Dump loaded = perf::from_json(perf::json::Value::parse(text));
+  ASSERT_EQ(loaded.spans.size(), 1u);
+  EXPECT_EQ(loaded.spans[0].node, 1u);
+  EXPECT_EQ(loaded.spans[0].component, "occam");
+  expect_stream_matches_tree(reg, perf::json::Value{});
+}
+
 TEST(ChromeTrace, MicrosecondTextMatchesToChars) {
   // Every value up to 10 us, split over four threads (to_chars takes most
   // of the time).

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/machine.hpp"
+#include "node/node.hpp"
 #include "perf/chrome_trace.hpp"
 #include "perf/json.hpp"
 #include "serve/job_queue.hpp"
@@ -493,6 +495,45 @@ JobSpec small_spec(std::uint64_t seed) {
   return spec;
 }
 
+// Node memory is mapped by its first write, and a message never writes
+// it: allreduce and ring jobs map no node's memory, while saxpy stages its
+// arrays into every node's.
+TEST(RunnerTest, OnlySaxpyJobsMapNodeMemory) {
+  for (const std::string program : {"allreduce", "ring", "saxpy"}) {
+    JobSpec spec = small_spec(3);
+    spec.program = program;
+    spec.dimension = 6;
+    serve::JobRun run{spec};
+    (void)run.execute();
+    core::TSeries& machine = run.machine();
+    std::size_t mapped = 0;
+    for (net::NodeId id = 0; id < machine.size(); ++id) {
+      mapped += machine.node(id).memory().mapped() ? 1U : 0U;
+    }
+    EXPECT_EQ(mapped, program == "saxpy" ? machine.size() : 0u) << program;
+  }
+}
+
+// A job's waiters wake once its result is cached, so a spec resubmitted as
+// soon as wait() returns is a hit, whichever worker takes it.
+TEST(ServiceTest, ResubmitAfterWaitIsAZeroEventHit) {
+  serve::Service::Options opts;
+  opts.workers = 2;
+  serve::Service service{opts};
+  for (std::uint64_t seed = 100; seed < 120; ++seed) {
+    SCOPED_TRACE(seed);
+    const serve::JobStatus miss =
+        service.wait(service.submit("ana", small_spec(seed)));
+    ASSERT_EQ(miss.state, serve::JobState::kDone) << miss.error;
+    EXPECT_FALSE(miss.cache_hit);
+    const serve::JobStatus hit =
+        service.wait(service.submit("bob", small_spec(seed)));
+    ASSERT_EQ(hit.state, serve::JobState::kDone) << hit.error;
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.events, 0u);
+  }
+}
+
 TEST(ServiceTest, IdenticalSpecHitsCacheWithZeroEventsAndSameBytes) {
   serve::Service::Options opts;
   opts.workers = 1;  // serialise: the second job runs after the insert
@@ -638,8 +679,16 @@ TEST(ServiceTest, SpanShapesDistinguishMissFromHit) {
   ASSERT_EQ(service.wait(a).state, serve::JobState::kDone);
   const serve::JobId b = service.submit("bob", small_spec(7));
   ASSERT_EQ(service.wait(b).state, serve::JobState::kDone);
+  // saxpy writes its arrays into node memory before the run, as part of
+  // the timed setup.
+  JobSpec saxpy = small_spec(8);
+  saxpy.program = "saxpy";
+  saxpy.dimension = 5;
+  saxpy.elems = 128;
+  const serve::JobId c = service.submit("cy", saxpy);
+  ASSERT_EQ(service.wait(c).state, serve::JobState::kDone);
   // Teardown follows the terminal state; joining the worker makes sure
-  // both jobs' teardowns are recorded before the spans are read.
+  // every job's teardown is recorded before the spans are read.
   service.shutdown();
 
   const serve::JobSpan miss = service.span(a);
@@ -651,11 +700,15 @@ TEST(ServiceTest, SpanShapesDistinguishMissFromHit) {
   EXPECT_GT(miss.events, 0u);
   // A miss actually simulated, so the execute stage has real wall-clock
   // and the stages sum to no more than the end-to-end total.
-  EXPECT_GT(miss.exec_ms, 0.0);
-  EXPECT_LE(miss.queue_ms + miss.cache_ms + miss.setup_ms + miss.exec_ms +
-                miss.serialize_ms,
-            miss.total_ms + 1e-6);
-  EXPECT_GT(miss.teardown_ms, 0.0);
+  for (const serve::JobId id : {a, c}) {
+    const serve::JobSpan sp = service.span(id);
+    EXPECT_GT(sp.exec_ms, 0.0) << sp.program;
+    EXPECT_LE(sp.queue_ms + sp.cache_ms + sp.setup_ms + sp.exec_ms +
+                  sp.serialize_ms,
+              sp.total_ms + 1e-6)
+        << sp.program;
+    EXPECT_GT(sp.teardown_ms, 0.0) << sp.program;
+  }
 
   const serve::JobSpan hit = service.span(b);
   EXPECT_TRUE(hit.cache_hit);
@@ -668,9 +721,10 @@ TEST(ServiceTest, SpanShapesDistinguishMissFromHit) {
   EXPECT_EQ(hit.teardown_ms, 0.0);
 
   const std::vector<serve::JobSpan> all = service.spans();
-  ASSERT_EQ(all.size(), 2u);
+  ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0].id, a);  // id order
   EXPECT_EQ(all[1].id, b);
+  EXPECT_EQ(all[2].id, c);
 }
 
 TEST(ServiceTest, PerTenantStatsSplitCountersAndLatencies) {

@@ -10,8 +10,10 @@
 // also holds the host cost of the occam message path by machine size
 // (ungated): ns per event of a perf-off allreduce at the 7-, 10- and
 // 12-cube, the path's allocations per message, and the state each node
-// holds after a run; and, at the same sizes, a served job's fixed cost
-// per node: building a perf-on machine and freeing it.
+// holds after a run; at the same sizes, a served job's fixed cost per
+// node: building a perf-on machine and freeing it; and, at the 7- and
+// 10-cube, the same for a saxpy job, whose staged arrays take node arrays
+// from the pool and return them.
 #include <benchmark/benchmark.h>
 
 #include <malloc.h>
@@ -34,6 +36,8 @@
 #include "cp/assembler.hpp"
 #include "cp/cpu.hpp"
 #include "fp/softfloat.hpp"
+#include "mem/memory.hpp"
+#include "node/node.hpp"
 #include "occam/occam.hpp"
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
@@ -370,12 +374,17 @@ double median(std::vector<double> v) {
 
 /// Medians over runs, for at least `budget` and at least five runs, of
 /// building a serial `dim`-cube with perf attached, as serve builds one,
-/// and of freeing it without a run.
-FixedCost measure_fixed_cost(int dim, std::chrono::milliseconds budget) {
+/// and of freeing it without a run. With `saxpy`, the build also stages
+/// saxpy's three arrays on every node as serve's JobRun does: 128 doubles
+/// each, x in bank A and y and z in bank B, x and y written.
+FixedCost measure_fixed_cost(int dim, bool saxpy,
+                             std::chrono::milliseconds budget) {
   using Clock = std::chrono::steady_clock;
   const auto us = [](Clock::duration d) {
     return std::chrono::duration<double, std::micro>(d).count();
   };
+  constexpr std::size_t kElems = 128;
+  const std::vector<double> values(kElems, 1.5);
   std::vector<double> setup;
   std::vector<double> teardown;
   const auto t0 = Clock::now();
@@ -385,6 +394,16 @@ FixedCost measure_fixed_cost(int dim, std::chrono::milliseconds budget) {
     auto machine = std::make_unique<core::TSeries>(*sim, dim);
     auto reg = std::make_unique<perf::CounterRegistry>();
     machine->enable_perf(*reg);
+    if (saxpy) {
+      for (net::NodeId id = 0; id < machine->size(); ++id) {
+        node::Node& nd = machine->node(id);
+        const node::Array64 x = nd.alloc64(mem::Bank::A, kElems);
+        const node::Array64 y = nd.alloc64(mem::Bank::B, kElems);
+        (void)nd.alloc64(mem::Bank::B, kElems);
+        nd.write64(x, values);
+        nd.write64(y, values);
+      }
+    }
     const auto built1 = Clock::now();
     machine.reset();
     reg.reset();
@@ -422,10 +441,19 @@ int write_json_dump(const std::string& path) {
       results["allocs_per_message"] =
           json::Value::number(m.allocs_per_message);
     }
-    const FixedCost f = measure_fixed_cost(dim, kBudget);
+    const FixedCost f = measure_fixed_cost(dim, false, kBudget);
     results["setup_us_per_node" + cube] =
         json::Value::number(f.setup_us_per_node);
     results["teardown_us_per_node" + cube] =
+        json::Value::number(f.teardown_us_per_node);
+  }
+  // A saxpy job's node arrays, on serve's 7-cube and its largest machine.
+  for (const int dim : {7, 10}) {
+    const FixedCost f = measure_fixed_cost(dim, true, kBudget);
+    const std::string cube = "_cube" + std::to_string(dim);
+    results["saxpy_setup_us_per_node" + cube] =
+        json::Value::number(f.setup_us_per_node);
+    results["saxpy_teardown_us_per_node" + cube] =
         json::Value::number(f.teardown_us_per_node);
   }
   bench::write_record(path, "bench_simcore", std::move(results));

@@ -29,7 +29,7 @@
 #      throughput; events/sec is gated run over run with 10% slack. The
 #      release leg also echoes the occam message path's ns per event,
 #      allocations per message and state per node, and a served job's
-#      setup and teardown per node, which are not gated
+#      setup and teardown per node (a saxpy job's too), which are not gated
 #   8. serve storm: bench_serve drives an open-loop mixed request storm
 #      through the in-process job service — completion must be >= 99%,
 #      cached results byte-identical with zero simulated events, the
@@ -365,8 +365,8 @@ if want_stage 7; then
   gate_record "$simcore" "$simcore_fresh" "$repo_root/BENCH_simcore.json" \
               events_per_sec ge 0.9
   # The occam message path's host cost and a served job's fixed cost per
-  # node, by machine size: recorded and echoed on the release leg, not
-  # gated.
+  # node, by machine size, with and without saxpy's staged arrays:
+  # recorded and echoed on the release leg, not gated.
   if [ -z "$sanitize" ]; then
     for key in msg_ns_per_event_cube7 msg_ns_per_event_cube10 \
                msg_ns_per_event_cube12 allocs_per_message \
@@ -374,7 +374,10 @@ if want_stage 7; then
                state_bytes_per_node_cube12 setup_us_per_node_cube7 \
                setup_us_per_node_cube10 setup_us_per_node_cube12 \
                teardown_us_per_node_cube7 teardown_us_per_node_cube10 \
-               teardown_us_per_node_cube12; do
+               teardown_us_per_node_cube12 saxpy_setup_us_per_node_cube7 \
+               saxpy_setup_us_per_node_cube10 \
+               saxpy_teardown_us_per_node_cube7 \
+               saxpy_teardown_us_per_node_cube10; do
       echo "ci: bench_simcore $key=$("$simcore" --metric "$key" \
             "$simcore_fresh") (not gated)"
     done

@@ -1,10 +1,13 @@
 #include "mem/memory.hpp"
 
+#include <sanitizer/asan_interface.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <array>
 #include <cassert>
 #include <cstring>
+#include <mutex>
 #include <new>
 
 namespace fpst::mem {
@@ -43,6 +46,84 @@ const std::uint8_t* zero_view() {
   return zeros;
 }
 
+/// The idle arrays, all zero, with the blocks each has had written since
+/// it was first mapped. Arrays leave and rejoin from any thread (serve
+/// workers, shard threads), so one mutex guards it; the storage is fixed,
+/// so releasing an array allocates nothing. A pooled array is poisoned for
+/// AddressSanitizer (the macros compile to nothing in other builds), so a
+/// stale access through a destroyed memory is still reported, as munmap
+/// made it fault.
+class Pool {
+ public:
+  /// An idle array, or a fresh mapping when there is none.
+  std::uint8_t* acquire(std::bitset<PoolParams::kBlocks>& written) {
+    {
+      const std::lock_guard lock{mu_};
+      if (count_ > 0) {
+        Idle& idle = idle_[--count_];
+        ++reused_;
+        retained_blocks_ -= idle.written.count();
+        ASAN_UNPOISON_MEMORY_REGION(idle.data, MemParams::kBytes);
+        written = idle.written;
+        return idle.data;
+      }
+    }
+    std::uint8_t* data = map_guarded(PROT_READ | PROT_WRITE);
+    const std::lock_guard lock{mu_};
+    ++mapped_;
+    return data;
+  }
+
+  /// Zeroes the written blocks and keeps the array, or unmaps it when it
+  /// is over either bound.
+  void release(std::uint8_t* data,
+               const std::bitset<PoolParams::kBlocks>& written) noexcept {
+    const std::size_t blocks = written.count();
+    if (blocks <= PoolParams::kMaxWrittenBlocks) {
+      for (std::size_t b = 0; b < PoolParams::kBlocks; ++b) {
+        if (written[b]) {
+          std::memset(data + b * PoolParams::kBlockBytes, 0,
+                      PoolParams::kBlockBytes);
+        }
+      }
+      const std::lock_guard lock{mu_};
+      if (count_ < PoolParams::kMaxArrays) {
+        ASAN_POISON_MEMORY_REGION(data, MemParams::kBytes);
+        idle_[count_++] = {data, written};
+        retained_blocks_ += blocks;
+        return;
+      }
+    }
+    munmap(data, MemParams::kBytes + guard_bytes());
+  }
+
+  PoolStats stats() {
+    const std::lock_guard lock{mu_};
+    return {mapped_, reused_, count_,
+            retained_blocks_ * PoolParams::kBlockBytes};
+  }
+
+ private:
+  struct Idle {
+    std::uint8_t* data = nullptr;
+    std::bitset<PoolParams::kBlocks> written;
+  };
+
+  std::mutex mu_;
+  std::array<Idle, PoolParams::kMaxArrays> idle_;
+  std::size_t count_ = 0;
+  std::size_t retained_blocks_ = 0;
+  std::uint64_t mapped_ = 0;
+  std::uint64_t reused_ = 0;
+};
+
+/// The process's one pool, never destroyed, like the shared zero array: a
+/// memory may be freed during static destruction.
+Pool& pool() {
+  static Pool* const p = new Pool;
+  return *p;
+}
+
 }  // namespace
 
 std::uint32_t VectorRegister::u32(std::size_t i) const {
@@ -69,19 +150,23 @@ void VectorRegister::set_u64(std::size_t i, std::uint64_t v) {
   std::memcpy(bytes_.data() + i * 8, &v, sizeof v);
 }
 
+PoolStats pool_stats() { return pool().stats(); }
+
 NodeMemory::NodeMemory() : view_{zero_view()} {}
+
+NodeMemory::~NodeMemory() {
+  if (data_ != nullptr) {
+    pool().release(data_, written_);
+  }
+}
 
 void NodeMemory::map() {
   // Not a vector, which writes every byte up front, nor calloc: once memory
   // has been freed, glibc serves 1 MiB from recycled heap chunks and
-  // re-zeroes them. The fresh array holds the zeros the shared view showed,
-  // and the stored parity bit of every byte matches its data.
-  data_.reset(map_guarded(PROT_READ | PROT_WRITE));
-  view_ = data_.get();
-}
-
-void NodeMemory::Unmap::operator()(std::uint8_t* p) const noexcept {
-  munmap(p, MemParams::kBytes + guard_bytes());
+  // re-zeroes them. The array, pooled or fresh, holds the zeros the shared
+  // view showed, and the stored parity bit of every byte matches its data.
+  data_ = pool().acquire(written_);
+  view_ = data_;
 }
 
 void NodeMemory::check_parity(std::uint32_t addr) {
@@ -125,7 +210,7 @@ std::uint32_t NodeMemory::read_word(std::uint32_t addr) {
 void NodeMemory::write_word(std::uint32_t addr, std::uint32_t v) {
   addr &= ~3u;
   assert(addr + 3 < MemParams::kBytes);
-  std::memcpy(writable() + addr, &v, sizeof v);
+  std::memcpy(writable(addr) + addr, &v, sizeof v);
   if (!corrupted_.empty()) {
     clear_corruption(addr, 4);
   }
@@ -143,7 +228,7 @@ std::uint8_t NodeMemory::read_byte(std::uint32_t addr) {
 
 void NodeMemory::write_byte(std::uint32_t addr, std::uint8_t v) {
   assert(addr < MemParams::kBytes);
-  writable()[addr] = v;
+  writable(addr)[addr] = v;
   if (!corrupted_.empty()) {
     clear_corruption(addr, 1);
   }
@@ -165,7 +250,8 @@ void NodeMemory::load_row(std::size_t row, VectorRegister& reg) {
 void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
   assert(row < MemParams::kRows);
   const std::size_t base = row * MemParams::kRowBytes;
-  std::memcpy(writable() + base, reg.raw().data(), MemParams::kRowBytes);
+  std::memcpy(writable(static_cast<std::uint32_t>(base)) + base,
+              reg.raw().data(), MemParams::kRowBytes);
   if (!corrupted_.empty()) {
     clear_corruption(static_cast<std::uint32_t>(base), MemParams::kRowBytes);
   }
@@ -175,7 +261,7 @@ void NodeMemory::store_row(std::size_t row, const VectorRegister& reg) {
 void NodeMemory::corrupt_byte(std::uint32_t addr, int bit) {
   assert(addr < MemParams::kBytes);
   assert(bit >= 0 && bit < 8);
-  std::uint8_t* data = writable();
+  std::uint8_t* data = writable(addr);
   data[addr] = static_cast<std::uint8_t>(data[addr] ^ (1u << bit));
   // Each call flips exactly one data bit without touching the stored parity
   // bit, so the byte's mismatch toggles: an even number of flipped bits per

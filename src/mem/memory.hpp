@@ -18,18 +18,27 @@
 //
 // Storage: a NodeMemory maps nothing until its first write. Until then it
 // reads through one read-only zero array that every unwritten memory in
-// the process shares. The first write through any writing port maps the
-// node's own 1 MByte as anonymous private memory, which the kernel
+// the process shares. The first write through any writing port gives the
+// node its own 1 MByte of anonymous private memory, which the kernel
 // zero-fills one page at a time as it is written, so a machine costs host
 // memory only for the nodes, and the pages, its program writes. One
 // PROT_NONE guard page follows each array, the shared one included: an
 // access past the end faults in every build type, sanitized or not.
+//
+// Like the paper's DRAM, which is installed once and overwritten by each
+// program, an array outlives its node: a NodeMemory records which 4 KiB
+// blocks it has written, and its destructor zeroes them and hands the
+// array, guard page included, to one process-wide pool. The next first
+// write anywhere in the process takes it from there instead of mapping,
+// so a served job that writes node memory maps, protects and unmaps
+// nothing once the pool is warm. A pooled array is all zero, so it reads
+// exactly like a fresh mapping. PoolParams bounds what the pool keeps.
 #pragma once
 
 #include <array>
+#include <bitset>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <set>
 
@@ -73,6 +82,32 @@ struct MemParams {
   }
 };
 
+/// Bounds of the process-wide pool of released node arrays.
+struct PoolParams {
+  /// Granule of the record of written bytes: one 4 KiB host page.
+  static constexpr std::size_t kBlockBytes = 4096;
+  static constexpr std::size_t kBlocks = MemParams::kBytes / kBlockBytes;
+  /// At most this many idle arrays: one per node of serve's largest
+  /// machine, a 10-cube, so every array a served job frees is kept.
+  static constexpr std::size_t kMaxArrays = 1024;
+  /// Only an array with at most this many written blocks (64 KiB) is
+  /// pooled; a larger one is unmapped. Every block written since the array
+  /// was first mapped stays resident and is zeroed at each release, so
+  /// this bounds both the zeroing and the pool's resident memory: at most
+  /// 64 MiB, in at most 2,048 idle memory regions (each array's and its
+  /// guard page's). A served saxpy writes 2 blocks per node.
+  static constexpr std::size_t kMaxWrittenBlocks = 16;
+};
+
+/// The process's node arrays: what the pool has done, and holds now.
+struct PoolStats {
+  std::uint64_t mapped = 0;  ///< arrays mapped fresh, ever
+  std::uint64_t reused = 0;  ///< first writes served from the pool, ever
+  std::uint64_t pooled = 0;  ///< arrays idle in the pool now
+  std::uint64_t retained_bytes = 0;  ///< the idle arrays' written blocks
+};
+PoolStats pool_stats();
+
 enum class Bank : std::uint8_t { A, B };
 
 /// A 1024-byte vector register, loadable from / storable to a memory row in
@@ -115,14 +150,17 @@ struct ParityError {
 
 class NodeMemory {
  public:
-  /// An unmapped memory, reading as zero. Its first write maps the array,
-  /// and throws std::bad_alloc if the mapping or its guard page cannot be
-  /// set up.
+  /// An unmapped memory, reading as zero. Its first write takes an array
+  /// from the pool or maps one, and throws std::bad_alloc if the mapping
+  /// or its guard page cannot be set up.
   NodeMemory();
   NodeMemory(const NodeMemory&) = delete;
   NodeMemory& operator=(const NodeMemory&) = delete;
+  /// Zeroes the written blocks and pools the array, or unmaps it when the
+  /// pool is full or the array is over PoolParams::kMaxWrittenBlocks.
+  ~NodeMemory();
 
-  /// True once a write has mapped the array.
+  /// True once a write has given the memory its own array.
   bool mapped() const { return data_ != nullptr; }
 
   // --- random-access (CP / link) port: functional ---
@@ -152,7 +190,7 @@ class NodeMemory {
   /// by the checkpoint engine; does not model a timed port.
   std::uint8_t peek_byte(std::uint32_t addr) const { return view_[addr]; }
   void poke_byte(std::uint32_t addr, std::uint8_t v) {
-    writable()[addr] = v;
+    writable(addr)[addr] = v;
     if (!corrupted_.empty()) {
       clear_corruption(addr, 1);
     }
@@ -182,28 +220,31 @@ class NodeMemory {
   void check_parity(std::uint32_t addr);
   void clear_corruption(std::uint32_t addr, std::uint32_t len);
 
-  /// The array, for a write: mapped here by the first one.
-  std::uint8_t* writable() {
+  /// The array, for a write at `addr`: taken or mapped by the first one.
+  /// Marks the block `addr` lies in as written; an address past the end
+  /// marks a block inside and still faults on the guard page.
+  std::uint8_t* writable(std::uint32_t addr) {
     if (data_ == nullptr) {
       map();
     }
-    return data_.get();
+    written_[addr / PoolParams::kBlockBytes % PoolParams::kBlocks] = true;
+    return data_;
   }
   void map();
-
-  /// Unmaps the array and its guard page.
-  struct Unmap {
-    void operator()(std::uint8_t* p) const noexcept;
-  };
 
   perf::Stats<kFields> stats_;
   /// What reads see: the shared zero array until the first write, the
   /// node's own array from then on.
   const std::uint8_t* view_;
-  /// The node's own array, null until the first write maps it. Only the
-  /// node's shard thread writes its memory, or staging before the run
-  /// starts, so mapping takes no lock.
-  std::unique_ptr<std::uint8_t[], Unmap> data_;
+  /// The node's own array, null until the first write. Only the node's
+  /// shard thread writes its memory, or staging before the run starts, so
+  /// the memory itself takes no lock; only the pool, which arrays leave
+  /// and rejoin from any thread, does.
+  std::uint8_t* data_ = nullptr;
+  /// The array's blocks written since it was first mapped, by this memory
+  /// or an earlier owner: all of them hold the only bytes that can be
+  /// nonzero. The record travels with the array through the pool.
+  std::bitset<PoolParams::kBlocks> written_;
   /// Bytes whose stored parity bit currently disagrees with their data:
   /// exactly the bytes corrupt_byte has flipped an odd number of times
   /// since their last write. The sparse representation makes fault-free

@@ -1,9 +1,12 @@
 // Tests for the dual-ported node memory: geometry, functional access, row
-// transfers, parity fault injection, and the paper's bandwidth constants.
+// transfers, parity fault injection, the paper's bandwidth constants, and
+// the pool that recycles released arrays.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -208,7 +211,7 @@ TEST(NodeMemory, CorruptingAnUnwrittenByteReportsParity) {
 // ASan does not watch mmap'd memory, so the guard page after the array is
 // what turns an overrun into a fault, in release and sanitized builds alike:
 // after the shared zero array while the memory is unwritten, after its own
-// once written.
+// once written, and after one it took from the pool.
 TEST(NodeMemoryDeathTest, ReadPastTheEndFaults) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ASSERT_DEATH(
@@ -226,6 +229,150 @@ TEST(NodeMemoryDeathTest, ReadPastTheEndFaults) {
         (void)byte;
       },
       "");
+  // An array reused from the pool keeps its guard page. Exiting with 0
+  // when the array was mapped fresh fails the death assertion.
+  ASSERT_DEATH(
+      {
+        std::make_unique<NodeMemory>()->write_byte(0, 1);
+        const std::uint64_t reused = pool_stats().reused;
+        NodeMemory m;
+        m.write_byte(0, 1);
+        if (pool_stats().reused != reused + 1) {
+          std::exit(0);
+        }
+        volatile std::uint8_t byte = m.peek_byte(MemParams::kBytes);
+        (void)byte;
+      },
+      "");
+}
+
+constexpr std::size_t kBlock = PoolParams::kBlockBytes;
+
+/// Takes every idle array out of the pool while it lives, so a test sees
+/// only the arrays it releases itself.
+class HeldPool {
+ public:
+  HeldPool() : held_(pool_stats().pooled) {
+    for (NodeMemory& m : held_) {
+      m.poke_byte(0, 0);
+    }
+  }
+
+ private:
+  std::vector<NodeMemory> held_;
+};
+
+// The array the last memory released is taken by the next first write
+// (the pool is a stack, and this thread is the only one releasing), and
+// it is indistinguishable from a fresh one.
+TEST(NodeMemoryPool, ReusedArrayReadsZeroThroughEveryPort) {
+  const HeldPool held;
+  // One writing port per block, and two in the last block.
+  constexpr std::uint32_t kWord = 0x10;
+  constexpr std::uint32_t kByte = 3 * kBlock + 7;
+  constexpr std::size_t kRow = 100 * kBlock / MemParams::kRowBytes;
+  constexpr std::uint32_t kPoke = 200 * kBlock + 1;
+  constexpr std::uint32_t kCorrupt = MemParams::kBytes - 2;
+  const PoolStats before = pool_stats();
+  {
+    NodeMemory first;
+    first.write_word(kWord, 0xdeadbeef);
+    first.write_byte(kByte, 0x5a);
+    VectorRegister reg;
+    reg.set_u64(MemParams::kElems64 - 1, ~0ull);
+    first.store_row(kRow, reg);
+    first.poke_byte(kPoke, 0xa5);
+    first.poke_byte(kCorrupt - 1, 0xff);
+    first.corrupt_byte(kCorrupt, 5);  // a parity error no read reported
+  }
+  const PoolStats released = pool_stats();
+  EXPECT_EQ(released.mapped, before.mapped + 1);
+  EXPECT_EQ(released.pooled, 1u);
+  EXPECT_EQ(released.retained_bytes, 5 * kBlock);
+
+  NodeMemory m;
+  m.poke_byte(kBlock, 1);  // the first write takes the array back
+  const PoolStats taken = pool_stats();
+  EXPECT_EQ(taken.reused, released.reused + 1);
+  EXPECT_EQ(taken.mapped, released.mapped);
+  EXPECT_EQ(taken.pooled, 0u);
+  EXPECT_EQ(taken.retained_bytes, 0u);
+  EXPECT_EQ(m.word_accesses(), 0u) << "statistics start at zero";
+  EXPECT_EQ(m.row_accesses(), 0u);
+
+  EXPECT_EQ(m.read_word(kWord), 0u);
+  EXPECT_EQ(m.read_byte(kByte), 0u);
+  VectorRegister reg;
+  reg.set_u64(0, 1);
+  m.load_row(kRow, reg);
+  for (std::size_t i = 0; i < MemParams::kElems64; ++i) {
+    EXPECT_EQ(reg.u64(i), 0u) << "element " << i;
+  }
+  for (const std::uint32_t a : {kWord, kByte, kPoke, kCorrupt - 1, kCorrupt}) {
+    EXPECT_EQ(m.peek_byte(a), 0u) << "address " << a;
+  }
+  EXPECT_EQ(m.read_byte(kCorrupt), 0u);
+  EXPECT_FALSE(m.take_parity_error().has_value());
+  EXPECT_EQ(m.parity_errors_detected(), 0u);
+  EXPECT_EQ(m.word_accesses(), 3u);
+  EXPECT_EQ(m.row_accesses(), 1u);
+}
+
+// The record of written blocks travels with the array, so an array whose
+// owners together wrote more blocks than the bound is unmapped, not
+// pooled; one at the bound is pooled.
+TEST(NodeMemoryPool, ArrayOverTheBlockBoundIsUnmapped) {
+  const HeldPool held;
+  const auto write_blocks = [](NodeMemory& m, std::size_t from,
+                               std::size_t count) {
+    for (std::size_t b = from; b < from + count; ++b) {
+      m.write_byte(static_cast<std::uint32_t>(b * kBlock), 1);
+    }
+  };
+  {
+    NodeMemory m;
+    write_blocks(m, 0, PoolParams::kMaxWrittenBlocks + 1);
+  }
+  EXPECT_EQ(pool_stats().pooled, 0u) << "over the bound";
+  {
+    NodeMemory m;
+    write_blocks(m, 0, PoolParams::kMaxWrittenBlocks);
+  }
+  EXPECT_EQ(pool_stats().pooled, 1u) << "at the bound";
+  EXPECT_EQ(pool_stats().retained_bytes,
+            PoolParams::kMaxWrittenBlocks * kBlock);
+  {
+    NodeMemory m;
+    // A block no owner wrote.
+    write_blocks(m, PoolParams::kMaxWrittenBlocks, 1);
+  }
+  const PoolStats after = pool_stats();
+  EXPECT_EQ(after.pooled, 0u) << "the owners' union is over the bound";
+  EXPECT_EQ(after.retained_bytes, 0u);
+  {
+    NodeMemory m;
+    m.write_byte(0, 1);
+  }
+  EXPECT_EQ(pool_stats().mapped, after.mapped + 1) << "nothing left to reuse";
+}
+
+TEST(NodeMemoryPool, HoldsAtMostItsArrayBound) {
+  const HeldPool held;
+  {
+    std::vector<NodeMemory> machine(PoolParams::kMaxArrays + 1);
+    for (NodeMemory& m : machine) {
+      m.write_word(0, 1);
+    }
+  }
+  const PoolStats full = pool_stats();
+  EXPECT_EQ(full.pooled, PoolParams::kMaxArrays);
+  EXPECT_EQ(full.retained_bytes, PoolParams::kMaxArrays * kBlock);
+  {
+    NodeMemory m;
+    m.write_word(0, 1);
+  }
+  EXPECT_EQ(pool_stats().reused, full.reused + 1);
+  EXPECT_EQ(pool_stats().pooled, PoolParams::kMaxArrays);
 }
 
 TEST(VectorRegister, TypedViewsShareBytes) {

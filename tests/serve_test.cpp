@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/machine.hpp"
+#include "mem/memory.hpp"
 #include "node/node.hpp"
 #include "perf/chrome_trace.hpp"
 #include "perf/json.hpp"
@@ -511,6 +512,67 @@ TEST(RunnerTest, OnlySaxpyJobsMapNodeMemory) {
       mapped += machine.node(id).memory().mapped() ? 1U : 0U;
     }
     EXPECT_EQ(mapped, program == "saxpy" ? machine.size() : 0u) << program;
+  }
+}
+
+/// The dump of one run of `spec`, its machine freed before this returns.
+std::string run_dump(const JobSpec& spec) {
+  serve::JobRun run{spec};
+  return *run.execute().dump;
+}
+
+// A freed machine's node arrays go to the pool, and the next saxpy job's
+// first writes take them back: after a warm-up a job maps no array, and a
+// reused array changes no byte of a dump.
+TEST(RunnerTest, SaxpyJobsReuseFreedNodeArrays) {
+  JobSpec a = small_spec(3);
+  a.program = "saxpy";
+  a.dimension = 5;
+  JobSpec b = a;
+  b.seed = 4;
+  b.elems = 128;
+  const std::string first = run_dump(a);
+  const mem::PoolStats warm = mem::pool_stats();
+  const std::string other = run_dump(b);
+  const std::string again = run_dump(a);
+  const mem::PoolStats after = mem::pool_stats();
+  EXPECT_EQ(after.mapped, warm.mapped) << "a job after the warm-up mapped";
+  EXPECT_EQ(after.reused, warm.reused + 2 * (std::uint64_t{1} << a.dimension));
+  EXPECT_TRUE(first == again) << "A's dumps differ";
+  EXPECT_TRUE(first != other);
+}
+
+// Serve workers and shard threads take arrays from the pool and return
+// them at once: two threads each run 20 saxpy jobs, one of them on two
+// shards, and every dump equals the one its job wrote alone.
+TEST(RunnerTest, ConcurrentSaxpyJobsShareThePool) {
+  constexpr std::size_t kJobs = 20;
+  std::vector<JobSpec> specs;
+  for (std::size_t i = 0; i < 2 * kJobs; ++i) {
+    JobSpec spec = small_spec(200 + i);
+    spec.program = "saxpy";
+    spec.dimension = 5;
+    spec.elems = 8 << (i % 5);  // 8 to 128
+    spec.threads = i == 1 ? 2 : 1;
+    specs.push_back(spec);
+  }
+  std::vector<std::string> reference;
+  for (const JobSpec& spec : specs) {
+    reference.push_back(run_dump(spec));
+  }
+  std::vector<std::string> dumps(specs.size());
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t w = 0; w < 2; ++w) {
+      workers.emplace_back([&specs, &dumps, w] {
+        for (std::size_t i = w * kJobs; i < (w + 1) * kJobs; ++i) {
+          dumps[i] = run_dump(specs[i]);
+        }
+      });
+    }
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(dumps[i] == reference[i]) << "job " << i;
   }
 }
 

@@ -61,6 +61,10 @@ struct Cfg {
   std::map<std::uint32_t, Insn> insns;        ///< every decoded instruction
   std::map<std::uint32_t, BasicBlock> blocks;  ///< keyed by start address
   std::set<std::uint32_t> entries;             ///< block starts that are roots
+  /// Where a lone process starts: verify() sets it to the first entry it
+  /// was given (or defaulted to), never to a startp target it found, which
+  /// may lie below it. It may lie outside the image.
+  std::uint32_t start = 0;
 
   bool in_image(std::uint32_t a) const { return a >= lo && a < hi; }
 };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -62,34 +63,33 @@ Loops find_loops(const Cfg& cfg) {
     }
   }
 
-  // Iterative DFS; an edge into a block on the current stack is a back
-  // edge and its target a loop header.
+  // Iterative DFS from the process's start (a process it spawns is not
+  // predicted, so neither are its loops); an edge into a block on the
+  // current stack is a back edge and its target a loop header.
   std::map<std::uint32_t, int> color;  // 0 white, 1 on stack, 2 done
   std::set<std::pair<std::uint32_t, std::uint32_t>> back_edges;  // (tail, head)
-  for (const std::uint32_t root : cfg.entries) {
-    if (cfg.blocks.count(root) == 0 || color[root] != 0) {
-      continue;
-    }
-    std::vector<std::pair<std::uint32_t, std::size_t>> stack{{root, 0}};
-    color[root] = 1;
-    while (!stack.empty()) {
-      auto& [u, next] = stack.back();
-      const auto& succs = cfg.blocks.at(u).succs;
-      if (next < succs.size()) {
-        const std::uint32_t v = succs[next++];
-        if (cfg.blocks.count(v) == 0) {
-          continue;
-        }
-        if (color[v] == 1) {
-          back_edges.insert({u, v});
-        } else if (color[v] == 0) {
-          color[v] = 1;
-          stack.push_back({v, 0});
-        }
-      } else {
-        color[u] = 2;
-        stack.pop_back();
+  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
+  if (cfg.blocks.count(cfg.start) != 0) {
+    stack.push_back({cfg.start, 0});
+    color[cfg.start] = 1;
+  }
+  while (!stack.empty()) {
+    auto& [u, next] = stack.back();
+    const auto& succs = cfg.blocks.at(u).succs;
+    if (next < succs.size()) {
+      const std::uint32_t v = succs[next++];
+      if (cfg.blocks.count(v) == 0) {
+        continue;
       }
+      if (color[v] == 1) {
+        back_edges.insert({u, v});
+      } else if (color[v] == 0) {
+        color[v] = 1;
+        stack.push_back({v, 0});
+      }
+    } else {
+      color[u] = 2;
+      stack.pop_back();
     }
   }
 
@@ -730,21 +730,13 @@ class CostExecutor {
 
 }  // namespace
 
-CostPrediction predict_cost(const cp::Program& p, const CostOptions& opts) {
+CostPrediction predict_cost(const cp::Program& p, const Cfg& cfg,
+                            const CostOptions& opts) {
   CostPrediction out;
   if (p.bytes.empty()) {
     out.stop_reason = "program image is empty";
     return out;
   }
-
-  std::set<std::uint32_t> entries = opts.entries;
-  if (entries.empty()) {
-    const auto it = p.symbols.find("main");
-    entries.insert(it != p.symbols.end() ? it->second : p.entry());
-  }
-  // The verifier owns structural diagnostics; rebuild the CFG quietly.
-  Report scratch;
-  const Cfg cfg = build_cfg(p, entries, scratch);
 
   Loops loops = find_loops(cfg);
 
@@ -755,7 +747,7 @@ CostPrediction predict_cost(const cp::Program& p, const CostOptions& opts) {
     heads.insert(l.head);
   }
   ex.set_loop_heads(std::move(heads));
-  ex.run(*entries.begin());
+  ex.run(cfg.start);
 
   // Loop verdicts: a completed prediction proves every traversed loop
   // bounded; kUnbounded set during the run (or structurally) stands.

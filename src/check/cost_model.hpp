@@ -47,7 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -64,8 +63,6 @@ struct CostOptions {
   /// Abort a (bounded but huge) prediction after this many executed
   /// instruction bytes and raise `cost-overflow`.
   std::uint64_t max_steps = 2'000'000;
-  /// Extra entry points; empty means `main` or the org, like the verifier.
-  std::set<std::uint32_t> entries;
 };
 
 /// What the analyzer decided about one natural loop.
@@ -103,10 +100,12 @@ struct CostPrediction {
   std::vector<LoopInfo> loops;
 };
 
-/// Predict the cost of running `p` as a single process from its entry
-/// point. Performance diagnostics land in `report` with
+/// Predict the cost of running `p` as a single process from `cfg.start`,
+/// over the CFG verify() recovered for it (VerifyResult::cfg), so the image
+/// is decoded once. Performance diagnostics land in `report` with
 /// DiagClass::kPerformance; structural problems are the verifier's job and
 /// are not re-reported here.
-CostPrediction predict_cost(const cp::Program& p, const CostOptions& opts = {});
+CostPrediction predict_cost(const cp::Program& p, const Cfg& cfg,
+                            const CostOptions& opts = {});
 
 }  // namespace fpst::check

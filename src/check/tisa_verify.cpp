@@ -81,6 +81,7 @@ class Verifier {
       const auto it = prog_.symbols.find("main");
       entries.insert(it != prog_.symbols.end() ? it->second : prog_.entry());
     }
+    const std::uint32_t start = *entries.begin();
     // startp targets discovered constant become entry points of their own;
     // iterate until the entry set stabilises (bounded: entries only grow).
     VerifyResult result;
@@ -93,6 +94,7 @@ class Verifier {
       }
       entries = std::move(next);
     }
+    result.cfg.start = start;
     annotate_lines(result.report);
     return result;
   }

@@ -18,27 +18,6 @@ namespace fpst::perf {
 
 namespace {
 
-// trace_event timestamps are microseconds; SimTime is picoseconds. A double
-// keeps sub-microsecond resolution (Perfetto accepts fractional ts/dur).
-double to_us(sim::SimTime t) { return t.us(); }
-
-std::string track_key(std::uint32_t node, const std::string& component) {
-  return "node" + std::to_string(node) + "." + component;
-}
-
-json::Value metadata_event(const char* name, std::int64_t pid, std::int64_t tid,
-                           const std::string& value) {
-  json::Value e = json::Value::object();
-  e["ph"] = json::Value::string("M");
-  e["name"] = json::Value::string(name);
-  e["pid"] = json::Value::integer(pid);
-  e["tid"] = json::Value::integer(tid);
-  json::Value args = json::Value::object();
-  args["name"] = json::Value::string(value);
-  e["args"] = std::move(args);
-  return e;
-}
-
 std::uint64_t spans_dropped(const CounterRegistry& reg) {
   if (!reg.span_sharded()) {
     return reg.timeline().dropped();
@@ -356,7 +335,7 @@ void format_name(Out& out, const Span& s) {
 // --- the direct span writer -------------------------------------------------
 //
 // A trace event prints as the fixed text below around its variable fields,
-// exactly as json::Writer lays out the to_json() object at indent 2 inside
+// exactly as json::Writer lays out the event's object at indent 2 inside
 // the traceEvents array (members in sorted key order; "dur" only on
 // complete spans, "s" only on instants). Every span follows at least one
 // metadata event, so each opens with the array's comma.
@@ -513,7 +492,7 @@ void name_event(Out& out, std::string_view sep, std::string_view prefix,
 
 /// The traceEvents array's metadata events, in registry order: a node's
 /// process_name, then a thread_name per track, tid the component's rank
-/// within its node, as in to_json().
+/// within its node, so each node's threads sort stably in a viewer.
 template <typename Out>
 void names_text(Out& out, const std::vector<NodeTracks>& nodes) {
   std::string_view sep = "\n    ";
@@ -589,9 +568,10 @@ void write_dump(std::string& out, const CounterRegistry& reg,
   // The document's frame goes through json::Writer, which owns the escapes
   // a workload label or a results table may need: the braces, the
   // displayTimeUnit, metadata and results members, and the traceEvents
-  // array's opening bracket. Members print in the sorted key order of
-  // to_json()'s std::map objects. The counters object, spliced in for the
-  // frame's "{}", and the events after the bracket are nearly all the
+  // array's opening bracket. Members print in sorted key order, as a
+  // json::Value object prints them, so parsing the dump and printing it
+  // with dump(2) gives back its bytes. The counters object, spliced in for
+  // the frame's "{}", and the events after the bracket are nearly all the
   // bytes; they are written directly.
   std::string frame;
   json::Writer w{frame, 2};
@@ -696,94 +676,9 @@ void write_file(const std::string& path, const CounterRegistry& reg,
 }
 
 json::Value to_json(const CounterRegistry& reg, sim::SimTime wall) {
-  return to_json(snapshot(reg, wall));
-}
-
-json::Value to_json(const Dump& d) {
-  json::Value doc = json::Value::object();
-
-  // --- metadata -----------------------------------------------------------
-  json::Value md = json::Value::object();
-  md["tool"] = json::Value::string("tperf");
-  md["dimension"] = json::Value::integer(d.meta.dimension);
-  md["nodes"] = json::Value::integer(static_cast<std::int64_t>(d.meta.nodes));
-  md["workload"] = json::Value::string(d.meta.workload);
-  md["wall_ps"] = json::Value::integer(d.wall.ps());
-  md["spans_dropped"] =
-      json::Value::integer(static_cast<std::int64_t>(d.spans_dropped));
-  md["span_capacity"] =
-      json::Value::integer(static_cast<std::int64_t>(d.span_capacity));
-  doc["metadata"] = std::move(md);
-
-  // --- counters + (node, component) -> (pid, tid) map ----------------------
-  // tid is the component's rank within its node (deterministic: tracks are
-  // sorted by (node, component)), so each node's threads sort stably in the
-  // viewer.
-  std::map<std::pair<std::uint32_t, std::string>,
-           std::pair<std::int64_t, std::int64_t>>
-      track_ref;
-  std::map<std::uint32_t, std::int64_t> next_tid;
-
-  json::Value counters = json::Value::object();
-  json::Value events = json::Value::array();
-  for (const DumpTrack& t : d.tracks) {
-    const std::int64_t pid = static_cast<std::int64_t>(t.node);
-    const std::int64_t tid = next_tid[t.node]++;
-    track_ref.emplace(std::make_pair(t.node, t.component),
-                      std::make_pair(pid, tid));
-
-    if (tid == 0) {
-      events.append(metadata_event("process_name", pid, 0,
-                                   "node" + std::to_string(t.node)));
-    }
-    events.append(metadata_event("thread_name", pid, tid, t.component));
-
-    json::Value track = json::Value::object();
-    json::Value counts = json::Value::object();
-    for (const auto& [name, v] : t.counts) {
-      counts[name] = json::Value::integer(static_cast<std::int64_t>(v));
-    }
-    json::Value busy = json::Value::object();
-    for (const auto& [name, tm] : t.times) {
-      busy[name] = json::Value::integer(tm.ps());
-    }
-    track["counts"] = std::move(counts);
-    track["busy_ps"] = std::move(busy);
-    counters[track_key(t.node, t.component)] = std::move(track);
-  }
-  doc["counters"] = std::move(counters);
-
-  // --- spans --------------------------------------------------------------
-  for (const DumpSpan& s : d.spans) {
-    const auto it = track_ref.find(std::make_pair(s.node, s.component));
-    if (it == track_ref.end()) {
-      continue;  // span without a counter track (cannot happen via PerfSink)
-    }
-    json::Value e = json::Value::object();
-    e["name"] = json::Value::string(s.name);
-    e["pid"] = json::Value::integer(it->second.first);
-    e["tid"] = json::Value::integer(it->second.second);
-    e["ts"] = json::Value::number(to_us(s.start));
-    if (s.is_instant) {
-      e["ph"] = json::Value::string("i");
-      e["s"] = json::Value::string("t");  // thread-scoped instant
-    } else {
-      e["ph"] = json::Value::string("X");
-      e["dur"] = json::Value::number(to_us(s.duration));
-    }
-    // Exact picosecond times ride along for lossless reload.
-    json::Value args = json::Value::object();
-    args["start_ps"] = json::Value::integer(s.start.ps());
-    args["dur_ps"] = json::Value::integer(s.duration.ps());
-    e["args"] = std::move(args);
-    events.append(std::move(e));
-  }
-  doc["traceEvents"] = std::move(events);
-  doc["displayTimeUnit"] = json::Value::string("ns");
-  if (!d.results.is_null()) {
-    doc["results"] = d.results;
-  }
-  return doc;
+  std::string s;
+  write_dump(s, reg, wall);
+  return json::Value::parse(s);
 }
 
 void write_file(const std::string& path, const json::Value& doc) {

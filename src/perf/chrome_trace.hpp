@@ -11,9 +11,10 @@
 //     optional caller-supplied `results` object (benches put their
 //     headline tables there).
 //
-// write_dump() writes the document from a registry straight to bytes; to_json()
-// builds the same document as a json::Value tree, the byte reference the
-// tests hold write_dump() to and the view loading and analysis start from.
+// write_dump() is the one writer: it writes the document from a registry
+// straight to bytes, in the canonical form json::Value::dump(2) prints, so
+// parsing a dump and printing it again gives back its bytes. from_json()
+// loads a parsed dump back into a Dump, the view the analyzers start from.
 //
 // Timestamps in traceEvents are microseconds (the trace_event unit); the
 // counters/metadata sections carry exact integer picoseconds (`*_ps`).
@@ -32,13 +33,14 @@
 
 namespace fpst::perf {
 
-/// Write a registry's dump (counters + timeline + meta) straight to bytes,
-/// appending to `out` exactly what to_json(reg, wall) — with `results` as
-/// its "results" member unless null — prints with dump(2), without building
-/// the tree. `out` grows by one reservation, which also holds the trailing
-/// newline write_file() and serve append. `wall` is the simulated end time
-/// of the run; `results` carries a caller's tables (bench rows, a serve
-/// job's spec). Serve and every dump-writing example and bench use this.
+/// Write a registry's dump (counters + timeline + meta, and `results` as
+/// its "results" member unless null) straight to bytes, appending to `out`.
+/// The text is canonical: json::Value::parse(text).dump(2) == text (a
+/// results double of -0 reads back as the integer 0). `out` grows by one
+/// reservation, which also holds the trailing newline write_file() and
+/// serve append. `wall` is the simulated end time of the run; `results`
+/// carries a caller's tables (bench rows, a serve job's spec). Serve and
+/// every dump-writing example and bench use this.
 void write_dump(std::string& out, const CounterRegistry& reg,
                 sim::SimTime wall, const json::Value& results = json::Value{});
 
@@ -47,8 +49,7 @@ void write_dump(std::string& out, const CounterRegistry& reg,
 void write_file(const std::string& path, const CounterRegistry& reg,
                 sim::SimTime wall, const json::Value& results = json::Value{});
 
-/// The same dump as a document tree: the view from_json(), the loaders and
-/// the tests use, and the byte reference write_dump() is tested against.
+/// The same dump as a document tree: write_dump()'s bytes, parsed.
 json::Value to_json(const CounterRegistry& reg, sim::SimTime wall);
 
 /// Write any JSON document to `path` (pretty-printed). Throws
@@ -76,6 +77,8 @@ struct DumpTrack {
   std::string component;
   std::map<std::string, std::uint64_t, std::less<>> counts;
   std::map<std::string, sim::SimTime, std::less<>> times;
+
+  bool operator==(const DumpTrack&) const = default;
 };
 
 /// One span as loaded back from a dump.
@@ -86,6 +89,8 @@ struct DumpSpan {
   sim::SimTime duration{};
   std::string name;
   bool is_instant = false;
+
+  bool operator==(const DumpSpan&) const = default;
 };
 
 /// A loaded dump: everything tools/ttrace and the report builder need.
@@ -108,10 +113,6 @@ struct Dump {
 /// Capture a registry's current state as a Dump without serialising — the
 /// in-process path to the analyzers (perf/report, perf/tscope).
 Dump snapshot(const CounterRegistry& reg, sim::SimTime wall);
-
-/// Serialise a Dump. from_json(to_json(d)) round-trips losslessly and
-/// to_json(from_json(doc)) reproduces `doc` byte for byte.
-json::Value to_json(const Dump& d);
 
 /// Rebuild a Dump from a parsed document. Throws std::runtime_error on a
 /// document that is not a perf dump, including a track key or span pid

@@ -6,9 +6,10 @@
 // deterministic: two identical runs produce byte-identical dumps, which the
 // perf tests rely on. Writer owns the formatting rules: Value::dump() and
 // the frame of a tperf dump (perf/chrome_trace.hpp: its metadata and
-// results) print through it, and the dump's direct writers of counters,
-// metadata events and spans, which copy fixed text around their fields,
-// are tested byte for byte against the tree printed here.
+// results) print through it. The dump's direct writers of counters,
+// metadata events and spans copy fixed text around their fields; the tests
+// hold them to these rules by parsing a dump and printing it again with
+// Value::dump(2), which must give back the same bytes.
 #pragma once
 
 #include <cstdint>

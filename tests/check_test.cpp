@@ -390,7 +390,7 @@ TEST(CostModel, StraightLinePredictionIsBitExact) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const cp::Program p = cp::assemble(c.source);
-    const CostPrediction pred = predict_cost(p);
+    const CostPrediction pred = predict_cost(p, verify(p).cfg);
     EXPECT_TRUE(pred.complete) << pred.stop_reason;
     if (c.fault_code == nullptr) {
       EXPECT_FALSE(pred.report.has_errors()) << pred.report.to_string("test");
@@ -419,7 +419,7 @@ TEST(CostModel, CountedLoopIsBoundedAndBitExact) {
    done:
       halt
   )");
-  const CostPrediction pred = predict_cost(p);
+  const CostPrediction pred = predict_cost(p, verify(p).cfg);
   EXPECT_TRUE(pred.complete) << pred.stop_reason;
   ASSERT_EQ(pred.loops.size(), 1u);
   EXPECT_EQ(pred.loops[0].verdict, LoopVerdict::kBounded);
@@ -435,7 +435,7 @@ TEST(CostModel, VformSaxpyExamplePredictsTheSimulatorBitExact) {
   const std::string text = read_file(std::string(FPST_SOURCE_DIR) +
                                      "/examples/tisa/vform_saxpy.tisa");
   const cp::Program p = cp::assemble(text);
-  const CostPrediction pred = predict_cost(p);
+  const CostPrediction pred = predict_cost(p, verify(p).cfg);
   EXPECT_TRUE(pred.complete) << pred.stop_reason;
   EXPECT_GT(pred.vforms, 0u);
   EXPECT_GT(pred.flops, 0u);
@@ -460,7 +460,7 @@ TEST(CostModel, UnknownBranchInHotLoopIsUnboundedAndFlagged) {
    done:
       halt
   )");
-  const CostPrediction pred = predict_cost(p);
+  const CostPrediction pred = predict_cost(p, verify(p).cfg);
   EXPECT_FALSE(pred.complete);
   EXPECT_TRUE(pred.report.has("unbounded-hot-loop"))
       << pred.report.to_string("test");
@@ -486,16 +486,50 @@ TEST(CostModel, StepBudgetExhaustionRaisesCostOverflow) {
   )");
   CostOptions opts;
   opts.max_steps = 100;
-  const CostPrediction pred = predict_cost(p, opts);
+  const CostPrediction pred = predict_cost(p, verify(p).cfg, opts);
   EXPECT_FALSE(pred.complete);
   EXPECT_TRUE(pred.report.has("cost-overflow"))
       << pred.report.to_string("test");
 }
 
+// The prediction starts at the entry the verifier was given, not at a
+// process it spawns that lies below it, and finds no loop in that process.
+// An entry the verifier rejects still ends the prediction with a reason.
+TEST(CostModel, StartsAtTheVerifiedEntry) {
+  const cp::Program p = cp::assemble(R"(
+   worker:
+      ldc 1
+      cj worker
+      stopp
+   main:
+      ldc worker
+      ldc 0x8201
+      startp
+      halt
+  )");
+  const VerifyResult v = verify(p);
+  EXPECT_EQ(v.cfg.entries.size(), 2u);
+  const CostPrediction pred = predict_cost(p, v.cfg);
+  EXPECT_FALSE(pred.complete);
+  EXPECT_GT(pred.stop_addr, p.symbols.at("main"));
+  EXPECT_NE(pred.stop_reason.find("startp"), std::string::npos)
+      << pred.stop_reason;
+  EXPECT_TRUE(pred.loops.empty());
+
+  VerifyOptions outside;
+  outside.entries.insert(p.org + static_cast<std::uint32_t>(p.bytes.size()));
+  const VerifyResult rejected = verify(p, outside);
+  EXPECT_TRUE(rejected.report.has("bad-entry"));
+  const CostPrediction none = predict_cost(p, rejected.cfg);
+  EXPECT_FALSE(none.complete);
+  EXPECT_FALSE(none.stop_reason.empty());
+}
+
 TEST(CostModel, ConstantOversizedVformIsAPerformanceError) {
   const std::string text = read_file(std::string(FPST_SOURCE_DIR) +
                                      "/tests/corpus/vform_overrun.tisa");
-  const CostPrediction pred = predict_cost(cp::assemble(text));
+  const cp::Program p = cp::assemble(text);
+  const CostPrediction pred = predict_cost(p, verify(p).cfg);
   EXPECT_TRUE(pred.report.has("vform-overrun"))
       << pred.report.to_string("test");
   EXPECT_GE(pred.report.count(Severity::kError, DiagClass::kPerformance), 1u);
@@ -788,8 +822,9 @@ TEST_P(CorpusTest, ProducesExpectedDiagnostic) {
     reports.push_back(analyze_volume(spec).report);
   } else {
     const cp::Program prog = cp::assemble(text);
-    reports.push_back(verify(prog).report);
-    reports.push_back(predict_cost(prog).report);
+    const VerifyResult verified = verify(prog);
+    reports.push_back(verified.report);
+    reports.push_back(predict_cost(prog, verified.cfg).report);
   }
   bool found = false;
   std::string all;
@@ -847,7 +882,7 @@ TEST(Examples, AllShippedProgramsVerifyClean) {
         << c.file << ":\n" << res.report.to_string(c.file);
     // The cost model must not raise performance errors on shipped code
     // either (tcheck exits 0 over every example).
-    const CostPrediction pred = predict_cost(prog);
+    const CostPrediction pred = predict_cost(prog, res.cfg);
     EXPECT_FALSE(pred.report.has_errors())
         << c.file << ":\n" << pred.report.to_string(c.file);
   }

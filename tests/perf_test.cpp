@@ -27,6 +27,7 @@
 #include "perf/chrome_trace.hpp"
 #include "perf/counters.hpp"
 #include "perf/report.hpp"
+#include "sim/bits.hpp"
 #include "sim/proc.hpp"
 #include "vpu/recip.hpp"
 
@@ -595,10 +596,13 @@ std::set<perf::SpanKind> retained_kinds(const CounterRegistry& reg) {
   return kinds;
 }
 
-// The direct writer must print exactly what the tree view prints, and what
-// it prints must load back into the same dump.
-void expect_stream_matches_tree(const CounterRegistry& reg,
-                                const perf::json::Value& results) {
+// A streamed dump is canonical JSON (parsing it and printing it again gives
+// back its bytes), loads back into exactly the registry's snapshot, and is
+// byte for byte the dump `digest` pins. The digests were taken where
+// write_dump() was still compared with a second, tree-building writer.
+void expect_pinned_dump(const CounterRegistry& reg,
+                        const perf::json::Value& results,
+                        std::uint64_t digest) {
   const sim::SimTime wall = 7_us;
   std::string streamed;
   perf::write_dump(streamed, reg, wall, results);
@@ -606,18 +610,32 @@ void expect_stream_matches_tree(const CounterRegistry& reg,
   // the newline write_file appends; growing past it would double the
   // capacity.
   EXPECT_EQ(streamed.capacity(), streamed.size() + 1);
-  perf::json::Value doc = perf::to_json(reg, wall);
-  if (!results.is_null()) {
-    doc["results"] = results;
+  const perf::json::Value doc = perf::json::Value::parse(streamed);
+  EXPECT_EQ(doc.dump(2), streamed);
+
+  const perf::Dump loaded = perf::from_json(doc);
+  const perf::Dump want = perf::snapshot(reg, wall);
+  EXPECT_EQ(loaded.meta.dimension, want.meta.dimension);
+  EXPECT_EQ(loaded.meta.nodes, want.meta.nodes);
+  EXPECT_EQ(loaded.meta.workload, want.meta.workload);
+  EXPECT_EQ(loaded.wall, want.wall);
+  EXPECT_EQ(loaded.spans_dropped, want.spans_dropped);
+  EXPECT_EQ(loaded.span_capacity, want.span_capacity);
+  ASSERT_EQ(loaded.tracks.size(), want.tracks.size());
+  for (std::size_t i = 0; i < want.tracks.size(); ++i) {
+    EXPECT_TRUE(loaded.tracks[i] == want.tracks[i]) << "track " << i;
   }
-  EXPECT_EQ(streamed, doc.dump(2));
-  EXPECT_EQ(
-      perf::to_json(perf::from_json(perf::json::Value::parse(streamed)))
-          .dump(2),
-      streamed);
+  ASSERT_EQ(loaded.spans.size(), want.spans.size());
+  for (std::size_t i = 0; i < want.spans.size(); ++i) {
+    EXPECT_TRUE(loaded.spans[i] == want.spans[i]) << "span " << i;
+  }
+  EXPECT_EQ(loaded.results.dump(2), results.dump(2));
+
+  EXPECT_EQ(bits::fnv1a(streamed), digest)
+      << std::hex << "0x" << bits::fnv1a(streamed);
 }
 
-TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
+TEST(ChromeTrace, EdgeCaseDumpsAreCanonicalLosslessAndPinned) {
   perf::json::Value results = perf::json::Value::object();
   results["label"] = perf::json::Value::string("a\"b\\c\x01");
   results["nan"] = perf::json::Value::number(std::nan(""));
@@ -632,8 +650,8 @@ TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
   fill_edge_case_registry(reg);
   ASSERT_GT(reg.timeline().dropped(), 0u);
   ASSERT_EQ(retained_kinds(reg).size(), every_kind);
-  expect_stream_matches_tree(reg, perf::json::Value{});
-  expect_stream_matches_tree(reg, results);
+  expect_pinned_dump(reg, perf::json::Value{}, 0x4a47cb4a45c1d22dULL);
+  expect_pinned_dump(reg, results, 0x163ab8f8ceba493fULL);
 
   // The cases are in the dump, not dropped, and the keys print in byte
   // order.
@@ -661,11 +679,11 @@ TEST(ChromeTrace, StreamedDumpMatchesTreeOnEdgeCases) {
   ASSERT_GT(sharded.shard_timelines()[0]->dropped(), 0u);
   ASSERT_GT(sharded.shard_timelines()[1]->dropped(), 0u);
   ASSERT_EQ(retained_kinds(sharded).size(), every_kind);
-  expect_stream_matches_tree(sharded, results);
+  expect_pinned_dump(sharded, results, 0x9965a0b8914aa01cULL);
 
   const CounterRegistry empty;
-  expect_stream_matches_tree(empty, perf::json::Value{});
-  expect_stream_matches_tree(empty, results);
+  expect_pinned_dump(empty, perf::json::Value{}, 0x58739c316eaf122eULL);
+  expect_pinned_dump(empty, results, 0x161e5768c4e13b26ULL);
 }
 
 /// perf::write_us()'s text for `ps`, and std::to_chars' for
@@ -744,7 +762,7 @@ TEST(Counters, TracksMadeOutOfOrderKeepTheirIdsAndDumpOrder) {
   ASSERT_EQ(loaded.spans.size(), 1u);
   EXPECT_EQ(loaded.spans[0].node, 1u);
   EXPECT_EQ(loaded.spans[0].component, "occam");
-  expect_stream_matches_tree(reg, perf::json::Value{});
+  expect_pinned_dump(reg, perf::json::Value{}, 0x2b057ed14467424cULL);
 }
 
 TEST(ChromeTrace, MicrosecondTextMatchesToChars) {

@@ -304,7 +304,6 @@ FileVerdict check_one(const Options& opts, const std::string& path,
     try {
       const cp::Program prog = cp::assemble(text);
       check::VerifyOptions vo;
-      check::CostOptions co;
       if (!opts.entry.empty()) {
         const auto it = prog.symbols.find(opts.entry);
         if (it == prog.symbols.end()) {
@@ -312,12 +311,13 @@ FileVerdict check_one(const Options& opts, const std::string& path,
                     "entry symbol '" + opts.entry + "' is not defined");
         } else {
           vo.entries.insert(it->second);
-          co.entries.insert(it->second);
         }
       }
       if (!rep.has_errors()) {
-        rep.merge(check::verify(prog, vo).report);
-        const check::CostPrediction pred = check::predict_cost(prog, co);
+        const check::VerifyResult verified = check::verify(prog, vo);
+        rep.merge(verified.report);
+        const check::CostPrediction pred =
+            check::predict_cost(prog, verified.cfg);
         rep.merge(pred.report);
         if (opts.predict && !opts.quiet) {
           if (pred.complete) {

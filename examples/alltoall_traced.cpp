@@ -8,7 +8,7 @@
 //   $ tscope alltoall.json              — latency percentiles, critical path
 //   $ tscope --edges alltoall.json      — congestion vs e-cube prediction
 //   $ tscope --check-ecube alltoall.json
-//   $ ttrace --summary alltoall.json    — per-node message table
+//   $ tscope --summary alltoall.json    — per-node message table
 //
 // --threads 1 (the default) runs the serial engine exactly as before;
 // --threads N>1 builds the machine over the sharded parallel engine

@@ -69,7 +69,7 @@ struct EdgeLoad {
   std::uint64_t crossings = 0;
 };
 
-/// Per-node message activity (the ttrace --summary table).
+/// Per-node message activity (the tscope --summary table).
 struct NodeMsgStats {
   std::uint32_t node = 0;
   std::uint64_t sent = 0;
@@ -129,7 +129,7 @@ json::Value edges_to_json(const std::vector<EdgeLoad>& edges);
 /// and the critical path.
 std::string render_messages(const MessageReport& r);
 
-/// The per-node message table (ttrace --summary).
+/// The per-node message table (tscope --summary).
 std::string render_message_summary(const MessageReport& r);
 
 /// The per-edge congestion table. `predicted` may be empty (no comparison

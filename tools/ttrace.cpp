@@ -6,7 +6,7 @@
 // overlap fractions, measured MFLOPS against the 16 MFLOPS/node ceiling,
 // per-link saturation against 0.5 MB/s, and the paper's 1:13:130 balance
 // verdicts. The same file opens unmodified in chrome://tracing or Perfetto
-// for the span timeline view.
+// for the span timeline view, and tools/tscope reports its messages.
 //
 // Exit codes: 0 report printed (balance violations included), 1 balance
 // violation with --fail-on-violation, 2 usage or unreadable dump.
@@ -17,7 +17,6 @@
 
 #include "perf/chrome_trace.hpp"
 #include "perf/report.hpp"
-#include "perf/tscope.hpp"
 #include "tool_util.hpp"
 
 namespace {
@@ -29,10 +28,6 @@ void usage(std::FILE* to) {
                "  --metric <name>       print a single value and exit:\n"
                "                        active_mflops | aggregate_mflops |\n"
                "                        total_flops | wall_us\n"
-               "  --messages            message-flight report (latency\n"
-               "                        percentiles, critical path) instead\n"
-               "                        of the utilization report\n"
-               "  --summary             per-node message table\n"
                "  --fail-on-violation   exit 1 when a balance rule is "
                "violated\n"
                "  -h, --help            this text\n");
@@ -45,14 +40,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   bool help = false;
   bool fail_on_violation = false;
-  bool messages = false;
-  bool summary = false;
   fpst::tools::Flags flags{"ttrace"};
   flags.flag("-h", &help)
       .flag("--help", &help)
       .flag("--fail-on-violation", &fail_on_violation)
-      .flag("--messages", &messages)
-      .flag("--summary", &summary)
       .text("--metric", &metric)
       .positional(&paths);
   if (!flags.parse(argc, argv)) {
@@ -79,17 +70,6 @@ int main(int argc, char** argv) {
                  "capacity %llu) — span-derived views are incomplete\n",
                  static_cast<unsigned long long>(dump.spans_dropped),
                  static_cast<unsigned long long>(dump.span_capacity));
-  }
-
-  if (messages || summary) {
-    const fpst::perf::MessageReport mr = fpst::perf::analyze_messages(dump);
-    if (messages) {
-      std::fputs(fpst::perf::render_messages(mr).c_str(), stdout);
-    }
-    if (summary) {
-      std::fputs(fpst::perf::render_message_summary(mr).c_str(), stdout);
-    }
-    return 0;
   }
 
   const fpst::perf::MachineReport report = fpst::perf::analyze(dump);

@@ -62,9 +62,9 @@
 #  11. the repo benchmark's own smoke tests (python3
 #      perfbench/test_perfbench.py, release leg only): every workload
 #      passes its output checks untraced and traced — the traced replay
-#      re-serialises jobs through the perf::to_json tree and must match
-#      the bytes serve streamed — injected corruption lands in `failed`,
-#      and every BENCHMARK.json metric prints. perfbench builds its own
+#      parses each job's streamed dump (perf::to_json) and prints it again,
+#      and must get back the bytes serve streamed — injected corruption
+#      lands in `failed`, and every BENCHMARK.json metric prints. perfbench builds its own
 #      RelWithDebInfo binary from src/, so this also catches a src/ change
 #      that breaks the benchmark build. Sanitizer legs skip it loudly: the
 #      benchmark build carries no sanitizer flags

@@ -22,9 +22,15 @@ class RingBuffer {
   explicit RingBuffer(std::size_t capacity)
       : cap_{capacity == 0 ? 1 : capacity} {}
 
-  /// Append, overwriting the oldest element once the ring is full.
+  /// Append, overwriting the oldest element once the ring is full. The
+  /// first push reserves the whole capacity, so the store is allocated
+  /// once and never copied, and a ring that records nothing allocates
+  /// nothing.
   void push(T value) {
     if (buf_.size() < cap_) {
+      if (buf_.capacity() < cap_) {
+        buf_.reserve(cap_);
+      }
       buf_.push_back(std::move(value));
       return;
     }

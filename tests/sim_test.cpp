@@ -717,6 +717,21 @@ TEST(RingBuffer, PartiallyFilledIndexingIsInsertionOrdered) {
   EXPECT_THROW(static_cast<void>(rb[4]), std::out_of_range);
 }
 
+TEST(RingBuffer, ThreeTimesCapacityKeepsTheNewestOldestFirst) {
+  constexpr std::size_t kCap = 5;
+  RingBuffer<int> rb{kCap};
+  for (std::size_t i = 0; i < 3 * kCap; ++i) {
+    rb.push(static_cast<int>(i));
+  }
+  EXPECT_EQ(rb.size(), kCap);
+  EXPECT_EQ(rb.dropped(), 2 * kCap);
+  const std::vector<int> newest{10, 11, 12, 13, 14};
+  EXPECT_EQ(rb.snapshot(), newest);
+  for (std::size_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(rb[i], newest[i]);
+  }
+}
+
 // Known answers from the reference definitions. FNV-1a("") is the offset
 // basis itself, so a mistyped basis fails the first line.
 TEST(Bits, Fnv1aKnownAnswers) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace fpst::occam {
 
@@ -14,6 +15,25 @@ constexpr std::uint32_t kSourceWordBytes = 4;
 
 int first_route_dim(net::NodeId at, net::NodeId dst) {
   return std::countr_zero(at ^ dst);  // e-cube: lowest differing dimension
+}
+
+/// xs[i] += in[i] for each element of xs, in index order. Checking the
+/// length once, not per element, lets the loop vectorize; the sums are the
+/// same element-wise adds.
+void add_into(std::vector<double>* xs, const std::vector<double>& in) {
+  const std::size_t n = xs->size();
+  if (in.size() < n) {
+    std::string what = "occam: allreduce_sum: a neighbour's vector holds ";
+    what += std::to_string(in.size());
+    what += " values, fewer than this node's ";
+    what += std::to_string(n);
+    throw std::out_of_range(what);
+  }
+  double* x = xs->data();
+  const double* y = in.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] += y[i];
+  }
 }
 
 }  // namespace
@@ -105,9 +125,7 @@ sim::Proc Ctx::allreduce_sum(std::vector<double>* xs) {
   for (int k = 0; k < dimension(); ++k) {
     out.assign(xs->begin(), xs->end());
     co_await exchange(k, tag, &out, &in);
-    for (std::size_t i = 0; i < xs->size(); ++i) {
-      (*xs)[i] += in.at(i);
-    }
+    add_into(xs, in);
     out = std::move(in);
   }
 }

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "occam/occam.hpp"
 
@@ -168,6 +170,30 @@ TEST(Occam, VectorAllreduce) {
   for (NodeId i = 0; i < machine.size(); ++i) {
     EXPECT_EQ(results[i], (std::vector<double>{28.0, 8.0}));
   }
+}
+
+TEST(Occam, VectorAllreduceOfUnequalLengthsFailsTheRun) {
+  // A neighbour whose vector is shorter than the node's own fails the
+  // node's add with std::out_of_range, which ends the run; the node with
+  // the shorter vector adds only as many values as it holds.
+  Simulator sim;
+  core::TSeries machine{sim, 1};
+  Runtime rt{machine};
+  std::vector<double> shorter;
+  try {
+    rt.run([&](Ctx& ctx) -> Proc {
+      std::vector<double> xs(ctx.id() == 0 ? 2 : 1, 1.0);
+      co_await ctx.allreduce_sum(&xs);
+      if (ctx.id() == 1) {
+        shorter = xs;
+      }
+    });
+    ADD_FAILURE() << "unequal lengths ran to completion";
+  } catch (const sim::ProcError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("root process failed: ", 0), 0u)
+        << e.what();
+  }
+  EXPECT_EQ(shorter, (std::vector<double>{2.0}));
 }
 
 TEST(Occam, RecvAnyActsAsAlt) {

@@ -518,7 +518,10 @@ class Parser {
       std::int64_t i = 0;
       const auto r = std::from_chars(tok.data(), tok.data() + tok.size(), i);
       if (r.ec == std::errc{} && r.ptr == tok.data() + tok.size()) {
-        return Value::integer(i);
+        // "-0" is the text Writer::number prints for the double -0.0; read
+        // it back as that double, so the round trip keeps its sign.
+        return i == 0 && tok[0] == '-' ? Value::number(-0.0)
+                                       : Value::integer(i);
       }
       // Out of int64 range: fall through to double.
     }

@@ -84,7 +84,9 @@ class Value {
   /// offset-annotated message on malformed input, including a duplicate
   /// object key (named in the message): a std::map holds one value per
   /// key, so keeping either would silently drop the other, and the serve
-  /// layer would hash a JobSpec the client did not mean.
+  /// layer would hash a JobSpec the client did not mean. A number with no
+  /// fraction or exponent that fits int64 is an integer, except `-0`,
+  /// which is the double -0.0 whose text it is, so a dump round-trips.
   static Value parse(std::string_view text);
 
  private:

@@ -969,6 +969,27 @@ TEST(Json, NestingAtTheLimitParses) {
   EXPECT_THROW((void)json::Value::parse(past), std::runtime_error);
 }
 
+TEST(Json, NegativeZeroRoundTrips) {
+  namespace json = perf::json;
+  // -0.0 prints as "-0", so "-0" parses as that double, not the integer 0.
+  const json::Value z = json::Value::parse("-0");
+  EXPECT_EQ(z.kind(), json::Value::Kind::number);
+  EXPECT_TRUE(std::signbit(z.as_double()));
+  EXPECT_EQ(z.dump(), "-0");
+  EXPECT_EQ(json::Value::parse("0").kind(), json::Value::Kind::integer);
+  EXPECT_EQ(json::Value::parse("-7").kind(), json::Value::Kind::integer);
+  EXPECT_EQ(json::Value::parse("[-0,0,-0.0]").dump(), "[-0,0,-0]");
+
+  // So a dump whose results hold -0.0 is canonical text.
+  json::Value results = json::Value::object();
+  results["x"] = json::Value::number(-0.0);
+  const CounterRegistry reg;
+  std::string dump;
+  perf::write_dump(dump, reg, 7_us, results);
+  EXPECT_NE(dump.find("\"x\": -0\n"), std::string::npos);
+  EXPECT_EQ(json::Value::parse(dump).dump(2), dump);
+}
+
 TEST(Report, MachineWorkloadAndBalanceRules) {
   sim::Simulator sim;
   core::TSeries machine{sim, 1};

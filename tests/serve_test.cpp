@@ -137,6 +137,15 @@ TEST(JobSpecTest, BadRequestCorpusYieldsTypedErrors) {
   }
 }
 
+TEST(JobSpecTest, NegativeZeroSeedIsSeedZero) {
+  // "-0" parses as the double -0.0, which an integral field reads as 0.
+  const JobSpec minus = serve::parse_spec("{\"seed\":-0}");
+  const JobSpec zero = serve::parse_spec("{\"seed\":0}");
+  EXPECT_EQ(minus.seed, 0u);
+  EXPECT_EQ(minus, zero);
+  EXPECT_EQ(serve::content_address(minus), serve::content_address(zero));
+}
+
 TEST(JobSpecTest, NonFiniteNumbersAreRejected) {
   // JSON text cannot spell NaN, but a Value built through the API can
   // carry one; spec_from_json sits behind both paths.

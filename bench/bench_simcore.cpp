@@ -8,10 +8,11 @@
 // arms, so ci.sh can track the engine's perf trajectory (BENCH_simcore.json)
 // and gate on regressions; `--metric NAME FILE` reads one back. The record
 // also holds the host cost of the occam message path by machine size
-// (ungated): ns per event of a perf-off allreduce at the 7-, 10- and
-// 12-cube, the path's allocations per message, and the state each node
-// holds after a run; at the same sizes, a served job's fixed cost per
-// node: building a perf-on machine and freeing it; and, at the 7- and
+// (ungated): ns per event of a perf-off allreduce at the 6-, 7-, 10- and
+// 12-cube and of the same allreduce with perf attached at the 6- and
+// 10-cube, the path's allocations per message, and the state each node
+// holds after a run; at the 7-, 10- and 12-cube, a served job's fixed cost
+// per node: building a perf-on machine and freeing it; and, at the 7- and
 // 10-cube, the same for a saxpy job, whose staged arrays take node arrays
 // from the pool and return them.
 #include <benchmark/benchmark.h>
@@ -316,12 +317,14 @@ struct MessagePath {
   double state_bytes_per_node = 0.0;  ///< RSS growth over the first run
 };
 
-/// Runs of a perf-off, 8-round, 16-element allreduce on a `dim`-cube, each
-/// on a fresh machine, for at least `budget` and at least one run. Only
-/// Runtime::run is timed. The first run's machine also gives the state per
-/// node: the growth of the process's resident set from before the machine
-/// was built to after its run, over the node count.
-MessagePath measure_message_path(int dim, std::chrono::milliseconds budget) {
+/// Runs of an 8-round, 16-element allreduce on a `dim`-cube, each on a
+/// fresh machine, for at least `budget` and at least one run. With `perf`,
+/// a fresh registry is attached by enable_perf before each run, as serve
+/// attaches one. Only Runtime::run is timed. The first run's machine also
+/// gives the state per node: the growth of the process's resident set from
+/// before the machine was built to after its run, over the node count.
+MessagePath measure_message_path(int dim, bool perf,
+                                 std::chrono::milliseconds budget) {
   constexpr int kRounds = 8;
   constexpr std::size_t kElems = 16;
   const occam::Runtime::Body body = [](occam::Ctx& ctx) -> sim::Proc {
@@ -337,9 +340,13 @@ MessagePath measure_message_path(int dim, std::chrono::milliseconds budget) {
        first = false) {
     malloc_trim(0);  // earlier machines' freed bytes must not hide growth
     const double rss_before = resident_bytes();
+    perf::CounterRegistry reg;
     sim::Simulator sim;
     core::TSeries machine{sim, dim};
     occam::Runtime rt{machine};
+    if (perf) {
+      machine.enable_perf(reg);
+    }
     const std::uint64_t allocs_before = g_allocations.load();
     const auto run0 = std::chrono::steady_clock::now();
     rt.run(body);
@@ -432,7 +439,7 @@ int write_json_dump(const std::string& path) {
   // Smallest machine first, so each machine's state is measured on a heap
   // that no larger machine has grown.
   for (const int dim : {7, 10, 12}) {
-    const MessagePath m = measure_message_path(dim, kBudget);
+    const MessagePath m = measure_message_path(dim, false, kBudget);
     const std::string cube = "_cube" + std::to_string(dim);
     results["msg_ns_per_event" + cube] = json::Value::number(m.ns_per_event);
     results["state_bytes_per_node" + cube] =
@@ -440,6 +447,8 @@ int write_json_dump(const std::string& path) {
     if (dim == 10) {
       results["allocs_per_message"] =
           json::Value::number(m.allocs_per_message);
+      results["perf_ns_per_event" + cube] = json::Value::number(
+          measure_message_path(dim, true, kBudget).ns_per_event);
     }
     const FixedCost f = measure_fixed_cost(dim, false, kBudget);
     results["setup_us_per_node" + cube] =
@@ -456,6 +465,13 @@ int write_json_dump(const std::string& path) {
     results["saxpy_teardown_us_per_node" + cube] =
         json::Value::number(f.teardown_us_per_node);
   }
+  // perf_ns_per_event over msg_ns_per_event is what counting and recording
+  // spans costs per event. The 6-cube pair runs last: its machines'
+  // recycled coroutine frames would hide part of the 7-cube's state.
+  results["msg_ns_per_event_cube6"] = json::Value::number(
+      measure_message_path(6, false, kBudget).ns_per_event);
+  results["perf_ns_per_event_cube6"] = json::Value::number(
+      measure_message_path(6, true, kBudget).ns_per_event);
   bench::write_record(path, "bench_simcore", std::move(results));
 
   // Machine-readable echo for the CI gate (same idiom as bench_fig1_node's

@@ -364,11 +364,14 @@ if want_stage 7; then
   "$simcore" --json "$simcore_fresh" > /dev/null
   gate_record "$simcore" "$simcore_fresh" "$repo_root/BENCH_simcore.json" \
               events_per_sec ge 0.9
-  # The occam message path's host cost and a served job's fixed cost per
-  # node, by machine size, with and without saxpy's staged arrays:
-  # recorded and echoed on the release leg, not gated.
+  # The occam message path's host cost, perf off and (6- and 10-cube) on,
+  # and a served job's fixed cost per node, by machine size, with and
+  # without saxpy's staged arrays: recorded and echoed on the release leg,
+  # not gated.
   if [ -z "$sanitize" ]; then
-    for key in msg_ns_per_event_cube7 msg_ns_per_event_cube10 \
+    for key in msg_ns_per_event_cube6 perf_ns_per_event_cube6 \
+               msg_ns_per_event_cube7 msg_ns_per_event_cube10 \
+               perf_ns_per_event_cube10 \
                msg_ns_per_event_cube12 allocs_per_message \
                state_bytes_per_node_cube7 state_bytes_per_node_cube10 \
                state_bytes_per_node_cube12 setup_us_per_node_cube7 \
